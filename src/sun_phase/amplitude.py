@@ -110,6 +110,28 @@ class PhaseGradient:
                 f"phase gradient {self.phase_grad_sq} below the bound {bound}"
             )
 
+    def residuals(self) -> RelationResiduals:
+        """Residuals of the three gradient identities at this point (see
+        `group_relation_residuals`)."""
+        return RelationResiduals(
+            phase=abs(self.phase_grad_sq - 1.0 / self.p - (1.0 - 2.0 / self.n)),
+            modulus=abs(self.log_modulus_grad_sq - (1.0 / self.p - 1.0)),
+            cross=abs(self.cross),
+        )
+
+    def reconstructed_modulus(self) -> float:
+        """Modulus recovered from the phase gradient alone.
+
+        1 / sqrt(|grad eta|^2 - (n - 2)/n); equals sqrt(p) identically.  For
+        n = 2 this is simply 1/|grad eta|.
+        """
+        shifted = self.phase_grad_sq - (self.n - 2.0) / self.n
+        if shifted <= P_MIN:
+            raise InternalConsistencyError(
+                "phase gradient below the reconstruction threshold"
+            )
+        return float(1.0 / np.sqrt(shifted))
+
 
 class _Point(NamedTuple):
     u: np.ndarray
@@ -218,32 +240,16 @@ def group_relation_residuals(
     central-difference route.
     """
     if backend == "frame":
-        grad = phase_gradient(pair, chart, x)
-    elif backend == "fd":
-        grad = phase_gradient_fd(pair, chart, x)
-    else:
-        raise ValueError(f"unknown backend '{backend}'")
-    n, p = chart.n, grad.p
-    return RelationResiduals(
-        phase=abs(grad.phase_grad_sq - 1.0 / p - (1.0 - 2.0 / n)),
-        modulus=abs(grad.log_modulus_grad_sq - (1.0 / p - 1.0)),
-        cross=abs(grad.cross),
-    )
+        return phase_gradient(pair, chart, x).residuals()
+    if backend == "fd":
+        return phase_gradient_fd(pair, chart, x).residuals()
+    raise ValueError(f"unknown backend '{backend}'")
 
 
 def reconstruct_modulus(pair: StatePair, chart: Chart, x) -> float:
-    """Modulus |<psi_f|U|psi_i>| recovered from the phase gradient alone.
-
-    1 / sqrt(|grad eta|^2 - (n - 2)/n); equals sqrt(p) identically.  For
-    n = 2 this is simply 1/|grad eta|.
-    """
-    grad = phase_gradient(pair, chart, x)
-    shifted = grad.phase_grad_sq - (chart.n - 2.0) / chart.n
-    if shifted <= P_MIN:
-        raise InternalConsistencyError(
-            "phase gradient below the reconstruction threshold"
-        )
-    return float(1.0 / np.sqrt(shifted))
+    """Modulus |<psi_f|U|psi_i>| recovered from the phase gradient alone
+    (see `PhaseGradient.reconstructed_modulus`)."""
+    return phase_gradient(pair, chart, x).reconstructed_modulus()
 
 
 def vortex_winding(

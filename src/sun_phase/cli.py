@@ -5,42 +5,40 @@ grids.  Reports are byte-identical for identical configuration and
 seed: the RNG is seeded explicitly, floats are printed with 17
 significant digits, and no timestamps are recorded.
 
-Exit codes: 0 all checks pass, 1 check failure, 2 configuration error,
+Every sweep point is evaluated once, serially, in the order its random
+inputs are drawn.  Check gates come from `tolerances.CHECK_GATES`.
+
+Exit codes: 0 all checks pass, 1 check failure, 2 configuration error
+(including arguments outside the domain of a chart, a loop or a trace,
+non-finite numbers, and `--tol` names the command does not report),
 3 inconclusive sweep (more than half of the sampled points skipped).
 """
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import __version__
 from .algebra import StatePair, build_gellmann_basis, haar_state
-from .amplitude import (
-    group_relation_residuals,
-    phase_gradient,
-    polar_amplitude,
-    reconstruct_modulus,
-    vortex_winding,
-)
+from .amplitude import phase_gradient, polar_amplitude, principal_angle, vortex_winding
 from .charts import Chart, exp_chart, su2_polar_chart
 from .coset import (
+    _section_relation_residuals,
     bridge_residuals,
     build_cartan_frame,
     coset_element,
     factorization_residual,
     full_cartan_chart,
-    ray_relation_residuals,
     section,
     u1_berry_residuals,
     u1_eigenvalue,
 )
 from .errors import SunPhaseError
 from .superosc import aligned_generator, superoscillation_report
+from .tolerances import CHECK_GATES, FD_STEP
 
 SCHEMA = "sun-phase/1"
 
@@ -163,6 +161,8 @@ def _parse_state(text: str, n: int, name: str) -> np.ndarray:
     if len(entries) != n:
         raise ConfigError(f"{name} needs {n} comma-separated entries")
     v = np.array(entries, dtype=complex)
+    if not np.all(np.isfinite(v)):
+        raise ConfigError(f"{name} has a non-finite entry")
     norm = np.linalg.norm(v)
     if norm == 0.0:
         raise ConfigError(f"{name} is the zero vector")
@@ -208,27 +208,16 @@ def sample_points(chart_box: np.ndarray, rng: np.random.Generator, count: int, s
     return [rng.uniform(center - half, center + half) for _ in range(count)]
 
 
-def _max_workers() -> int:
-    try:
-        return max(1, int(os.environ.get("SUN_PHASE_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def map_ordered(fn, items):
-    """Evaluate fn over items, in parallel if configured, preserving order."""
-    workers = _max_workers()
-    if workers == 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as executor:
-        return list(executor.map(fn, items))
-
-
 # ---------------------------------------------------------------------------
 # report assembly
 
 
-def make_check(name: str, max_residual: float, tolerance: float) -> dict:
+_GATES = {name: gate for gates in CHECK_GATES.values() for name, gate in gates.items()}
+
+
+def make_check(name: str, max_residual: float, overrides: dict | None = None) -> dict:
+    """Check record gated by `overrides[name]`, else by the default gate."""
+    tolerance = (overrides or {}).get(name, _GATES[name])
     return {
         "name": name,
         "max_residual": float(max_residual),
@@ -248,19 +237,19 @@ def base_report(command: str, config_echo: dict, seed: int) -> dict:
 
 
 def finish_report(report: dict, checks: list[dict], out_path: str | None) -> int:
+    """Write the report; a report marked inconclusive fails with exit code 3."""
+    inconclusive = report.get("inconclusive", False)
     report["checks"] = checks
-    report["pass"] = all(c["pass"] for c in checks)
+    report["pass"] = not inconclusive and all(c["pass"] for c in checks)
     text = dump_report(report)
     if out_path:
         with open(out_path, "w") as handle:
             handle.write(text)
     else:
         sys.stdout.write(text)
+    if inconclusive:
+        return EXIT_INCONCLUSIVE
     return EXIT_PASS if report["pass"] else EXIT_CHECK_FAILURE
-
-
-def _tol(config: SweepConfig, name: str, default: float) -> float:
-    return float(config.tolerances.get(name, default))
 
 
 # ---------------------------------------------------------------------------
@@ -283,30 +272,25 @@ def run_group_sweep(config: SweepConfig, out_path: str | None = None) -> int:
     elif fixed_pair is not None:
         shared_chart = resolve_chart(config, fixed_pair)
 
-    tasks = []
+    bound = 2.0 * (config.n - 1) / config.n
+    kept = []
     for _ in range(config.points):
         pair = fixed_pair if fixed_pair is not None else resolve_pair(config, rng)
         chart_k = shared_chart if shared_chart is not None else resolve_chart(config, pair)
         x = sample_points(chart_k.sample_box, rng, 1, config.sample_scale)[0]
-        tasks.append((pair, chart_k, x))
-
-    bound = 2.0 * (config.n - 1) / config.n
-
-    def evaluate(task):
-        pair, chart_k, x = task
-        amp = polar_amplitude(pair, chart_k.evaluate(x))
-        if amp.p <= P_SKIP:
-            return None
-        res = group_relation_residuals(pair, chart_k, x)
+        if not chart_k.contains(x):
+            raise ConfigError(
+                f"--sample-scale {config.sample_scale} draws points outside "
+                f"chart '{chart_k.label}'"
+            )
+        if polar_amplitude(pair, chart_k.evaluate(x)).p <= P_SKIP:
+            continue
         grad = phase_gradient(pair, chart_k, x)
-        rec = reconstruct_modulus(pair, chart_k, x)
-        rec_residual = abs(rec - np.sqrt(amp.p)) / np.sqrt(amp.p)
+        res = grad.residuals()
+        rec_residual = abs(grad.reconstructed_modulus() - np.sqrt(grad.p)) / np.sqrt(grad.p)
         bound_deficit = max(0.0, bound - grad.phase_grad_sq)
-        return (res.phase, res.modulus, res.cross, rec_residual, bound_deficit, amp.p, x)
-
-    results = map_ordered(evaluate, tasks)
-    kept = [r for r in results if r is not None]
-    skipped = len(results) - len(kept)
+        kept.append((res.phase, res.modulus, res.cross, rec_residual, bound_deficit, grad.p, x))
+    skipped = config.points - len(kept)
 
     report = base_report("verify-group", config.echo(), config.seed)
     report["points_requested"] = config.points
@@ -314,25 +298,18 @@ def run_group_sweep(config: SweepConfig, out_path: str | None = None) -> int:
     report["points_skipped_low_amplitude"] = skipped
 
     if skipped > config.points / 2:
-        report["inconclusive"] = True
-        report["checks"] = []
-        report["pass"] = False
-        text = dump_report(report)
-        if out_path:
-            with open(out_path, "w") as handle:
-                handle.write(text)
-        else:
-            sys.stdout.write(text)
         print("error: more than half of the sweep points were skipped", file=sys.stderr)
-        return EXIT_INCONCLUSIVE
+        report["inconclusive"] = True
+        return finish_report(report, [], out_path)
 
-    columns = np.array([r[:5] for r in kept])
+    worst = np.array([r[:5] for r in kept]).max(axis=0)
+    tols = config.tolerances
     checks = [
-        make_check("phase-identity", columns[:, 0].max(), _tol(config, "phase-identity", 1e-8)),
-        make_check("modulus-identity", columns[:, 1].max(), _tol(config, "modulus-identity", 1e-8)),
-        make_check("orthogonality", columns[:, 2].max(), _tol(config, "orthogonality", 1e-8)),
-        make_check("reconstruction", columns[:, 3].max(), _tol(config, "reconstruction", 1e-8)),
-        make_check("gradient-lower-bound", columns[:, 4].max(), _tol(config, "gradient-lower-bound", 1e-9)),
+        make_check("phase-identity", worst[0], tols),
+        make_check("modulus-identity", worst[1], tols),
+        make_check("orthogonality", worst[2], tols),
+        make_check("reconstruction", worst[3], tols),
+        make_check("gradient-lower-bound", worst[4], tols),
     ]
     if config.per_point:
         report["per_point"] = [
@@ -363,31 +340,30 @@ def run_ray_sweep(config: SweepConfig, bridge_points: int, out_path: str | None 
 
     m = frame.dim_coset
     y_half = (np.pi / 2) * 0.62 / np.sqrt(m) * config.sample_scale
-    # draw all randomness up front so parallel evaluation stays deterministic
-    tasks = [
-        (
-            rng.uniform(-y_half, y_half, m),
-            rng.uniform(-0.5, 0.5, frame.dim_iso),
-            rng.uniform(-2.0, 2.0),
-        )
-        for _ in range(config.points)
-    ]
 
-    def evaluate(task):
-        y, xi_s, xi0 = task
+    def draw_y():
+        y = rng.uniform(-y_half, y_half, m)
+        if np.linalg.norm(y) >= np.pi / 2:
+            raise ConfigError(
+                f"--sample-scale {config.sample_scale} draws points outside the |y| < pi/2 ball"
+            )
+        return y
+
+    kept = []
+    for _ in range(config.points):
+        y = draw_y()
+        xi_s = rng.uniform(-0.5, 0.5, frame.dim_iso)
+        xi0 = rng.uniform(-2.0, 2.0)
         amp = complex(pair.psi_f.conj() @ (coset_element(frame, y) @ frame.psi_i))
         if abs(amp) ** 2 <= P_SKIP_RAY:
-            return None
-        point = section(frame, y)
-        rel = ray_relation_residuals(pair, frame, y)
+            continue
+        point = section(frame, y, h=FD_STEP)
+        rel = _section_relation_residuals(pair, frame, point, 1.0, FD_STEP)
         res_minus, res_plus = u1_berry_residuals(point, config.n)
         fs_gap = float(np.max(np.abs(point.fs_metric - point.fs_metric_state)))
         fact = factorization_residual(pair, frame, y, xi_s, xi0)
-        return (rel.phase, rel.modulus, rel.cross, res_plus, res_minus, fs_gap, fact)
-
-    results = map_ordered(evaluate, tasks)
-    kept = [r for r in results if r is not None]
-    skipped = len(results) - len(kept)
+        kept.append((rel.phase, rel.modulus, rel.cross, res_plus, res_minus, fs_gap, fact))
+    skipped = config.points - len(kept)
 
     report = base_report("verify-ray", config.echo(), config.seed)
     report["points_requested"] = config.points
@@ -396,33 +372,26 @@ def run_ray_sweep(config: SweepConfig, bridge_points: int, out_path: str | None 
     report["bridge_points"] = bridge_points
 
     if skipped > config.points / 2:
-        report["inconclusive"] = True
-        report["checks"] = []
-        report["pass"] = False
-        text = dump_report(report)
-        if out_path:
-            with open(out_path, "w") as handle:
-                handle.write(text)
-        else:
-            sys.stdout.write(text)
         print("error: more than half of the sweep points were skipped", file=sys.stderr)
-        return EXIT_INCONCLUSIVE
+        report["inconclusive"] = True
+        return finish_report(report, [], out_path)
 
-    columns = np.array([r[:7] for r in kept])
+    worst = np.array(kept).max(axis=0)
     # the sign report: which proportionality convention the numerics satisfy
     report["u1_berry_sign"] = {
-        "residual_with_plus_coefficient": float(columns[:, 4].max()),
-        "residual_with_minus_coefficient": float(columns[:, 3].max()),
+        "residual_with_plus_coefficient": float(worst[4]),
+        "residual_with_minus_coefficient": float(worst[3]),
         "resolved_coefficient": f"-sqrt({config.n}/(2*({config.n}-1)))",
     }
 
+    tols = config.tolerances
     checks = [
-        make_check("ray-phase-identity", columns[:, 0].max(), _tol(config, "ray-phase-identity", 1e-5)),
-        make_check("ray-modulus-identity", columns[:, 1].max(), _tol(config, "ray-modulus-identity", 1e-5)),
-        make_check("ray-orthogonality", columns[:, 2].max(), _tol(config, "ray-orthogonality", 1e-5)),
-        make_check("u1-berry-proportionality", columns[:, 3].max(), _tol(config, "u1-berry-proportionality", 1e-8)),
-        make_check("fs-metric-agreement", columns[:, 5].max(), _tol(config, "fs-metric-agreement", 1e-6)),
-        make_check("factorization", columns[:, 6].max(), _tol(config, "factorization", 1e-9)),
+        make_check("ray-phase-identity", worst[0], tols),
+        make_check("ray-modulus-identity", worst[1], tols),
+        make_check("ray-orthogonality", worst[2], tols),
+        make_check("u1-berry-proportionality", worst[3], tols),
+        make_check("fs-metric-agreement", worst[5], tols),
+        make_check("factorization", worst[6], tols),
     ]
 
     if bridge_points:
@@ -434,7 +403,7 @@ def run_ray_sweep(config: SweepConfig, bridge_points: int, out_path: str | None 
         attempts = 0
         while done < bridge_points and attempts < 4 * bridge_points:
             attempts += 1
-            y = rng.uniform(-y_half, y_half, m)
+            y = draw_y()
             amp = complex(pair.psi_f.conj() @ (coset_element(frame, y) @ frame.psi_i))
             if abs(amp) ** 2 <= P_SKIP:
                 continue
@@ -449,17 +418,9 @@ def run_ray_sweep(config: SweepConfig, bridge_points: int, out_path: str | None 
             done += 1
         report["bridge_points_evaluated"] = done
         if done == 0:
-            report["inconclusive"] = True
-            report["checks"] = checks
-            report["pass"] = False
-            text = dump_report(report)
-            if out_path:
-                with open(out_path, "w") as handle:
-                    handle.write(text)
-            else:
-                sys.stdout.write(text)
             print("error: no usable bridge points found", file=sys.stderr)
-            return EXIT_INCONCLUSIVE
+            report["inconclusive"] = True
+            return finish_report(report, checks, out_path)
         report["bridge_gauge_sign"] = {
             "residual_with_minus_berry": float(bridge_worst[0]),
             "best_residual_with_plus_berry": float(alt_best),
@@ -467,11 +428,11 @@ def run_ray_sweep(config: SweepConfig, bridge_points: int, out_path: str | None 
         }
         checks.extend(
             [
-                make_check("bridge-phase", bridge_worst[0], _tol(config, "bridge-phase", 1e-4)),
-                make_check("bridge-mixed", bridge_worst[1], _tol(config, "bridge-mixed", 1e-4)),
-                make_check("bridge-modulus", bridge_worst[2], _tol(config, "bridge-modulus", 1e-4)),
-                make_check("u1-phase-rate", rate_worst, _tol(config, "u1-phase-rate", 1e-6)),
-                make_check("u1-frame-component", u1_frame_worst, _tol(config, "u1-frame-component", 1e-8)),
+                make_check("bridge-phase", bridge_worst[0], tols),
+                make_check("bridge-mixed", bridge_worst[1], tols),
+                make_check("bridge-modulus", bridge_worst[2], tols),
+                make_check("u1-phase-rate", rate_worst, tols),
+                make_check("u1-frame-component", u1_frame_worst, tols),
             ]
         )
 
@@ -502,22 +463,18 @@ def run_su2_demo(grid: int, out_path: str | None, csv_path: str | None) -> int:
     worst_p = 0.0
     worst_eta = 0.0
     worst_grad = 0.0
-    from .amplitude import principal_angle
-
     for chi in chis:
         for theta in thetas:
             for phi in phis:
-                x = np.array([chi, theta, phi])
-                amp = polar_amplitude(pair, chart.evaluate(x))
-                grad = phase_gradient(pair, chart, x)
-                inv_p = 1.0 / amp.p
+                grad = phase_gradient(pair, chart, np.array([chi, theta, phi]))
+                inv_p = 1.0 / grad.p
                 residual = abs(grad.phase_grad_sq - inv_p)
                 rows.append(
-                    (chi, theta, phi, amp.p, amp.eta, grad.phase_grad_sq, inv_p, residual)
+                    (chi, theta, phi, grad.p, grad.eta, grad.phase_grad_sq, inv_p, residual)
                 )
-                worst_p = max(worst_p, abs(amp.p - np.sin(chi) ** 2 * np.sin(theta) ** 2))
+                worst_p = max(worst_p, abs(grad.p - np.sin(chi) ** 2 * np.sin(theta) ** 2))
                 worst_eta = max(
-                    worst_eta, abs(principal_angle(amp.eta - (phi + np.pi / 2)))
+                    worst_eta, abs(principal_angle(grad.eta - (phi + np.pi / 2)))
                 )
                 worst_grad = max(worst_grad, residual)
 
@@ -531,9 +488,9 @@ def run_su2_demo(grid: int, out_path: str | None, csv_path: str | None) -> int:
     report = base_report("su2-demo", {"grid": grid}, seed=0)
     report["rows"] = len(rows)
     checks = [
-        make_check("closed-form-modulus", worst_p, 1e-10),
-        make_check("closed-form-phase", worst_eta, 1e-10),
-        make_check("gradient-inverse-modulus", worst_grad, 1e-10),
+        make_check("closed-form-modulus", worst_p),
+        make_check("closed-form-phase", worst_eta),
+        make_check("gradient-inverse-modulus", worst_grad),
     ]
     return finish_report(report, checks, out_path)
 
@@ -551,6 +508,10 @@ def run_superosc(
     csv_path: str | None,
 ) -> int:
     """Aligned-generator superoscillation report for one state pair."""
+    if samples < 2:
+        raise ConfigError("--samples must be >= 2")
+    if not (np.isfinite(t_min) and np.isfinite(t_max) and t_min < t_max):
+        raise ConfigError("--t-min and --t-max must be finite with --t-min < --t-max")
     rng = np.random.default_rng(config.seed)
     pair = resolve_pair(config, rng)
     basis = build_gellmann_basis(config.n)
@@ -593,16 +554,12 @@ def run_superosc(
 
     checks = [
         make_check(
-            "superoscillatory-at-zero",
-            max(0.0, result.max_abs_eigenvalue - result.omega_zero),
-            1e-9,
+            "superoscillatory-at-zero", max(0.0, result.max_abs_eigenvalue - result.omega_zero)
         ),
         make_check(
-            "eigenvalue-cap",
-            max(0.0, result.max_abs_eigenvalue - result.gradient_bound),
-            1e-9,
+            "eigenvalue-cap", max(0.0, result.max_abs_eigenvalue - result.gradient_bound)
         ),
-        make_check("fourier-reconstruction", fourier_residual, 1e-9),
+        make_check("fourier-reconstruction", fourier_residual),
     ]
     return finish_report(report, checks, out_path)
 
@@ -649,6 +606,8 @@ def run_vortex(
         np.array([1.0, 0.0], dtype=complex), np.array([0.0, 1.0], dtype=complex)
     )
     loop = build_loop(kind, chi, theta, phi, samples, reverse)
+    if not all(chart.contains(x) for x in loop):
+        raise ConfigError(f"the {kind} loop leaves the domain of chart '{chart.label}'")
     winding = vortex_winding(pair, chart, loop)
 
     config_echo = {
@@ -661,18 +620,14 @@ def run_vortex(
     }
     report = base_report("vortex", config_echo, seed=0)
     report["winding"] = winding
-    steps = []
-    from .amplitude import principal_angle
-
     etas = [polar_amplitude(pair, chart.evaluate(x)).eta for x in loop]
-    for a, b in zip(etas, etas[1:]):
-        steps.append(abs(principal_angle(b - a)))
+    steps = [abs(principal_angle(b - a)) for a, b in zip(etas, etas[1:])]
     report["max_phase_step"] = float(max(steps))
     report["loop_points"] = len(loop)
 
     checks = []
     if expect is not None:
-        checks.append(make_check("winding", abs(winding - expect), 0.0))
+        checks.append(make_check("winding", abs(winding - expect)))
     return finish_report(report, checks, out_path)
 
 
@@ -770,23 +725,24 @@ def _parse_tolerances(entries: list[str]) -> dict:
             out[name] = float(value)
         except ValueError as exc:
             raise ConfigError(f"bad tolerance value in '{entry}'") from exc
+        if not np.isfinite(out[name]):
+            raise ConfigError(f"non-finite tolerance value in '{entry}'")
     return out
 
 
 def _config_from_args(args) -> SweepConfig:
+    """Sweep configuration of a verify-group, verify-ray or superosc command;
+    options the command lacks keep their `SweepConfig` defaults."""
     if args.n < 2:
         raise ConfigError("--n must be >= 2")
-    config = SweepConfig(
-        n=args.n,
-        points=getattr(args, "points", 1),
-        seed=args.seed,
-        pair_kind=args.pair,
-        sample_scale=getattr(args, "sample_scale", 1.0),
-        tolerances=_parse_tolerances(getattr(args, "tol", [])),
-        per_point=getattr(args, "per_point", False),
-    )
-    if hasattr(args, "chart"):
-        config.chart = args.chart
+    config = SweepConfig(n=args.n, seed=args.seed, pair_kind=args.pair)
+    for name in ("chart", "points", "sample_scale", "per_point"):
+        if hasattr(args, name):
+            setattr(config, name, getattr(args, name))
+    config.tolerances = _parse_tolerances(getattr(args, "tol", []))
+    unknown = sorted(set(config.tolerances) - set(CHECK_GATES[args.command]))
+    if unknown:
+        raise ConfigError(f"{args.command} reports no check named {', '.join(unknown)}")
     if args.pair == "explicit":
         if not args.psi_i or not args.psi_f:
             raise ConfigError("--pair explicit requires --psi-i and --psi-f")
@@ -812,16 +768,8 @@ def main(argv=None) -> int:
         if args.command == "su2-demo":
             return run_su2_demo(args.grid, out_path=args.out, csv_path=args.csv)
         if args.command == "superosc":
-            config = SweepConfig(n=args.n, seed=args.seed, pair_kind=args.pair)
-            if args.pair == "explicit":
-                if not args.psi_i or not args.psi_f:
-                    raise ConfigError("--pair explicit requires --psi-i and --psi-f")
-                config.psi_i = _parse_state(args.psi_i, args.n, "--psi-i")
-                config.psi_f = _parse_state(args.psi_f, args.n, "--psi-f")
-            if args.n < 2:
-                raise ConfigError("--n must be >= 2")
             return run_superosc(
-                config, args.samples, args.t_min, args.t_max, args.out, args.csv
+                _config_from_args(args), args.samples, args.t_min, args.t_max, args.out, args.csv
             )
         if args.command == "vortex":
             return run_vortex(

@@ -370,7 +370,13 @@ def ray_relation_residuals(
     Derivatives are central differences in y, so residuals are
     truncation-limited (~1e-10 at benign points, 1e-5 tolerance).
     """
-    point = section(frame, y, h=h)
+    return _section_relation_residuals(pair, frame, section(frame, y, h=h), q, h)
+
+
+def _section_relation_residuals(
+    pair: StatePair, frame: CartanFrame, point: SectionPoint, q: float, h: float
+) -> RelationResiduals:
+    """`ray_relation_residuals` at `point = section(frame, y, h=h)`."""
     p0, _, d_eta, d_log, d_p = _section_amplitude_fd(pair, frame, point, h)
     gauged = d_eta - point.berry
     g_inv = point.fs_metric_inv

@@ -16,3 +16,40 @@ P_MIN = 1e-12              # below this the phase of an amplitude is undefined
 P_GRAD = 1e-8              # below this the gradient formulas are ill-conditioned
 
 CHART_MARGIN = 1e-3        # margin kept from chart-singular loci
+
+# Default gate of every named check the CLI reports, by the command that
+# reports it.  `--tol NAME=VALUE` may override only the checks of the
+# command it is given to.
+CHECK_GATES = {
+    "verify-group": {
+        "phase-identity": 1e-8,
+        "modulus-identity": 1e-8,
+        "orthogonality": 1e-8,
+        "reconstruction": 1e-8,
+        "gradient-lower-bound": 1e-9,
+    },
+    "verify-ray": {
+        "ray-phase-identity": 1e-5,
+        "ray-modulus-identity": 1e-5,
+        "ray-orthogonality": 1e-5,
+        "u1-berry-proportionality": 1e-8,
+        "fs-metric-agreement": 1e-6,
+        "factorization": 1e-9,
+        "bridge-phase": 1e-4,
+        "bridge-mixed": 1e-4,
+        "bridge-modulus": 1e-4,
+        "u1-phase-rate": 1e-6,
+        "u1-frame-component": 1e-8,
+    },
+    "su2-demo": {
+        "closed-form-modulus": 1e-10,
+        "closed-form-phase": 1e-10,
+        "gradient-inverse-modulus": 1e-10,
+    },
+    "superosc": {
+        "superoscillatory-at-zero": 1e-9,
+        "eigenvalue-cap": 1e-9,
+        "fourier-reconstruction": 1e-9,
+    },
+    "vortex": {"winding": 0.0},
+}

@@ -224,6 +224,17 @@ class TestReconstruction:
         rec = reconstruct_modulus(SPIN_FLIP, chart, x)
         assert rec == pytest.approx(1.0 / np.sqrt(grad.phase_grad_sq), rel=1e-12)
 
+    def test_one_gradient_gives_residuals_and_modulus(self):
+        # the residuals and the reconstruction need no second gradient
+        chart = exp_chart(build_gellmann_basis(3))
+        rng = np.random.default_rng(401)
+        pair = random_pair(3, rng)
+        x = rng.uniform(-0.4, 0.4, 8)
+        grad = phase_gradient(pair, chart, x)
+        assert grad.residuals() == group_relation_residuals(pair, chart, x)
+        assert grad.reconstructed_modulus() == reconstruct_modulus(pair, chart, x)
+        assert grad.reconstructed_modulus() == pytest.approx(np.sqrt(grad.p), rel=1e-8)
+
     @pytest.mark.parametrize("n", [2, 3])
     def test_matches_modulus_relative(self, n):
         chart = exp_chart(build_gellmann_basis(n))

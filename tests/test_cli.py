@@ -249,6 +249,14 @@ class TestSuperoscCommand:
     def test_orthogonal_pair_is_config_error(self):
         assert main(["superosc", "--n", "2", "--pair", "spin-flip"]) == EXIT_CONFIG_ERROR
 
+    def test_config_echo_keeps_sweep_defaults(self, tmp_path):
+        code, out = run_to_file(tmp_path, "r.json", ["superosc", "--n", "2", "--samples", "64"])
+        assert code == EXIT_PASS
+        config = load(out)["config"]
+        assert config["points"] == 200
+        assert config["chart"] == "exp"
+        assert "tolerance_overrides" not in config
+
 
 class TestVortexCommand:
     def test_phi_circle(self, tmp_path):
@@ -292,6 +300,8 @@ class TestDeterminism:
             ["verify-group", "--n", "3", "--chart", "exp", "--points", "30", "--seed", "9"],
             ["verify-ray", "--n", "2", "--points", "15", "--bridge-points", "5", "--seed", "4"],
             ["superosc", "--n", "3", "--seed", "12"],
+            ["verify-group", "--n", "3", "--points", "20", "--seed", "13"],
+            ["verify-ray", "--n", "3", "--points", "10", "--bridge-points", "4", "--seed", "13"],
         ],
     )
     def test_byte_identical_reports(self, tmp_path, argv):
@@ -305,21 +315,6 @@ class TestDeterminism:
         main(["su2-demo", "--grid", "6", "--csv", str(a), "--out", str(tmp_path / "ra.json")])
         main(["su2-demo", "--grid", "6", "--csv", str(b), "--out", str(tmp_path / "rb.json")])
         assert a.read_bytes() == b.read_bytes()
-
-
-class TestParallelism:
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["verify-group", "--n", "3", "--points", "20", "--seed", "13"],
-            ["verify-ray", "--n", "3", "--points", "10", "--bridge-points", "4", "--seed", "13"],
-        ],
-    )
-    def test_threaded_sweep_matches_serial(self, tmp_path, monkeypatch, argv):
-        _, serial = run_to_file(tmp_path, "serial.json", list(argv))
-        monkeypatch.setenv("SUN_PHASE_THREADS", "4")
-        _, threaded = run_to_file(tmp_path, "threaded.json", list(argv))
-        assert serial.read_bytes() == threaded.read_bytes()
 
 
 class TestConsoleScript:
@@ -350,3 +345,65 @@ class TestParser:
     def test_bad_tol_spec(self):
         code = main(["verify-group", "--n", "2", "--points", "5", "--tol", "oops"])
         assert code == EXIT_CONFIG_ERROR
+
+
+class TestInputErrors:
+    """Bad user input exits with code 2 and one `error:` line, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # the scaled sampling box leaves the exp chart's domain
+            ["verify-group", "--n", "3", "--points", "5", "--sample-scale", "3"],
+            # the scaled sampling box leaves the |y| < pi/2 ball of the section
+            ["verify-ray", "--n", "3", "--points", "5", "--sample-scale", "3"],
+            # the phi-circle loop at theta = 5e-4 runs inside the chart margin
+            ["vortex", "--theta", "0.0005"],
+            ["vortex", "--loop", "contractible", "--chi", "0.1", "--theta", "0.1"],
+            ["superosc", "--n", "3", "--samples", "1"],
+            ["superosc", "--n", "3", "--t-min", "1", "--t-max", "1"],
+        ],
+    )
+    def test_domain_error_is_config_error(self, tmp_path, capsys, argv):
+        code, out = run_to_file(tmp_path, "r.json", argv)
+        assert code == EXIT_CONFIG_ERROR
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify-group", "--n", "2", "--pair", "explicit", "--psi-i", "nan,1", "--psi-f", "0,1"],
+            ["verify-group", "--n", "2", "--pair", "explicit", "--psi-i", "1,0", "--psi-f", "0,inf"],
+            ["verify-group", "--n", "2", "--tol", "phase-identity=nan"],
+            ["verify-group", "--n", "2", "--tol", "phase-identity=inf"],
+            ["superosc", "--n", "2", "--pair", "explicit", "--psi-i", "1,nan", "--psi-f", "1,0"],
+        ],
+    )
+    def test_non_finite_input_rejected(self, tmp_path, capsys, argv):
+        code, out = run_to_file(tmp_path, "r.json", argv)
+        assert code == EXIT_CONFIG_ERROR
+        assert not out.exists()
+        assert "non-finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # a typo
+            ["verify-group", "--n", "2", "--tol", "phse-identity=1e-30"],
+            # a check that only verify-group reports
+            ["verify-ray", "--n", "2", "--tol", "phase-identity=1e-3"],
+        ],
+    )
+    def test_unknown_tol_name_rejected(self, tmp_path, capsys, argv):
+        code, out = run_to_file(tmp_path, "r.json", argv)
+        assert code == EXIT_CONFIG_ERROR
+        assert not out.exists()
+        assert argv[-1].partition("=")[0] in capsys.readouterr().err
+
+    def test_bridge_tol_accepted_without_bridge_points(self, tmp_path):
+        argv = ["verify-ray", "--n", "2", "--points", "5", "--bridge-points", "0",
+                "--seed", "1", "--tol", "bridge-phase=1e-3"]
+        code, out = run_to_file(tmp_path, "r.json", argv)
+        assert code == EXIT_PASS
+        assert load(out)["config"]["tolerance_overrides"] == {"bridge-phase": 1e-3}

@@ -9,6 +9,7 @@ from sun_phase.algebra import (
 )
 from sun_phase.amplitude import polar_amplitude
 from sun_phase.coset import (
+    _section_relation_residuals,
     bridge_residuals,
     build_cartan_frame,
     ck_block_decomposition_residual,
@@ -21,6 +22,7 @@ from sun_phase.coset import (
     u1_eigenvalue,
 )
 from sun_phase.errors import DomainError, NearZeroAmplitudeError, ShapeError
+from sun_phase.tolerances import FD_STEP
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -156,6 +158,16 @@ class TestRayRelations:
             assert max(res) < 1e-5
             tested += 1
         assert tested >= 30
+
+    def test_built_section_point_reused(self):
+        rng = np.random.default_rng(1010)
+        frame = frame_for(3, rng)
+        pair = StatePair(frame.psi_i, haar_state(3, rng))
+        y = rng.uniform(-0.4, 0.4, frame.dim_coset)
+        point = section(frame, y, h=FD_STEP)
+        assert _section_relation_residuals(
+            pair, frame, point, 1.0, FD_STEP
+        ) == ray_relation_residuals(pair, frame, y)
 
     def test_near_zero_amplitude_raises(self):
         frame = frame_for(2, psi=PLUS)
