@@ -170,6 +170,20 @@ def completeness_residual(x: np.ndarray, y: np.ndarray, basis: GeneratorBasis) -
     return float(abs(lhs - rhs))
 
 
+def _hermitian_eigh(l: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    _check_square(l, "generator")
+    if np.max(np.abs(l - dagger(l))) >= ATOL_IDENTITY:
+        raise DomainError("generator is not Hermitian")
+    return np.linalg.eigh(l)
+
+
+def _unitary_from_eigh(w: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:
+    u = (v * np.exp(1j * w * t)) @ dagger(v)
+    if np.max(np.abs(dagger(u) @ u - np.eye(len(w)))) >= ATOL_IDENTITY:
+        raise InternalConsistencyError("exponential lost unitarity")
+    return u
+
+
 def expm_generator(l: np.ndarray, t: float = 1.0) -> np.ndarray:
     """exp(i l t) for Hermitian l, via eigendecomposition.
 
@@ -177,14 +191,33 @@ def expm_generator(l: np.ndarray, t: float = 1.0) -> np.ndarray:
     traceless.  The eigenvalues are the angular frequencies of every
     matrix element of the resulting one-parameter subgroup.
     """
-    n = _check_square(l, "generator")
-    if np.max(np.abs(l - dagger(l))) >= ATOL_IDENTITY:
-        raise DomainError("generator is not Hermitian")
-    w, v = np.linalg.eigh(l)
-    u = (v * np.exp(1j * w * t)) @ dagger(v)
-    if np.max(np.abs(dagger(u) @ u - np.eye(n))) >= ATOL_IDENTITY:
-        raise InternalConsistencyError("exponential lost unitarity")
-    return u
+    w, v = _hermitian_eigh(l)
+    return _unitary_from_eigh(w, v, t)
+
+
+def expm_partials(coeffs, gens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """U = exp(i x^a g_a) and its exact partials dU/dx_a, from one eigh.
+
+    With x^a g_a = V diag(w) V^dag, the Daleckii-Krein formula gives
+    dU/dx_a = V (Phi o V^dag g_a V) V^dag, where Phi holds the divided
+    differences of exp(i w):
+
+        Phi_jk = i exp(i (w_j + w_k)/2) sinc((w_j - w_k)/(2 pi))
+
+    with numpy's normalized sinc.  This form needs no limit at
+    degenerate or near-degenerate eigenvalues.  Returns (U, dU), with dU
+    stacked as (len(gens), n, n).
+    """
+    coeffs = np.asarray(coeffs, dtype=float)
+    if coeffs.shape != (len(gens),):
+        raise ShapeError(f"expected {len(gens)} coefficients, got shape {coeffs.shape}")
+    w, v = _hermitian_eigh(np.einsum("a,aij->ij", coeffs, gens))
+    u = _unitary_from_eigh(w, v, 1.0)
+    phi = 1j * np.exp(0.5j * (w[:, None] + w[None, :])) * np.sinc(
+        (w[:, None] - w[None, :]) / (2 * np.pi)
+    )
+    du = v @ (phi * (dagger(v) @ gens @ v)) @ dagger(v)
+    return u, du
 
 
 def haar_state(n: int, rng: np.random.Generator) -> np.ndarray:

@@ -151,7 +151,7 @@ def _prepare(pair: StatePair, chart: Chart, x) -> _Point:
             f"p = {amp.p:.3e} below {P_GRAD:.0e}; gradient formulas unusable here"
         )
     du = partials(chart, x)
-    frame = left_invariant_frame(chart, x, du=du)
+    frame = left_invariant_frame(chart, x, du=du, u=u)
     metric = ck_metric(chart, x, frame=frame, du=du)
     return _Point(u=u, amp=amp, frame=frame, metric=metric)
 

@@ -13,7 +13,13 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .algebra import GeneratorBasis, build_gellmann_basis, dagger, expm_generator
+from .algebra import (
+    GeneratorBasis,
+    build_gellmann_basis,
+    dagger,
+    expm_generator,
+    expm_partials,
+)
 from .errors import (
     ChartDegenerateError,
     DegenerateMetricError,
@@ -92,8 +98,8 @@ def exp_chart(basis: GeneratorBasis) -> Chart:
     """Exponential chart U(x) = exp(i x^a g_a) on the ball |x| < pi/2.
 
     The conservative radius keeps the frame far from degeneracy for
-    every n.  No closed-form derivative is attached; partials default to
-    central differences.
+    every n.  The exact Daleckii-Krein derivative of exp(iH) is attached
+    (`algebra.expm_partials`).
     """
     m = basis.dim_algebra
     radius = np.pi / 2
@@ -102,6 +108,9 @@ def exp_chart(basis: GeneratorBasis) -> Chart:
 
     def _map(x: np.ndarray) -> np.ndarray:
         return expm_generator(np.einsum("a,aij->ij", x, stacked))
+
+    def _partials(x: np.ndarray) -> np.ndarray:
+        return expm_partials(x, stacked)[1]
 
     def _contains(x: np.ndarray) -> bool:
         return bool(np.linalg.norm(x) < radius)
@@ -114,6 +123,7 @@ def exp_chart(basis: GeneratorBasis) -> Chart:
         sample_box=np.array([[-box_half, box_half]] * m),
         map_fn=_map,
         contains_fn=_contains,
+        partials_fn=_partials,
     )
 
 
@@ -243,16 +253,20 @@ def partials(
     return stencil(h)
 
 
-def left_invariant_frame(chart: Chart, x, du: np.ndarray | None = None) -> FrameAtPoint:
+def left_invariant_frame(
+    chart: Chart, x, du: np.ndarray | None = None, u: np.ndarray | None = None
+) -> FrameAtPoint:
     """Extract omega[a, mu] from U^dag dU = i omega^a g_a and invert it.
 
-    Verifies that U^dag dU is anti-Hermitian and traceless, that the
-    extracted coefficients are real, and that they reconstruct U^dag dU
-    over the chart's generator basis.  A singular omega raises
+    `du` and `u`, when given, are the partials and the value of the chart
+    at x.  Verifies that U^dag dU is anti-Hermitian and traceless, that
+    the extracted coefficients are real, and that they reconstruct
+    U^dag dU over the chart's generator basis.  A singular omega raises
     ChartDegenerateError.
     """
     x = np.asarray(x, dtype=float)
-    u = chart.evaluate(x)
+    if u is None:
+        u = chart.evaluate(x)
     if du is None:
         du = partials(chart, x)
     pulled = np.einsum("ij,mjk->mik", dagger(u), du)  # U^dag dU per coordinate

@@ -26,8 +26,8 @@ from .algebra import StatePair, build_gellmann_basis, haar_state
 from .amplitude import phase_gradient, polar_amplitude, principal_angle, vortex_winding
 from .charts import Chart, exp_chart, su2_polar_chart
 from .coset import (
+    _bridge_residuals,
     _section_relation_residuals,
-    bridge_residuals,
     build_cartan_frame,
     coset_element,
     factorization_residual,
@@ -38,7 +38,7 @@ from .coset import (
 )
 from .errors import SunPhaseError
 from .superosc import aligned_generator, superoscillation_report
-from .tolerances import CHECK_GATES, FD_STEP
+from .tolerances import CHECK_GATES
 
 SCHEMA = "sun-phase/1"
 
@@ -48,8 +48,9 @@ EXIT_CONFIG_ERROR = 2
 EXIT_INCONCLUSIVE = 3
 
 P_SKIP = 1e-6      # group sweeps skip points below this squared amplitude
-P_SKIP_RAY = 1e-4  # ray sweeps: the section derivatives carry an O(h^2)/p
-                   # error floor, so the 1e-5 tolerance needs this margin
+P_SKIP_RAY = 1e-4  # ray sweeps: the section derivatives are exact, so the
+                   # residuals carry rounding error ~1/p only; a lower value
+                   # would admit harder points and change what a seed reports
 
 
 class ConfigError(SunPhaseError, ValueError):
@@ -357,8 +358,8 @@ def run_ray_sweep(config: SweepConfig, bridge_points: int, out_path: str | None 
         amp = complex(pair.psi_f.conj() @ (coset_element(frame, y) @ frame.psi_i))
         if abs(amp) ** 2 <= P_SKIP_RAY:
             continue
-        point = section(frame, y, h=FD_STEP)
-        rel = _section_relation_residuals(pair, frame, point, 1.0, FD_STEP)
+        point = section(frame, y)
+        rel = _section_relation_residuals(pair, point, 1.0)
         res_minus, res_plus = u1_berry_residuals(point, config.n)
         fs_gap = float(np.max(np.abs(point.fs_metric - point.fs_metric_state)))
         fact = factorization_residual(pair, frame, y, xi_s, xi0)
@@ -399,6 +400,7 @@ def run_ray_sweep(config: SweepConfig, bridge_points: int, out_path: str | None 
         rate_worst = 0.0
         u1_frame_worst = 0.0
         alt_best = np.inf
+        chart = full_cartan_chart(frame)
         done = 0
         attempts = 0
         while done < bridge_points and attempts < 4 * bridge_points:
@@ -407,7 +409,7 @@ def run_ray_sweep(config: SweepConfig, bridge_points: int, out_path: str | None 
             amp = complex(pair.psi_f.conj() @ (coset_element(frame, y) @ frame.psi_i))
             if abs(amp) ** 2 <= P_SKIP:
                 continue
-            result = bridge_residuals(pair, frame, y)
+            result = _bridge_residuals(pair, frame, chart, y)
             bridge_worst = np.maximum(
                 bridge_worst,
                 [result.residual_phase, result.residual_mixed, result.residual_modulus],

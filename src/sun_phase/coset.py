@@ -22,6 +22,7 @@ from .algebra import (
     build_gellmann_basis,
     dagger,
     expm_generator,
+    expm_partials,
 )
 from .amplitude import RelationResiduals, polar_amplitude
 from .charts import Chart, ck_metric, left_invariant_frame, partials
@@ -37,7 +38,6 @@ from .tolerances import (
     ATOL_FD_MATCH,
     ATOL_FRAME,
     CHART_MARGIN,
-    FD_STEP,
     P_GRAD,
 )
 
@@ -157,13 +157,18 @@ def _validate_frame(frame: CartanFrame) -> None:
         raise InternalConsistencyError("U(1) generator eigenvalue check failed")
 
 
-def coset_element(frame: CartanFrame, y) -> np.ndarray:
-    """Coset representative K(y) = exp(i y^A g_A) sweeping the section."""
+def _coset_coordinates(frame: CartanFrame, y) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     if y.shape != (frame.dim_coset,):
         raise ShapeError(f"expected {frame.dim_coset} coset coordinates")
     if np.linalg.norm(y) >= np.pi / 2:
         raise DomainError("coset coordinates outside the |y| < pi/2 ball")
+    return y
+
+
+def coset_element(frame: CartanFrame, y) -> np.ndarray:
+    """Coset representative K(y) = exp(i y^A g_A) sweeping the section."""
+    y = _coset_coordinates(frame, y)
     return expm_generator(np.einsum("a,aij->ij", y, frame.coset))
 
 
@@ -171,16 +176,18 @@ def coset_element(frame: CartanFrame, y) -> np.ndarray:
 class SectionPoint:
     """State, connection, and ray-space metric data at one section point.
 
-    `fs_metric` is the vielbein construction (contraction of the coset
-    components of K^dag dK); `fs_metric_state` the equivalent state
-    formula Re<d psi|d psi> - A A, kept for cross-checking.  `berry` is
-    the connection -i<psi|d psi>; `u1_component` the lambda0 component
-    of K^dag dK, proportional to it.
+    `dpsi` stacks the partials d psi / d y^mu.  `fs_metric` is the
+    vielbein construction (contraction of the coset components of
+    K^dag dK); `fs_metric_state` the equivalent state formula
+    Re<d psi|d psi> - A A, kept for cross-checking.  `berry` is the
+    connection -i<psi|d psi>; `u1_component` the lambda0 component of
+    K^dag dK, proportional to it.
     """
 
     y: np.ndarray
     kmat: np.ndarray
     psi: np.ndarray
+    dpsi: np.ndarray
     tau: np.ndarray
     iso_components: np.ndarray
     u1_component: np.ndarray
@@ -190,25 +197,17 @@ class SectionPoint:
     fs_metric_state: np.ndarray
 
 
-def section(frame: CartanFrame, y, h: float = FD_STEP) -> SectionPoint:
+def section(frame: CartanFrame, y) -> SectionPoint:
     """Section state psi(y) = K(y) psi_i with its ray-space geometry.
 
-    Derivatives of K are central differences with step h.  The two
-    Fubini-Study constructions are cross-checked to 1e-6 and the Berry
-    connection verified real to 1e-10.
+    K and its exact partials come from one eigendecomposition
+    (`algebra.expm_partials`).  The two Fubini-Study constructions are
+    cross-checked to 1e-6 and the Berry connection verified real to 1e-9.
     """
-    y = np.asarray(y, dtype=float)
+    y = _coset_coordinates(frame, y)
     m = frame.dim_coset
-    k0 = coset_element(frame, y)
+    k0, dk = expm_partials(y, frame.coset)
     psi = k0 @ frame.psi_i
-
-    dk = np.empty((m,) + k0.shape, dtype=complex)
-    for mu in range(m):
-        yp = y.copy()
-        ym = y.copy()
-        yp[mu] += h
-        ym[mu] -= h
-        dk[mu] = (coset_element(frame, yp) - coset_element(frame, ym)) / (2 * h)
 
     pulled = np.einsum("ij,mjk->mik", dagger(k0), dk)  # K^dag dK per coordinate
 
@@ -226,8 +225,8 @@ def section(frame: CartanFrame, y, h: float = FD_STEP) -> SectionPoint:
 
     dpsi = np.einsum("mij,j->mi", dk, frame.psi_i)
     overlaps = np.einsum("i,mi->m", psi.conj(), dpsi)
-    # exactly imaginary in the continuum; the finite-difference route
-    # leaves an O(h^2) real remainder, so the guard sits just above it
+    # exactly imaginary; with exact partials the real part is rounding
+    # only, far below the guard
     if np.max(np.abs(overlaps.real)) >= 1e-9:
         raise InternalConsistencyError("Berry connection has an imaginary part")
     berry = overlaps.imag  # components of -i<psi|d psi>
@@ -251,6 +250,7 @@ def section(frame: CartanFrame, y, h: float = FD_STEP) -> SectionPoint:
         y=y,
         kmat=k0,
         psi=psi,
+        dpsi=dpsi,
         tau=tau,
         iso_components=iso_components,
         u1_component=u1_component,
@@ -280,12 +280,14 @@ def full_cartan_chart(frame: CartanFrame) -> Chart:
 
     Coordinates (y, xi_s, xi0) map to K(y) H_s(xi_s) exp(i lambda0 xi0);
     the attached generator stack follows the same order, so frame index
-    dim-1 is the U(1) direction.  Central-difference derivative backend.
+    dim-1 is the U(1) direction.  Exact partials: the product rule over
+    the three factors, each differentiated by `algebra.expm_partials`.
     """
     n = frame.n
     m_coset, m_iso = frame.dim_coset, frame.dim_iso
     m = m_coset + m_iso + 1
     coset_g, iso_g, lam0 = frame.coset, frame.iso, frame.lambda0
+    eye = np.eye(n, dtype=complex)
 
     def _map(x: np.ndarray) -> np.ndarray:
         y, xs, x0 = x[:m_coset], x[m_coset:m_coset + m_iso], x[-1]
@@ -295,6 +297,16 @@ def full_cartan_chart(frame: CartanFrame) -> Chart:
         if x0 != 0.0:
             u = u @ expm_generator(lam0, x0)
         return u
+
+    def _partials(x: np.ndarray) -> np.ndarray:
+        y, xs, x0 = x[:m_coset], x[m_coset:m_coset + m_iso], x[-1]
+        k, dk = expm_partials(y, coset_g)
+        s, ds = eye, 1j * iso_g
+        if m_iso and np.any(xs):
+            s, ds = expm_partials(xs, iso_g)
+        e = expm_generator(lam0, x0) if x0 != 0.0 else eye
+        d0 = k @ s @ (1j * lam0) @ e
+        return np.concatenate([dk @ s @ e, k @ ds @ e, d0[np.newaxis]])
 
     def _contains(x: np.ndarray) -> bool:
         y, xs, x0 = x[:m_coset], x[m_coset:m_coset + m_iso], x[-1]
@@ -320,17 +332,16 @@ def full_cartan_chart(frame: CartanFrame) -> Chart:
         sample_box=box,
         map_fn=_map,
         contains_fn=_contains,
+        partials_fn=_partials,
     )
 
 
-def _section_amplitude_fd(pair: StatePair, frame: CartanFrame, point: SectionPoint, h: float):
-    """p, eta and their central-difference y-derivatives on the section.
+def _section_amplitude(pair: StatePair, point: SectionPoint):
+    """p and the y-derivatives of eta, log sqrt p and p on the section.
 
-    Differentiates the complex amplitude itself (a smooth O(1) function
-    of y) and divides by the exact center value: the components of
-    d log(amp) are d log sqrt(p) + i d eta.  Differencing the phase
-    directly would lose a factor of p in accuracy near amplitude zeros,
-    where the phase varies on the scale sqrt(p).
+    The components of d log(amp) = <f|d psi> / <f|psi> are
+    d log sqrt p + i d eta, so neither the phase nor the modulus is
+    differentiated directly.
     """
     amp0 = complex(pair.psi_f.conj() @ point.psi)
     p0 = abs(amp0) ** 2
@@ -338,25 +349,13 @@ def _section_amplitude_fd(pair: StatePair, frame: CartanFrame, point: SectionPoi
         raise NearZeroAmplitudeError(
             f"section amplitude p = {p0:.3e} too small at y = {point.y}"
         )
-    eta0 = float(np.angle(amp0))
-    m = frame.dim_coset
-    d_log_amp = np.empty(m, dtype=complex)
-    for mu in range(m):
-        yp = point.y.copy()
-        ym = point.y.copy()
-        yp[mu] += h
-        ym[mu] -= h
-        ap = complex(pair.psi_f.conj() @ (coset_element(frame, yp) @ frame.psi_i))
-        am = complex(pair.psi_f.conj() @ (coset_element(frame, ym) @ frame.psi_i))
-        d_log_amp[mu] = (ap - am) / (2 * h) / amp0
-    d_eta = d_log_amp.imag
+    d_log_amp = (point.dpsi @ pair.psi_f.conj()) / amp0
     d_log = d_log_amp.real
-    d_p = 2.0 * p0 * d_log
-    return p0, eta0, d_eta, d_log, d_p
+    return p0, d_log_amp.imag, d_log, 2.0 * p0 * d_log
 
 
 def ray_relation_residuals(
-    pair: StatePair, frame: CartanFrame, y, q: float = 1.0, h: float = FD_STEP
+    pair: StatePair, frame: CartanFrame, y, q: float = 1.0
 ) -> RelationResiduals:
     """Residuals of the ray-space phase/modulus identities at scale q = 1.
 
@@ -367,17 +366,17 @@ def ray_relation_residuals(
         q |grad log sqrt p|^2    = 1/p - 1
         grad p . (grad eta - A)  = 0
 
-    Derivatives are central differences in y, so residuals are
-    truncation-limited (~1e-10 at benign points, 1e-5 tolerance).
+    Derivatives are exact (see `section`), so the residuals carry
+    rounding error only, which grows like 1/p toward amplitude zeros.
     """
-    return _section_relation_residuals(pair, frame, section(frame, y, h=h), q, h)
+    return _section_relation_residuals(pair, section(frame, y), q)
 
 
 def _section_relation_residuals(
-    pair: StatePair, frame: CartanFrame, point: SectionPoint, q: float, h: float
+    pair: StatePair, point: SectionPoint, q: float
 ) -> RelationResiduals:
-    """`ray_relation_residuals` at `point = section(frame, y, h=h)`."""
-    p0, _, d_eta, d_log, d_p = _section_amplitude_fd(pair, frame, point, h)
+    """`ray_relation_residuals` at `point = section(frame, y)`."""
+    p0, d_eta, d_log, d_p = _section_amplitude(pair, point)
     gauged = d_eta - point.berry
     g_inv = point.fs_metric_inv
     return RelationResiduals(
@@ -436,9 +435,7 @@ class BridgeResult:
     alt_residual_phase: float
 
 
-def bridge_residuals(
-    pair: StatePair, frame: CartanFrame, y, h: float = FD_STEP
-) -> BridgeResult:
+def bridge_residuals(pair: StatePair, frame: CartanFrame, y) -> BridgeResult:
     """Check that group gradients split into ray-space gradients plus the
     U(1) contribution, at the section slice of the full chart.
 
@@ -446,10 +443,17 @@ def bridge_residuals(
         g^-1(d eta, d p)   = g_FS^-1(D eta, d p)
         g^-1(d p,  d p)    = g_FS^-1(d p,  d p)
 
-    with D eta = d eta + sqrt(2(n-1)/n) u1 (equal to d eta - A).  All
-    derivatives are double central differences; tolerance 1e-4.
+    with D eta = d eta + sqrt(2(n-1)/n) u1 (equal to d eta - A).  Both
+    sides use exact derivatives: the full chart's partials on the group
+    side, the section's on the ray side; tolerance 1e-4.
     """
-    chart = full_cartan_chart(frame)
+    return _bridge_residuals(pair, frame, full_cartan_chart(frame), y)
+
+
+def _bridge_residuals(
+    pair: StatePair, frame: CartanFrame, chart: Chart, y
+) -> BridgeResult:
+    """`bridge_residuals` with `chart = full_cartan_chart(frame)`."""
     y = np.asarray(y, dtype=float)
     x0 = np.zeros(chart.dim_m)
     x0[: frame.dim_coset] = y
@@ -460,32 +464,21 @@ def bridge_residuals(
         raise NearZeroAmplitudeError(f"amplitude p = {amp0.p:.3e} too small")
 
     du = partials(chart, x0)
-    fr = left_invariant_frame(chart, x0, du=du)
+    fr = left_invariant_frame(chart, x0, du=du, u=u0)
     metric = ck_metric(chart, x0, frame=fr, du=du)
 
-    # difference the smooth complex amplitude, divide by the exact center
-    # value: accurate near amplitude zeros where the phase itself is steep
-    m = chart.dim_m
-    d_eta = np.empty(m)
-    d_p = np.empty(m)
-    for mu in range(m):
-        xp = x0.copy()
-        xm = x0.copy()
-        xp[mu] += h
-        xm[mu] -= h
-        ap = polar_amplitude(pair, chart.evaluate(xp))
-        am = polar_amplitude(pair, chart.evaluate(xm))
-        d_log_amp = (ap.value - am.value) / (2 * h) / amp0.value
-        d_eta[mu] = d_log_amp.imag
-        d_p[mu] = 2.0 * amp0.p * d_log_amp.real
+    # d log(amp) = <f|dU|i> / <f|U|i> = d log sqrt p + i d eta
+    d_log_amp = np.einsum("i,mij,j->m", pair.psi_f.conj(), du, pair.psi_i) / amp0.value
+    d_eta = d_log_amp.imag
+    d_p = 2.0 * amp0.p * d_log_amp.real
 
     g_inv = metric.g_inv
     lhs_phase = float(d_eta @ g_inv @ d_eta)
     lhs_mixed = float(d_eta @ g_inv @ d_p)
     lhs_modulus = float(d_p @ g_inv @ d_p)
 
-    point = section(frame, y, h=h)
-    _, _, d_eta_y, _, d_p_y = _section_amplitude_fd(pair, frame, point, h)
+    point = section(frame, y)
+    _, d_eta_y, _, d_p_y = _section_amplitude(pair, point)
     scale = np.sqrt(2.0 * (frame.n - 1) / frame.n)
     gauged = d_eta_y + scale * point.u1_component
     gauged_alt = d_eta_y + point.berry
@@ -506,7 +499,7 @@ def bridge_residuals(
     )
 
 
-def ck_block_decomposition_residual(frame: CartanFrame, y, h: float = FD_STEP) -> float:
+def ck_block_decomposition_residual(frame: CartanFrame, y) -> float:
     """Residual of the coset block identity g_CK = g_FS + sum_i a^i a^i.
 
     The coset-coordinate block of the group metric at the section slice
@@ -520,7 +513,7 @@ def ck_block_decomposition_residual(frame: CartanFrame, y, h: float = FD_STEP) -
     g_full = ck_metric(chart, x0).g
     block = g_full[: frame.dim_coset, : frame.dim_coset]
 
-    point = section(frame, y, h=h)
+    point = section(frame, y)
     correction = np.outer(point.u1_component, point.u1_component)
     if frame.dim_iso:
         correction = correction + point.iso_components.T @ point.iso_components

@@ -264,7 +264,7 @@ class TestCriterion7CartanFrame:
 
 def _section_sweep(n, points=100):
     # usable section points follow the ray-sweep driver rule (p > 1e-4:
-    # the finite-difference error floor scales as 1/p)
+    # the residuals' rounding error scales as 1/p)
     rng = np.random.default_rng(8000 + n)
     frame = build_cartan_frame(haar_state(n, rng), build_gellmann_basis(n))
     pair = StatePair(frame.psi_i, haar_state(n, rng))

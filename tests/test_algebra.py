@@ -10,6 +10,7 @@ from sun_phase.algebra import (
     completeness_residual,
     dagger,
     expm_generator,
+    expm_partials,
     haar_state,
     killing_inner,
     random_hermitian,
@@ -173,6 +174,65 @@ def test_expm_group_property(t1, t2, seed):
     l = random_hermitian(3, rng, traceless=True)
     left = expm_generator(l, t1) @ expm_generator(l, t2)
     np.testing.assert_allclose(left, expm_generator(l, t1 + t2), atol=1e-9)
+
+
+def frechet_oracle(h, g):
+    """Van Loan: exp([[A, E], [0, A]]) has the Frechet derivative L(A, E)
+    of exp at A in its upper-right block; here A = i h, E = i g."""
+    n = h.shape[0]
+    block = np.zeros((2 * n, 2 * n), dtype=complex)
+    block[:n, :n] = block[n:, n:] = 1j * h
+    block[:n, n:] = 1j * g
+    return taylor_expm(block, terms=60)[:n, n:]
+
+
+def hermitian_with_gap(n, gap, rng):
+    """Random Hermitian matrix whose two lowest eigenvalues differ by `gap`."""
+    w = np.sort(rng.uniform(-1.5, 1.5, n))
+    w[1] = w[0] + gap
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    h = (q * w) @ dagger(q)
+    return (h + dagger(h)) / 2
+
+
+class TestExpmPartials:
+    def test_origin_gives_generators(self):
+        basis = build_gellmann_basis(3)
+        u, du = expm_partials(np.zeros(8), basis.matrices)
+        np.testing.assert_allclose(u, np.eye(3), atol=1e-15)
+        np.testing.assert_allclose(du, 1j * basis.matrices, atol=1e-15)
+
+    def test_value_matches_expm_generator(self):
+        basis = build_gellmann_basis(4)
+        x = np.random.default_rng(9).uniform(-0.3, 0.3, 15)
+        u, _ = expm_partials(x, basis.matrices)
+        h = np.einsum("a,aij->ij", x, basis.matrices)
+        np.testing.assert_array_equal(u, expm_generator(h))
+
+    def test_coefficient_count_checked(self):
+        with pytest.raises(ShapeError):
+            expm_partials(np.zeros(2), build_gellmann_basis(2).matrices)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(2, 5),
+    gap=st.sampled_from([0.0, 1e-12, 1e-8, 1e-6]),
+    seed=st.integers(0, 2**16),
+)
+def test_expm_partials_match_frechet_oracle(n, gap, seed):
+    # the spectrum of x^a g_a is fixed by putting h itself first in the
+    # generator stack with coefficient 1; the other generators are the
+    # differentiation directions
+    rng = np.random.default_rng(seed)
+    h = hermitian_with_gap(n, gap, rng)
+    gens = np.concatenate([h[np.newaxis], build_gellmann_basis(n).matrices])
+    coeffs = np.zeros(len(gens))
+    coeffs[0] = 1.0
+    u, du = expm_partials(coeffs, gens)
+    np.testing.assert_allclose(u, taylor_expm(1j * h, terms=60), rtol=0, atol=1e-13)
+    for g, d in zip(gens, du):
+        np.testing.assert_allclose(d, frechet_oracle(h, g), rtol=0, atol=1e-13)
 
 
 class TestStatePair:

@@ -11,6 +11,7 @@ from sun_phase.charts import (
     su2_polar_chart,
 )
 from sun_phase.errors import DomainError, ShapeError
+from sun_phase.tolerances import ATOL_FD_MATCH
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -55,6 +56,16 @@ class TestExpChart:
         du = partials(chart, np.zeros(8))
         for a in range(8):
             np.testing.assert_allclose(du[a], 1j * basis[a], atol=1e-8)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_analytic_vs_central_difference(self, n):
+        chart = exp_chart(build_gellmann_basis(n))
+        assert chart.has_analytic_partials
+        rng = np.random.default_rng(50 + n)
+        for x in sample_in_box(chart, rng, 10):
+            exact = partials(chart, x, backend="analytic")
+            approx = partials(chart, x, backend="fd")
+            assert np.max(np.abs(exact - approx)) < ATOL_FD_MATCH
 
 
 class TestSu2PolarChart:

@@ -21,8 +21,9 @@ from sun_phase.coset import (
     u1_berry_residuals,
     u1_eigenvalue,
 )
+from sun_phase.charts import partials
 from sun_phase.errors import DomainError, NearZeroAmplitudeError, ShapeError
-from sun_phase.tolerances import FD_STEP
+from sun_phase.tolerances import ATOL_FD_MATCH, FD_STEP
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -128,6 +129,29 @@ class TestSection:
             point = section(frame, y)
             assert abs(np.linalg.norm(point.psi) - 1.0) < 1e-12
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_exact_geometry_vs_central_difference(self, n):
+        # finite differences of coset_element stay an independent check of
+        # the exact section derivatives
+        rng = np.random.default_rng(950 + n)
+        frame = frame_for(n, rng)
+        h = FD_STEP
+        for _ in range(10):
+            y = rng.uniform(-0.5, 0.5, frame.dim_coset)
+            point = section(frame, y)
+            dpsi = np.empty_like(point.dpsi)
+            for mu in range(frame.dim_coset):
+                step = np.zeros(frame.dim_coset)
+                step[mu] = h
+                kp = coset_element(frame, y + step)
+                km = coset_element(frame, y - step)
+                dpsi[mu] = (kp - km) @ frame.psi_i / (2 * h)
+            berry = (dpsi @ point.psi.conj()).imag
+            fs_state = (dpsi.conj() @ dpsi.T).real - np.outer(berry, berry)
+            assert np.max(np.abs(point.dpsi - dpsi)) < ATOL_FD_MATCH
+            assert np.max(np.abs(point.berry - berry)) < ATOL_FD_MATCH
+            assert np.max(np.abs(point.fs_metric - fs_state)) < ATOL_FD_MATCH
+
     def test_domain_limit(self):
         frame = frame_for(2, psi=PLUS)
         with pytest.raises(DomainError):
@@ -164,9 +188,9 @@ class TestRayRelations:
         frame = frame_for(3, rng)
         pair = StatePair(frame.psi_i, haar_state(3, rng))
         y = rng.uniform(-0.4, 0.4, frame.dim_coset)
-        point = section(frame, y, h=FD_STEP)
+        point = section(frame, y)
         assert _section_relation_residuals(
-            pair, frame, point, 1.0, FD_STEP
+            pair, point, 1.0
         ) == ray_relation_residuals(pair, frame, y)
 
     def test_near_zero_amplitude_raises(self):
@@ -231,6 +255,23 @@ class TestFullChart:
             u = chart.evaluate(x)
             assert np.max(np.abs(dagger(u) @ u - np.eye(3))) < 1e-10
             assert abs(np.linalg.det(u) - 1.0) < 1e-10
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_analytic_vs_central_difference(self, n):
+        rng = np.random.default_rng(74 + n)
+        frame = frame_for(n, rng)
+        chart = full_cartan_chart(frame)
+        assert chart.has_analytic_partials
+        points = [rng.uniform(chart.sample_box[:, 0], chart.sample_box[:, 1]) for _ in range(5)]
+        # the section slice xi_s = 0, xi0 = 0 that the bridge checks use
+        for _ in range(5):
+            x = np.zeros(chart.dim_m)
+            x[: frame.dim_coset] = rng.uniform(-0.5, 0.5, frame.dim_coset)
+            points.append(x)
+        for x in points:
+            exact = partials(chart, x, backend="analytic")
+            approx = partials(chart, x, backend="fd")
+            assert np.max(np.abs(exact - approx)) < ATOL_FD_MATCH
 
     def test_group_relations_hold_on_cartan_chart(self):
         # the chart is as good as any other for the group-manifold identities
