@@ -25,6 +25,7 @@ from .amplitude import (
     PhaseGradient,
     PolarAmplitude,
     RelationResiduals,
+    VortexWinding,
     group_relation_residuals,
     min_gradient_bound,
     phase_gradient,
@@ -85,6 +86,7 @@ __all__ = [
     "PhaseGradient",
     "PolarAmplitude",
     "RelationResiduals",
+    "VortexWinding",
     "group_relation_residuals",
     "min_gradient_bound",
     "phase_gradient",

@@ -8,6 +8,7 @@ eigendecomposition.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,13 +105,15 @@ class StatePair:
         return len(self.psi_i)
 
 
+@functools.lru_cache(maxsize=None)
 def build_gellmann_basis(n: int) -> GeneratorBasis:
     """Generalized Gell-Mann generators of su(n), Tr(g_a g_b) = 2 delta_ab.
 
     Ordering: symmetric off-diagonal pairs E_jk + E_kj by (j, k)
     lexicographic, then antisymmetric pairs -i E_jk + i E_kj, then the
     n - 1 diagonal generators.  For n = 2 this yields the Pauli matrices
-    (sigma_x, sigma_y, sigma_z).
+    (sigma_x, sigma_y, sigma_z).  Built once per n and shared, so
+    `matrices` is read-only.
     """
     if n < 2:
         raise DimensionError(f"group dimension must be >= 2, got {n}")
@@ -133,7 +136,9 @@ def build_gellmann_basis(n: int) -> GeneratorBasis:
             d[j, j] = 1.0
         d[l, l] = -float(l)
         gens.append(d * np.sqrt(2.0 / (l * (l + 1))))
-    return GeneratorBasis(n=n, matrices=np.array(gens))
+    matrices = np.array(gens)
+    matrices.flags.writeable = False
+    return GeneratorBasis(n=n, matrices=matrices)
 
 
 def killing_inner(a: np.ndarray, b: np.ndarray) -> float:

@@ -252,13 +252,21 @@ def reconstruct_modulus(pair: StatePair, chart: Chart, x) -> float:
     return phase_gradient(pair, chart, x).reconstructed_modulus()
 
 
+class VortexWinding(NamedTuple):
+    """Winding number of a loop and the largest unrefined phase step
+    |principal_angle(eta_{k+1} - eta_k)| between consecutive loop points."""
+
+    winding: int
+    max_phase_step: float
+
+
 def vortex_winding(
     pair: StatePair,
     chart: Chart,
     loop,
     refine: bool = True,
     max_depth: int = 14,
-) -> int:
+) -> VortexWinding:
     """Winding number (1/2 pi) sum of unwrapped phase steps around a loop.
 
     The loop is an ordered list of coordinate tuples interpreted as a
@@ -300,7 +308,8 @@ def vortex_winding(
         raise ResolutionError(
             f"phase sum {turns:.4f} turns is not close to an integer"
         )
-    return int(winding)
+    max_step = max(abs(principal_angle(b - a)) for a, b in zip(etas, etas[1:]))
+    return VortexWinding(winding=int(winding), max_phase_step=float(max_step))
 
 
 def _unwrapped_step(pair, chart, x0, x1, eta0, eta1, eta_at, refine, depth):

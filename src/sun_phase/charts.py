@@ -9,7 +9,7 @@ as a vielbein.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -37,7 +37,8 @@ class Chart:
     `algebra` stacks the generators used to expand U^dag dU; its order
     fixes the frame index.  `sample_box` is a conservative per-coordinate
     box inside the domain, used by sweep drivers; `contains` describes
-    the true (possibly non-box) domain.
+    the true (possibly non-box) domain.  `partials_fn` gives the exact
+    partials dU/dx_mu, stacked with shape (dim_m, n, n).
     """
 
     label: str
@@ -47,14 +48,7 @@ class Chart:
     sample_box: np.ndarray
     map_fn: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     contains_fn: Callable[[np.ndarray], bool] = field(repr=False)
-    partials_fn: Optional[Callable[[np.ndarray], np.ndarray]] = field(
-        default=None, repr=False
-    )
-    fd_step: float = FD_STEP
-
-    @property
-    def has_analytic_partials(self) -> bool:
-        return self.partials_fn is not None
+    partials_fn: Callable[[np.ndarray], np.ndarray] = field(repr=False)
 
     def contains(self, x: np.ndarray) -> bool:
         x = np.asarray(x, dtype=float)
@@ -198,9 +192,6 @@ def left_translate(chart: Chart, v: np.ndarray) -> Chart:
         raise DomainError("left-translation element has det != 1")
 
     old_map, old_partials = chart.map_fn, chart.partials_fn
-    new_partials = None
-    if old_partials is not None:
-        new_partials = lambda x: np.einsum("ij,mjk->mik", v, old_partials(x))
     return Chart(
         label=chart.label + "+left",
         n=chart.n,
@@ -209,48 +200,32 @@ def left_translate(chart: Chart, v: np.ndarray) -> Chart:
         sample_box=chart.sample_box,
         map_fn=lambda x: v @ old_map(x),
         contains_fn=chart.contains_fn,
-        partials_fn=new_partials,
-        fd_step=chart.fd_step,
+        partials_fn=lambda x: np.einsum("ij,mjk->mik", v, old_partials(x)),
     )
 
 
-def partials(
-    chart: Chart,
-    x,
-    backend: str = "auto",
-    richardson: bool = False,
-) -> np.ndarray:
+def partials(chart: Chart, x, backend: str = "analytic") -> np.ndarray:
     """Partial derivatives dU/dx_mu, stacked with shape (dim_m, n, n).
 
-    backend "auto" uses the chart's closed form when available and
-    central differences otherwise; "analytic" and "fd" force one side
-    for cross-checks.  `richardson` applies one extrapolation step to
-    the finite-difference stencil.
+    backend "analytic" uses the chart's exact partials; "fd" takes
+    central differences of `Chart.evaluate` with step `FD_STEP`, as an
+    independent cross-check.
     """
     x = np.asarray(x, dtype=float)
-    if backend not in ("auto", "analytic", "fd"):
-        raise ValueError(f"unknown backend '{backend}'")
-    if backend == "analytic" or (backend == "auto" and chart.has_analytic_partials):
-        if not chart.has_analytic_partials:
-            raise DomainError(f"chart '{chart.label}' has no analytic derivative")
+    if backend == "analytic":
         if not chart.contains(x):
             raise DomainError(f"coordinates outside domain of chart '{chart.label}'")
         return chart.partials_fn(x)
-
-    def stencil(h: float) -> np.ndarray:
-        out = np.empty((chart.dim_m, chart.n, chart.n), dtype=complex)
-        for mu in range(chart.dim_m):
-            xp = x.copy()
-            xm = x.copy()
-            xp[mu] += h
-            xm[mu] -= h
-            out[mu] = (chart.evaluate(xp) - chart.evaluate(xm)) / (2 * h)
-        return out
-
-    h = chart.fd_step
-    if richardson:
-        return (4.0 * stencil(h / 2) - stencil(h)) / 3.0
-    return stencil(h)
+    if backend != "fd":
+        raise ValueError(f"unknown backend '{backend}'")
+    out = np.empty((chart.dim_m, chart.n, chart.n), dtype=complex)
+    for mu in range(chart.dim_m):
+        xp = x.copy()
+        xm = x.copy()
+        xp[mu] += FD_STEP
+        xm[mu] -= FD_STEP
+        out[mu] = (chart.evaluate(xp) - chart.evaluate(xm)) / (2 * FD_STEP)
+    return out
 
 
 def left_invariant_frame(

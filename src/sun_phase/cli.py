@@ -6,12 +6,17 @@ seed: the RNG is seeded explicitly, floats are printed with 17
 significant digits, and no timestamps are recorded.
 
 Every sweep point is evaluated once, serially, in the order its random
-inputs are drawn.  Check gates come from `tolerances.CHECK_GATES`.
+inputs are drawn: the low-amplitude skip of `verify-group` reads p from
+the point's phase gradient, that of `verify-ray` from the point's
+section, and `vortex` takes its largest phase step from the phases the
+winding number was summed from.  Check gates come from
+`tolerances.CHECK_GATES`.
 
 Exit codes: 0 all checks pass, 1 check failure, 2 configuration error
 (including arguments outside the domain of a chart, a loop or a trace,
-non-finite numbers, and `--tol` names the command does not report),
-3 inconclusive sweep (more than half of the sampled points skipped).
+non-finite numbers, a `--sample-scale` that is not positive, and `--tol`
+names the command does not report), 3 inconclusive sweep (more than
+half of the sampled points skipped).
 """
 from __future__ import annotations
 
@@ -23,20 +28,19 @@ import numpy as np
 
 from . import __version__
 from .algebra import StatePair, build_gellmann_basis, haar_state
-from .amplitude import phase_gradient, polar_amplitude, principal_angle, vortex_winding
+from .amplitude import phase_gradient, principal_angle, vortex_winding
 from .charts import Chart, exp_chart, su2_polar_chart
 from .coset import (
     _bridge_residuals,
     _section_relation_residuals,
     build_cartan_frame,
-    coset_element,
     factorization_residual,
     full_cartan_chart,
     section,
     u1_berry_residuals,
     u1_eigenvalue,
 )
-from .errors import SunPhaseError
+from .errors import NearZeroAmplitudeError, SunPhaseError
 from .superosc import aligned_generator, superoscillation_report
 from .tolerances import CHECK_GATES
 
@@ -284,9 +288,12 @@ def run_group_sweep(config: SweepConfig, out_path: str | None = None) -> int:
                 f"--sample-scale {config.sample_scale} draws points outside "
                 f"chart '{chart_k.label}'"
             )
-        if polar_amplitude(pair, chart_k.evaluate(x)).p <= P_SKIP:
+        try:
+            grad = phase_gradient(pair, chart_k, x)
+        except NearZeroAmplitudeError:  # p below P_GRAD < P_SKIP
             continue
-        grad = phase_gradient(pair, chart_k, x)
+        if grad.p <= P_SKIP:
+            continue
         res = grad.residuals()
         rec_residual = abs(grad.reconstructed_modulus() - np.sqrt(grad.p)) / np.sqrt(grad.p)
         bound_deficit = max(0.0, bound - grad.phase_grad_sq)
@@ -355,11 +362,10 @@ def run_ray_sweep(config: SweepConfig, bridge_points: int, out_path: str | None 
         y = draw_y()
         xi_s = rng.uniform(-0.5, 0.5, frame.dim_iso)
         xi0 = rng.uniform(-2.0, 2.0)
-        amp = complex(pair.psi_f.conj() @ (coset_element(frame, y) @ frame.psi_i))
-        if abs(amp) ** 2 <= P_SKIP_RAY:
-            continue
         point = section(frame, y)
-        rel = _section_relation_residuals(pair, point, 1.0)
+        if abs(complex(pair.psi_f.conj() @ point.psi)) ** 2 <= P_SKIP_RAY:
+            continue
+        rel = _section_relation_residuals(pair, point)
         res_minus, res_plus = u1_berry_residuals(point, config.n)
         fs_gap = float(np.max(np.abs(point.fs_metric - point.fs_metric_state)))
         fact = factorization_residual(pair, frame, y, xi_s, xi0)
@@ -405,11 +411,10 @@ def run_ray_sweep(config: SweepConfig, bridge_points: int, out_path: str | None 
         attempts = 0
         while done < bridge_points and attempts < 4 * bridge_points:
             attempts += 1
-            y = draw_y()
-            amp = complex(pair.psi_f.conj() @ (coset_element(frame, y) @ frame.psi_i))
-            if abs(amp) ** 2 <= P_SKIP:
+            point = section(frame, draw_y())
+            if abs(complex(pair.psi_f.conj() @ point.psi)) ** 2 <= P_SKIP:
                 continue
-            result = _bridge_residuals(pair, frame, chart, y)
+            result = _bridge_residuals(pair, frame, chart, point)
             bridge_worst = np.maximum(
                 bridge_worst,
                 [result.residual_phase, result.residual_mixed, result.residual_modulus],
@@ -547,13 +552,6 @@ def run_superosc(
     flagged = int(np.sum(~result.trace.defined))
     report["flagged_samples"] = flagged
 
-    rebuilt = np.einsum(
-        "k,sk->s",
-        result.trace.fourier_c,
-        np.exp(1j * np.outer(result.trace.t, result.trace.eigenvalues)),
-    )
-    fourier_residual = float(np.max(np.abs(rebuilt - result.trace.amplitude)))
-
     checks = [
         make_check(
             "superoscillatory-at-zero", max(0.0, result.max_abs_eigenvalue - result.omega_zero)
@@ -561,7 +559,7 @@ def run_superosc(
         make_check(
             "eigenvalue-cap", max(0.0, result.max_abs_eigenvalue - result.gradient_bound)
         ),
-        make_check("fourier-reconstruction", fourier_residual),
+        make_check("fourier-reconstruction", result.trace.fourier_residual),
     ]
     return finish_report(report, checks, out_path)
 
@@ -610,7 +608,7 @@ def run_vortex(
     loop = build_loop(kind, chi, theta, phi, samples, reverse)
     if not all(chart.contains(x) for x in loop):
         raise ConfigError(f"the {kind} loop leaves the domain of chart '{chart.label}'")
-    winding = vortex_winding(pair, chart, loop)
+    result = vortex_winding(pair, chart, loop)
 
     config_echo = {
         "loop": kind,
@@ -621,15 +619,13 @@ def run_vortex(
         "reverse": reverse,
     }
     report = base_report("vortex", config_echo, seed=0)
-    report["winding"] = winding
-    etas = [polar_amplitude(pair, chart.evaluate(x)).eta for x in loop]
-    steps = [abs(principal_angle(b - a)) for a, b in zip(etas, etas[1:])]
-    report["max_phase_step"] = float(max(steps))
+    report["winding"] = result.winding
+    report["max_phase_step"] = result.max_phase_step
     report["loop_points"] = len(loop)
 
     checks = []
     if expect is not None:
-        checks.append(make_check("winding", abs(winding - expect)))
+        checks.append(make_check("winding", abs(result.winding - expect)))
     return finish_report(report, checks, out_path)
 
 
@@ -741,6 +737,10 @@ def _config_from_args(args) -> SweepConfig:
     for name in ("chart", "points", "sample_scale", "per_point"):
         if hasattr(args, name):
             setattr(config, name, getattr(args, name))
+    if not np.isfinite(config.sample_scale):
+        raise ConfigError("--sample-scale is non-finite")
+    if config.sample_scale <= 0.0:
+        raise ConfigError("--sample-scale must be > 0")
     config.tolerances = _parse_tolerances(getattr(args, "tol", []))
     unknown = sorted(set(config.tolerances) - set(CHECK_GATES[args.command]))
     if unknown:
@@ -774,6 +774,9 @@ def main(argv=None) -> int:
                 _config_from_args(args), args.samples, args.t_min, args.t_max, args.out, args.csv
             )
         if args.command == "vortex":
+            for flag in ("chi", "theta", "phi"):
+                if not np.isfinite(getattr(args, flag)):
+                    raise ConfigError(f"--{flag} is non-finite")
             return run_vortex(
                 args.loop,
                 args.chi,

@@ -354,34 +354,30 @@ def _section_amplitude(pair: StatePair, point: SectionPoint):
     return p0, d_log_amp.imag, d_log, 2.0 * p0 * d_log
 
 
-def ray_relation_residuals(
-    pair: StatePair, frame: CartanFrame, y, q: float = 1.0
-) -> RelationResiduals:
-    """Residuals of the ray-space phase/modulus identities at scale q = 1.
+def ray_relation_residuals(pair: StatePair, frame: CartanFrame, y) -> RelationResiduals:
+    """Residuals of the ray-space phase/modulus identities at one section point.
 
-    On the section psi(y), with the Fubini-Study inverse metric and the
-    Berry connection A:
+    On the section psi(y), with the inverse of the Fubini-Study metric at
+    unit scale (q = 1) and the Berry connection A:
 
-        q |grad eta - A|^2       = 1/p - 1
-        q |grad log sqrt p|^2    = 1/p - 1
-        grad p . (grad eta - A)  = 0
+        |grad eta - A|^2       = 1/p - 1
+        |grad log sqrt p|^2     = 1/p - 1
+        grad p . (grad eta - A) = 0
 
     Derivatives are exact (see `section`), so the residuals carry
     rounding error only, which grows like 1/p toward amplitude zeros.
     """
-    return _section_relation_residuals(pair, section(frame, y), q)
+    return _section_relation_residuals(pair, section(frame, y))
 
 
-def _section_relation_residuals(
-    pair: StatePair, point: SectionPoint, q: float
-) -> RelationResiduals:
+def _section_relation_residuals(pair: StatePair, point: SectionPoint) -> RelationResiduals:
     """`ray_relation_residuals` at `point = section(frame, y)`."""
     p0, d_eta, d_log, d_p = _section_amplitude(pair, point)
     gauged = d_eta - point.berry
     g_inv = point.fs_metric_inv
     return RelationResiduals(
-        phase=abs(q * float(gauged @ g_inv @ gauged) - (1.0 / p0 - 1.0)),
-        modulus=abs(q * float(d_log @ g_inv @ d_log) - (1.0 / p0 - 1.0)),
+        phase=abs(float(gauged @ g_inv @ gauged) - (1.0 / p0 - 1.0)),
+        modulus=abs(float(d_log @ g_inv @ d_log) - (1.0 / p0 - 1.0)),
         cross=abs(float(d_p @ g_inv @ gauged)),
     )
 
@@ -447,16 +443,16 @@ def bridge_residuals(pair: StatePair, frame: CartanFrame, y) -> BridgeResult:
     sides use exact derivatives: the full chart's partials on the group
     side, the section's on the ray side; tolerance 1e-4.
     """
-    return _bridge_residuals(pair, frame, full_cartan_chart(frame), y)
+    return _bridge_residuals(pair, frame, full_cartan_chart(frame), section(frame, y))
 
 
 def _bridge_residuals(
-    pair: StatePair, frame: CartanFrame, chart: Chart, y
+    pair: StatePair, frame: CartanFrame, chart: Chart, point: SectionPoint
 ) -> BridgeResult:
-    """`bridge_residuals` with `chart = full_cartan_chart(frame)`."""
-    y = np.asarray(y, dtype=float)
+    """`bridge_residuals` with `chart = full_cartan_chart(frame)` and
+    `point = section(frame, y)`."""
     x0 = np.zeros(chart.dim_m)
-    x0[: frame.dim_coset] = y
+    x0[: frame.dim_coset] = point.y
 
     u0 = chart.evaluate(x0)
     amp0 = polar_amplitude(pair, u0)
@@ -477,7 +473,6 @@ def _bridge_residuals(
     lhs_mixed = float(d_eta @ g_inv @ d_p)
     lhs_modulus = float(d_p @ g_inv @ d_p)
 
-    point = section(frame, y)
     _, d_eta_y, _, d_p_y = _section_amplitude(pair, point)
     scale = np.sqrt(2.0 * (frame.n - 1) / frame.n)
     gauged = d_eta_y + scale * point.u1_component

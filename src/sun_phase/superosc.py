@@ -104,7 +104,8 @@ class PhaseTrace:
 
     omega[k] is NaN where the amplitude is below threshold (`defined`
     False there); fourier_c are the coefficients over the generator's
-    eigenvalues, summing to the t = 0 amplitude.
+    eigenvalues, summing to the t = 0 amplitude.  `fourier_residual` is
+    the largest deviation of the Fourier sum from the sampled amplitude.
     """
 
     t: np.ndarray
@@ -113,6 +114,7 @@ class PhaseTrace:
     defined: np.ndarray
     eigenvalues: np.ndarray
     fourier_c: np.ndarray
+    fourier_residual: float
 
 
 def fourier_coefficients(pair: StatePair, gen: NormalizedGenerator) -> np.ndarray:
@@ -179,7 +181,8 @@ def phase_trace(
 
     c = f_k.conj() * i_k
     rebuilt = np.einsum("k,sk->s", c, np.exp(1j * np.outer(t, gen.eigenvalues)))
-    if np.max(np.abs(rebuilt - amplitude)) >= 1e-9:
+    fourier_residual = float(np.max(np.abs(rebuilt - amplitude)))
+    if fourier_residual >= 1e-9:
         raise InternalConsistencyError("Fourier sum does not reproduce the amplitude")
     if abs(np.sum(c) - complex(pair.psi_f.conj() @ pair.psi_i)) >= 1e-12:
         raise InternalConsistencyError("Fourier coefficients do not sum to the overlap")
@@ -191,6 +194,7 @@ def phase_trace(
         defined=defined,
         eigenvalues=gen.eigenvalues.copy(),
         fourier_c=c,
+        fourier_residual=fourier_residual,
     )
 
 

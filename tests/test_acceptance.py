@@ -206,9 +206,9 @@ class TestCriterion6Vortex:
         contractible = [
             np.array([1.2 + 0.25 * np.cos(t), 1.0 + 0.25 * np.sin(t), 0.3]) for t in ts
         ]
-        w_fwd = vortex_winding(SPIN_FLIP, chart, forward)
-        w_bwd = vortex_winding(SPIN_FLIP, chart, backward)
-        w_c = vortex_winding(SPIN_FLIP, chart, contractible)
+        w_fwd = vortex_winding(SPIN_FLIP, chart, forward).winding
+        w_bwd = vortex_winding(SPIN_FLIP, chart, backward).winding
+        w_c = vortex_winding(SPIN_FLIP, chart, contractible).winding
         ok = (w_fwd, w_bwd, w_c) == (1, -1, 0)
         assert _report(
             "6 vortex-winding",

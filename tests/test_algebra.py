@@ -64,6 +64,15 @@ class TestGellmannBasis:
         with pytest.raises(DimensionError):
             build_gellmann_basis(1)
 
+    def test_shared_per_n_and_read_only(self):
+        basis = build_gellmann_basis(3)
+        assert build_gellmann_basis(3) is basis
+        with pytest.raises(ValueError):
+            basis.matrices[0, 0, 1] = 2.0
+        with pytest.raises(ValueError):
+            basis[0][0, 1] = 2.0
+        assert basis[0][0, 1] == 1.0
+
 
 class TestKillingInner:
     def test_first_generators(self):

@@ -265,12 +265,12 @@ class TestVortexWinding:
         # advances the phase by one turn
         chart = su2_polar_chart()
         loop = phi_loop(np.pi / 2, 0.1)
-        assert vortex_winding(SPIN_FLIP, chart, loop) == 1
+        assert vortex_winding(SPIN_FLIP, chart, loop).winding == 1
 
     def test_reverse_orientation(self):
         chart = su2_polar_chart()
         loop = phi_loop(np.pi / 2, 0.1, reverse=True)
-        assert vortex_winding(SPIN_FLIP, chart, loop) == -1
+        assert vortex_winding(SPIN_FLIP, chart, loop).winding == -1
 
     def test_contractible_loop(self):
         chart = su2_polar_chart()
@@ -278,14 +278,14 @@ class TestVortexWinding:
         loop = [
             np.array([1.2 + 0.3 * np.cos(t), 1.0 + 0.3 * np.sin(t), 0.7]) for t in s
         ]
-        assert vortex_winding(SPIN_FLIP, chart, loop) == 0
+        assert vortex_winding(SPIN_FLIP, chart, loop).winding == 0
 
     def test_coarse_loop_requires_refinement(self):
         chart = su2_polar_chart()
         coarse = phi_loop(np.pi / 2, 0.1, samples=4)
         with pytest.raises(ResolutionError):
             vortex_winding(SPIN_FLIP, chart, coarse, refine=False)
-        assert vortex_winding(SPIN_FLIP, chart, coarse, refine=True) == 1
+        assert vortex_winding(SPIN_FLIP, chart, coarse, refine=True).winding == 1
 
     def test_loop_through_near_zero(self):
         chart = su2_polar_chart()

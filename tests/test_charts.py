@@ -60,7 +60,6 @@ class TestExpChart:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_analytic_vs_central_difference(self, n):
         chart = exp_chart(build_gellmann_basis(n))
-        assert chart.has_analytic_partials
         rng = np.random.default_rng(50 + n)
         for x in sample_in_box(chart, rng, 10):
             exact = partials(chart, x, backend="analytic")
@@ -106,17 +105,6 @@ class TestSu2PolarChart:
             exact = partials(chart, x, backend="analytic")
             approx = partials(chart, x, backend="fd")
             assert np.max(np.abs(exact - approx)) < 1e-6
-
-    def test_richardson_tightens_fd(self):
-        # at h = 1e-3 truncation dominates roundoff, so extrapolation helps
-        import dataclasses
-
-        chart = dataclasses.replace(su2_polar_chart(), fd_step=1e-3)
-        x = np.array([0.9, 1.1, 2.0])
-        exact = partials(chart, x, backend="analytic")
-        plain = partials(chart, x, backend="fd")
-        extrap = partials(chart, x, backend="fd", richardson=True)
-        assert np.max(np.abs(extrap - exact)) < 0.01 * np.max(np.abs(plain - exact))
 
     def test_metric_closed_form(self):
         chart = su2_polar_chart()
@@ -204,7 +192,6 @@ class TestMetric:
 
         v = expm_generator(random_hermitian(2, rng, traceless=True))
         translated = left_translate(chart, v)
-        assert translated.has_analytic_partials
         for x in sample_in_box(chart, rng, 10):
             g0 = ck_metric(chart, x).g
             g1 = ck_metric(translated, x).g

@@ -317,6 +317,66 @@ class TestDeterminism:
         assert a.read_bytes() == b.read_bytes()
 
 
+class TestEvaluatedOnce:
+    """Each sweep point is evaluated once; the CLI reuses what the library
+    computed at a point instead of evaluating it again."""
+
+    @staticmethod
+    def count_calls(monkeypatch, owner, name):
+        """Wrap `owner.name` and every binding of it in the loaded sun_phase
+        modules; returns the list that collects one entry per call."""
+        import sys
+
+        original = getattr(owner, name)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+        for key, module in list(sys.modules.items()):
+            if key.split(".")[0] == "sun_phase" and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+        return calls
+
+    def test_verify_group_evaluates_each_point_once(self, tmp_path, monkeypatch):
+        from sun_phase.charts import Chart
+
+        calls = self.count_calls(monkeypatch, Chart, "evaluate")
+        code, out = run_to_file(
+            tmp_path, "r.json", ["verify-group", "--n", "3", "--points", "12", "--seed", "1"]
+        )
+        assert code == EXIT_PASS
+        assert len(calls) == load(out)["points_requested"] == 12
+
+    def test_vortex_evaluates_the_loop_once(self, tmp_path, monkeypatch):
+        from sun_phase.charts import Chart
+
+        calls = self.count_calls(monkeypatch, Chart, "evaluate")
+        code, out = run_to_file(
+            tmp_path, "r.json", ["vortex", "--samples", "64", "--expect", "1"]
+        )
+        assert code == EXIT_PASS
+        loop_points = load(out)["loop_points"]
+        # the loop points, the two ends of the closure check, no refinement
+        assert len(calls) == loop_points + 2 < 2 * loop_points
+
+    def test_verify_ray_builds_no_extra_coset_elements(self, tmp_path, monkeypatch):
+        from sun_phase import coset
+
+        built = self.count_calls(monkeypatch, coset, "coset_element")
+        factorizations = self.count_calls(monkeypatch, coset, "factorization_residual")
+        code, _ = run_to_file(
+            tmp_path,
+            "r.json",
+            ["verify-ray", "--n", "3", "--points", "10", "--bridge-points", "4", "--seed", "1"],
+        )
+        assert code == EXIT_PASS
+        # factorization_residual builds one coset element; nothing else does
+        assert len(built) == len(factorizations) > 0
+
+
 class TestConsoleScript:
     def test_installed_entrypoint(self, tmp_path):
         import shutil
@@ -362,6 +422,9 @@ class TestInputErrors:
             ["vortex", "--loop", "contractible", "--chi", "0.1", "--theta", "0.1"],
             ["superosc", "--n", "3", "--samples", "1"],
             ["superosc", "--n", "3", "--t-min", "1", "--t-max", "1"],
+            # the sampling box must have a positive size
+            ["verify-group", "--n", "3", "--sample-scale", "-1"],
+            ["verify-ray", "--n", "3", "--sample-scale", "-1"],
         ],
     )
     def test_domain_error_is_config_error(self, tmp_path, capsys, argv):
@@ -378,6 +441,12 @@ class TestInputErrors:
             ["verify-group", "--n", "2", "--tol", "phase-identity=nan"],
             ["verify-group", "--n", "2", "--tol", "phase-identity=inf"],
             ["superosc", "--n", "2", "--pair", "explicit", "--psi-i", "1,nan", "--psi-f", "1,0"],
+            ["verify-group", "--n", "3", "--sample-scale", "nan"],
+            ["verify-group", "--n", "3", "--sample-scale", "inf"],
+            ["verify-ray", "--n", "3", "--sample-scale", "nan"],
+            ["verify-ray", "--n", "3", "--sample-scale", "inf"],
+            ["vortex", "--phi", "inf"],
+            ["vortex", "--phi", "nan", "--loop", "contractible", "--chi", "1", "--theta", "1"],
         ],
     )
     def test_non_finite_input_rejected(self, tmp_path, capsys, argv):

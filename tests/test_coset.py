@@ -189,9 +189,7 @@ class TestRayRelations:
         pair = StatePair(frame.psi_i, haar_state(3, rng))
         y = rng.uniform(-0.4, 0.4, frame.dim_coset)
         point = section(frame, y)
-        assert _section_relation_residuals(
-            pair, point, 1.0
-        ) == ray_relation_residuals(pair, frame, y)
+        assert _section_relation_residuals(pair, point) == ray_relation_residuals(pair, frame, y)
 
     def test_near_zero_amplitude_raises(self):
         frame = frame_for(2, psi=PLUS)
@@ -261,7 +259,6 @@ class TestFullChart:
         rng = np.random.default_rng(74 + n)
         frame = frame_for(n, rng)
         chart = full_cartan_chart(frame)
-        assert chart.has_analytic_partials
         points = [rng.uniform(chart.sample_box[:, 0], chart.sample_box[:, 1]) for _ in range(5)]
         # the section slice xi_s = 0, xi0 = 0 that the bridge checks use
         for _ in range(5):
