@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -50,6 +51,8 @@ EXIT_PASS = 0
 EXIT_CHECK_FAILURE = 1
 EXIT_CONFIG_ERROR = 2
 EXIT_INCONCLUSIVE = 3
+
+CSV_BLOCK_ROWS = 1024  # CSV rows formatted and written per block
 
 P_SKIP = 1e-6      # group sweeps skip points below this squared amplitude
 P_SKIP_RAY = 1e-4  # ray sweeps: the section derivatives are exact, so the
@@ -112,16 +115,42 @@ def dump_report(report: dict) -> str:
     return "".join(_json_chunks(report, 0)) + "\n"
 
 
-def write_csv(path: str, header: list[str], rows) -> None:
-    def cell(v):
-        if isinstance(v, (float, np.floating)):
-            return format(float(v), ".17g")
-        return str(v)
+# `%` conversions of float and signed-integer numpy columns; they print
+# exactly what `_format_cell` prints for the same values
+_BLOCK_FORMATS = {"f": "%.17g", "i": "%d"}
+
+
+def _format_cell(v) -> str:
+    if isinstance(v, (float, np.floating)):
+        return format(float(v), ".17g")
+    return str(v)
+
+
+def write_csv(path: str, header: list[str], columns) -> None:
+    """Write equal-length columns as CSV rows, CSV_BLOCK_ROWS rows at a time.
+
+    Floats print with 17 significant digits, anything else as `str`.
+    Float and integer numpy columns are formatted in one `%` pass per
+    block; other columns cell by cell.
+    """
+    rows = len(columns[0])
+    if len(columns) != len(header) or any(len(column) != rows for column in columns):
+        raise ValueError("write_csv needs one column per header entry, all of one length")
+    specs = [
+        _BLOCK_FORMATS.get(column.dtype.kind) if isinstance(column, np.ndarray) else None
+        for column in columns
+    ]
+    template = ",".join(spec or "%s" for spec in specs) + "\n"
 
     with open(path, "w", newline="") as handle:
         handle.write(",".join(header) + "\n")
-        for row in rows:
-            handle.write(",".join(cell(v) for v in row) + "\n")
+        for start in range(0, rows, CSV_BLOCK_ROWS):
+            block = slice(start, start + CSV_BLOCK_ROWS)
+            cells = [
+                column[block].tolist() if spec else [_format_cell(v) for v in column[block]]
+                for column, spec in zip(columns, specs)
+            ]
+            handle.write((template * len(cells[0])) % tuple(chain.from_iterable(zip(*cells))))
 
 
 # ---------------------------------------------------------------------------
@@ -466,7 +495,8 @@ def run_su2_demo(grid: int, out_path: str | None, csv_path: str | None) -> int:
     thetas = np.linspace(0.2, np.pi - 0.2, grid)
     phis = np.linspace(0.0, 2 * np.pi, grid, endpoint=False)
 
-    rows = []
+    table = np.empty((grid**3, 8))
+    row = 0
     worst_p = 0.0
     worst_eta = 0.0
     worst_grad = 0.0
@@ -476,9 +506,10 @@ def run_su2_demo(grid: int, out_path: str | None, csv_path: str | None) -> int:
                 grad = phase_gradient(pair, chart, np.array([chi, theta, phi]))
                 inv_p = 1.0 / grad.p
                 residual = abs(grad.phase_grad_sq - inv_p)
-                rows.append(
-                    (chi, theta, phi, grad.p, grad.eta, grad.phase_grad_sq, inv_p, residual)
+                table[row] = (
+                    chi, theta, phi, grad.p, grad.eta, grad.phase_grad_sq, inv_p, residual
                 )
+                row += 1
                 worst_p = max(worst_p, abs(grad.p - np.sin(chi) ** 2 * np.sin(theta) ** 2))
                 worst_eta = max(
                     worst_eta, abs(principal_angle(grad.eta - (phi + np.pi / 2)))
@@ -489,11 +520,11 @@ def run_su2_demo(grid: int, out_path: str | None, csv_path: str | None) -> int:
         write_csv(
             csv_path,
             ["chi", "theta", "phi", "p", "eta", "grad_eta_sq", "inv_p", "residual"],
-            rows,
+            table.T,
         )
 
     report = base_report("su2-demo", {"grid": grid}, seed=0)
-    report["rows"] = len(rows)
+    report["rows"] = len(table)
     checks = [
         make_check("closed-form-modulus", worst_p),
         make_check("closed-form-phase", worst_eta),
@@ -519,6 +550,8 @@ def run_superosc(
         raise ConfigError("--samples must be >= 2")
     if not (np.isfinite(t_min) and np.isfinite(t_max) and t_min < t_max):
         raise ConfigError("--t-min and --t-max must be finite with --t-min < --t-max")
+    if not np.isfinite(t_max - t_min):
+        raise ConfigError("the width --t-max - --t-min is not finite")
     rng = np.random.default_rng(config.seed)
     pair = resolve_pair(config, rng)
     basis = build_gellmann_basis(config.n)
@@ -529,13 +562,13 @@ def run_superosc(
     result = superoscillation_report(pair, gen, t_range=(t_min, t_max), samples=samples)
 
     if csv_path:
-        rows = [
-            (t, a.real, a.imag, w if d else float("nan"), int(d))
-            for t, a, w, d in zip(
-                result.trace.t, result.trace.amplitude, result.trace.omega, result.trace.defined
-            )
-        ]
-        write_csv(csv_path, ["t", "re_amplitude", "im_amplitude", "omega", "defined"], rows)
+        trace = result.trace
+        write_csv(
+            csv_path,
+            ["t", "re_amplitude", "im_amplitude", "omega", "defined"],
+            [trace.t, trace.amplitude.real, trace.amplitude.imag, trace.omega,
+             trace.defined.astype(np.int64)],
+        )
 
     report = base_report("superosc", config.echo(), config.seed)
     report["samples"] = samples

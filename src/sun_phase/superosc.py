@@ -26,6 +26,7 @@ from .tolerances import ATOL_IDENTITY
 
 P_OVERLAP = 1e-8   # overlap threshold for a usable gradient direction
 P_TRACE = 1e-10    # amplitude threshold for local-frequency evaluation
+TRACE_BLOCK = 128  # samples per stacked (block, n, n) evaluation in phase_trace
 
 
 @dataclass(frozen=True)
@@ -124,20 +125,60 @@ def fourier_coefficients(pair: StatePair, gen: NormalizedGenerator) -> np.ndarra
     return f_k.conj() * i_k
 
 
+def _quotient_real(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Re(a / b) elementwise, in the operation order of CPython's complex
+    division: Smith's algorithm, scaled by the larger of |Re b| and |Im b|.
+
+    numpy's complex `/` rounds differently in the last bit, so this keeps a
+    batch bit-for-bit equal to `(complex(a) / complex(b)).real`.  Where
+    |Im b| is the larger, swapping real and imaginary parts of a and b
+    turns CPython's second branch into its first, term for term.
+    """
+    swap = np.abs(b.real) < np.abs(b.imag)
+    ar, ai = np.where(swap, a.imag, a.real), np.where(swap, a.real, a.imag)
+    br, bi = np.where(swap, b.imag, b.real), np.where(swap, b.real, b.imag)
+    ratio = bi / br
+    return (ar + ai * ratio) / (br + bi * ratio)
+
+
+def _trace_block(pair: StatePair, gen: NormalizedGenerator, t: np.ndarray):
+    """Amplitude, local frequency and definedness at the times `t`.
+
+    U(t) = V diag(e^{iwt}) V^dag and U l are built as stacked (len(t), n, n)
+    matrices, and <f|U|i> is read off them: the matrix route, independent of
+    the Fourier sum over the spectrum.  omega = Re[<f|U l|i> / <f|U|i>] where
+    |<f|U|i>|^2 >= P_TRACE and NaN elsewhere.  Each sample's value does not
+    depend on the other times in the block.
+    """
+    w = gen.eigenvalues
+    v = gen.eigenvectors
+    vh = dagger(v)
+    bra = pair.psi_f.conj()
+    ket = pair.psi_i[:, None]
+    phases = np.exp(1j * w * t[:, None])
+    u = (v * phases[:, None, :]) @ vh
+    ul = (v * (phases * w)[:, None, :]) @ vh
+    # a (1, n) @ (n, 1) product per sample: the dot product <f|u|i> of one matrix
+    amp = ((bra @ u)[:, None, :] @ ket)[:, 0, 0]
+    num = ((bra @ ul)[:, None, :] @ ket)[:, 0, 0]
+    defined = np.abs(amp) ** 2 >= P_TRACE
+    omega = np.full(len(t), np.nan)
+    omega[defined] = _quotient_real(num[defined], amp[defined])
+    return amp, omega, defined
+
+
 def local_frequency(pair: StatePair, gen: NormalizedGenerator, t: float) -> float:
     """d/dt arg <psi_f|exp(i l t)|psi_i> = Re[<f|U l|i> / <f|U|i>].
 
     Analytic, so it isolates the genuine poles at amplitude zeros
-    instead of smearing them the way a differenced phase would.
+    instead of smearing them the way a differenced phase would.  A block
+    of one sample of the `phase_trace` kernel, so it equals the trace's
+    omega at the same t exactly.
     """
-    phases = np.exp(1j * gen.eigenvalues * t)
-    v = gen.eigenvectors
-    u = (v * phases) @ dagger(v)
-    amp = complex(pair.psi_f.conj() @ u @ pair.psi_i)
-    if abs(amp) ** 2 < P_TRACE:
+    _, omega, defined = _trace_block(pair, gen, np.array([t], dtype=float))
+    if not defined[0]:
         raise UndefinedDirectionError(f"amplitude vanishes at t = {t}")
-    ul = (v * (phases * gen.eigenvalues)) @ dagger(v)
-    return float((complex(pair.psi_f.conj() @ ul @ pair.psi_i) / amp).real)
+    return float(omega[0])
 
 
 def phase_trace(
@@ -148,8 +189,9 @@ def phase_trace(
 ) -> PhaseTrace:
     """Amplitude and local phase frequency along exp(i l t).
 
-    The amplitude is evaluated through the matrix exponential; the
-    Fourier sum over the spectrum reproduces it to rounding error.
+    The amplitude is evaluated through the matrix exponential, in blocks
+    of TRACE_BLOCK samples, so memory stays bounded for any sample count;
+    the Fourier sum over the spectrum reproduces it to rounding error.
     Samples with squared amplitude below 1e-10 are flagged and carry
     omega = NaN.
     """
@@ -160,28 +202,22 @@ def phase_trace(
     t0, t1 = t_range
     if not t1 > t0:
         raise DomainError("empty time range")
+    if not np.isfinite(t1 - t0):
+        raise DomainError("time range width is not finite")
 
     t = np.linspace(t0, t1, samples)
-    v = gen.eigenvectors
-    f_k = dagger(v) @ pair.psi_f
-    i_k = dagger(v) @ pair.psi_i
-
+    c = fourier_coefficients(pair, gen)
     amplitude = np.empty(samples, dtype=complex)
-    omega = np.full(samples, np.nan)
-    defined = np.zeros(samples, dtype=bool)
-    for idx, tk in enumerate(t):
-        phases = np.exp(1j * gen.eigenvalues * tk)
-        u = (v * phases) @ dagger(v)
-        amp = complex(pair.psi_f.conj() @ u @ pair.psi_i)
-        amplitude[idx] = amp
-        if abs(amp) ** 2 >= P_TRACE:
-            defined[idx] = True
-            ul = (v * (phases * gen.eigenvalues)) @ dagger(v)
-            omega[idx] = (complex(pair.psi_f.conj() @ ul @ pair.psi_i) / amp).real
-
-    c = f_k.conj() * i_k
-    rebuilt = np.einsum("k,sk->s", c, np.exp(1j * np.outer(t, gen.eigenvalues)))
-    fourier_residual = float(np.max(np.abs(rebuilt - amplitude)))
+    omega = np.empty(samples)
+    defined = np.empty(samples, dtype=bool)
+    fourier_residual = 0.0
+    for start in range(0, samples, TRACE_BLOCK):
+        block = slice(start, start + TRACE_BLOCK)
+        amplitude[block], omega[block], defined[block] = _trace_block(pair, gen, t[block])
+        rebuilt = np.einsum("k,sk->s", c, np.exp(1j * np.outer(t[block], gen.eigenvalues)))
+        fourier_residual = max(
+            fourier_residual, float(np.max(np.abs(rebuilt - amplitude[block])))
+        )
     if fourier_residual >= 1e-9:
         raise InternalConsistencyError("Fourier sum does not reproduce the amplitude")
     if abs(np.sum(c) - complex(pair.psi_f.conj() @ pair.psi_i)) >= 1e-12:
@@ -218,6 +254,16 @@ class SuperoscillationReport:
     trace: PhaseTrace
 
 
+def _hot_intervals(
+    t: np.ndarray, hot: np.ndarray, half: float
+) -> tuple[tuple[float, float], ...]:
+    """(t[first] - half, t[last] + half) for each run of consecutive hot samples."""
+    edges = np.diff(hot.astype(np.int8), prepend=0, append=0)
+    first = np.flatnonzero(edges == 1)
+    last = np.flatnonzero(edges == -1) - 1
+    return tuple(zip((t[first] - half).tolist(), (t[last] + half).tolist()))
+
+
 def superoscillation_report(
     pair: StatePair,
     gen: NormalizedGenerator,
@@ -236,16 +282,6 @@ def superoscillation_report(
 
     half = (trace.t[1] - trace.t[0]) / 2.0
     hot = trace.defined & (np.abs(np.where(trace.defined, trace.omega, 0.0)) > cap)
-    intervals = []
-    start = None
-    for idx, flag in enumerate(hot):
-        if flag and start is None:
-            start = trace.t[idx] - half
-        elif not flag and start is not None:
-            intervals.append((start, trace.t[idx - 1] + half))
-            start = None
-    if start is not None:
-        intervals.append((start, trace.t[-1] + half))
 
     return SuperoscillationReport(
         max_abs_eigenvalue=cap,
@@ -253,6 +289,6 @@ def superoscillation_report(
         gradient_bound=min_gradient_bound(gen.n),
         superoscillatory_at_zero=bool(omega0 >= cap - 1e-9),
         boundary=bool(abs(omega0 - cap) <= 1e-9),
-        intervals=tuple(intervals),
+        intervals=_hot_intervals(trace.t, hot, half),
         trace=trace,
     )

@@ -1,9 +1,11 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from sun_phase.cli import (
+    CSV_BLOCK_ROWS,
     EXIT_CHECK_FAILURE,
     EXIT_CONFIG_ERROR,
     EXIT_INCONCLUSIVE,
@@ -11,6 +13,7 @@ from sun_phase.cli import (
     dump_report,
     format_float,
     main,
+    write_csv,
 )
 
 
@@ -45,6 +48,64 @@ class TestSerialization:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             dump_report({"x": float("nan")})
+
+
+def rowwise_csv(header, rows):
+    """Oracle: the row-by-row, cell-by-cell CSV formatter."""
+
+    def cell(v):
+        if isinstance(v, (float, np.floating)):
+            return format(float(v), ".17g")
+        return str(v)
+
+    return ",".join(header) + "\n" + "".join(",".join(cell(v) for v in row) + "\n" for row in rows)
+
+
+class TestWriteCsv:
+    def test_matches_rowwise_formatter(self, tmp_path):
+        special = [1.0, float("nan"), -0.0, 1e-300, 5e-324, float("inf"), -np.pi, 1 / 3, 1e22]
+        rows = 2 * CSV_BLOCK_ROWS + 3
+        rng = np.random.default_rng(5)
+        floats = np.resize(np.array(special), rows) * np.where(rng.random(rows) < 0.5, 1.0, -1e-7)
+        mixed = [
+            [np.float64(0.1), np.float32(0.1), np.int64(-3), np.bool_(True), 7, 2.5, "x"][k % 7]
+            for k in range(rows)
+        ]
+        columns = [
+            floats,
+            rng.integers(-10**12, 10**12, rows),
+            np.arange(rows, dtype=np.uint8),
+            np.float32(rng.standard_normal(rows)),
+            rng.random(rows) < 0.5,
+            mixed,
+        ]
+        header = ["f", "i", "u", "f32", "b", "mixed"]
+        path = tmp_path / "c.csv"
+        write_csv(str(path), header, columns)
+        assert path.read_text() == rowwise_csv(header, zip(*columns))
+
+    def test_header_only(self, tmp_path):
+        path = tmp_path / "c.csv"
+        write_csv(str(path), ["a", "b"], [np.empty(0), np.empty(0)])
+        assert path.read_text() == "a,b\n"
+
+    def test_ragged_columns_rejected(self, tmp_path):
+        with pytest.raises(ValueError):
+            write_csv(str(tmp_path / "c.csv"), ["a", "b"], [np.zeros(3), np.zeros(2)])
+
+    def test_peak_memory_bounded(self, tmp_path):
+        # a 15,000-sample superosc trace: blocks of CSV_BLOCK_ROWS rows keep
+        # the formatted text and cells far below the size of the whole file
+        rng = np.random.default_rng(6)
+        columns = [rng.standard_normal(15000) for _ in range(4)]
+        columns.append(rng.integers(0, 2, 15000))
+        tracemalloc.start()
+        try:
+            write_csv(str(tmp_path / "c.csv"), ["a", "b", "c", "d", "e"], columns)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestVerifyGroup:
@@ -316,6 +377,18 @@ class TestDeterminism:
         main(["su2-demo", "--grid", "6", "--csv", str(b), "--out", str(tmp_path / "rb.json")])
         assert a.read_bytes() == b.read_bytes()
 
+    def test_superosc_csv_across_blocks(self, tmp_path):
+        samples = CSV_BLOCK_ROWS + 5
+        csvs = []
+        for name in ("a", "b"):
+            csv_path = tmp_path / f"{name}.csv"
+            argv = ["superosc", "--n", "4", "--seed", "3", "--samples", str(samples),
+                    "--csv", str(csv_path)]
+            assert run_to_file(tmp_path, f"{name}.json", argv)[0] == EXIT_PASS
+            csvs.append(csv_path.read_bytes())
+        assert csvs[0] == csvs[1]
+        assert len(csvs[0].splitlines()) == samples + 1
+
 
 class TestEvaluatedOnce:
     """Each sweep point is evaluated once; the CLI reuses what the library
@@ -422,6 +495,8 @@ class TestInputErrors:
             ["vortex", "--loop", "contractible", "--chi", "0.1", "--theta", "0.1"],
             ["superosc", "--n", "3", "--samples", "1"],
             ["superosc", "--n", "3", "--t-min", "1", "--t-max", "1"],
+            # t_max - t_min overflows to inf
+            ["superosc", "--n", "3", "--t-min=-1e308", "--t-max=1e308"],
             # the sampling box must have a positive size
             ["verify-group", "--n", "3", "--sample-scale", "-1"],
             ["verify-ray", "--n", "3", "--sample-scale", "-1"],

@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from sun_phase.algebra import (
     StatePair,
     build_gellmann_basis,
+    dagger,
     haar_state,
     random_hermitian,
 )
@@ -11,6 +14,10 @@ from sun_phase.amplitude import min_gradient_bound, phase_gradient
 from sun_phase.charts import exp_chart
 from sun_phase.errors import DomainError, ShapeError, UndefinedDirectionError
 from sun_phase.superosc import (
+    P_TRACE,
+    TRACE_BLOCK,
+    _hot_intervals,
+    _quotient_real,
     aligned_generator,
     fourier_coefficients,
     local_frequency,
@@ -31,6 +38,51 @@ def random_unit_generator(n, rng):
     h = random_hermitian(n, rng, traceless=True)
     h = h / np.sqrt(0.5 * np.trace(h @ h).real)
     return normalized_generator(h)
+
+
+def per_sample_trace(pair, gen, t):
+    """Oracle: one U(t) and U(t) l per sample, with Python complex division."""
+    v = gen.eigenvectors
+    amplitude = np.empty(len(t), dtype=complex)
+    omega = np.full(len(t), np.nan)
+    defined = np.zeros(len(t), dtype=bool)
+    for idx, tk in enumerate(t):
+        phases = np.exp(1j * gen.eigenvalues * tk)
+        u = (v * phases) @ dagger(v)
+        amp = complex(pair.psi_f.conj() @ u @ pair.psi_i)
+        amplitude[idx] = amp
+        if abs(amp) ** 2 >= P_TRACE:
+            defined[idx] = True
+            ul = (v * (phases * gen.eigenvalues)) @ dagger(v)
+            omega[idx] = (complex(pair.psi_f.conj() @ ul @ pair.psi_i) / amp).real
+    return amplitude, omega, defined
+
+
+def scaled_taylor_expm(m, squarings=6, terms=20):
+    """Oracle without eigh: Taylor series of exp(m / 2^s), squared s times."""
+    term = acc = np.eye(m.shape[0], dtype=complex)
+    scaled = m / 2.0**squarings
+    for k in range(1, terms):
+        term = term @ scaled / k
+        acc = acc + term
+    for _ in range(squarings):
+        acc = acc @ acc
+    return acc
+
+
+def loop_intervals(t, hot, half):
+    """Oracle: the run-by-run interval assembly of hot samples."""
+    intervals = []
+    start = None
+    for idx, flag in enumerate(hot):
+        if flag and start is None:
+            start = t[idx] - half
+        elif not flag and start is not None:
+            intervals.append((start, t[idx - 1] + half))
+            start = None
+    if start is not None:
+        intervals.append((start, t[-1] + half))
+    return tuple(intervals)
 
 
 class TestNormalizedGenerator:
@@ -108,6 +160,8 @@ class TestPhaseTrace:
             "k,sk->s", trace.fourier_c, np.exp(1j * np.outer(trace.t, trace.eigenvalues))
         )
         assert np.max(np.abs(rebuilt - trace.amplitude)) < 1e-9
+        # the blocked residual is the maximum over all samples, not one block
+        assert trace.fourier_residual == np.max(np.abs(rebuilt - trace.amplitude)) > 0.0
         overlap = complex(pair.psi_f.conj() @ pair.psi_i)
         assert abs(np.sum(trace.fourier_c) - overlap) < 1e-12
 
@@ -140,6 +194,108 @@ class TestPhaseTrace:
         assert not trace.defined[mid]
         assert np.isnan(trace.omega[mid])
         assert trace.defined[0] and trace.defined[-1]
+
+
+class TestBlockedTrace:
+    """The blocked matrix-route trace reproduces the per-sample evaluation
+    bit for bit, at every block size and across block boundaries."""
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    @pytest.mark.parametrize(
+        "samples",
+        [2, TRACE_BLOCK - 1, TRACE_BLOCK, TRACE_BLOCK + 1, 3 * TRACE_BLOCK + 5],
+    )
+    def test_matches_per_sample_loop(self, n, samples):
+        rng = np.random.default_rng(2400 + 10 * n + samples)
+        pair = random_pair(n, rng)
+        gen = aligned_generator(pair, build_gellmann_basis(n))
+        trace = phase_trace(pair, gen, samples=samples)
+        amplitude, omega, defined = per_sample_trace(pair, gen, trace.t)
+        assert np.array_equal(trace.amplitude, amplitude)
+        assert np.array_equal(trace.omega, omega, equal_nan=True)
+        assert np.array_equal(trace.defined, defined)
+        for k in {0, samples // 2, min(TRACE_BLOCK, samples - 1), samples - 1}:
+            assert local_frequency(pair, gen, trace.t[k]) == trace.omega[k]
+
+    def test_flagged_zero_crossing_matches_per_sample_loop(self):
+        gen = normalized_generator(build_gellmann_basis(2)[0])
+        pair = StatePair(PLUS, MINUS)
+        trace = phase_trace(pair, gen, t_range=(-1.0, 1.0), samples=2 * TRACE_BLOCK + 1)
+        amplitude, omega, defined = per_sample_trace(pair, gen, trace.t)
+        assert not trace.defined[TRACE_BLOCK]  # t = 0, the first sample of a block
+        assert np.array_equal(trace.amplitude, amplitude)
+        assert np.array_equal(trace.omega, omega, equal_nan=True)
+        assert np.array_equal(trace.defined, defined)
+        with pytest.raises(UndefinedDirectionError):
+            local_frequency(pair, gen, 0.0)
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    def test_amplitude_against_taylor_oracle(self, n):
+        rng = np.random.default_rng(2500 + n)
+        pair = random_pair(n, rng)
+        gen = aligned_generator(pair, build_gellmann_basis(n))
+        trace = phase_trace(pair, gen, samples=1000)
+        for k in rng.choice(1000, size=64, replace=False):
+            u = scaled_taylor_expm(1j * gen.matrix * trace.t[k])
+            expected = complex(pair.psi_f.conj() @ u @ pair.psi_i)
+            assert abs(trace.amplitude[k] - expected) < 1e-12
+
+    def test_quotient_in_python_order(self):
+        rng = np.random.default_rng(2600)
+        scale = 10.0 ** rng.uniform(-8, 8, (4, 20000))
+        a = rng.standard_normal(20000) * scale[0] + 1j * rng.standard_normal(20000) * scale[1]
+        b = rng.standard_normal(20000) * scale[2] + 1j * rng.standard_normal(20000) * scale[3]
+        expected = np.array([(complex(x) / complex(y)).real for x, y in zip(a, b)])
+        assert np.array_equal(_quotient_real(a, b), expected)
+
+    def test_width_overflow_rejected(self):
+        rng = np.random.default_rng(80)
+        pair = random_pair(2, rng)
+        gen = random_unit_generator(2, rng)
+        with pytest.raises(DomainError):
+            phase_trace(pair, gen, t_range=(-1e308, 1e308))
+
+    def test_peak_memory_bounded(self):
+        # the largest benchmark trace: blocks keep the working set to a few
+        # (TRACE_BLOCK, n, n) stacks next to the ~0.5 MiB of returned arrays
+        rng = np.random.default_rng(81)
+        pair = random_pair(8, rng)
+        gen = aligned_generator(pair, build_gellmann_basis(8))
+        tracemalloc.start()
+        try:
+            phase_trace(pair, gen, samples=15000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+
+
+class TestHotIntervals:
+    @pytest.mark.parametrize(
+        "hot",
+        [
+            [True, True, False, False, True, False],
+            [False, True, False, True, True],
+            [True] * 7,
+            [False] * 7,
+            [False, True],
+            [True, False],
+        ],
+    )
+    def test_matches_loop(self, hot):
+        t = np.linspace(-1.0, 1.0, len(hot))
+        half = (t[1] - t[0]) / 2.0
+        hot = np.array(hot)
+        assert _hot_intervals(t, hot, half) == loop_intervals(t, hot, half)
+
+    def test_random_masks_match_loop(self):
+        rng = np.random.default_rng(2700)
+        for size in (2, 3, 17, 300):
+            t = np.linspace(-np.pi, np.pi, size)
+            half = (t[1] - t[0]) / 2.0
+            for _ in range(20):
+                hot = rng.random(size) < rng.random()
+                assert _hot_intervals(t, hot, half) == loop_intervals(t, hot, half)
 
 
 class TestSuperoscillationReport:
