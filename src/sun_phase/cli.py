@@ -115,41 +115,26 @@ def dump_report(report: dict) -> str:
     return "".join(_json_chunks(report, 0)) + "\n"
 
 
-# `%` conversions of float and signed-integer numpy columns; they print
-# exactly what `_format_cell` prints for the same values
+# `%` conversion per numpy dtype kind: floats with 17 significant digits,
+# signed integers as decimals; a column of any other kind raises KeyError
 _BLOCK_FORMATS = {"f": "%.17g", "i": "%d"}
 
 
-def _format_cell(v) -> str:
-    if isinstance(v, (float, np.floating)):
-        return format(float(v), ".17g")
-    return str(v)
-
-
 def write_csv(path: str, header: list[str], columns) -> None:
-    """Write equal-length columns as CSV rows, CSV_BLOCK_ROWS rows at a time.
+    """Write equal-length float or signed-integer numpy columns as CSV rows.
 
-    Floats print with 17 significant digits, anything else as `str`.
-    Float and integer numpy columns are formatted in one `%` pass per
-    block; other columns cell by cell.
+    Floats print with 17 significant digits.  Rows are formatted
+    CSV_BLOCK_ROWS at a time, in one `%` pass per block.
     """
     rows = len(columns[0])
     if len(columns) != len(header) or any(len(column) != rows for column in columns):
         raise ValueError("write_csv needs one column per header entry, all of one length")
-    specs = [
-        _BLOCK_FORMATS.get(column.dtype.kind) if isinstance(column, np.ndarray) else None
-        for column in columns
-    ]
-    template = ",".join(spec or "%s" for spec in specs) + "\n"
+    template = ",".join(_BLOCK_FORMATS[column.dtype.kind] for column in columns) + "\n"
 
     with open(path, "w", newline="") as handle:
         handle.write(",".join(header) + "\n")
         for start in range(0, rows, CSV_BLOCK_ROWS):
-            block = slice(start, start + CSV_BLOCK_ROWS)
-            cells = [
-                column[block].tolist() if spec else [_format_cell(v) for v in column[block]]
-                for column, spec in zip(columns, specs)
-            ]
+            cells = [column[start:start + CSV_BLOCK_ROWS].tolist() for column in columns]
             handle.write((template * len(cells[0])) % tuple(chain.from_iterable(zip(*cells))))
 
 
@@ -559,6 +544,8 @@ def run_superosc(
         gen = aligned_generator(pair, basis)
     except SunPhaseError as exc:
         raise ConfigError(f"cannot align generator: {exc}") from exc
+    if not np.isfinite(max(abs(t_min), abs(t_max)) * float(np.max(np.abs(gen.eigenvalues)))):
+        raise ConfigError("--t-min/--t-max times the largest eigenvalue is not finite")
     result = superoscillation_report(pair, gen, t_range=(t_min, t_max), samples=samples)
 
     if csv_path:

@@ -204,21 +204,24 @@ def phase_trace(
         raise DomainError("empty time range")
     if not np.isfinite(t1 - t0):
         raise DomainError("time range width is not finite")
+    if not np.isfinite(max(abs(t0), abs(t1)) * float(np.max(np.abs(gen.eigenvalues)))):
+        raise DomainError("eigenvalue times t overflows on the time range")
 
     t = np.linspace(t0, t1, samples)
     c = fourier_coefficients(pair, gen)
     amplitude = np.empty(samples, dtype=complex)
     omega = np.empty(samples)
     defined = np.empty(samples, dtype=bool)
+    # np.maximum, not max: a NaN block residual must reach the gate below
     fourier_residual = 0.0
     for start in range(0, samples, TRACE_BLOCK):
         block = slice(start, start + TRACE_BLOCK)
         amplitude[block], omega[block], defined[block] = _trace_block(pair, gen, t[block])
         rebuilt = np.einsum("k,sk->s", c, np.exp(1j * np.outer(t[block], gen.eigenvalues)))
-        fourier_residual = max(
-            fourier_residual, float(np.max(np.abs(rebuilt - amplitude[block])))
+        fourier_residual = np.maximum(
+            fourier_residual, np.max(np.abs(rebuilt - amplitude[block]))
         )
-    if fourier_residual >= 1e-9:
+    if not fourier_residual < 1e-9:
         raise InternalConsistencyError("Fourier sum does not reproduce the amplitude")
     if abs(np.sum(c) - complex(pair.psi_f.conj() @ pair.psi_i)) >= 1e-12:
         raise InternalConsistencyError("Fourier coefficients do not sum to the overlap")
@@ -230,7 +233,7 @@ def phase_trace(
         defined=defined,
         eigenvalues=gen.eigenvalues.copy(),
         fourier_c=c,
-        fourier_residual=fourier_residual,
+        fourier_residual=float(fourier_residual),
     )
 
 

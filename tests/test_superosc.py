@@ -12,7 +12,13 @@ from sun_phase.algebra import (
 )
 from sun_phase.amplitude import min_gradient_bound, phase_gradient
 from sun_phase.charts import exp_chart
-from sun_phase.errors import DomainError, ShapeError, UndefinedDirectionError
+from sun_phase import superosc
+from sun_phase.errors import (
+    DomainError,
+    InternalConsistencyError,
+    ShapeError,
+    UndefinedDirectionError,
+)
 from sun_phase.superosc import (
     P_TRACE,
     TRACE_BLOCK,
@@ -254,6 +260,30 @@ class TestBlockedTrace:
         gen = random_unit_generator(2, rng)
         with pytest.raises(DomainError):
             phase_trace(pair, gen, t_range=(-1e308, 1e308))
+
+    def test_phase_overflow_rejected(self):
+        # the width is finite, but w t overflows for |w| > 1 and exp(1j inf) is NaN
+        rng = np.random.default_rng(82)
+        pair = random_pair(3, rng)
+        gen = random_unit_generator(3, rng)
+        with pytest.raises(DomainError):
+            phase_trace(pair, gen, t_range=(0.0, 1.79e308))
+
+    def test_nan_block_reaches_fourier_gate(self, monkeypatch):
+        rng = np.random.default_rng(83)
+        pair = random_pair(3, rng)
+        gen = random_unit_generator(3, rng)
+        kernel = superosc._trace_block
+
+        def nan_in_last_block(pair, gen, t):
+            amp, omega, defined = kernel(pair, gen, t)
+            if t[-1] == 1.0:
+                amp[-1] = np.nan
+            return amp, omega, defined
+
+        monkeypatch.setattr(superosc, "_trace_block", nan_in_last_block)
+        with pytest.raises(InternalConsistencyError):
+            phase_trace(pair, gen, t_range=(0.0, 1.0), samples=2 * TRACE_BLOCK + 1)
 
     def test_peak_memory_bounded(self):
         # the largest benchmark trace: blocks keep the working set to a few
