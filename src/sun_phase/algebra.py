@@ -23,21 +23,8 @@ from .tolerances import ATOL_CONSTRUCTION, ATOL_IDENTITY
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
-    """Hermitian conjugate."""
-    return a.conj().T
-
-
-def is_hermitian(a: np.ndarray, tol: float = ATOL_CONSTRUCTION) -> bool:
-    return bool(np.max(np.abs(a - dagger(a))) < tol)
-
-
-def is_unitary(u: np.ndarray, tol: float = ATOL_CONSTRUCTION) -> bool:
-    n = u.shape[0]
-    return bool(np.max(np.abs(dagger(u) @ u - np.eye(n))) < tol)
-
-
-def is_traceless(a: np.ndarray, tol: float = ATOL_CONSTRUCTION) -> bool:
-    return bool(abs(np.trace(a)) < tol)
+    """Hermitian conjugate of a matrix, or of each matrix in a stack."""
+    return a.conj().swapaxes(-1, -2)
 
 
 def _check_square(a: np.ndarray, name: str = "matrix") -> int:
@@ -74,20 +61,21 @@ class GeneratorBasis:
 
 @dataclass(frozen=True)
 class StatePair:
-    """Fixed initial/final unit vectors for transition amplitudes."""
+    """Fixed initial/final unit vectors for transition amplitudes: vectors
+    of shape (n,), or stacks (N, n) with one pair per row."""
 
     psi_i: np.ndarray
     psi_f: np.ndarray
 
     def __post_init__(self):
         for name, v in (("psi_i", self.psi_i), ("psi_f", self.psi_f)):
-            if v.ndim != 1:
-                raise ShapeError(f"{name} must be a vector, got shape {v.shape}")
-            if abs(np.linalg.norm(v) - 1.0) >= ATOL_CONSTRUCTION:
+            if v.ndim not in (1, 2):
+                raise ShapeError(f"{name} must have shape (n,) or (N, n), got {v.shape}")
+            if (np.abs(np.linalg.norm(v, axis=-1) - 1.0) >= ATOL_CONSTRUCTION).any():
                 raise DomainError(f"{name} is not unit-norm")
         if self.psi_i.shape != self.psi_f.shape:
             raise ShapeError("state vectors have different dimensions")
-        if len(self.psi_i) < 2:
+        if self.n < 2:
             raise DimensionError("states must live in dimension >= 2")
 
     @classmethod
@@ -102,7 +90,11 @@ class StatePair:
 
     @property
     def n(self) -> int:
-        return len(self.psi_i)
+        return self.psi_i.shape[-1]
+
+    def rows(self, index) -> "StatePair":
+        """The rows `index` of a stacked pair; an unstacked pair serves every row."""
+        return self if self.psi_i.ndim == 1 else StatePair(self.psi_i[index], self.psi_f[index])
 
 
 @functools.lru_cache(maxsize=None)
@@ -152,7 +144,8 @@ def killing_inner(a: np.ndarray, b: np.ndarray) -> float:
     if na != nb:
         raise ShapeError(f"dimension mismatch: {na} vs {nb}")
     t = np.trace(a @ b)
-    if is_hermitian(a) and is_hermitian(b) and abs(t.imag) >= ATOL_CONSTRUCTION:
+    hermitian = max(np.max(np.abs(m - dagger(m))) for m in (a, b)) < ATOL_CONSTRUCTION
+    if hermitian and abs(t.imag) >= ATOL_CONSTRUCTION:
         raise InternalConsistencyError(
             f"trace of Hermitian product has imaginary part {t.imag:.3e}"
         )
@@ -176,25 +169,27 @@ def completeness_residual(x: np.ndarray, y: np.ndarray, basis: GeneratorBasis) -
 
 
 def _hermitian_eigh(l: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    _check_square(l, "generator")
-    if np.max(np.abs(l - dagger(l))) >= ATOL_IDENTITY:
+    if l.ndim < 2 or l.shape[-1] != l.shape[-2]:
+        raise ShapeError(f"generator must be square, got shape {l.shape}")
+    if np.abs(l - dagger(l)).max() >= ATOL_IDENTITY:
         raise DomainError("generator is not Hermitian")
     return np.linalg.eigh(l)
 
 
-def _unitary_from_eigh(w: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:
-    u = (v * np.exp(1j * w * t)) @ dagger(v)
-    if np.max(np.abs(dagger(u) @ u - np.eye(len(w)))) >= ATOL_IDENTITY:
+def _unitary_from_eigh(w: np.ndarray, v: np.ndarray, t) -> np.ndarray:
+    u = (v * np.exp(1j * w * np.asarray(t)[..., None])[..., None, :]) @ dagger(v)
+    if np.abs(dagger(u) @ u - np.eye(w.shape[-1])).max() >= ATOL_IDENTITY:
         raise InternalConsistencyError("exponential lost unitarity")
     return u
 
 
-def expm_generator(l: np.ndarray, t: float = 1.0) -> np.ndarray:
+def expm_generator(l: np.ndarray, t=1.0) -> np.ndarray:
     """exp(i l t) for Hermitian l, via eigendecomposition.
 
     Exactly unitary up to eigensolver error, and det = 1 whenever l is
     traceless.  The eigenvalues are the angular frequencies of every
-    matrix element of the resulting one-parameter subgroup.
+    matrix element of the resulting one-parameter subgroup.  A stack of
+    generators (N, n, n), or times t of shape (N,), give stacks.
     """
     w, v = _hermitian_eigh(l)
     return _unitary_from_eigh(w, v, t)
@@ -211,17 +206,19 @@ def expm_partials(coeffs, gens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     with numpy's normalized sinc.  This form needs no limit at
     degenerate or near-degenerate eigenvalues.  Returns (U, dU), with dU
-    stacked as (len(gens), n, n).
+    stacked as (len(gens), n, n).  Coefficients of shape (N, len(gens))
+    give U of shape (N, n, n) and dU of shape (N, len(gens), n, n).
     """
     coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.shape != (len(gens),):
+    if coeffs.ndim not in (1, 2) or coeffs.shape[-1] != len(gens):
         raise ShapeError(f"expected {len(gens)} coefficients, got shape {coeffs.shape}")
-    w, v = _hermitian_eigh(np.einsum("a,aij->ij", coeffs, gens))
+    w, v = _hermitian_eigh(np.einsum("...a,aij->...ij", coeffs, gens))
     u = _unitary_from_eigh(w, v, 1.0)
-    phi = 1j * np.exp(0.5j * (w[:, None] + w[None, :])) * np.sinc(
-        (w[:, None] - w[None, :]) / (2 * np.pi)
+    phi = 1j * np.exp(0.5j * (w[..., :, None] + w[..., None, :])) * np.sinc(
+        (w[..., :, None] - w[..., None, :]) / (2 * np.pi)
     )
-    du = v @ (phi * (dagger(v) @ gens @ v)) @ dagger(v)
+    v, vh = v[..., None, :, :], dagger(v)[..., None, :, :]  # broadcast over gens
+    du = v @ (phi[..., None, :, :] * (vh @ gens @ v)) @ vh
     return u, du
 
 

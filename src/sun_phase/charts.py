@@ -5,6 +5,9 @@ the partial derivatives of the map we extract the left-invariant frame
 (the coefficient forms of U^dag dU over a generator basis) and the
 bi-invariant metric g_uv = (1/2) Tr(dU dU^dag), for which the frame acts
 as a vielbein.
+
+Each function takes one point x (m,) or a stack of points (N, m); every
+guard is evaluated on each row, and a stack fails when any row fails.
 """
 from __future__ import annotations
 
@@ -29,6 +32,8 @@ from .errors import (
 )
 from .tolerances import ATOL_FRAME, ATOL_IDENTITY, CHART_MARGIN, FD_STEP
 
+BLOCK_ENTRIES = 2**16  # matrix entries of dU (rows x m x n x n) per evaluated block
+
 
 @dataclass(frozen=True)
 class Chart:
@@ -37,8 +42,9 @@ class Chart:
     `algebra` stacks the generators used to expand U^dag dU; its order
     fixes the frame index.  `sample_box` is a conservative per-coordinate
     box inside the domain, used by sweep drivers; `contains` describes
-    the true (possibly non-box) domain.  `partials_fn` gives the exact
-    partials dU/dx_mu, stacked with shape (dim_m, n, n).
+    the true (possibly non-box) domain.  The functions take coordinates of
+    shape (..., dim_m); `partials_fn` gives the exact partials dU/dx_mu,
+    stacked with shape (..., dim_m, n, n).
     """
 
     label: str
@@ -47,33 +53,37 @@ class Chart:
     algebra: np.ndarray
     sample_box: np.ndarray
     map_fn: Callable[[np.ndarray], np.ndarray] = field(repr=False)
-    contains_fn: Callable[[np.ndarray], bool] = field(repr=False)
+    contains_fn: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     partials_fn: Callable[[np.ndarray], np.ndarray] = field(repr=False)
 
-    def contains(self, x: np.ndarray) -> bool:
+    def block_rows(self) -> int:
+        """Points per stacked evaluation: about BLOCK_ENTRIES entries of dU."""
+        return max(1, BLOCK_ENTRIES // (self.dim_m * self.n * self.n))
+
+    def contains(self, x):
         x = np.asarray(x, dtype=float)
-        return x.shape == (self.dim_m,) and bool(self.contains_fn(x))
+        return x.ndim in (1, 2) and x.shape[-1] == self.dim_m and self.contains_fn(x)
 
     def evaluate(self, x) -> np.ndarray:
         """U(x); raises DomainError outside the chart domain."""
         x = np.asarray(x, dtype=float)
-        if x.shape != (self.dim_m,):
+        if x.ndim not in (1, 2) or x.shape[-1] != self.dim_m:
             raise ShapeError(
                 f"chart '{self.label}' expects {self.dim_m} coordinates, got {x.shape}"
             )
-        if not self.contains_fn(x):
+        if not self.contains_fn(x).all():
             raise DomainError(f"coordinates outside domain of chart '{self.label}'")
         u = self.map_fn(x)
-        if np.max(np.abs(dagger(u) @ u - np.eye(self.n))) >= ATOL_IDENTITY:
+        if np.abs(dagger(u) @ u - np.eye(self.n)).max() >= ATOL_IDENTITY:
             raise InternalConsistencyError("chart produced a non-unitary matrix")
-        if abs(np.linalg.det(u) - 1.0) >= ATOL_IDENTITY:
+        if (np.abs(np.linalg.det(u) - 1.0) >= ATOL_IDENTITY).any():
             raise InternalConsistencyError("chart produced det != 1")
         return u
 
 
 @dataclass(frozen=True)
 class FrameAtPoint:
-    """Left-invariant frame coefficients omega[a, mu] and their inverse."""
+    """Left-invariant frame coefficients omega[..., a, mu] and their inverse."""
 
     x: np.ndarray
     omega: np.ndarray
@@ -82,7 +92,7 @@ class FrameAtPoint:
 
 @dataclass(frozen=True)
 class MetricAtPoint:
-    """Metric g[mu, nu] (vielbein contraction) and its inverse."""
+    """Metric g[..., mu, nu] (vielbein contraction) and its inverse."""
 
     g: np.ndarray
     g_inv: np.ndarray
@@ -101,13 +111,13 @@ def exp_chart(basis: GeneratorBasis) -> Chart:
     stacked = basis.matrices
 
     def _map(x: np.ndarray) -> np.ndarray:
-        return expm_generator(np.einsum("a,aij->ij", x, stacked))
+        return expm_generator(np.einsum("...a,aij->...ij", x, stacked))
 
     def _partials(x: np.ndarray) -> np.ndarray:
         return expm_partials(x, stacked)[1]
 
-    def _contains(x: np.ndarray) -> bool:
-        return bool(np.linalg.norm(x) < radius)
+    def _contains(x: np.ndarray) -> np.ndarray:
+        return np.linalg.norm(x, axis=-1) < radius
 
     return Chart(
         label="exp",
@@ -121,9 +131,9 @@ def exp_chart(basis: GeneratorBasis) -> Chart:
     )
 
 
-def _unit_vector(theta: float, phi: float) -> np.ndarray:
-    return np.array(
-        [np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)]
+def _unit_vector(theta, phi) -> np.ndarray:
+    return np.stack(
+        [np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)], axis=-1
     )
 
 
@@ -141,29 +151,31 @@ def su2_polar_chart() -> Chart:
     margin = CHART_MARGIN
 
     def _map(x: np.ndarray) -> np.ndarray:
-        chi, theta, phi = x
+        chi, theta, phi = x.T
+        chi = chi[..., None, None]  # scales each 2 x 2 matrix
         return np.cos(chi) * eye + 1j * np.sin(chi) * np.einsum(
-            "j,jab->ab", _unit_vector(theta, phi), sigma
+            "...j,jab->...ab", _unit_vector(theta, phi), sigma
         )
 
     def _partials(x: np.ndarray) -> np.ndarray:
-        chi, theta, phi = x
+        chi, theta, phi = x.T
+        chi = chi[..., None, None]
         nhat = _unit_vector(theta, phi)
-        dn_dtheta = np.array(
-            [np.cos(theta) * np.cos(phi), np.cos(theta) * np.sin(phi), -np.sin(theta)]
+        dn_dtheta = np.stack(
+            [np.cos(theta) * np.cos(phi), np.cos(theta) * np.sin(phi), -np.sin(theta)], axis=-1
         )
-        dn_dphi = np.array(
-            [-np.sin(theta) * np.sin(phi), np.sin(theta) * np.cos(phi), 0.0]
+        dn_dphi = np.stack(
+            [-np.sin(theta) * np.sin(phi), np.sin(theta) * np.cos(phi), 0.0 * phi], axis=-1
         )
-        d_chi = -np.sin(chi) * eye + 1j * np.cos(chi) * np.einsum("j,jab->ab", nhat, sigma)
-        d_theta = 1j * np.sin(chi) * np.einsum("j,jab->ab", dn_dtheta, sigma)
-        d_phi = 1j * np.sin(chi) * np.einsum("j,jab->ab", dn_dphi, sigma)
-        return np.array([d_chi, d_theta, d_phi])
+        d_chi = -np.sin(chi) * eye + 1j * np.cos(chi) * np.einsum("...j,jab->...ab", nhat, sigma)
+        d_theta = 1j * np.sin(chi) * np.einsum("...j,jab->...ab", dn_dtheta, sigma)
+        d_phi = 1j * np.sin(chi) * np.einsum("...j,jab->...ab", dn_dphi, sigma)
+        return np.stack([d_chi, d_theta, d_phi], axis=-3)
 
-    def _contains(x: np.ndarray) -> bool:
-        chi, theta, _ = x
-        return bool(
-            margin < chi < np.pi - margin and margin < theta < np.pi - margin
+    def _contains(x: np.ndarray) -> np.ndarray:
+        chi, theta = x[..., 0], x[..., 1]
+        return (margin < chi) & (chi < np.pi - margin) & (margin < theta) & (
+            theta < np.pi - margin
         )
 
     return Chart(
@@ -200,12 +212,12 @@ def left_translate(chart: Chart, v: np.ndarray) -> Chart:
         sample_box=chart.sample_box,
         map_fn=lambda x: v @ old_map(x),
         contains_fn=chart.contains_fn,
-        partials_fn=lambda x: np.einsum("ij,mjk->mik", v, old_partials(x)),
+        partials_fn=lambda x: np.einsum("ij,...mjk->...mik", v, old_partials(x)),
     )
 
 
 def partials(chart: Chart, x, backend: str = "analytic") -> np.ndarray:
-    """Partial derivatives dU/dx_mu, stacked with shape (dim_m, n, n).
+    """Partial derivatives dU/dx_mu, stacked with shape (..., dim_m, n, n).
 
     backend "analytic" uses the chart's exact partials; "fd" takes
     central differences of `Chart.evaluate` with step `FD_STEP`, as an
@@ -213,19 +225,15 @@ def partials(chart: Chart, x, backend: str = "analytic") -> np.ndarray:
     """
     x = np.asarray(x, dtype=float)
     if backend == "analytic":
-        if not chart.contains(x):
+        if not np.asarray(chart.contains(x)).all():
             raise DomainError(f"coordinates outside domain of chart '{chart.label}'")
         return chart.partials_fn(x)
     if backend != "fd":
         raise ValueError(f"unknown backend '{backend}'")
-    out = np.empty((chart.dim_m, chart.n, chart.n), dtype=complex)
-    for mu in range(chart.dim_m):
-        xp = x.copy()
-        xm = x.copy()
-        xp[mu] += FD_STEP
-        xm[mu] -= FD_STEP
-        out[mu] = (chart.evaluate(xp) - chart.evaluate(xm)) / (2 * FD_STEP)
-    return out
+    steps = FD_STEP * np.eye(chart.dim_m)
+    plus, minus = ((x[..., None, :] + h).reshape(-1, chart.dim_m) for h in (steps, -steps))
+    du = (chart.evaluate(plus) - chart.evaluate(minus)) / (2 * FD_STEP)
+    return du.reshape(x.shape[:-1] + (chart.dim_m, chart.n, chart.n))
 
 
 def left_invariant_frame(
@@ -244,32 +252,32 @@ def left_invariant_frame(
         u = chart.evaluate(x)
     if du is None:
         du = partials(chart, x)
-    pulled = np.einsum("ij,mjk->mik", dagger(u), du)  # U^dag dU per coordinate
+    pulled = np.einsum("...ij,...mjk->...mik", dagger(u), du)  # U^dag dU per coordinate
 
-    anti_herm = np.max(np.abs(pulled + np.transpose(pulled.conj(), (0, 2, 1))))
-    traces = np.max(np.abs(np.trace(pulled, axis1=1, axis2=2)))
+    anti_herm = np.abs(pulled + dagger(pulled)).max()
+    traces = np.abs(np.trace(pulled, axis1=-2, axis2=-1)).max()
     if anti_herm >= ATOL_FRAME or traces >= ATOL_FRAME:
         raise InternalConsistencyError(
             f"U^dag dU not in the algebra (anti-Hermitian residue {anti_herm:.2e}, "
             f"trace residue {traces:.2e})"
         )
 
-    omega_c = np.einsum("aij,mji->am", chart.algebra, pulled) / 2j
-    imag_residue = np.max(np.abs(omega_c.imag))
+    omega_c = np.einsum("aij,...mji->...am", chart.algebra, pulled) / 2j
+    imag_residue = np.abs(omega_c.imag).max()
     if imag_residue >= ATOL_FRAME:
         raise InternalConsistencyError(
             f"frame coefficients not real (residue {imag_residue:.2e})"
         )
     omega = omega_c.real
 
-    rebuilt = 1j * np.einsum("am,aij->mij", omega, chart.algebra)
-    if np.max(np.abs(pulled - rebuilt)) >= ATOL_FRAME:
+    rebuilt = 1j * np.einsum("...am,aij->...mij", omega, chart.algebra)
+    if np.abs(pulled - rebuilt).max() >= ATOL_FRAME:
         raise InternalConsistencyError("frame does not reconstruct U^dag dU")
 
-    if abs(np.linalg.det(omega)) < 1e-10:
+    if np.abs(np.linalg.det(omega)).min() < 1e-10:
         raise ChartDegenerateError(f"frame singular at x = {x}")
     dual = np.linalg.inv(omega)
-    if np.max(np.abs(omega @ dual - np.eye(chart.dim_m))) >= ATOL_FRAME:
+    if np.abs(omega @ dual - np.eye(chart.dim_m)).max() >= ATOL_FRAME:
         raise InternalConsistencyError("frame inversion failed")
     return FrameAtPoint(x=x, omega=omega, dual=dual)
 
@@ -293,17 +301,16 @@ def ck_metric(
     if frame is None:
         frame = left_invariant_frame(chart, x, du=du)
 
-    g = frame.omega.T @ frame.omega
-    g_trace = 0.5 * np.einsum("mij,kij->mk", du, du.conj()).real
-    if np.max(np.abs(g - g_trace)) >= ATOL_FRAME:
+    g = np.swapaxes(frame.omega, -1, -2) @ frame.omega
+    g_trace = 0.5 * np.einsum("...mij,...kij->...mk", du, du.conj()).real
+    if np.abs(g - g_trace).max() >= ATOL_FRAME:
         raise InternalConsistencyError(
             "vielbein metric disagrees with the trace form"
         )
 
-    eigenvalues = np.linalg.eigvalsh(g)
-    if eigenvalues[0] <= 0.0:
+    if np.linalg.eigvalsh(g)[..., 0].min() <= 0.0:
         raise DegenerateMetricError(f"metric not positive definite at x = {x}")
     g_inv = np.linalg.inv(g)
-    if np.max(np.abs(g @ g_inv - np.eye(chart.dim_m))) >= ATOL_FRAME:
+    if np.abs(g @ g_inv - np.eye(chart.dim_m)).max() >= ATOL_FRAME:
         raise DegenerateMetricError(f"metric inversion ill-conditioned at x = {x}")
     return MetricAtPoint(g=g, g_inv=g_inv)

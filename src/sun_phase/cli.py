@@ -5,22 +5,26 @@ grids.  Reports are byte-identical for identical configuration and
 seed: the RNG is seeded explicitly, floats are printed with 17
 significant digits, and no timestamps are recorded.
 
-Every sweep point is evaluated once, serially, in the order its random
-inputs are drawn: the low-amplitude skip of `verify-group` reads p from
-the point's phase gradient, that of `verify-ray` from the point's
-section, and `vortex` takes its largest phase step from the phases the
-winding number was summed from.  Check gates come from
+The group commands evaluate stacks of points: `verify-group` draws every
+(pair, x) in the order of the per-point draws, then evaluates blocks of
+`Chart.block_rows()` points; `su2-demo` evaluates its grid in such
+blocks and `vortex` its loop.  The low-amplitude skip of `verify-group`
+reads p from the block's phase gradient, that of `verify-ray` from the
+point's section, and `vortex` takes its largest phase step from the
+phases the winding number was summed from.  Check gates come from
 `tolerances.CHECK_GATES`.
 
-Exit codes: 0 all checks pass, 1 check failure, 2 configuration error
-(including arguments outside the domain of a chart, a loop or a trace,
-non-finite numbers, a `--sample-scale` that is not positive, and `--tol`
-names the command does not report), 3 inconclusive sweep (more than
-half of the sampled points skipped).
+Exit codes: 0 all checks pass, 1 check failure or a library error (a guard
+such as unitarity failing at a kept point: one `error:` line for the first
+such point in draw order), 2 configuration error (including arguments
+outside the domain of a chart, a loop or a trace, non-finite numbers, a
+`--sample-scale` that is not positive, and `--tol` names the command does
+not report), 3 inconclusive sweep (more than half of the points skipped).
 """
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from dataclasses import dataclass, field
 from itertools import chain
@@ -41,7 +45,7 @@ from .coset import (
     u1_berry_residuals,
     u1_eigenvalue,
 )
-from .errors import NearZeroAmplitudeError, SunPhaseError
+from .errors import SunPhaseError
 from .superosc import aligned_generator, superoscillation_report
 from .tolerances import CHECK_GATES
 
@@ -220,13 +224,6 @@ def resolve_chart(config: SweepConfig, pair: StatePair) -> Chart:
     raise ConfigError(f"unknown chart '{config.chart}'")
 
 
-def sample_points(chart_box: np.ndarray, rng: np.random.Generator, count: int, scale: float):
-    lo, hi = chart_box[:, 0], chart_box[:, 1]
-    center = (lo + hi) / 2.0
-    half = (hi - lo) / 2.0 * scale
-    return [rng.uniform(center - half, center + half) for _ in range(count)]
-
-
 # ---------------------------------------------------------------------------
 # report assembly
 
@@ -286,37 +283,40 @@ def run_group_sweep(config: SweepConfig, out_path: str | None = None) -> int:
 
     # only the cartan chart depends on the pair (it is adapted to psi_i)
     shared_chart = None
-    if config.chart != "cartan":
-        shared_chart = resolve_chart(config, fixed_pair)
-    elif fixed_pair is not None:
+    if config.chart != "cartan" or fixed_pair is not None:
         shared_chart = resolve_chart(config, fixed_pair)
 
-    bound = 2.0 * (config.n - 1) / config.n
-    kept = []
+    draws = []
     for _ in range(config.points):
         pair = fixed_pair if fixed_pair is not None else resolve_pair(config, rng)
         chart_k = shared_chart if shared_chart is not None else resolve_chart(config, pair)
-        x = sample_points(chart_k.sample_box, rng, 1, config.sample_scale)[0]
+        lo, hi = chart_k.sample_box.T
+        half = (hi - lo) / 2.0 * config.sample_scale
+        x = rng.uniform((lo + hi) / 2.0 - half, (lo + hi) / 2.0 + half)
         if not chart_k.contains(x):
             raise ConfigError(
                 f"--sample-scale {config.sample_scale} draws points outside "
                 f"chart '{chart_k.label}'"
             )
-        try:
-            grad = phase_gradient(pair, chart_k, x)
-        except NearZeroAmplitudeError:  # p below P_GRAD < P_SKIP
-            continue
-        if grad.p <= P_SKIP:
-            continue
+        draws.append((pair.psi_i, pair.psi_f, x, chart_k))
+
+    step = shared_chart.block_rows() if shared_chart is not None else 1
+    bound = 2.0 * (config.n - 1) / config.n
+    kept = []
+    for start in range(0, config.points, step):
+        psi_i, psi_f, xs, charts = zip(*draws[start:start + step])
+        grad = phase_gradient(StatePair(np.array(psi_i), np.array(psi_f)), charts[0], np.array(xs))
         res = grad.residuals()
         rec_residual = abs(grad.reconstructed_modulus() - np.sqrt(grad.p)) / np.sqrt(grad.p)
-        bound_deficit = max(0.0, bound - grad.phase_grad_sq)
-        kept.append((res.phase, res.modulus, res.cross, rec_residual, bound_deficit, grad.p, x))
-    skipped = config.points - len(kept)
+        bound_deficit = np.maximum(0.0, bound - grad.phase_grad_sq)
+        columns = [res.phase, res.modulus, res.cross, rec_residual, bound_deficit, grad.p, xs]
+        kept.append(np.column_stack(columns)[grad.p > P_SKIP])  # NaN rows have p < P_GRAD
+    table = np.concatenate(kept)
+    skipped = config.points - len(table)
 
     report = base_report("verify-group", config.echo(), config.seed)
     report["points_requested"] = config.points
-    report["points_evaluated"] = len(kept)
+    report["points_evaluated"] = len(table)
     report["points_skipped_low_amplitude"] = skipped
 
     if skipped > config.points / 2:
@@ -324,7 +324,7 @@ def run_group_sweep(config: SweepConfig, out_path: str | None = None) -> int:
         report["inconclusive"] = True
         return finish_report(report, [], out_path)
 
-    worst = np.array([r[:5] for r in kept]).max(axis=0)
+    worst = table[:, :5].max(axis=0)
     tols = config.tolerances
     checks = [
         make_check("phase-identity", worst[0], tols),
@@ -335,12 +335,8 @@ def run_group_sweep(config: SweepConfig, out_path: str | None = None) -> int:
     ]
     if config.per_point:
         report["per_point"] = [
-            {
-                "x": [float(v) for v in r[6]],
-                "p": float(r[5]),
-                "residuals": [float(v) for v in r[:3]],
-            }
-            for r in kept
+            {"x": row[6:].tolist(), "p": float(row[5]), "residuals": row[:3].tolist()}
+            for row in table
         ]
     return finish_report(report, checks, out_path)
 
@@ -481,25 +477,14 @@ def run_su2_demo(grid: int, out_path: str | None, csv_path: str | None) -> int:
     phis = np.linspace(0.0, 2 * np.pi, grid, endpoint=False)
 
     table = np.empty((grid**3, 8))
-    row = 0
-    worst_p = 0.0
-    worst_eta = 0.0
-    worst_grad = 0.0
-    for chi in chis:
-        for theta in thetas:
-            for phi in phis:
-                grad = phase_gradient(pair, chart, np.array([chi, theta, phi]))
-                inv_p = 1.0 / grad.p
-                residual = abs(grad.phase_grad_sq - inv_p)
-                table[row] = (
-                    chi, theta, phi, grad.p, grad.eta, grad.phase_grad_sq, inv_p, residual
-                )
-                row += 1
-                worst_p = max(worst_p, abs(grad.p - np.sin(chi) ** 2 * np.sin(theta) ** 2))
-                worst_eta = max(
-                    worst_eta, abs(principal_angle(grad.eta - (phi + np.pi / 2)))
-                )
-                worst_grad = max(worst_grad, residual)
+    table[:, :3] = np.stack(np.meshgrid(chis, thetas, phis, indexing="ij"), axis=-1).reshape(-1, 3)
+    step = chart.block_rows()
+    for start in range(0, len(table), step):
+        block = table[start:start + step]
+        grad = phase_gradient(pair, chart, block[:, :3])
+        block[:, 3:6] = np.column_stack([grad.p, grad.eta, grad.phase_grad_sq])
+        block[:, 6] = 1.0 / grad.p
+        block[:, 7] = np.abs(grad.phase_grad_sq - block[:, 6])
 
     if csv_path:
         write_csv(
@@ -508,12 +493,13 @@ def run_su2_demo(grid: int, out_path: str | None, csv_path: str | None) -> int:
             table.T,
         )
 
+    chi, theta, phi, p, eta = table[:, :5].T
     report = base_report("su2-demo", {"grid": grid}, seed=0)
     report["rows"] = len(table)
     checks = [
-        make_check("closed-form-modulus", worst_p),
-        make_check("closed-form-phase", worst_eta),
-        make_check("gradient-inverse-modulus", worst_grad),
+        make_check("closed-form-modulus", np.max(np.abs(p - np.sin(chi)**2 * np.sin(theta)**2))),
+        make_check("closed-form-phase", np.max(np.abs(principal_angle(eta - (phi + np.pi / 2))))),
+        make_check("gradient-inverse-modulus", np.max(table[:, 7])),
     ]
     return finish_report(report, checks, out_path)
 
@@ -593,16 +579,14 @@ def build_loop(kind: str, chi: float, theta: float, phi: float, samples: int, re
     # anything coarser is refined adaptively anyway, but keep the floor
     if samples < 64:
         raise ConfigError("--samples must be >= 64")
+    ts = np.linspace(0.0, 2 * np.pi, samples + 1)
     if kind == "phi-circle":
-        phis = np.linspace(0.0, 2 * np.pi, samples + 1)
-        loop = [np.array([chi, theta, p]) for p in phis]
+        loop = np.column_stack([np.full_like(ts, chi), np.full_like(ts, theta), ts])
     elif kind == "contractible":
-        ts = np.linspace(0.0, 2 * np.pi, samples + 1)
         radius = 0.25
-        loop = [
-            np.array([chi + radius * np.cos(t), theta + radius * np.sin(t), phi])
-            for t in ts
-        ]
+        loop = np.column_stack(
+            [chi + radius * np.cos(ts), theta + radius * np.sin(ts), np.full_like(ts, phi)]
+        )
     else:
         raise ConfigError(f"unknown loop kind '{kind}'")
     if reverse:
@@ -626,7 +610,7 @@ def run_vortex(
         np.array([1.0, 0.0], dtype=complex), np.array([0.0, 1.0], dtype=complex)
     )
     loop = build_loop(kind, chi, theta, phi, samples, reverse)
-    if not all(chart.contains(x) for x in loop):
+    if not np.all(chart.contains(loop)):
         raise ConfigError(f"the {kind} loop leaves the domain of chart '{chart.label}'")
     result = vortex_winding(pair, chart, loop)
 
@@ -651,6 +635,9 @@ def run_vortex(
 
 # ---------------------------------------------------------------------------
 # argument parsing
+
+
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$", re.I)
 
 
 def _add_sweep_args(sub, default_points: int):
@@ -730,6 +717,9 @@ def build_parser() -> argparse.ArgumentParser:
     vortex.add_argument("--reverse", action="store_true")
     vortex.add_argument("--expect", type=int)
     vortex.add_argument("--out")
+    # argparse takes "-1e-3" for a flag: its own pattern of negative numbers has no exponent
+    for sub in (parser, *commands.choices.values()):
+        sub._negative_number_matcher = _NEGATIVE_NUMBER
     return parser
 
 
@@ -811,6 +801,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
+    except SunPhaseError as exc:  # raised inside the library: one line, no traceback
+        print(f"error: {type(exc).__name__}: {' '.join(str(exc).split())}", file=sys.stderr)
+        return EXIT_CHECK_FAILURE
 
 
 def entrypoint() -> None:

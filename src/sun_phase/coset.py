@@ -215,7 +215,7 @@ def section(frame: CartanFrame, y) -> SectionPoint:
         if len(gens) == 0:
             return np.zeros((0, m))
         comps = np.einsum("aij,mji->am", gens, pulled) / 2j
-        if np.max(np.abs(comps.imag)) >= ATOL_FRAME:
+        if np.abs(comps.imag).max() >= ATOL_FRAME:
             raise InternalConsistencyError("frame component not real")
         return comps.real
 
@@ -227,14 +227,14 @@ def section(frame: CartanFrame, y) -> SectionPoint:
     overlaps = np.einsum("i,mi->m", psi.conj(), dpsi)
     # exactly imaginary; with exact partials the real part is rounding
     # only, far below the guard
-    if np.max(np.abs(overlaps.real)) >= 1e-9:
+    if np.abs(overlaps.real).max() >= 1e-9:
         raise InternalConsistencyError("Berry connection has an imaginary part")
     berry = overlaps.imag  # components of -i<psi|d psi>
 
     fs_metric = tau.T @ tau
     grams = np.einsum("mi,ki->mk", dpsi.conj(), dpsi).real
     fs_metric_state = grams - np.outer(berry, berry)
-    if np.max(np.abs(fs_metric - fs_metric_state)) >= ATOL_FD_MATCH:
+    if np.abs(fs_metric - fs_metric_state).max() >= ATOL_FD_MATCH:
         raise InternalConsistencyError(
             "Fubini-Study constructions disagree beyond tolerance"
         )
@@ -243,7 +243,7 @@ def section(frame: CartanFrame, y) -> SectionPoint:
     if eigenvalues[0] <= 0.0:
         raise DegenerateMetricError(f"section metric degenerate at y = {y}")
     fs_inv = np.linalg.inv(fs_metric)
-    if np.max(np.abs(fs_metric @ fs_inv - np.eye(m))) >= ATOL_FRAME:
+    if np.abs(fs_metric @ fs_inv - np.eye(m)).max() >= ATOL_FRAME:
         raise DegenerateMetricError(f"section metric ill-conditioned at y = {y}")
 
     return SectionPoint(
@@ -290,31 +290,29 @@ def full_cartan_chart(frame: CartanFrame) -> Chart:
     eye = np.eye(n, dtype=complex)
 
     def _map(x: np.ndarray) -> np.ndarray:
-        y, xs, x0 = x[:m_coset], x[m_coset:m_coset + m_iso], x[-1]
-        u = expm_generator(np.einsum("a,aij->ij", y, coset_g))
-        if m_iso and np.any(xs):
-            u = u @ expm_generator(np.einsum("a,aij->ij", xs, iso_g))
-        if x0 != 0.0:
+        y, xs, x0 = x[..., :m_coset], x[..., m_coset:m_coset + m_iso], x[..., -1]
+        u = expm_generator(np.einsum("...a,aij->...ij", y, coset_g))
+        if m_iso and xs.any():
+            u = u @ expm_generator(np.einsum("...a,aij->...ij", xs, iso_g))
+        if (x0 != 0.0).any():
             u = u @ expm_generator(lam0, x0)
         return u
 
     def _partials(x: np.ndarray) -> np.ndarray:
-        y, xs, x0 = x[:m_coset], x[m_coset:m_coset + m_iso], x[-1]
+        y, xs, x0 = x[..., :m_coset], x[..., m_coset:m_coset + m_iso], x[..., -1]
         k, dk = expm_partials(y, coset_g)
         s, ds = eye, 1j * iso_g
-        if m_iso and np.any(xs):
+        if m_iso and xs.any():
             s, ds = expm_partials(xs, iso_g)
-        e = expm_generator(lam0, x0) if x0 != 0.0 else eye
+        e = expm_generator(lam0, x0) if (x0 != 0.0).any() else eye
         d0 = k @ s @ (1j * lam0) @ e
-        return np.concatenate([dk @ s @ e, k @ ds @ e, d0[np.newaxis]])
+        k, s, e = (a[..., None, :, :] for a in (k, s, e))  # broadcast over coordinates
+        return np.concatenate([dk @ s @ e, k @ ds @ e, d0[..., None, :, :]], axis=-3)
 
-    def _contains(x: np.ndarray) -> bool:
-        y, xs, x0 = x[:m_coset], x[m_coset:m_coset + m_iso], x[-1]
-        return bool(
-            np.linalg.norm(y) < np.pi / 2
-            and np.linalg.norm(xs) < np.pi / 2
-            and abs(x0) < np.pi
-        )
+    def _contains(x: np.ndarray) -> np.ndarray:
+        y, xs, x0 = x[..., :m_coset], x[..., m_coset:m_coset + m_iso], x[..., -1]
+        y_norm, xs_norm = np.linalg.norm(y, axis=-1), np.linalg.norm(xs, axis=-1)
+        return (y_norm < np.pi / 2) & (xs_norm < np.pi / 2) & (np.abs(x0) < np.pi)
 
     box = np.empty((m, 2))
     y_half = (np.pi / 2) * (1 - CHART_MARGIN) / np.sqrt(m_coset)

@@ -1,7 +1,17 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sun_phase.algebra import StatePair, build_gellmann_basis, haar_state
+from sun_phase.algebra import (
+    StatePair,
+    build_gellmann_basis,
+    expm_generator,
+    haar_state,
+    random_hermitian,
+)
 from sun_phase.amplitude import (
     group_relation_residuals,
     min_gradient_bound,
@@ -12,14 +22,18 @@ from sun_phase.amplitude import (
     reconstruct_modulus,
     vortex_winding,
 )
-from sun_phase.charts import exp_chart, su2_polar_chart
+from sun_phase.charts import exp_chart, left_translate, su2_polar_chart
+from sun_phase.coset import build_cartan_frame, full_cartan_chart
 from sun_phase.errors import (
+    ChartDegenerateError,
     DimensionError,
     DomainError,
+    InternalConsistencyError,
     NearZeroAmplitudeError,
     ResolutionError,
     SingularLoopError,
 )
+from sun_phase.tolerances import P_GRAD
 
 PLUS = np.array([1.0, 0.0], dtype=complex)
 MINUS = np.array([0.0, 1.0], dtype=complex)
@@ -313,3 +327,111 @@ class TestMinGradientBound:
     def test_invalid_dimension(self):
         with pytest.raises(DimensionError):
             min_gradient_bound(1)
+
+
+def stacked_chart(kind, n, rng):
+    if kind == "su2-polar":
+        return su2_polar_chart()
+    chart = exp_chart(build_gellmann_basis(n))
+    if kind == "left":
+        return left_translate(chart, expm_generator(random_hermitian(n, rng, traceless=True)))
+    if kind == "cartan":
+        return full_cartan_chart(build_cartan_frame(haar_state(n, rng), build_gellmann_basis(n)))
+    return chart
+
+
+GRADIENT_FIELDS = (
+    "p", "eta", "d_phase", "d_log_modulus", "phase_grad_sq", "log_modulus_grad_sq", "cross"
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(["exp", "su2-polar", "left", "cartan"]),
+    n=st.integers(2, 5),
+    rows=st.integers(1, 9),
+    stacked_pairs=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_stack_matches_one_call_per_row(kind, n, rows, stacked_pairs, seed):
+    rng = np.random.default_rng(seed)
+    chart = stacked_chart(kind, n, rng)
+    lo, hi = chart.sample_box.T
+    xs = rng.uniform(lo, hi, size=(rows, chart.dim_m))
+    shape = (rows, chart.n) if stacked_pairs else (chart.n,)
+    states = [rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in range(2)]
+    pair = StatePair(*(v / np.linalg.norm(v, axis=-1, keepdims=True) for v in states))
+    grad = phase_gradient(pair, chart, xs)
+    for k in range(rows):
+        try:
+            one = phase_gradient(pair.rows(k), chart, xs[k])
+        except NearZeroAmplitudeError:
+            assert grad.p[k] < P_GRAD and np.isnan(grad.phase_grad_sq[k])
+            continue
+        for name in GRADIENT_FIELDS:
+            value = np.asarray(getattr(one, name))
+            ulps = 4 * np.finfo(float).eps * max(1.0, float(np.max(np.abs(value))))
+            np.testing.assert_allclose(getattr(grad, name)[k], value, rtol=0, atol=ulps)
+
+
+class TestStackedGuards:
+    """A stack skips the rows below P_GRAD and raises what the per-point
+    loop raised: the error of its first failing row."""
+
+    LOW = np.array([1e-5, 1e-5, 0.0])  # p ~ 2e-10 for the orthogonal pair
+    KEPT = np.array([0.3, 0.2, 0.1])
+    OTHER = np.array([-0.2, 0.3, 0.2])
+
+    @staticmethod
+    def corrupted(broken_rows, factor):
+        """The n = 2 exp chart with dU multiplied by `factor` at the rows that
+        `broken_rows(x)` selects: 0 makes the frame singular, 1j takes
+        U^dag dU out of the algebra."""
+        chart = exp_chart(build_gellmann_basis(2))
+
+        def partials_fn(x):
+            du = chart.partials_fn(x).copy()
+            du[broken_rows(x)] *= factor
+            return du
+
+        return dataclasses.replace(chart, partials_fn=partials_fn)
+
+    def test_guard_on_skipped_row_does_not_raise(self):
+        chart = self.corrupted(lambda x: np.linalg.norm(x, axis=-1) < 1e-3, 0.0)
+        grad = phase_gradient(SPIN_FLIP, chart, np.array([self.LOW, self.KEPT]))
+        assert grad.p[0] < P_GRAD and np.isnan(grad.phase_grad_sq[0])
+        assert np.isfinite(grad.phase_grad_sq[1])
+        with pytest.raises(NearZeroAmplitudeError):  # the per-point loop skips it
+            phase_gradient(SPIN_FLIP, chart, self.LOW)
+
+    def test_stack_entirely_below_p_grad(self):
+        chart = exp_chart(build_gellmann_basis(2))
+        grad = phase_gradient(SPIN_FLIP, chart, np.array([self.LOW, 0.5 * self.LOW]))
+        assert np.all(grad.p < P_GRAD)
+        assert np.isnan(grad.d_phase).all() and np.isnan(grad.cross).all()
+
+    @pytest.mark.parametrize(
+        "factor,error", [(0.0, ChartDegenerateError), (1j, InternalConsistencyError)]
+    )
+    def test_guard_on_kept_row_raises_like_one_point(self, factor, error):
+        chart = self.corrupted(lambda x: x[..., 0] > 0.25, factor)
+        with pytest.raises(error):
+            phase_gradient(SPIN_FLIP, chart, self.KEPT)
+        with pytest.raises(error):
+            phase_gradient(SPIN_FLIP, chart, np.array([self.LOW, self.OTHER, self.KEPT]))
+
+    def test_first_failing_row_decides(self):
+        # KEPT has a singular frame, OTHER leaves the algebra; the stack checks
+        # the algebra of every row before any frame's determinant
+        singular = self.corrupted(lambda x: x[..., 0] > 0.25, 0.0)
+
+        def both(x):
+            du = singular.partials_fn(x)
+            du[x[..., 0] < 0.0] *= 1j
+            return du
+
+        chart = dataclasses.replace(singular, partials_fn=both)
+        with pytest.raises(ChartDegenerateError):
+            phase_gradient(SPIN_FLIP, chart, np.array([self.KEPT, self.OTHER]))
+        with pytest.raises(InternalConsistencyError):
+            phase_gradient(SPIN_FLIP, chart, np.array([self.OTHER, self.KEPT]))

@@ -4,8 +4,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from sun_phase.amplitude import phase_gradient
+from sun_phase.charts import exp_chart
+from sun_phase.tolerances import P_GRAD
+
 from sun_phase.cli import (
     CSV_BLOCK_ROWS,
+    build_parser,
     EXIT_CHECK_FAILURE,
     EXIT_CONFIG_ERROR,
     EXIT_INCONCLUSIVE,
@@ -169,6 +174,17 @@ class TestVerifyGroup:
         report = load(out)
         assert report["inconclusive"] is True
         assert report["points_skipped_low_amplitude"] == 20
+
+    def test_every_point_below_p_grad(self, tmp_path):
+        # one stack whose rows all have p < P_GRAD, so no gradient is formed
+        code, out = run_to_file(
+            tmp_path,
+            "r.json",
+            ["verify-group", "--n", "2", "--pair", "explicit", "--psi-i", "1,0",
+             "--psi-f", "0,1", "--sample-scale", "1e-6", "--points", "20"],
+        )
+        assert code == EXIT_INCONCLUSIVE
+        assert load(out)["points_skipped_low_amplitude"] == 20
 
     def test_explicit_pair_normalized_with_warning(self, tmp_path, capsys):
         code, _ = run_to_file(
@@ -410,27 +426,69 @@ class TestEvaluatedOnce:
                 monkeypatch.setattr(module, name, counted)
         return calls
 
-    def test_verify_group_evaluates_each_point_once(self, tmp_path, monkeypatch):
+    @staticmethod
+    def count_rows(monkeypatch):
+        """Wrap `Chart.evaluate`; returns the list of row counts, one per call."""
         from sun_phase.charts import Chart
 
-        calls = self.count_calls(monkeypatch, Chart, "evaluate")
+        original = Chart.evaluate
+        rows = []
+
+        def counted(self, x):
+            rows.append(len(np.atleast_2d(x)))
+            return original(self, x)
+
+        monkeypatch.setattr(Chart, "evaluate", counted)
+        return rows
+
+    def test_verify_group_evaluates_each_point_once(self, tmp_path, monkeypatch):
+        rows = self.count_rows(monkeypatch)
         code, out = run_to_file(
             tmp_path, "r.json", ["verify-group", "--n", "3", "--points", "12", "--seed", "1"]
         )
         assert code == EXIT_PASS
-        assert len(calls) == load(out)["points_requested"] == 12
+        # one stack holds all 12 points
+        assert rows == [load(out)["points_requested"]] == [12]
 
     def test_vortex_evaluates_the_loop_once(self, tmp_path, monkeypatch):
-        from sun_phase.charts import Chart
-
-        calls = self.count_calls(monkeypatch, Chart, "evaluate")
+        rows = self.count_rows(monkeypatch)
         code, out = run_to_file(
             tmp_path, "r.json", ["vortex", "--samples", "64", "--expect", "1"]
         )
         assert code == EXIT_PASS
         loop_points = load(out)["loop_points"]
-        # the loop points, the two ends of the closure check, no refinement
-        assert len(calls) == loop_points + 2 < 2 * loop_points
+        # the two ends of the closure check, then the loop points, no refinement
+        assert rows == [2, loop_points]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["su2-demo", "--grid", "10"],
+            ["vortex", "--samples", "1024", "--expect", "1"],
+            ["vortex", "--loop", "contractible", "--chi", "1.2", "--theta", "1.0",
+             "--samples", "1024", "--expect", "0"],
+        ],
+    )
+    def test_su2_commands_evaluate_stacks(self, tmp_path, monkeypatch, argv):
+        # 1,000 grid points or 1,025 loop points: a few stacked calls, not one per point
+        rows = self.count_rows(monkeypatch)
+        code, _ = run_to_file(tmp_path, "r.json", argv)
+        assert code == EXIT_PASS
+        assert len(rows) <= 2
+        assert sum(rows) >= 1000
+
+    def test_su2_demo_peak_memory_bounded(self, tmp_path):
+        # 64,000 points: the (64000, 8) table is 4 MiB; the points are
+        # evaluated in blocks of Chart.block_rows(), so the temporaries of a
+        # block stay far below those of one stack of all points (~80 MiB)
+        tracemalloc.start()
+        try:
+            code, _ = run_to_file(tmp_path, "r.json", ["su2-demo", "--grid", "40"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_PASS
+        assert peak < 24 * 2**20
 
     def test_verify_ray_builds_no_extra_coset_elements(self, tmp_path, monkeypatch):
         from sun_phase import coset
@@ -468,6 +526,40 @@ class TestConsoleScript:
 class TestParser:
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0
+
+    def test_every_float_option_takes_negative_exponent_notation(self):
+        # argparse alone reads "-1e-3" as a flag; found by introspection, so
+        # a float option added later is covered too
+        import argparse
+
+        parser = build_parser()
+        commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        checked = 0
+        for name, sub in commands.choices.items():
+            required = [
+                token
+                for action in sub._actions
+                if action.required
+                for token in (action.option_strings[0], "3")
+            ]
+            for action in sub._actions:
+                if action.type is float:
+                    args = sub.parse_args(required + [action.option_strings[0], "-1e-3"])
+                    assert getattr(args, action.dest) == -1e-3, (name, action.dest)
+                    checked += 1
+        assert checked >= 6  # --sample-scale twice, --t-min/--t-max, --chi/--theta/--phi
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["superosc", "--n", "3", "--samples", "64", "--t-min", "-1e-3"],
+            ["vortex", "--phi", "-1e-1", "--expect", "1"],
+        ],
+    )
+    def test_negative_exponent_values_run(self, tmp_path, argv):
+        code, out = run_to_file(tmp_path, "r.json", argv)
+        assert code == EXIT_PASS
+        assert load(out)["pass"] is True
 
     def test_unknown_command_exits_two(self):
         assert main(["no-such-command"]) == 2
@@ -550,3 +642,51 @@ class TestInputErrors:
         code, out = run_to_file(tmp_path, "r.json", argv)
         assert code == EXIT_PASS
         assert load(out)["config"]["tolerance_overrides"] == {"bridge-phase": 1e-3}
+
+
+class TestLibraryErrors:
+    """An error raised inside the library ends the command with exit code 1
+    and one `error:` line, not a traceback."""
+
+    def test_non_unitary_chart(self, tmp_path, capsys, monkeypatch):
+        import dataclasses
+
+        from sun_phase import cli
+
+        def broken_exp_chart(basis):
+            chart = exp_chart(basis)
+            return dataclasses.replace(chart, map_fn=lambda x: 2.0 * chart.map_fn(x))
+
+        monkeypatch.setattr(cli, "exp_chart", broken_exp_chart)
+        code, out = run_to_file(
+            tmp_path, "r.json", ["verify-group", "--n", "3", "--points", "5", "--seed", "1"]
+        )
+        err = capsys.readouterr().err
+        assert code == EXIT_CHECK_FAILURE
+        assert not out.exists()
+        assert err.count("\n") == 1
+        assert err.startswith("error: InternalConsistencyError: chart produced a non-unitary")
+        assert "Traceback" not in err
+
+    def test_points_below_p_grad_are_skipped(self, tmp_path, monkeypatch):
+        # an orthogonal pair near the origin: one point of this seed has
+        # p < P_GRAD, where the gradient formulas divide by ~0
+        from sun_phase import cli
+
+        grads = []
+
+        def recorded(*args):
+            grads.append(phase_gradient(*args))
+            return grads[-1]
+
+        monkeypatch.setattr(cli, "phase_gradient", recorded)
+        code, out = run_to_file(
+            tmp_path,
+            "r.json",
+            ["verify-group", "--n", "2", "--pair", "explicit", "--psi-i", "1,0", "--psi-f",
+             "0,1", "--sample-scale", "2e-3", "--points", "40", "--seed", "1"],
+        )
+        assert code == EXIT_PASS
+        p = np.concatenate([grad.p for grad in grads])
+        assert np.sum(p < P_GRAD) == 1
+        assert load(out)["points_skipped_low_amplitude"] == np.sum(p <= 1e-6) > 1
