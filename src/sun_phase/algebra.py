@@ -171,14 +171,14 @@ def completeness_residual(x: np.ndarray, y: np.ndarray, basis: GeneratorBasis) -
 def _hermitian_eigh(l: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if l.ndim < 2 or l.shape[-1] != l.shape[-2]:
         raise ShapeError(f"generator must be square, got shape {l.shape}")
-    if np.abs(l - dagger(l)).max() >= ATOL_IDENTITY:
+    if np.abs(l - dagger(l)).max(initial=0.0) >= ATOL_IDENTITY:
         raise DomainError("generator is not Hermitian")
     return np.linalg.eigh(l)
 
 
 def _unitary_from_eigh(w: np.ndarray, v: np.ndarray, t) -> np.ndarray:
     u = (v * np.exp(1j * w * np.asarray(t)[..., None])[..., None, :]) @ dagger(v)
-    if np.abs(dagger(u) @ u - np.eye(w.shape[-1])).max() >= ATOL_IDENTITY:
+    if np.abs(dagger(u) @ u - np.eye(w.shape[-1])).max(initial=0.0) >= ATOL_IDENTITY:
         raise InternalConsistencyError("exponential lost unitarity")
     return u
 

@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .algebra import StatePair, dagger
-from .charts import Chart, ck_metric, left_invariant_frame, partials
+from .charts import Chart, ck_metric, cometric, left_invariant_frame, partials
 from .errors import (
     DimensionError,
     DomainError,
@@ -71,7 +71,7 @@ def polar_amplitude(pair: StatePair, u: np.ndarray) -> PolarAmplitude:
     n = pair.n
     if u.ndim not in (2, 3) or u.shape[-2:] != (n, n):
         raise ShapeError(f"expected {n}x{n} matrices, got {u.shape}")
-    if np.abs(dagger(u) @ u - np.eye(n)).max() >= ATOL_IDENTITY:
+    if np.abs(dagger(u) @ u - np.eye(n)).max(initial=0.0) >= ATOL_IDENTITY:
         raise DomainError("matrix is not unitary")
     # [()]: a scalar for one matrix; hypot as in Python's complex abs (np.abs differs)
     value = (pair.psi_f.conj()[..., None, :] @ u @ pair.psi_i[..., :, None])[..., 0, 0][()]
@@ -112,14 +112,11 @@ class PhaseGradient:
     def contract(cls, n, p, eta, d_phase, d_log_modulus, g_inv) -> "PhaseGradient":
         """Contract the coordinate differentials with the inverse metric; the
         cross term grad p . grad eta uses dp = 2 p dlog(sqrt p)."""
-        def quadratic(a, b):
-            return (a[..., None, :] @ g_inv @ b[..., :, None])[..., 0, 0][()]
-
         return cls(
             n, p, eta, d_phase, d_log_modulus,
-            quadratic(d_phase, d_phase),
-            quadratic(d_log_modulus, d_log_modulus),
-            quadratic(2.0 * p[..., None] * d_log_modulus, d_phase),
+            cometric(d_phase, g_inv, d_phase),
+            cometric(d_log_modulus, g_inv, d_log_modulus),
+            cometric(2.0 * p[..., None] * d_log_modulus, g_inv, d_phase),
         )
 
     def residuals(self) -> RelationResiduals:
@@ -168,10 +165,9 @@ def phase_gradient(pair: StatePair, chart: Chart, x) -> PhaseGradient:
                 )
             return _frame_gradient(pair, chart, x, u, amp)
         rows = np.flatnonzero(amp.p >= P_GRAD)
-        kept = ()  # d_phase, d_log_modulus, phase_grad_sq, ... of the rows above P_GRAD
-        if len(rows):
-            usable = PolarAmplitude(*(field[rows] for field in astuple(amp)))
-            kept = astuple(_frame_gradient(pair.rows(rows), chart, x[rows], u[rows], usable))[3:]
+        usable = PolarAmplitude(*(field[rows] for field in astuple(amp)))
+        # d_phase, d_log_modulus, phase_grad_sq, ... of the rows above P_GRAD
+        kept = astuple(_frame_gradient(pair.rows(rows), chart, x[rows], u[rows], usable))[3:]
     except SunPhaseError:
         # a stack raises what the per-point loop raised: the first failing row's error
         for k in range(len(x) if x.ndim == 2 else 0):

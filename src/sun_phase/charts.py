@@ -74,7 +74,7 @@ class Chart:
         if not self.contains_fn(x).all():
             raise DomainError(f"coordinates outside domain of chart '{self.label}'")
         u = self.map_fn(x)
-        if np.abs(dagger(u) @ u - np.eye(self.n)).max() >= ATOL_IDENTITY:
+        if np.abs(dagger(u) @ u - np.eye(self.n)).max(initial=0.0) >= ATOL_IDENTITY:
             raise InternalConsistencyError("chart produced a non-unitary matrix")
         if (np.abs(np.linalg.det(u) - 1.0) >= ATOL_IDENTITY).any():
             raise InternalConsistencyError("chart produced det != 1")
@@ -254,8 +254,8 @@ def left_invariant_frame(
         du = partials(chart, x)
     pulled = np.einsum("...ij,...mjk->...mik", dagger(u), du)  # U^dag dU per coordinate
 
-    anti_herm = np.abs(pulled + dagger(pulled)).max()
-    traces = np.abs(np.trace(pulled, axis1=-2, axis2=-1)).max()
+    anti_herm = np.abs(pulled + dagger(pulled)).max(initial=0.0)
+    traces = np.abs(np.trace(pulled, axis1=-2, axis2=-1)).max(initial=0.0)
     if anti_herm >= ATOL_FRAME or traces >= ATOL_FRAME:
         raise InternalConsistencyError(
             f"U^dag dU not in the algebra (anti-Hermitian residue {anti_herm:.2e}, "
@@ -263,7 +263,7 @@ def left_invariant_frame(
         )
 
     omega_c = np.einsum("aij,...mji->...am", chart.algebra, pulled) / 2j
-    imag_residue = np.abs(omega_c.imag).max()
+    imag_residue = np.abs(omega_c.imag).max(initial=0.0)
     if imag_residue >= ATOL_FRAME:
         raise InternalConsistencyError(
             f"frame coefficients not real (residue {imag_residue:.2e})"
@@ -271,13 +271,13 @@ def left_invariant_frame(
     omega = omega_c.real
 
     rebuilt = 1j * np.einsum("...am,aij->...mij", omega, chart.algebra)
-    if np.abs(pulled - rebuilt).max() >= ATOL_FRAME:
+    if np.abs(pulled - rebuilt).max(initial=0.0) >= ATOL_FRAME:
         raise InternalConsistencyError("frame does not reconstruct U^dag dU")
 
-    if np.abs(np.linalg.det(omega)).min() < 1e-10:
+    if np.abs(np.linalg.det(omega)).min(initial=np.inf) < 1e-10:
         raise ChartDegenerateError(f"frame singular at x = {x}")
     dual = np.linalg.inv(omega)
-    if np.abs(omega @ dual - np.eye(chart.dim_m)).max() >= ATOL_FRAME:
+    if np.abs(omega @ dual - np.eye(chart.dim_m)).max(initial=0.0) >= ATOL_FRAME:
         raise InternalConsistencyError("frame inversion failed")
     return FrameAtPoint(x=x, omega=omega, dual=dual)
 
@@ -303,14 +303,25 @@ def ck_metric(
 
     g = np.swapaxes(frame.omega, -1, -2) @ frame.omega
     g_trace = 0.5 * np.einsum("...mij,...kij->...mk", du, du.conj()).real
-    if np.abs(g - g_trace).max() >= ATOL_FRAME:
+    if np.abs(g - g_trace).max(initial=0.0) >= ATOL_FRAME:
         raise InternalConsistencyError(
             "vielbein metric disagrees with the trace form"
         )
+    return MetricAtPoint(g=g, g_inv=inverse_metric(g, "x", x))
 
-    if np.linalg.eigvalsh(g)[..., 0].min() <= 0.0:
-        raise DegenerateMetricError(f"metric not positive definite at x = {x}")
+
+def inverse_metric(g: np.ndarray, name: str, at: np.ndarray) -> np.ndarray:
+    """Inverse of a metric g[..., mu, nu] (or a stack of them) at `name = at`;
+    DegenerateMetricError unless positive definite and well conditioned."""
+    if np.linalg.eigvalsh(g)[..., 0].min(initial=np.inf) <= 0.0:
+        raise DegenerateMetricError(f"metric not positive definite at {name} = {at}")
     g_inv = np.linalg.inv(g)
-    if np.abs(g @ g_inv - np.eye(chart.dim_m)).max() >= ATOL_FRAME:
-        raise DegenerateMetricError(f"metric inversion ill-conditioned at x = {x}")
-    return MetricAtPoint(g=g, g_inv=g_inv)
+    if np.abs(g @ g_inv - np.eye(g.shape[-1])).max(initial=0.0) >= ATOL_FRAME:
+        raise DegenerateMetricError(f"metric inversion ill-conditioned at {name} = {at}")
+    return g_inv
+
+
+def cometric(a: np.ndarray, g_inv: np.ndarray, b: np.ndarray):
+    """g^-1(a, b) of two covectors a[..., mu], b[..., mu]: a scalar, or one
+    value per row of a stack."""
+    return (a[..., None, :] @ g_inv @ b[..., :, None])[..., 0, 0][()]

@@ -5,14 +5,15 @@ grids.  Reports are byte-identical for identical configuration and
 seed: the RNG is seeded explicitly, floats are printed with 17
 significant digits, and no timestamps are recorded.
 
-The group commands evaluate stacks of points: `verify-group` draws every
-(pair, x) in the order of the per-point draws, then evaluates blocks of
-`Chart.block_rows()` points; `su2-demo` evaluates its grid in such
-blocks and `vortex` its loop.  The low-amplitude skip of `verify-group`
-reads p from the block's phase gradient, that of `verify-ray` from the
-point's section, and `vortex` takes its largest phase step from the
-phases the winding number was summed from.  Check gates come from
-`tolerances.CHECK_GATES`.
+Every command evaluates stacks of points: the sweeps draw every point
+in the order of the per-point draws, then evaluate blocks of
+`Chart.block_rows()` points (`verify-ray` on the full Cartan chart,
+whose slice (y, 0, 0) is the section, drawing bridge candidates in
+rounds of at most the points still missing); `su2-demo` evaluates its
+grid in such blocks and `vortex` its loop.  The low-amplitude skip reads
+p from the block's phase gradient or section states, and `vortex` takes
+its largest phase step from the phases the winding number was summed
+from.  Check gates come from `tolerances.CHECK_GATES`.
 
 Exit codes: 0 all checks pass, 1 check failure or a library error (a guard
 such as unitarity failing at a kept point: one `error:` line for the first
@@ -26,7 +27,7 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from itertools import chain
 
 import numpy as np
@@ -355,36 +356,45 @@ def run_ray_sweep(config: SweepConfig, bridge_points: int, out_path: str | None 
     rng = np.random.default_rng(config.seed)
     pair = resolve_pair(config, rng)
     frame = build_cartan_frame(pair.psi_i, build_gellmann_basis(config.n))
+    chart = full_cartan_chart(frame)
+    step = chart.block_rows()
 
     m = frame.dim_coset
-    y_half = (np.pi / 2) * 0.62 / np.sqrt(m) * config.sample_scale
+    y_half = np.full(m, (np.pi / 2) * 0.62 / np.sqrt(m) * config.sample_scale)
 
-    def draw_y():
-        y = rng.uniform(-y_half, y_half, m)
-        if np.linalg.norm(y) >= np.pi / 2:
+    def draw(count, half):
+        """`count` points of uniform draws in [-half, half]; y comes first."""
+        rows = rng.uniform(-half, half, (count, len(half)))
+        if (np.linalg.norm(rows[:, :m], axis=1) >= np.pi / 2).any():
             raise ConfigError(
                 f"--sample-scale {config.sample_scale} draws points outside the |y| < pi/2 ball"
             )
-        return y
+        return rows
 
-    kept = []
-    for _ in range(config.points):
-        y = draw_y()
-        xi_s = rng.uniform(-0.5, 0.5, frame.dim_iso)
-        xi0 = rng.uniform(-2.0, 2.0)
+    def kept_section(y, p_skip):
+        """The section at the rows of y with p > p_skip, and their mask."""
         point = section(frame, y)
-        if abs(complex(pair.psi_f.conj() @ point.psi)) ** 2 <= P_SKIP_RAY:
-            continue
+        amp = point.overlap(pair.psi_f)
+        kept = np.hypot(amp.real, amp.imag) ** 2 > p_skip
+        return point.rows(kept), kept
+
+    # per point: y, then xi_s, then xi0
+    draws = draw(config.points, np.concatenate([y_half, np.full(frame.dim_iso, 0.5), [2.0]]))
+    blocks = []
+    for start in range(0, config.points, step):
+        y, xi_s, xi0 = np.split(draws[start:start + step], [m, m + frame.dim_iso], axis=1)
+        point, kept = kept_section(y, P_SKIP_RAY)
         rel = _section_relation_residuals(pair, point)
         res_minus, res_plus = u1_berry_residuals(point, config.n)
-        fs_gap = float(np.max(np.abs(point.fs_metric - point.fs_metric_state)))
-        fact = factorization_residual(pair, frame, y, xi_s, xi0)
-        kept.append((rel.phase, rel.modulus, rel.cross, res_plus, res_minus, fs_gap, fact))
-    skipped = config.points - len(kept)
+        fs_gap = np.abs(point.fs_metric - point.fs_metric_state).max(axis=(1, 2))
+        fact = factorization_residual(pair, frame, y[kept], xi_s[kept], xi0[kept, 0])
+        blocks.append(np.column_stack([*rel, res_plus, res_minus, fs_gap, fact]))
+    table = np.concatenate(blocks)
+    skipped = config.points - len(table)
 
     report = base_report("verify-ray", config.echo(), config.seed)
     report["points_requested"] = config.points
-    report["points_evaluated"] = len(kept)
+    report["points_evaluated"] = len(table)
     report["points_skipped_low_amplitude"] = skipped
     report["bridge_points"] = bridge_points
 
@@ -393,7 +403,7 @@ def run_ray_sweep(config: SweepConfig, bridge_points: int, out_path: str | None 
         report["inconclusive"] = True
         return finish_report(report, [], out_path)
 
-    worst = np.array(kept).max(axis=0)
+    worst = table.max(axis=0)
     # the sign report: which proportionality convention the numerics satisfy
     report["u1_berry_sign"] = {
         "residual_with_plus_coefficient": float(worst[4]),
@@ -412,35 +422,26 @@ def run_ray_sweep(config: SweepConfig, bridge_points: int, out_path: str | None 
     ]
 
     if bridge_points:
-        bridge_worst = np.zeros(3)
-        rate_worst = 0.0
-        u1_frame_worst = 0.0
-        alt_best = np.inf
-        chart = full_cartan_chart(frame)
-        done = 0
-        attempts = 0
+        rounds = []
+        done = attempts = 0
         while done < bridge_points and attempts < 4 * bridge_points:
-            attempts += 1
-            point = section(frame, draw_y())
-            if abs(complex(pair.psi_f.conj() @ point.psi)) ** 2 <= P_SKIP:
-                continue
-            result = _bridge_residuals(pair, frame, chart, point)
-            bridge_worst = np.maximum(
-                bridge_worst,
-                [result.residual_phase, result.residual_mixed, result.residual_modulus],
-            )
-            rate_worst = max(rate_worst, abs(result.grad0_phase - u1_eigenvalue(config.n)))
-            u1_frame_worst = max(u1_frame_worst, abs(result.u1_frame_component - 1.0))
-            alt_best = min(alt_best, result.alt_residual_phase)
-            done += 1
+            count = min(bridge_points - done, 4 * bridge_points - attempts, step)
+            attempts += count
+            point, _ = kept_section(draw(count, y_half), P_SKIP)
+            result = _bridge_residuals(pair, frame, point)
+            rounds.append(np.column_stack(astuple(result)))
+            done += len(point.y)
         report["bridge_points_evaluated"] = done
         if done == 0:
             print("error: no usable bridge points found", file=sys.stderr)
             report["inconclusive"] = True
             return finish_report(report, checks, out_path)
+        # residuals, then grad0_phase and u1_frame_component about their values
+        bridge = np.abs(np.concatenate(rounds) - [0, 0, 0, u1_eigenvalue(config.n), 1, 0])
+        bridge_worst = bridge.max(axis=0)
         report["bridge_gauge_sign"] = {
             "residual_with_minus_berry": float(bridge_worst[0]),
-            "best_residual_with_plus_berry": float(alt_best),
+            "best_residual_with_plus_berry": float(bridge[:, 5].min()),
             "resolved_form": "d_eta - berry (= d_eta + sqrt(2(n-1)/n) u1)",
         }
         checks.extend(
@@ -448,8 +449,8 @@ def run_ray_sweep(config: SweepConfig, bridge_points: int, out_path: str | None 
                 make_check("bridge-phase", bridge_worst[0], tols),
                 make_check("bridge-mixed", bridge_worst[1], tols),
                 make_check("bridge-modulus", bridge_worst[2], tols),
-                make_check("u1-phase-rate", rate_worst, tols),
-                make_check("u1-frame-component", u1_frame_worst, tols),
+                make_check("u1-phase-rate", bridge_worst[3], tols),
+                make_check("u1-frame-component", bridge_worst[4], tols),
             ]
         )
 
@@ -666,7 +667,6 @@ def _add_sweep_args(sub, default_points: int):
         metavar="NAME=VALUE",
         help="override a named check tolerance (repeatable)",
     )
-    sub.add_argument("--per-point", action="store_true")
     sub.add_argument("--out", help="write the JSON report here instead of stdout")
 
 
@@ -684,6 +684,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_sweep_args(group, default_points=200)
     group.add_argument("--chart", choices=["exp", "su2-polar", "cartan"], default="exp")
+    group.add_argument("--per-point", action="store_true")
 
     ray = commands.add_parser(
         "verify-ray", help="sweep the ray-space identities and bridge checks"

@@ -4,11 +4,12 @@ Fixing a unit vector psi_i splits the algebra into a U(1) direction
 (lambda0, the traceless projector combination with a definite eigenvalue
 on psi_i), an su(n-1) isotropy block acting on the orthogonal
 complement, and 2(n-1) coset directions pairing psi_i with the
-complement.  Exponentiating the coset directions sweeps a section of
-states |psi(y)> whose Fubini-Study geometry, Berry connection, and
-phase/modulus identities are computed here, together with the exact
-factorization of group amplitudes through the section and the
-identities relating the group metric to the ray-space metric.
+complement.  The full Cartan chart U = K(y) H_s(xi_s) exp(i lambda0 xi0)
+has the section of states psi(y) = U(y, 0, 0) psi_i as its slice; its
+Fubini-Study geometry, Berry connection, phase/modulus identities, the
+exact factorization of group amplitudes through it, and the identities
+relating the group metric to the ray-space metric are evaluated on that
+chart, at one point y or at a stack of points (N, 2(n-1)).
 """
 from __future__ import annotations
 
@@ -24,19 +25,18 @@ from .algebra import (
     expm_generator,
     expm_partials,
 )
-from .amplitude import RelationResiduals, polar_amplitude
-from .charts import Chart, ck_metric, left_invariant_frame, partials
+from .amplitude import RelationResiduals, phase_gradient
+from .charts import Chart, ck_metric, cometric, inverse_metric, left_invariant_frame, partials
 from .errors import (
-    DegenerateMetricError,
     DomainError,
     InternalConsistencyError,
     NearZeroAmplitudeError,
     ShapeError,
+    SunPhaseError,
 )
 from .tolerances import (
     ATOL_CONSTRUCTION,
     ATOL_FD_MATCH,
-    ATOL_FRAME,
     CHART_MARGIN,
     P_GRAD,
 )
@@ -159,35 +159,42 @@ def _validate_frame(frame: CartanFrame) -> None:
 
 def _coset_coordinates(frame: CartanFrame, y) -> np.ndarray:
     y = np.asarray(y, dtype=float)
-    if y.shape != (frame.dim_coset,):
-        raise ShapeError(f"expected {frame.dim_coset} coset coordinates")
-    if np.linalg.norm(y) >= np.pi / 2:
+    if y.ndim not in (1, 2) or y.shape[-1] != frame.dim_coset:
+        raise ShapeError(f"expected {frame.dim_coset} coset coordinates, got shape {y.shape}")
+    if (np.linalg.norm(y, axis=-1) >= np.pi / 2).any():
         raise DomainError("coset coordinates outside the |y| < pi/2 ball")
     return y
+
+
+def _slice(frame: CartanFrame, y: np.ndarray) -> np.ndarray:
+    """Full-chart coordinates (y, 0, 0) of the section points y."""
+    return np.concatenate([y, np.zeros(y.shape[:-1] + (frame.dim_iso + 1,))], axis=-1)
 
 
 def coset_element(frame: CartanFrame, y) -> np.ndarray:
     """Coset representative K(y) = exp(i y^A g_A) sweeping the section."""
     y = _coset_coordinates(frame, y)
-    return expm_generator(np.einsum("a,aij->ij", y, frame.coset))
+    return expm_generator(np.einsum("...a,aij->...ij", y, frame.coset))
 
 
 @dataclass(frozen=True)
 class SectionPoint:
-    """State, connection, and ray-space metric data at one section point.
+    """State, connection, and ray-space metric at section points y, one or
+    stacked: the slice x = (y, 0, 0) of the full chart, where U(x) = K(y).
 
-    `dpsi` stacks the partials d psi / d y^mu.  `fs_metric` is the
-    vielbein construction (contraction of the coset components of
-    K^dag dK); `fs_metric_state` the equivalent state formula
-    Re<d psi|d psi> - A A, kept for cross-checking.  `berry` is the
-    connection -i<psi|d psi>; `u1_component` the lambda0 component of
-    K^dag dK, proportional to it.
+    `frame` is the chart's frame at x; `tau`, `iso_components` and
+    `u1_component` are its coset, isotropy and U(1) rows in the first
+    2(n-1) columns (the components of K^dag dK).  `dpsi` stacks the
+    partials d psi / d y^mu.  `fs_metric` is the vielbein construction
+    tau^T tau; `fs_metric_state` the state formula Re<d psi|d psi> - A A,
+    kept for cross-checking.  `berry` is the connection -i<psi|d psi>.
     """
 
     y: np.ndarray
     kmat: np.ndarray
     psi: np.ndarray
     dpsi: np.ndarray
+    frame: FrameAtPoint
     tau: np.ndarray
     iso_components: np.ndarray
     u1_component: np.ndarray
@@ -196,64 +203,66 @@ class SectionPoint:
     fs_metric_inv: np.ndarray
     fs_metric_state: np.ndarray
 
+    def overlap(self, bra: np.ndarray):
+        """<bra|psi(y)>: a scalar, or one value per row of a stack."""
+        return (self.psi[..., None, :] @ bra.conj()[:, None])[..., 0, 0]
+
+    def rows(self, index) -> "SectionPoint":
+        """The points `index` of a stacked section."""
+        frame = type(self.frame)(**{k: v[index] for k, v in vars(self.frame).items()})
+        fields = {k: v[index] for k, v in vars(self).items() if k != "frame"}
+        return SectionPoint(frame=frame, **fields)
+
 
 def section(frame: CartanFrame, y) -> SectionPoint:
-    """Section state psi(y) = K(y) psi_i with its ray-space geometry.
+    """Section state psi(y) = U(y, 0, 0) psi_i with its ray-space geometry.
 
-    K and its exact partials come from one eigendecomposition
-    (`algebra.expm_partials`).  The two Fubini-Study constructions are
-    cross-checked to 1e-6 and the Berry connection verified real to 1e-9.
+    U, its exact partials and frame come from `full_cartan_chart(frame)`.
+    The two Fubini-Study constructions are cross-checked to 1e-6 and the
+    Berry connection verified real to 1e-9; a stack raises the error of
+    its first failing row.
     """
     y = _coset_coordinates(frame, y)
+    chart = full_cartan_chart(frame)
+    x = _slice(frame, y)
     m = frame.dim_coset
-    k0, dk = expm_partials(y, frame.coset)
-    psi = k0 @ frame.psi_i
+    try:
+        kmat = chart.evaluate(x)
+        du = partials(chart, x)
+        chart_frame = left_invariant_frame(chart, x, du=du, u=kmat)
+        psi = kmat @ frame.psi_i
+        dpsi = du[..., :m, :, :] @ frame.psi_i
 
-    pulled = np.einsum("ij,mjk->mik", dagger(k0), dk)  # K^dag dK per coordinate
+        overlaps = np.einsum("...i,...mi->...m", psi.conj(), dpsi)
+        # exactly imaginary; with exact partials the real part is rounding
+        # only, far below the guard
+        if np.abs(overlaps.real).max(initial=0.0) >= 1e-9:
+            raise InternalConsistencyError("Berry connection has an imaginary part")
+        berry = overlaps.imag  # components of -i<psi|d psi>
 
-    def real_components(gens: np.ndarray) -> np.ndarray:
-        if len(gens) == 0:
-            return np.zeros((0, m))
-        comps = np.einsum("aij,mji->am", gens, pulled) / 2j
-        if np.abs(comps.imag).max() >= ATOL_FRAME:
-            raise InternalConsistencyError("frame component not real")
-        return comps.real
-
-    tau = real_components(frame.coset)
-    iso_components = real_components(frame.iso)
-    u1_component = real_components(frame.lambda0[np.newaxis])[0]
-
-    dpsi = np.einsum("mij,j->mi", dk, frame.psi_i)
-    overlaps = np.einsum("i,mi->m", psi.conj(), dpsi)
-    # exactly imaginary; with exact partials the real part is rounding
-    # only, far below the guard
-    if np.abs(overlaps.real).max() >= 1e-9:
-        raise InternalConsistencyError("Berry connection has an imaginary part")
-    berry = overlaps.imag  # components of -i<psi|d psi>
-
-    fs_metric = tau.T @ tau
-    grams = np.einsum("mi,ki->mk", dpsi.conj(), dpsi).real
-    fs_metric_state = grams - np.outer(berry, berry)
-    if np.abs(fs_metric - fs_metric_state).max() >= ATOL_FD_MATCH:
-        raise InternalConsistencyError(
-            "Fubini-Study constructions disagree beyond tolerance"
-        )
-
-    eigenvalues = np.linalg.eigvalsh(fs_metric)
-    if eigenvalues[0] <= 0.0:
-        raise DegenerateMetricError(f"section metric degenerate at y = {y}")
-    fs_inv = np.linalg.inv(fs_metric)
-    if np.abs(fs_metric @ fs_inv - np.eye(m)).max() >= ATOL_FRAME:
-        raise DegenerateMetricError(f"section metric ill-conditioned at y = {y}")
+        tau = chart_frame.omega[..., :m, :m]
+        fs_metric = np.swapaxes(tau, -1, -2) @ tau
+        grams = np.einsum("...mi,...ki->...mk", dpsi.conj(), dpsi).real
+        fs_metric_state = grams - berry[..., :, None] * berry[..., None, :]
+        if np.abs(fs_metric - fs_metric_state).max(initial=0.0) >= ATOL_FD_MATCH:
+            raise InternalConsistencyError(
+                "Fubini-Study constructions disagree beyond tolerance"
+            )
+        fs_inv = inverse_metric(fs_metric, "y", y)
+    except SunPhaseError:
+        for row in y if y.ndim == 2 else ():
+            section(frame, row)  # raises the error of the first failing row
+        raise
 
     return SectionPoint(
         y=y,
-        kmat=k0,
+        kmat=kmat,
         psi=psi,
         dpsi=dpsi,
+        frame=chart_frame,
         tau=tau,
-        iso_components=iso_components,
-        u1_component=u1_component,
+        iso_components=chart_frame.omega[..., m:-1, :m],
+        u1_component=chart_frame.omega[..., -1, :m],
         berry=berry,
         fs_metric=fs_metric,
         fs_metric_inv=fs_inv,
@@ -265,14 +274,19 @@ def u1_berry_residuals(point: SectionPoint, n: int) -> tuple[float, float]:
     """Componentwise residuals of the two sign conventions relating the
     U(1) frame component to the Berry connection.
 
-    Returns (max|u1 - c A|, max|u1 + c A|) with c = sqrt(n/(2(n-1))).
+    Returns (max|u1 - c A|, max|u1 + c A|) per point, c = sqrt(n/(2(n-1))).
     Exactly one of the two vanishes: with the negative-eigenvalue
     normalization of lambda0 fixed here, it is the second.
     """
     c = np.sqrt(n / (2.0 * (n - 1)))
-    minus = float(np.max(np.abs(point.u1_component - c * point.berry)))
-    plus = float(np.max(np.abs(point.u1_component + c * point.berry)))
+    minus = np.max(np.abs(point.u1_component - c * point.berry), axis=-1)
+    plus = np.max(np.abs(point.u1_component + c * point.berry), axis=-1)
     return minus, plus
+
+
+def _nonzero_rows(coords: np.ndarray, value: np.ndarray, zero: np.ndarray) -> np.ndarray:
+    """`value` at the rows of `coords` with a nonzero entry, exactly `zero` elsewhere."""
+    return np.where(coords.any(axis=-1)[..., None, None], value, zero)
 
 
 def full_cartan_chart(frame: CartanFrame) -> Chart:
@@ -282,6 +296,7 @@ def full_cartan_chart(frame: CartanFrame) -> Chart:
     the attached generator stack follows the same order, so frame index
     dim-1 is the U(1) direction.  Exact partials: the product rule over
     the three factors, each differentiated by `algebra.expm_partials`.
+    A factor with all-zero coordinates is exactly 1 in every row of a stack.
     """
     n = frame.n
     m_coset, m_iso = frame.dim_coset, frame.dim_iso
@@ -290,21 +305,23 @@ def full_cartan_chart(frame: CartanFrame) -> Chart:
     eye = np.eye(n, dtype=complex)
 
     def _map(x: np.ndarray) -> np.ndarray:
-        y, xs, x0 = x[..., :m_coset], x[..., m_coset:m_coset + m_iso], x[..., -1]
+        y, xs, x0 = x[..., :m_coset], x[..., m_coset:m_coset + m_iso], x[..., -1:]
         u = expm_generator(np.einsum("...a,aij->...ij", y, coset_g))
         if m_iso and xs.any():
-            u = u @ expm_generator(np.einsum("...a,aij->...ij", xs, iso_g))
-        if (x0 != 0.0).any():
-            u = u @ expm_generator(lam0, x0)
+            s = expm_generator(np.einsum("...a,aij->...ij", xs, iso_g))
+            u = _nonzero_rows(xs, u @ s, u)
+        if x0.any():
+            u = _nonzero_rows(x0, u @ expm_generator(lam0, x0[..., 0]), u)
         return u
 
     def _partials(x: np.ndarray) -> np.ndarray:
-        y, xs, x0 = x[..., :m_coset], x[..., m_coset:m_coset + m_iso], x[..., -1]
+        y, xs, x0 = x[..., :m_coset], x[..., m_coset:m_coset + m_iso], x[..., -1:]
         k, dk = expm_partials(y, coset_g)
         s, ds = eye, 1j * iso_g
         if m_iso and xs.any():
-            s, ds = expm_partials(xs, iso_g)
-        e = expm_generator(lam0, x0) if (x0 != 0.0).any() else eye
+            s_x, ds_x = expm_partials(xs, iso_g)
+            s, ds = _nonzero_rows(xs, s_x, s), _nonzero_rows(xs[..., None, :], ds_x, ds)
+        e = _nonzero_rows(x0, expm_generator(lam0, x0[..., 0]), eye) if x0.any() else eye
         d0 = k @ s @ (1j * lam0) @ e
         k, s, e = (a[..., None, :, :] for a in (k, s, e))  # broadcast over coordinates
         return np.concatenate([dk @ s @ e, k @ ds @ e, d0[..., None, :, :]], axis=-3)
@@ -341,19 +358,18 @@ def _section_amplitude(pair: StatePair, point: SectionPoint):
     d log sqrt p + i d eta, so neither the phase nor the modulus is
     differentiated directly.
     """
-    amp0 = complex(pair.psi_f.conj() @ point.psi)
-    p0 = abs(amp0) ** 2
-    if p0 < P_GRAD:
-        raise NearZeroAmplitudeError(
-            f"section amplitude p = {p0:.3e} too small at y = {point.y}"
-        )
-    d_log_amp = (point.dpsi @ pair.psi_f.conj()) / amp0
+    amp0 = point.overlap(pair.psi_f)
+    p0 = np.hypot(amp0.real, amp0.imag) ** 2  # as Python's complex abs
+    if np.min(p0, initial=np.inf) < P_GRAD:
+        y = np.reshape(point.y, (-1, point.y.shape[-1]))[np.argmin(p0)]
+        raise NearZeroAmplitudeError(f"section p = {np.min(p0):.3e} too small at y = {y}")
+    d_log_amp = (point.dpsi @ pair.psi_f.conj()) / amp0[..., None]
     d_log = d_log_amp.real
-    return p0, d_log_amp.imag, d_log, 2.0 * p0 * d_log
+    return p0, d_log_amp.imag, d_log, 2.0 * p0[..., None] * d_log
 
 
 def ray_relation_residuals(pair: StatePair, frame: CartanFrame, y) -> RelationResiduals:
-    """Residuals of the ray-space phase/modulus identities at one section point.
+    """Residuals of the ray-space phase/modulus identities at section points y.
 
     On the section psi(y), with the inverse of the Fubini-Study metric at
     unit scale (q = 1) and the Berry connection A:
@@ -374,9 +390,9 @@ def _section_relation_residuals(pair: StatePair, point: SectionPoint) -> Relatio
     gauged = d_eta - point.berry
     g_inv = point.fs_metric_inv
     return RelationResiduals(
-        phase=abs(float(gauged @ g_inv @ gauged) - (1.0 / p0 - 1.0)),
-        modulus=abs(float(d_log @ g_inv @ d_log) - (1.0 / p0 - 1.0)),
-        cross=abs(float(d_p @ g_inv @ gauged)),
+        phase=np.abs(cometric(gauged, g_inv, gauged) - (1.0 / p0 - 1.0)),
+        modulus=np.abs(cometric(d_log, g_inv, d_log) - (1.0 / p0 - 1.0)),
+        cross=np.abs(cometric(d_p, g_inv, gauged)),
     )
 
 
@@ -388,37 +404,38 @@ def factorization_residual(pair: StatePair, frame: CartanFrame, y, xi_s, xi0: fl
 
     holds because the isotropy factor fixes psi_i and psi_i is a
     lambda0 eigenvector; the residual is matrix-exponential rounding
-    only (< 1e-9 everywhere).
+    only (< 1e-9 everywhere).  Both sides are the map of the full chart,
+    at (y, xi_s, xi0) and (y, 0, 0), unchecked against its domain: the
+    identity holds for every xi_s.  Stacked coordinates give stacked rows.
     """
-    xi_s = np.asarray(xi_s, dtype=float)
-    if xi_s.shape != (frame.dim_iso,):
-        raise ShapeError(f"expected {frame.dim_iso} isotropy coordinates")
-    k0 = coset_element(frame, y)
-    u = k0
-    # identity factors are skipped so that xi = 0 is exactly trivial
-    if frame.dim_iso and np.any(xi_s):
-        u = u @ expm_generator(np.einsum("a,aij->ij", xi_s, frame.iso))
-    if xi0 != 0.0:
-        u = u @ expm_generator(frame.lambda0, xi0)
-    lhs = complex(pair.psi_f.conj() @ u @ pair.psi_i)
-    rhs = np.exp(1j * u1_eigenvalue(frame.n) * xi0) * complex(
-        pair.psi_f.conj() @ k0 @ pair.psi_i
-    )
-    return float(abs(lhs - rhs))
+    y = _coset_coordinates(frame, y)
+    xi_s, xi0 = np.asarray(xi_s, dtype=float), np.asarray(xi0, dtype=float)
+    if xi_s.shape != y.shape[:-1] + (frame.dim_iso,) or xi0.shape != y.shape[:-1]:
+        raise ShapeError(f"expected {frame.dim_iso} isotropy and 1 U(1) coordinates per point")
+    chart = full_cartan_chart(frame)
+    u = chart.map_fn(np.concatenate([y, xi_s, xi0[..., None]], axis=-1))
+    k0 = chart.map_fn(_slice(frame, y))
+    amps = (pair.psi_f.conj() @ np.stack([u, k0]))[..., None, :] @ pair.psi_i[:, None]
+    lhs, rhs = amps[..., 0, 0]
+    phase = np.exp(1j * u1_eigenvalue(frame.n) * xi0)
+    # the product phase * rhs spelled out, so that every row rounds as one point does
+    re = lhs.real - (phase.real * rhs.real - phase.imag * rhs.imag)
+    im = lhs.imag - (phase.real * rhs.imag + phase.imag * rhs.real)
+    return np.hypot(re, im)[()]  # as Python's complex abs
 
 
 @dataclass(frozen=True)
 class BridgeResult:
     """Residuals tying the group-manifold metric to ray-space geometry.
 
-    The group-side gradients use the full chart and its inverse metric;
-    the ray side uses the section machinery, with the gauged phase
-    differential taken in its frame form d eta + sqrt(2(n-1)/n) u1.
-    `alt_residual_phase` evaluates the first identity with the Berry
-    connection added instead of subtracted, for sign-convention
-    reporting; `grad0_phase` is the frame component of d eta along the
-    U(1) direction and `u1_frame_component` the extracted coefficient
-    of the U(1) form along its own coordinate (identically 1).
+    The group side is `amplitude.phase_gradient` on the full chart at the
+    section slice; the ray side uses the section machinery, with the
+    gauged phase differential taken in its frame form
+    d eta + sqrt(2(n-1)/n) u1.  `alt_residual_phase` evaluates the first
+    identity with the Berry connection added instead of subtracted, for
+    sign-convention reporting; `grad0_phase` is the frame component of
+    d eta along the U(1) direction and `u1_frame_component` the extracted
+    coefficient of the U(1) form along its own coordinate (identically 1).
     """
 
     residual_phase: float
@@ -438,57 +455,36 @@ def bridge_residuals(pair: StatePair, frame: CartanFrame, y) -> BridgeResult:
         g^-1(d p,  d p)    = g_FS^-1(d p,  d p)
 
     with D eta = d eta + sqrt(2(n-1)/n) u1 (equal to d eta - A).  Both
-    sides use exact derivatives: the full chart's partials on the group
-    side, the section's on the ray side; tolerance 1e-4.
+    sides use exact derivatives of the full chart at x = (y, 0, 0): its
+    frame route on the group side, the section's on the ray side;
+    tolerance 1e-4.
     """
-    return _bridge_residuals(pair, frame, full_cartan_chart(frame), section(frame, y))
+    return _bridge_residuals(pair, frame, section(frame, y))
 
 
-def _bridge_residuals(
-    pair: StatePair, frame: CartanFrame, chart: Chart, point: SectionPoint
-) -> BridgeResult:
-    """`bridge_residuals` with `chart = full_cartan_chart(frame)` and
-    `point = section(frame, y)`."""
-    x0 = np.zeros(chart.dim_m)
-    x0[: frame.dim_coset] = point.y
+def _bridge_residuals(pair: StatePair, frame: CartanFrame, point: SectionPoint) -> BridgeResult:
+    """`bridge_residuals` at `point = section(frame, y)`."""
+    p0, d_eta_y, _, d_p_y = _section_amplitude(pair, point)
+    if np.min(p0, initial=np.inf) < 1e-6:
+        raise NearZeroAmplitudeError(f"amplitude p = {np.min(p0):.3e} too small")
+    group = phase_gradient(pair, full_cartan_chart(frame), point.frame.x)
 
-    u0 = chart.evaluate(x0)
-    amp0 = polar_amplitude(pair, u0)
-    if amp0.p < 1e-6:
-        raise NearZeroAmplitudeError(f"amplitude p = {amp0.p:.3e} too small")
-
-    du = partials(chart, x0)
-    fr = left_invariant_frame(chart, x0, du=du, u=u0)
-    metric = ck_metric(chart, x0, frame=fr, du=du)
-
-    # d log(amp) = <f|dU|i> / <f|U|i> = d log sqrt p + i d eta
-    d_log_amp = np.einsum("i,mij,j->m", pair.psi_f.conj(), du, pair.psi_i) / amp0.value
-    d_eta = d_log_amp.imag
-    d_p = 2.0 * amp0.p * d_log_amp.real
-
-    g_inv = metric.g_inv
-    lhs_phase = float(d_eta @ g_inv @ d_eta)
-    lhs_mixed = float(d_eta @ g_inv @ d_p)
-    lhs_modulus = float(d_p @ g_inv @ d_p)
-
-    _, d_eta_y, _, d_p_y = _section_amplitude(pair, point)
     scale = np.sqrt(2.0 * (frame.n - 1) / frame.n)
     gauged = d_eta_y + scale * point.u1_component
     gauged_alt = d_eta_y + point.berry
     fs_inv = point.fs_metric_inv
-
-    rhs_phase = float(gauged @ fs_inv @ gauged) + 2.0 * (frame.n - 1) / frame.n
-    rhs_mixed = float(gauged @ fs_inv @ d_p_y)
-    rhs_modulus = float(d_p_y @ fs_inv @ d_p_y)
-    alt_phase = float(gauged_alt @ fs_inv @ gauged_alt) + 2.0 * (frame.n - 1) / frame.n
+    rhs_phase = cometric(gauged, fs_inv, gauged) + 2.0 * (frame.n - 1) / frame.n
+    alt_phase = cometric(gauged_alt, fs_inv, gauged_alt) + 2.0 * (frame.n - 1) / frame.n
 
     return BridgeResult(
-        residual_phase=abs(lhs_phase - rhs_phase),
-        residual_mixed=abs(lhs_mixed - rhs_mixed),
-        residual_modulus=abs(lhs_modulus - rhs_modulus),
-        grad0_phase=float(d_eta @ fr.dual[:, -1]),
-        u1_frame_component=float(fr.omega[-1, -1]),
-        alt_residual_phase=abs(lhs_phase - alt_phase),
+        residual_phase=np.abs(group.phase_grad_sq - rhs_phase),
+        residual_mixed=np.abs(group.cross - cometric(gauged, fs_inv, d_p_y)),
+        residual_modulus=np.abs(
+            4.0 * group.p**2 * group.log_modulus_grad_sq - cometric(d_p_y, fs_inv, d_p_y)
+        ),
+        grad0_phase=np.sum(group.d_phase * point.frame.dual[..., :, -1], axis=-1),
+        u1_frame_component=point.frame.omega[..., -1, -1],
+        alt_residual_phase=np.abs(group.phase_grad_sq - alt_phase),
     )
 
 
@@ -499,16 +495,9 @@ def ck_block_decomposition_residual(frame: CartanFrame, y) -> float:
     equals the Fubini-Study metric plus the contraction of the isotropy
     and U(1) components of K^dag dK.
     """
-    chart = full_cartan_chart(frame)
-    y = np.asarray(y, dtype=float)
-    x0 = np.zeros(chart.dim_m)
-    x0[: frame.dim_coset] = y
-    g_full = ck_metric(chart, x0).g
-    block = g_full[: frame.dim_coset, : frame.dim_coset]
-
     point = section(frame, y)
-    correction = np.outer(point.u1_component, point.u1_component)
-    if frame.dim_iso:
-        correction = correction + point.iso_components.T @ point.iso_components
-    predicted = point.fs_metric + correction
+    m = frame.dim_coset
+    block = ck_metric(full_cartan_chart(frame), point.frame.x).g[:m, :m]
+    iso, u1 = point.iso_components, point.u1_component
+    predicted = point.fs_metric + (np.outer(u1, u1) + iso.T @ iso)
     return float(np.max(np.abs(block - predicted)))

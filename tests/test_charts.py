@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from sun_phase.algebra import build_gellmann_basis, dagger, random_hermitian
+from sun_phase.algebra import (
+    StatePair,
+    build_gellmann_basis,
+    dagger,
+    expm_partials,
+    haar_state,
+    random_hermitian,
+)
+from sun_phase.amplitude import phase_gradient, polar_amplitude
 from sun_phase.charts import (
     ck_metric,
     exp_chart,
@@ -10,6 +18,7 @@ from sun_phase.charts import (
     partials,
     su2_polar_chart,
 )
+from sun_phase.coset import build_cartan_frame, full_cartan_chart
 from sun_phase.errors import DomainError, ShapeError
 from sun_phase.tolerances import ATOL_FD_MATCH
 
@@ -196,3 +205,41 @@ class TestMetric:
             g0 = ck_metric(chart, x).g
             g1 = ck_metric(translated, x).g
             assert np.max(np.abs(g0 - g1)) < 1e-8
+
+
+class TestEmptyStacks:
+    """A stack of 0 points gives stacks of 0 results, as the rows of an
+    all-skipped block need."""
+
+    @pytest.mark.parametrize(
+        "make_chart",
+        [
+            su2_polar_chart,
+            lambda: exp_chart(build_gellmann_basis(3)),
+            lambda: full_cartan_chart(
+                build_cartan_frame(haar_state(3, np.random.default_rng(5)), build_gellmann_basis(3))
+            ),
+        ],
+    )
+    def test_chart_route(self, make_chart):
+        chart = make_chart()
+        n, m = chart.n, chart.dim_m
+        x = np.empty((0, m))
+        u = chart.evaluate(x)
+        du = partials(chart, x)
+        frame = left_invariant_frame(chart, x, du=du, u=u)
+        metric = ck_metric(chart, x, frame=frame, du=du)
+        assert u.shape == (0, n, n) and du.shape == (0, m, n, n)
+        assert frame.omega.shape == frame.dual.shape == metric.g_inv.shape == (0, m, m)
+        assert left_invariant_frame(chart, x).omega.shape == ck_metric(chart, x).g.shape == (0, m, m)
+
+        rng = np.random.default_rng(6)
+        pair = StatePair(haar_state(n, rng), haar_state(n, rng))
+        assert polar_amplitude(pair, u).p.shape == (0,)
+        grad = phase_gradient(pair, chart, x)
+        assert grad.d_phase.shape == (0, m) and grad.cross.shape == (0,)
+
+    def test_expm_partials(self):
+        gens = build_gellmann_basis(3).matrices
+        u, du = expm_partials(np.empty((0, len(gens))), gens)
+        assert u.shape == (0, 3, 3) and du.shape == (0, len(gens), 3, 3)

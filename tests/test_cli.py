@@ -250,6 +250,38 @@ class TestVerifyRay:
         )
         assert code == EXIT_INCONCLUSIVE
 
+    @pytest.mark.parametrize("seed", [1, 3, 5])
+    def test_bridge_rounds_draw_the_one_at_a_time_candidates(self, tmp_path, monkeypatch, seed):
+        # a high skip threshold makes rounds skip candidates and reach the
+        # 4x attempt cap (seed 1: 4 bridge points, seed 5: none); the oracle
+        # draws and checks one candidate at a time
+        from sun_phase import cli
+        from sun_phase.algebra import StatePair, build_gellmann_basis, haar_state
+        from sun_phase.coset import bridge_residuals, build_cartan_frame, coset_element
+
+        monkeypatch.setattr(cli, "P_SKIP", 0.5)
+        argv = ["verify-ray", "--n", "3", "--points", "20", "--bridge-points", "6"]
+        code, out = run_to_file(tmp_path, "r.json", argv + ["--seed", str(seed)])
+        report = load(out)
+
+        rng = np.random.default_rng(seed)
+        pair = StatePair(haar_state(3, rng), haar_state(3, rng))
+        frame = build_cartan_frame(pair.psi_i, build_gellmann_basis(3))
+        rng.uniform(size=20 * (frame.dim_coset + frame.dim_iso + 1))  # the ray points
+        half = (np.pi / 2) * 0.62 / np.sqrt(frame.dim_coset)
+        alt = []
+        attempts = 0
+        while len(alt) < 6 and attempts < 24:
+            attempts += 1
+            y = rng.uniform(-half, half, frame.dim_coset)
+            if abs(pair.psi_f.conj() @ coset_element(frame, y) @ pair.psi_i) ** 2 > 0.5:
+                alt.append(bridge_residuals(pair, frame, y).alt_residual_phase)
+        assert report["bridge_points_evaluated"] == len(alt)
+        assert code == (EXIT_PASS if alt else EXIT_INCONCLUSIVE)
+        if alt:
+            best = report["bridge_gauge_sign"]["best_residual_with_plus_berry"]
+            assert best == pytest.approx(min(alt), rel=1e-9)
+
 
 class TestSu2Demo:
     def test_grid_and_csv(self, tmp_path):
@@ -490,19 +522,18 @@ class TestEvaluatedOnce:
         assert code == EXIT_PASS
         assert peak < 24 * 2**20
 
-    def test_verify_ray_builds_no_extra_coset_elements(self, tmp_path, monkeypatch):
-        from sun_phase import coset
-
-        built = self.count_calls(monkeypatch, coset, "coset_element")
-        factorizations = self.count_calls(monkeypatch, coset, "factorization_residual")
+    @pytest.mark.parametrize("points", ["10", "200"])
+    def test_verify_ray_evaluates_stacks(self, tmp_path, monkeypatch, points):
+        # one block of section points, one of factorizations and one round of
+        # bridge candidates, each a few eigh calls for the whole stack
+        eighs = self.count_calls(monkeypatch, np.linalg, "eigh")
         code, _ = run_to_file(
             tmp_path,
             "r.json",
-            ["verify-ray", "--n", "3", "--points", "10", "--bridge-points", "4", "--seed", "1"],
+            ["verify-ray", "--n", "3", "--points", points, "--bridge-points", "4", "--seed", "1"],
         )
         assert code == EXIT_PASS
-        # factorization_residual builds one coset element; nothing else does
-        assert len(built) == len(factorizations) > 0
+        assert len(eighs) <= 16
 
 
 class TestConsoleScript:
@@ -526,6 +557,11 @@ class TestConsoleScript:
 class TestParser:
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0
+
+    def test_per_point_is_a_verify_group_option(self, tmp_path):
+        argv = ["--n", "2", "--points", "5", "--seed", "3", "--per-point"]
+        assert run_to_file(tmp_path, "g.json", ["verify-group"] + argv)[0] == EXIT_PASS
+        assert run_to_file(tmp_path, "r.json", ["verify-ray"] + argv)[0] == EXIT_CONFIG_ERROR
 
     def test_every_float_option_takes_negative_exponent_notation(self):
         # argparse alone reads "-1e-3" as a flag; found by introspection, so

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sun_phase.algebra import (
     StatePair,
@@ -22,7 +24,13 @@ from sun_phase.coset import (
     u1_eigenvalue,
 )
 from sun_phase.charts import partials
-from sun_phase.errors import DomainError, NearZeroAmplitudeError, ShapeError
+from sun_phase.errors import (
+    ChartDegenerateError,
+    DomainError,
+    InternalConsistencyError,
+    NearZeroAmplitudeError,
+    ShapeError,
+)
 from sun_phase.tolerances import ATOL_FD_MATCH, FD_STEP
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -349,3 +357,120 @@ class TestBlockDecomposition:
         for _ in range(5):
             y = rng.uniform(-0.5, 0.5, frame.dim_coset)
             assert ck_block_decomposition_residual(frame, y) < 1e-6
+
+
+class TestStackedSlice:
+    def test_mixed_zero_rows_match_one_point(self):
+        # a factor whose coordinates are zero in one row of a stack is
+        # exactly the identity there, as it is at one point
+        rng = np.random.default_rng(1500)
+        frame = frame_for(3, rng)
+        chart = full_cartan_chart(frame)
+        x = rng.uniform(chart.sample_box[:, 0], chart.sample_box[:, 1], (2, chart.dim_m))
+        x[0, -1] = 0.0
+        u, du = chart.evaluate(x), partials(chart, x)
+        for k in range(2):
+            assert np.array_equal(u[k], chart.evaluate(x[k]))
+            assert np.array_equal(du[k], partials(chart, x[k]))
+        x[1, frame.dim_coset:-1] = 0.0
+        assert np.array_equal(chart.evaluate(x)[1], chart.evaluate(x[1]))
+
+    def test_section_is_the_chart_slice(self):
+        rng = np.random.default_rng(1501)
+        frame = frame_for(4, rng)
+        y = rng.uniform(-0.5, 0.5, (3, frame.dim_coset))
+        point = section(frame, y)
+        x = np.zeros((3, full_cartan_chart(frame).dim_m))
+        x[:, : frame.dim_coset] = y
+        assert np.array_equal(point.frame.x, x)
+        assert np.array_equal(point.kmat, coset_element(frame, y))
+        # the U(1) and isotropy coordinates enter with the identity frame
+        m = frame.dim_coset
+        identity = np.broadcast_to(np.eye(frame.dim_iso + 1), (3, frame.dim_iso + 1, frame.dim_iso + 1))
+        np.testing.assert_allclose(point.frame.omega[:, m:, m:], identity, atol=1e-12)
+
+    def test_empty_stack(self):
+        frame = frame_for(3, np.random.default_rng(1502))
+        pair = StatePair(frame.psi_i, haar_state(3, np.random.default_rng(1503)))
+        point = section(frame, np.empty((0, 4)))
+        assert point.psi.shape == (0, 3) and point.fs_metric_inv.shape == (0, 4, 4)
+        assert ray_relation_residuals(pair, frame, np.empty((0, 4))).phase.shape == (0,)
+        assert factorization_residual(
+            pair, frame, np.empty((0, 4)), np.empty((0, 3)), np.empty(0)
+        ).shape == (0,)
+
+    def test_bad_stacks_rejected(self):
+        frame = frame_for(3, np.random.default_rng(1504))
+        pair = StatePair(frame.psi_i, frame.psi_i)
+        with pytest.raises(ShapeError):
+            section(frame, np.zeros((2, 5)))
+        with pytest.raises(DomainError):
+            section(frame, np.array([np.zeros(4), np.full(4, 1.0)]))
+        with pytest.raises(ShapeError):  # one U(1) coordinate per row
+            factorization_residual(pair, frame, np.zeros((2, 4)), np.zeros((2, 3)), 0.1)
+
+    def test_stack_raises_error_of_first_failing_row(self):
+        # near the |y| = pi/2 rim the frame first fails its inversion check,
+        # then becomes singular; a stack raises what its first bad row raises
+        frame = frame_for(2, psi=PLUS)
+        good = np.array([0.1, 0.2])
+        uninvertible = np.array([np.pi / 2 - 1e-9, 0.0])
+        singular = np.array([np.pi / 2 - 1e-12, 0.0])
+        with pytest.raises(InternalConsistencyError, match="frame inversion failed"):
+            section(frame, np.array([good, uninvertible, singular]))
+        with pytest.raises(ChartDegenerateError, match=r"singular at x = \[[^\[]*\]$"):
+            section(frame, np.array([good, singular, uninvertible]))
+
+    def test_stack_names_its_lowest_amplitude_row(self):
+        frame = frame_for(2, psi=PLUS)
+        pair = StatePair(PLUS, np.array([0.0, 1.0], dtype=complex))
+        with pytest.raises(NearZeroAmplitudeError, match=r"y = \[0\. 0\.\]"):
+            ray_relation_residuals(pair, frame, np.array([[0.3, 0.2], [0.0, 0.0]]))
+
+
+def _within_ulps(stacked, one, scale):
+    """Entrywise |stacked - one| within 4 ulps of `scale`."""
+    np.testing.assert_allclose(
+        stacked, one, rtol=0, atol=4 * np.finfo(float).eps * scale
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(2, 5), rows=st.integers(1, 6), seed=st.integers(0, 2**16))
+def test_stacked_ray_path_matches_one_call_per_row(n, rows, seed):
+    # the identities' terms are of size 1/p, so their residuals are
+    # compared in ulps of 1/p; amplitudes are at most 1
+    rng = np.random.default_rng(seed)
+    frame = frame_for(n, rng)
+    pair = StatePair(frame.psi_i, haar_state(n, rng))
+    y = rng.uniform(-0.5, 0.5, (rows, frame.dim_coset))
+    xi_s = rng.uniform(-0.5, 0.5, (rows, frame.dim_iso))
+    xi0 = rng.uniform(-2.0, 2.0, rows)
+
+    stacked = section(frame, y)
+    facts = factorization_residual(pair, frame, y, xi_s, xi0)
+    for k in range(rows):
+        one = section(frame, y[k])
+        for name in (
+            "kmat", "psi", "dpsi", "berry", "fs_metric", "fs_metric_inv",
+            "fs_metric_state", "tau", "iso_components", "u1_component",
+        ):
+            value = getattr(one, name)
+            _within_ulps(getattr(stacked, name)[k], value, max(1.0, np.max(np.abs(value), initial=0)))
+        for name in ("omega", "dual"):
+            value = getattr(one.frame, name)
+            _within_ulps(getattr(stacked.frame, name)[k], value, max(1.0, np.max(np.abs(value))))
+        _within_ulps(facts[k], factorization_residual(pair, frame, y[k], xi_s[k], xi0[k]), 1.0)
+
+    p = np.abs(stacked.overlap(pair.psi_f)) ** 2
+    kept = np.flatnonzero(p > 1e-4)
+    rays = ray_relation_residuals(pair, frame, y[kept])
+    bridges = bridge_residuals(pair, frame, y[kept])
+    for j, k in enumerate(kept):
+        for stacked_value, value in zip(rays, ray_relation_residuals(pair, frame, y[k])):
+            _within_ulps(stacked_value[j], value, 1.0 / p[k])
+        one = bridge_residuals(pair, frame, y[k])
+        for name in ("residual_phase", "residual_mixed", "residual_modulus", "alt_residual_phase"):
+            _within_ulps(getattr(bridges, name)[j], getattr(one, name), 1.0 / p[k] + 1.0)
+        for name in ("grad0_phase", "u1_frame_component"):
+            _within_ulps(getattr(bridges, name)[j], getattr(one, name), 1.0)
