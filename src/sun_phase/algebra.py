@@ -206,13 +206,18 @@ def expm_partials(coeffs, gens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     with numpy's normalized sinc.  This form needs no limit at
     degenerate or near-degenerate eigenvalues.  Returns (U, dU), with dU
-    stacked as (len(gens), n, n).  Coefficients of shape (N, len(gens))
-    give U of shape (N, n, n) and dU of shape (N, len(gens), n, n).
+    stacked as (m, n, n) for m generators (m, n, n).  Coefficients of
+    shape (N, m) give U of shape (N, n, n) and dU of shape (N, m, n, n),
+    from one generator stack shared by every row or from one per row,
+    gens (N, m, n, n).
     """
     coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.ndim not in (1, 2) or coeffs.shape[-1] != len(gens):
-        raise ShapeError(f"expected {len(gens)} coefficients, got shape {coeffs.shape}")
-    w, v = _hermitian_eigh(np.einsum("...a,aij->...ij", coeffs, gens))
+    m = gens.shape[-3]
+    if coeffs.ndim not in (1, 2) or coeffs.shape[-1] != m:
+        raise ShapeError(f"expected {m} coefficients, got shape {coeffs.shape}")
+    if gens.ndim == 4 and coeffs.shape[:-1] != gens.shape[:1]:
+        raise ShapeError(f"{len(gens)} generator stacks for coefficients {coeffs.shape}")
+    w, v = _hermitian_eigh(np.einsum("...a,...aij->...ij", coeffs, gens))
     u = _unitary_from_eigh(w, v, 1.0)
     phi = 1j * np.exp(0.5j * (w[..., :, None] + w[..., None, :])) * np.sinc(
         (w[..., :, None] - w[..., None, :]) / (2 * np.pi)

@@ -150,7 +150,8 @@ def phase_gradient(pair: StatePair, chart: Chart, x) -> PhaseGradient:
     its real part is d(eta) and minus its imaginary part d(log sqrt p).
     Requires p >= 1e-8 (the formula divides by the amplitude): one point
     below raises NearZeroAmplitudeError, rows of a stack x (N, m) below get
-    NaN gradients.  A stack raises the error of its first failing row.
+    NaN gradients.  A stack raises the error of its first failing row.  A
+    stacked pair or a per-row chart gives row k its own pair or chart.
     """
     if pair.n != chart.n:
         raise ShapeError("state pair and chart dimensions differ")
@@ -167,12 +168,14 @@ def phase_gradient(pair: StatePair, chart: Chart, x) -> PhaseGradient:
         rows = np.flatnonzero(amp.p >= P_GRAD)
         usable = PolarAmplitude(*(field[rows] for field in astuple(amp)))
         # d_phase, d_log_modulus, phase_grad_sq, ... of the rows above P_GRAD
-        kept = astuple(_frame_gradient(pair.rows(rows), chart, x[rows], u[rows], usable))[3:]
+        kept = astuple(
+            _frame_gradient(pair.rows(rows), chart.rows(rows), x[rows], u[rows], usable)
+        )[3:]
     except SunPhaseError:
         # a stack raises what the per-point loop raised: the first failing row's error
         for k in range(len(x) if x.ndim == 2 else 0):
             try:
-                phase_gradient(pair.rows(k), chart, x[k])
+                phase_gradient(pair.rows(k), chart.rows(k), x[k])
             except NearZeroAmplitudeError:
                 continue
         raise
@@ -183,14 +186,16 @@ def phase_gradient(pair: StatePair, chart: Chart, x) -> PhaseGradient:
     return PhaseGradient(chart.n, amp.p, amp.eta, *full)
 
 
-def _frame_gradient(pair, chart, x, u, amp) -> PhaseGradient:
+def _frame_gradient(pair, chart, x, u, amp, du=None, frame=None) -> PhaseGradient:
     """`phase_gradient` at points x where p >= P_GRAD, given U(x) and the
-    polar amplitude there."""
-    du = partials(chart, x)
-    frame = left_invariant_frame(chart, x, du=du, u=u)
+    polar amplitude there, and the partials and frame at x when known."""
+    if du is None:
+        du = partials(chart, x)
+    if frame is None:
+        frame = left_invariant_frame(chart, x, du=du, u=u)
     metric = ck_metric(chart, x, frame=frame, du=du)
     f_u = (pair.psi_f.conj()[..., None, :] @ u)[..., 0, :]
-    numerators = np.einsum("...j,ajk,...k->...a", f_u, chart.algebra, pair.psi_i)
+    numerators = np.einsum("...j,...ajk,...k->...a", f_u, chart.algebra, pair.psi_i)
     ratios = numerators / amp.value[..., None]
     d_complex = (np.swapaxes(frame.omega, -1, -2) @ ratios[..., :, None])[..., 0]
     return PhaseGradient.contract(

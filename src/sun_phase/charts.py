@@ -7,7 +7,9 @@ bi-invariant metric g_uv = (1/2) Tr(dU dU^dag), for which the frame acts
 as a vielbein.
 
 Each function takes one point x (m,) or a stack of points (N, m); every
-guard is evaluated on each row, and a stack fails when any row fails.
+guard is evaluated on each row, and a stack fails when any row fails.  A
+chart may carry a leading row axis, one chart per row of a stack (see
+`Chart.rows`).
 """
 from __future__ import annotations
 
@@ -45,6 +47,10 @@ class Chart:
     the true (possibly non-box) domain.  The functions take coordinates of
     shape (..., dim_m); `partials_fn` gives the exact partials dU/dx_mu,
     stacked with shape (..., dim_m, n, n).
+
+    A per-row chart holds one chart for each row of a stack of N points:
+    `algebra` has shape (N, dim_m, n, n), the functions take coordinates
+    (N, dim_m), and `rows_fn(index)` builds the chart of the rows `index`.
     """
 
     label: str
@@ -55,6 +61,12 @@ class Chart:
     map_fn: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     contains_fn: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     partials_fn: Callable[[np.ndarray], np.ndarray] = field(repr=False)
+    rows_fn: Callable[[object], "Chart"] | None = field(default=None, repr=False)
+
+    def rows(self, index) -> "Chart":
+        """The chart of the rows `index` of a per-row chart; a chart without a
+        row axis serves every row."""
+        return self if self.rows_fn is None else self.rows_fn(index)
 
     def block_rows(self) -> int:
         """Points per stacked evaluation: about BLOCK_ENTRIES entries of dU."""
@@ -71,6 +83,8 @@ class Chart:
             raise ShapeError(
                 f"chart '{self.label}' expects {self.dim_m} coordinates, got {x.shape}"
             )
+        if self.algebra.ndim == 4 and x.shape[:-1] != self.algebra.shape[:1]:
+            raise ShapeError(f"per-row chart of {len(self.algebra)} rows at points {x.shape}")
         if not self.contains_fn(x).all():
             raise DomainError(f"coordinates outside domain of chart '{self.label}'")
         u = self.map_fn(x)
@@ -262,7 +276,7 @@ def left_invariant_frame(
             f"trace residue {traces:.2e})"
         )
 
-    omega_c = np.einsum("aij,...mji->...am", chart.algebra, pulled) / 2j
+    omega_c = np.einsum("...aij,...mji->...am", chart.algebra, pulled) / 2j
     imag_residue = np.abs(omega_c.imag).max(initial=0.0)
     if imag_residue >= ATOL_FRAME:
         raise InternalConsistencyError(
@@ -270,7 +284,7 @@ def left_invariant_frame(
         )
     omega = omega_c.real
 
-    rebuilt = 1j * np.einsum("...am,aij->...mij", omega, chart.algebra)
+    rebuilt = 1j * np.einsum("...am,...aij->...mij", omega, chart.algebra)
     if np.abs(pulled - rebuilt).max(initial=0.0) >= ATOL_FRAME:
         raise InternalConsistencyError("frame does not reconstruct U^dag dU")
 

@@ -7,13 +7,16 @@ significant digits, and no timestamps are recorded.
 
 Every command evaluates stacks of points: the sweeps draw every point
 in the order of the per-point draws, then evaluate blocks of
-`Chart.block_rows()` points (`verify-ray` on the full Cartan chart,
-whose slice (y, 0, 0) is the section, drawing bridge candidates in
-rounds of at most the points still missing); `su2-demo` evaluates its
-grid in such blocks and `vortex` its loop.  The low-amplitude skip reads
-p from the block's phase gradient or section states, and `vortex` takes
-its largest phase step from the phases the winding number was summed
-from.  Check gates come from `tolerances.CHECK_GATES`.
+`Chart.block_rows()` points.  `verify-group --chart cartan` over random
+pairs evaluates a block on a per-row chart, each row adapted to its own
+psi_i.  `verify-ray` works on the full Cartan chart, whose slice
+(y, 0, 0) is the section; it draws bridge candidates in rounds of at
+most the points still missing, and the bridge's group side reuses the
+section's partials and frame.  `su2-demo` evaluates its grid in such
+blocks and `vortex` its loop.  The low-amplitude skip reads p from the
+block's phase gradient or section states, and `vortex` takes its
+largest phase step from the phases the winding number was summed from.
+Check gates come from `tolerances.CHECK_GATES`.
 
 Exit codes: 0 all checks pass, 1 check failure or a library error (a guard
 such as unitarity failing at a kept point: one `error:` line for the first
@@ -212,7 +215,9 @@ def resolve_pair(config: SweepConfig, rng: np.random.Generator) -> StatePair:
     raise ConfigError(f"unknown pair kind '{config.pair_kind}'")
 
 
-def resolve_chart(config: SweepConfig, pair: StatePair) -> Chart:
+def resolve_chart(config: SweepConfig, psi_i: np.ndarray) -> Chart:
+    """The chart of the sweep; the cartan chart is adapted to the reference
+    state psi_i, or per row to a stack of them (N, n)."""
     if config.chart == "exp":
         return exp_chart(build_gellmann_basis(config.n))
     if config.chart == "su2-polar":
@@ -220,8 +225,7 @@ def resolve_chart(config: SweepConfig, pair: StatePair) -> Chart:
             raise ConfigError("chart 'su2-polar' requires --n 2")
         return su2_polar_chart()
     if config.chart == "cartan":
-        frame = build_cartan_frame(pair.psi_i, build_gellmann_basis(config.n))
-        return full_cartan_chart(frame)
+        return full_cartan_chart(build_cartan_frame(psi_i, build_gellmann_basis(config.n)))
     raise ConfigError(f"unknown chart '{config.chart}'")
 
 
@@ -278,39 +282,39 @@ def run_group_sweep(config: SweepConfig, out_path: str | None = None) -> int:
     if config.points < 1:
         raise ConfigError("--points must be >= 1")
     rng = np.random.default_rng(config.seed)
-    fixed_pair = None
-    if config.pair_kind != "random":
-        fixed_pair = resolve_pair(config, rng)
+    n = config.n
+    fixed = None if config.pair_kind == "random" else resolve_pair(config, rng)
+    # the sample box and the domain of every chart depend only on n, so the
+    # chart of any reference state gives them; a fixed pair's chart is shared
+    chart = resolve_chart(config, np.eye(n, dtype=complex)[0] if fixed is None else fixed.psi_i)
+    lo, hi = chart.sample_box.T
+    half = (hi - lo) / 2.0 * config.sample_scale
 
-    # only the cartan chart depends on the pair (it is adapted to psi_i)
-    shared_chart = None
-    if config.chart != "cartan" or fixed_pair is not None:
-        shared_chart = resolve_chart(config, fixed_pair)
-
-    draws = []
+    draws = []  # per point: psi_i and psi_f of a random pair, then x
     for _ in range(config.points):
-        pair = fixed_pair if fixed_pair is not None else resolve_pair(config, rng)
-        chart_k = shared_chart if shared_chart is not None else resolve_chart(config, pair)
-        lo, hi = chart_k.sample_box.T
-        half = (hi - lo) / 2.0 * config.sample_scale
-        x = rng.uniform((lo + hi) / 2.0 - half, (lo + hi) / 2.0 + half)
-        if not chart_k.contains(x):
-            raise ConfigError(
-                f"--sample-scale {config.sample_scale} draws points outside "
-                f"chart '{chart_k.label}'"
-            )
-        draws.append((pair.psi_i, pair.psi_f, x, chart_k))
+        states = (haar_state(n, rng), haar_state(n, rng)) if fixed is None else ()
+        draws.append((*states, rng.uniform((lo + hi) / 2.0 - half, (lo + hi) / 2.0 + half)))
+    *states, xs = map(np.array, zip(*draws))
+    if not np.all(chart.contains(xs)):
+        raise ConfigError(
+            f"--sample-scale {config.sample_scale} draws points outside chart '{chart.label}'"
+        )
+    pair = StatePair(*states) if fixed is None else fixed
+    # only the cartan chart follows the pair (it is adapted to psi_i)
+    follows_pair = fixed is None and config.chart == "cartan"
 
-    step = shared_chart.block_rows() if shared_chart is not None else 1
-    bound = 2.0 * (config.n - 1) / config.n
+    step = chart.block_rows()
+    bound = 2.0 * (n - 1) / n
     kept = []
     for start in range(0, config.points, step):
-        psi_i, psi_f, xs, charts = zip(*draws[start:start + step])
-        grad = phase_gradient(StatePair(np.array(psi_i), np.array(psi_f)), charts[0], np.array(xs))
+        rows = slice(start, start + step)
+        block_pair, x = pair.rows(rows), xs[rows]
+        block_chart = resolve_chart(config, block_pair.psi_i) if follows_pair else chart
+        grad = phase_gradient(block_pair, block_chart, x)
         res = grad.residuals()
         rec_residual = abs(grad.reconstructed_modulus() - np.sqrt(grad.p)) / np.sqrt(grad.p)
         bound_deficit = np.maximum(0.0, bound - grad.phase_grad_sq)
-        columns = [res.phase, res.modulus, res.cross, rec_residual, bound_deficit, grad.p, xs]
+        columns = [res.phase, res.modulus, res.cross, rec_residual, bound_deficit, grad.p, x]
         kept.append(np.column_stack(columns)[grad.p > P_SKIP])  # NaN rows have p < P_GRAD
     table = np.concatenate(kept)
     skipped = config.points - len(table)

@@ -9,7 +9,9 @@ has the section of states psi(y) = U(y, 0, 0) psi_i as its slice; its
 Fubini-Study geometry, Berry connection, phase/modulus identities, the
 exact factorization of group amplitudes through it, and the identities
 relating the group metric to the ray-space metric are evaluated on that
-chart, at one point y or at a stack of points (N, 2(n-1)).
+chart, at one point y or at a stack of points (N, 2(n-1)).  A stack of
+reference states (N, n) gives per-row frames and a per-row full chart,
+whose row k is adapted to psi_i[k].
 """
 from __future__ import annotations
 
@@ -25,7 +27,7 @@ from .algebra import (
     expm_generator,
     expm_partials,
 )
-from .amplitude import RelationResiduals, phase_gradient
+from .amplitude import RelationResiduals, _frame_gradient, polar_amplitude
 from .charts import Chart, ck_metric, cometric, inverse_metric, left_invariant_frame, partials
 from .errors import (
     DomainError,
@@ -54,7 +56,9 @@ class CartanFrame:
     `coset` stacks the off-block generators X_1..X_{n-1}, Y_1..Y_{n-1};
     `iso` stacks the embedded su(n-1) block (empty for n = 2);
     `complement` holds the n-1 orthonormal vectors spanning the
-    complement of psi_i, one per row.
+    complement of psi_i, one per row.  Per-row frames, built from a stack
+    of reference states (N, n), carry a leading row axis on every array;
+    row k is the frame of psi_i[k].
     """
 
     n: int
@@ -75,27 +79,38 @@ class CartanFrame:
     def stacked(self) -> np.ndarray:
         """All generators in full-chart coordinate order: coset, iso, lambda0."""
         return np.concatenate(
-            [self.coset, self.iso, self.lambda0[np.newaxis]], axis=0
+            [self.coset, self.iso, self.lambda0[..., np.newaxis, :, :]], axis=-3
         )
+
+    def rows(self, index) -> "CartanFrame":
+        """The frames of the rows `index` of per-row frames; a frame without a
+        row axis serves every row."""
+        if self.psi_i.ndim == 1:
+            return self
+        return CartanFrame(n=self.n, **{k: v[index] for k, v in vars(self).items() if k != "n"})
 
 
 def _complement_basis(psi_i: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the complement of psi_i, by Gram-Schmidt over
-    the standard basis in order (deterministic)."""
-    n = len(psi_i)
-    kept: list[np.ndarray] = []
-    for j in range(n):
-        v = np.zeros(n, dtype=complex)
-        v[j] = 1.0
-        v = v - psi_i * (psi_i.conj() @ v)
-        for u in kept:
-            v = v - u * (u.conj() @ v)
-        norm = np.linalg.norm(v)
-        if norm > 1e-6:
-            kept.append(v / norm)
-    if len(kept) != n - 1:
-        raise InternalConsistencyError("complement basis construction failed")
-    return np.array(kept)
+    the standard basis in order (deterministic), one row per state of a
+    stack (..., n)."""
+    n = psi_i.shape[-1]
+    bases = []
+    for psi in psi_i.reshape(-1, n):
+        kept: list[np.ndarray] = []
+        for j in range(n):
+            v = np.zeros(n, dtype=complex)
+            v[j] = 1.0
+            v = v - psi * (psi.conj() @ v)
+            for u in kept:
+                v = v - u * (u.conj() @ v)
+            norm = np.linalg.norm(v)
+            if norm > 1e-6:
+                kept.append(v / norm)
+        if len(kept) != n - 1:
+            raise InternalConsistencyError("complement basis construction failed")
+        bases.append(kept)
+    return np.reshape(bases, psi_i.shape[:-1] + (n - 1, n))
 
 
 def build_cartan_frame(psi_i, basis: GeneratorBasis) -> CartanFrame:
@@ -105,32 +120,30 @@ def build_cartan_frame(psi_i, basis: GeneratorBasis) -> CartanFrame:
     (1/2) Tr lambda0^2 = 1 with eigenvalue -sqrt(2(n-1)/n) on psi_i;
     coset generators |psi><k| + |k><psi| and -i|psi><k| + i|k><psi|;
     isotropy block the generalized Gell-Mann basis of the complement.
-    All pairwise trace-orthogonality relations are verified on exit.
+    All pairwise trace-orthogonality relations are verified on exit.  A
+    stack of states (N, n) gives per-row frames, every row verified; row k
+    equals the frame of psi_i[k] bit for bit.
     """
     psi_i = np.asarray(psi_i, dtype=complex)
     n = basis.n
-    if psi_i.shape != (n,):
-        raise ShapeError("reference state and basis dimensions differ")
-    if abs(np.linalg.norm(psi_i) - 1.0) >= ATOL_CONSTRUCTION:
+    if psi_i.ndim not in (1, 2) or psi_i.shape[-1] != n or not psi_i.size:
+        raise ShapeError(f"reference states need shape ({n},) or (N, {n}), got {psi_i.shape}")
+    if (np.abs(np.linalg.norm(psi_i, axis=-1) - 1.0) >= ATOL_CONSTRUCTION).any():
         raise DomainError("reference state is not unit-norm")
 
     eye = np.eye(n, dtype=complex)
-    projector = np.outer(psi_i, psi_i.conj())
+    projector = psi_i[..., :, None] * psi_i.conj()[..., None, :]
     lambda0 = np.sqrt(2.0 / (n * (n - 1))) * (eye - n * projector)
 
     complement = _complement_basis(psi_i)
-    xs, ys = [], []
-    for k in complement:
-        cross = np.outer(psi_i, k.conj())
-        xs.append(cross + dagger(cross))
-        ys.append(-1j * cross + 1j * dagger(cross))
-    coset = np.array(xs + ys)
+    cross = psi_i[..., None, :, None] * complement.conj()[..., :, None, :]  # |psi><k| per k
+    coset = np.concatenate([cross + dagger(cross), -1j * cross + 1j * dagger(cross)], axis=-3)
 
     if n == 2:
-        iso = np.zeros((0, n, n), dtype=complex)
+        iso = np.zeros(psi_i.shape[:-1] + (0, n, n), dtype=complex)
     else:
-        w = complement.T  # n x (n-1), columns are the |k>
-        iso = np.array([w @ g @ dagger(w) for g in build_gellmann_basis(n - 1)])
+        w = np.swapaxes(complement, -1, -2)[..., None, :, :]  # columns are the |k>
+        iso = w @ build_gellmann_basis(n - 1).matrices @ dagger(w)
 
     frame = CartanFrame(
         n=n, psi_i=psi_i, lambda0=lambda0, coset=coset, iso=iso, complement=complement
@@ -140,20 +153,21 @@ def build_cartan_frame(psi_i, basis: GeneratorBasis) -> CartanFrame:
 
 
 def _validate_frame(frame: CartanFrame) -> None:
+    """Verify the generators of a frame, or of every row of per-row frames."""
     n = frame.n
     if 1 + frame.dim_iso + frame.dim_coset != n * n - 1:
         raise InternalConsistencyError("generator count mismatch")
     stack = frame.stacked()
-    for g in stack:
-        if np.max(np.abs(g - dagger(g))) >= ATOL_CONSTRUCTION:
-            raise InternalConsistencyError("frame generator not Hermitian")
-        if abs(np.trace(g)) >= ATOL_CONSTRUCTION:
-            raise InternalConsistencyError("frame generator not traceless")
-    gram = np.einsum("aij,bji->ab", stack, stack).real / 2.0
-    if np.max(np.abs(gram - np.eye(len(stack)))) >= ATOL_CONSTRUCTION:
+    if np.abs(stack - dagger(stack)).max() >= ATOL_CONSTRUCTION:
+        raise InternalConsistencyError("frame generator not Hermitian")
+    if np.abs(np.trace(stack, axis1=-2, axis2=-1)).max() >= ATOL_CONSTRUCTION:
+        raise InternalConsistencyError("frame generator not traceless")
+    flat = stack.reshape(stack.shape[:-2] + (n * n,))
+    gram = (flat @ dagger(flat)).real / 2.0  # (1/2) Tr(g_a g_b^dag), g_b Hermitian
+    if np.abs(gram - np.eye(n * n - 1)).max() >= ATOL_CONSTRUCTION:
         raise InternalConsistencyError("frame generators not trace-orthonormal")
-    residual = frame.lambda0 @ frame.psi_i - u1_eigenvalue(n) * frame.psi_i
-    if np.max(np.abs(residual)) >= 1e-10:
+    residual = (frame.lambda0 @ frame.psi_i[..., None])[..., 0] - u1_eigenvalue(n) * frame.psi_i
+    if np.abs(residual).max() >= 1e-10:
         raise InternalConsistencyError("U(1) generator eigenvalue check failed")
 
 
@@ -182,18 +196,20 @@ class SectionPoint:
     """State, connection, and ray-space metric at section points y, one or
     stacked: the slice x = (y, 0, 0) of the full chart, where U(x) = K(y).
 
-    `frame` is the chart's frame at x; `tau`, `iso_components` and
-    `u1_component` are its coset, isotropy and U(1) rows in the first
-    2(n-1) columns (the components of K^dag dK).  `dpsi` stacks the
-    partials d psi / d y^mu.  `fs_metric` is the vielbein construction
-    tau^T tau; `fs_metric_state` the state formula Re<d psi|d psi> - A A,
-    kept for cross-checking.  `berry` is the connection -i<psi|d psi>.
+    `du` holds the chart's partials at x and `frame` its frame there;
+    `tau`, `iso_components` and `u1_component` are the frame's coset,
+    isotropy and U(1) rows in the first 2(n-1) columns (the components of
+    K^dag dK).  `dpsi` stacks the partials d psi / d y^mu.  `fs_metric`
+    is the vielbein construction tau^T tau; `fs_metric_state` the state
+    formula Re<d psi|d psi> - A A, kept for cross-checking.  `berry` is
+    the connection -i<psi|d psi>.
     """
 
     y: np.ndarray
     kmat: np.ndarray
     psi: np.ndarray
     dpsi: np.ndarray
+    du: np.ndarray
     frame: FrameAtPoint
     tau: np.ndarray
     iso_components: np.ndarray
@@ -259,6 +275,7 @@ def section(frame: CartanFrame, y) -> SectionPoint:
         kmat=kmat,
         psi=psi,
         dpsi=dpsi,
+        du=du,
         frame=chart_frame,
         tau=tau,
         iso_components=chart_frame.omega[..., m:-1, :m],
@@ -297,6 +314,8 @@ def full_cartan_chart(frame: CartanFrame) -> Chart:
     dim-1 is the U(1) direction.  Exact partials: the product rule over
     the three factors, each differentiated by `algebra.expm_partials`.
     A factor with all-zero coordinates is exactly 1 in every row of a stack.
+    Per-row frames give a per-row chart (see `Chart.rows`); the sample box
+    and the domain depend only on n.
     """
     n = frame.n
     m_coset, m_iso = frame.dim_coset, frame.dim_iso
@@ -306,9 +325,9 @@ def full_cartan_chart(frame: CartanFrame) -> Chart:
 
     def _map(x: np.ndarray) -> np.ndarray:
         y, xs, x0 = x[..., :m_coset], x[..., m_coset:m_coset + m_iso], x[..., -1:]
-        u = expm_generator(np.einsum("...a,aij->...ij", y, coset_g))
+        u = expm_generator(np.einsum("...a,...aij->...ij", y, coset_g))
         if m_iso and xs.any():
-            s = expm_generator(np.einsum("...a,aij->...ij", xs, iso_g))
+            s = expm_generator(np.einsum("...a,...aij->...ij", xs, iso_g))
             u = _nonzero_rows(xs, u @ s, u)
         if x0.any():
             u = _nonzero_rows(x0, u @ expm_generator(lam0, x0[..., 0]), u)
@@ -339,6 +358,9 @@ def full_cartan_chart(frame: CartanFrame) -> Chart:
         box[m_coset:m_coset + m_iso] = [-s_half, s_half]
     box[-1] = [-np.pi * (1 - CHART_MARGIN), np.pi * (1 - CHART_MARGIN)]
 
+    def _rows(index) -> Chart:
+        return full_cartan_chart(frame.rows(index))
+
     return Chart(
         label="cartan",
         n=n,
@@ -348,6 +370,7 @@ def full_cartan_chart(frame: CartanFrame) -> Chart:
         map_fn=_map,
         contains_fn=_contains,
         partials_fn=_partials,
+        rows_fn=None if frame.psi_i.ndim == 1 else _rows,
     )
 
 
@@ -428,8 +451,9 @@ def factorization_residual(pair: StatePair, frame: CartanFrame, y, xi_s, xi0: fl
 class BridgeResult:
     """Residuals tying the group-manifold metric to ray-space geometry.
 
-    The group side is `amplitude.phase_gradient` on the full chart at the
-    section slice; the ray side uses the section machinery, with the
+    The group side is the frame route of `amplitude.phase_gradient` on the
+    full chart at the section slice, from the section's partials and
+    frame; the ray side uses the section machinery, with the
     gauged phase differential taken in its frame form
     d eta + sqrt(2(n-1)/n) u1.  `alt_residual_phase` evaluates the first
     identity with the Berry connection added instead of subtracted, for
@@ -467,7 +491,15 @@ def _bridge_residuals(pair: StatePair, frame: CartanFrame, point: SectionPoint) 
     p0, d_eta_y, _, d_p_y = _section_amplitude(pair, point)
     if np.min(p0, initial=np.inf) < 1e-6:
         raise NearZeroAmplitudeError(f"amplitude p = {np.min(p0):.3e} too small")
-    group = phase_gradient(pair, full_cartan_chart(frame), point.frame.x)
+    x, u = point.frame.x, point.kmat
+    try:
+        group = _frame_gradient(
+            pair, full_cartan_chart(frame), x, u, polar_amplitude(pair, u), point.du, point.frame
+        )
+    except SunPhaseError:
+        for k in range(len(x) if x.ndim == 2 else 0):
+            _bridge_residuals(pair, frame, point.rows(k))  # the first failing row's error
+        raise
 
     scale = np.sqrt(2.0 * (frame.n - 1) / frame.n)
     gauged = d_eta_y + scale * point.u1_component
@@ -497,7 +529,7 @@ def ck_block_decomposition_residual(frame: CartanFrame, y) -> float:
     """
     point = section(frame, y)
     m = frame.dim_coset
-    block = ck_metric(full_cartan_chart(frame), point.frame.x).g[:m, :m]
+    block = ck_metric(full_cartan_chart(frame), point.frame.x, point.frame, point.du).g[:m, :m]
     iso, u1 = point.iso_components, point.u1_component
     predicted = point.fs_metric + (np.outer(u1, u1) + iso.T @ iso)
     return float(np.max(np.abs(block - predicted)))

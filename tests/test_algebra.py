@@ -222,6 +222,21 @@ class TestExpmPartials:
         with pytest.raises(ShapeError):
             expm_partials(np.zeros(2), build_gellmann_basis(2).matrices)
 
+    def test_per_row_generators_match_one_stack_per_row(self):
+        # generators (N, m, n, n), one stack per row: row k is bit for bit
+        # what a one-row stack gives on row k's generators alone
+        rng = np.random.default_rng(11)
+        rotations = [expm_generator(random_hermitian(3, rng, traceless=True)) for _ in range(4)]
+        gens = np.array([v @ build_gellmann_basis(3).matrices @ dagger(v) for v in rotations])
+        x = rng.uniform(-0.3, 0.3, (4, 8))
+        u, du = expm_partials(x, gens)
+        for k in range(4):
+            u_k, du_k = expm_partials(x[[k]], gens[k])
+            np.testing.assert_array_equal(u[k], u_k[0])
+            np.testing.assert_array_equal(du[k], du_k[0])
+        with pytest.raises(ShapeError):  # one generator stack per row of x
+            expm_partials(x[:3], gens)
+
 
 @settings(max_examples=40, deadline=None)
 @given(

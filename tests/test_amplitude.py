@@ -329,7 +329,7 @@ class TestMinGradientBound:
             min_gradient_bound(1)
 
 
-def stacked_chart(kind, n, rng):
+def stacked_chart(kind, n, rng, rows):
     if kind == "su2-polar":
         return su2_polar_chart()
     chart = exp_chart(build_gellmann_basis(n))
@@ -337,6 +337,9 @@ def stacked_chart(kind, n, rng):
         return left_translate(chart, expm_generator(random_hermitian(n, rng, traceless=True)))
     if kind == "cartan":
         return full_cartan_chart(build_cartan_frame(haar_state(n, rng), build_gellmann_basis(n)))
+    if kind == "cartan-rows":  # one frame per row, each adapted to its own state
+        states = np.array([haar_state(n, rng) for _ in range(rows)])
+        return full_cartan_chart(build_cartan_frame(states, build_gellmann_basis(n)))
     return chart
 
 
@@ -347,7 +350,7 @@ GRADIENT_FIELDS = (
 
 @settings(max_examples=60, deadline=None)
 @given(
-    kind=st.sampled_from(["exp", "su2-polar", "left", "cartan"]),
+    kind=st.sampled_from(["exp", "su2-polar", "left", "cartan", "cartan-rows"]),
     n=st.integers(2, 5),
     rows=st.integers(1, 9),
     stacked_pairs=st.booleans(),
@@ -355,7 +358,7 @@ GRADIENT_FIELDS = (
 )
 def test_stack_matches_one_call_per_row(kind, n, rows, stacked_pairs, seed):
     rng = np.random.default_rng(seed)
-    chart = stacked_chart(kind, n, rng)
+    chart = stacked_chart(kind, n, rng, rows)
     lo, hi = chart.sample_box.T
     xs = rng.uniform(lo, hi, size=(rows, chart.dim_m))
     shape = (rows, chart.n) if stacked_pairs else (chart.n,)
@@ -363,8 +366,13 @@ def test_stack_matches_one_call_per_row(kind, n, rows, stacked_pairs, seed):
     pair = StatePair(*(v / np.linalg.norm(v, axis=-1, keepdims=True) for v in states))
     grad = phase_gradient(pair, chart, xs)
     for k in range(rows):
+        if kind == "cartan-rows":
+            # bit for bit what a one-row stack on the chart of row k alone gives
+            alone = phase_gradient(pair.rows([k]), chart.rows(k), xs[[k]])
+            for name in GRADIENT_FIELDS:
+                np.testing.assert_array_equal(getattr(grad, name)[k], getattr(alone, name)[0])
         try:
-            one = phase_gradient(pair.rows(k), chart, xs[k])
+            one = phase_gradient(pair.rows(k), chart.rows(k), xs[k])
         except NearZeroAmplitudeError:
             assert grad.p[k] < P_GRAD and np.isnan(grad.phase_grad_sq[k])
             continue
@@ -435,3 +443,38 @@ class TestStackedGuards:
             phase_gradient(SPIN_FLIP, chart, np.array([self.KEPT, self.OTHER]))
         with pytest.raises(InternalConsistencyError):
             phase_gradient(SPIN_FLIP, chart, np.array([self.OTHER, self.KEPT]))
+
+    @staticmethod
+    def per_row_chart(states, coset_scale=(1.0,)):
+        """The n = 2 cartan chart with one frame per row of `states`, whose
+        coset generators are multiplied by `coset_scale` row by row: 0 makes
+        the frame singular, 2 leaves a frame that does not rebuild U^dag dU."""
+        frame = build_cartan_frame(np.array(states), build_gellmann_basis(2))
+        scale = np.reshape(coset_scale, (-1, 1, 1, 1))
+        return full_cartan_chart(dataclasses.replace(frame, coset=frame.coset * scale))
+
+    def test_per_row_chart_row_below_p_grad(self):
+        rng = np.random.default_rng(7)
+        states = [PLUS, haar_state(2, rng), haar_state(2, rng)]
+        finals = [MINUS, haar_state(2, rng), haar_state(2, rng)]
+        pair = StatePair(np.array(states), np.array(finals))
+        chart = self.per_row_chart(states)
+        xs = np.array([self.LOW, self.KEPT, self.OTHER])
+        grad = phase_gradient(pair, chart, xs)
+        assert grad.p[0] < P_GRAD and np.isnan(grad.phase_grad_sq[0])
+        for k in (1, 2):  # the other rows keep what the chart of their own state gives
+            alone = phase_gradient(pair.rows([k]), chart.rows(k), xs[[k]])
+            for name in GRADIENT_FIELDS:
+                np.testing.assert_array_equal(getattr(grad, name)[k], getattr(alone, name)[0])
+
+    def test_per_row_chart_first_failing_row_decides(self):
+        # one row's frame is singular, the other's does not rebuild U^dag dU;
+        # the stack checks every rebuild before any frame's determinant
+        rng = np.random.default_rng(8)
+        states = np.array([haar_state(2, rng) for _ in range(2)])
+        pair = StatePair(states, np.array([haar_state(2, rng) for _ in range(2)]))
+        xs = np.array([self.KEPT, self.OTHER])
+        with pytest.raises(ChartDegenerateError):
+            phase_gradient(pair, self.per_row_chart(states, [0.0, 2.0]), xs)
+        with pytest.raises(InternalConsistencyError):
+            phase_gradient(pair, self.per_row_chart(states, [2.0, 0.0]), xs)

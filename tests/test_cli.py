@@ -482,6 +482,17 @@ class TestEvaluatedOnce:
         # one stack holds all 12 points
         assert rows == [load(out)["points_requested"]] == [12]
 
+    def test_verify_group_cartan_random_evaluates_blocks(self, tmp_path, monkeypatch):
+        # the chart follows each random pair; one per-row chart holds all 12
+        rows = self.count_rows(monkeypatch)
+        code, out = run_to_file(
+            tmp_path,
+            "r.json",
+            ["verify-group", "--n", "3", "--chart", "cartan", "--points", "12", "--seed", "1"],
+        )
+        assert code == EXIT_PASS
+        assert rows == [load(out)["points_requested"]] == [12]
+
     def test_vortex_evaluates_the_loop_once(self, tmp_path, monkeypatch):
         rows = self.count_rows(monkeypatch)
         code, out = run_to_file(
@@ -534,6 +545,22 @@ class TestEvaluatedOnce:
         )
         assert code == EXIT_PASS
         assert len(eighs) <= 16
+
+    def test_verify_ray_bridge_reuses_the_section_frame(self, tmp_path, monkeypatch):
+        # one frame for the section block and one for the bridge round: the
+        # bridge's group side takes the partials and frame of its section
+        from sun_phase import charts
+
+        frames = self.count_calls(monkeypatch, charts, "left_invariant_frame")
+        partials = self.count_calls(monkeypatch, charts, "partials")
+        code, out = run_to_file(
+            tmp_path,
+            "r.json",
+            ["verify-ray", "--n", "3", "--points", "10", "--bridge-points", "4", "--seed", "1"],
+        )
+        assert code == EXIT_PASS
+        assert load(out)["bridge_points_evaluated"] == 4
+        assert len(frames) == len(partials) == 2
 
 
 class TestConsoleScript:

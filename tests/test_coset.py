@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,6 +28,7 @@ from sun_phase.coset import (
 from sun_phase.charts import partials
 from sun_phase.errors import (
     ChartDegenerateError,
+    DegenerateMetricError,
     DomainError,
     InternalConsistencyError,
     NearZeroAmplitudeError,
@@ -85,6 +88,71 @@ class TestCartanFrame:
         basis = build_gellmann_basis(3)
         with pytest.raises(DomainError):
             build_cartan_frame(np.array([1.0, 1.0, 0.0], dtype=complex), basis)
+
+
+class TestPerRowFrames:
+    """A stack of reference states gives one frame per row, and the full
+    chart of those frames one chart per row."""
+
+    @staticmethod
+    def states(n, rng, rows=5):
+        states = np.array([haar_state(n, rng) for _ in range(rows)])
+        states[0] = np.eye(n)[0]  # basis states drop a different Gram-Schmidt vector
+        states[1] = np.eye(n)[n - 1]
+        return states
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_rows_equal_one_state_frames(self, n):
+        states = self.states(n, np.random.default_rng(40 + n))
+        frame = frame_for(n, psi=states)
+        assert frame.stacked().shape == (len(states), n * n - 1, n, n)
+        for k, psi in enumerate(states):
+            one = frame_for(n, psi=psi)
+            for name in ("psi_i", "lambda0", "coset", "iso", "complement"):
+                np.testing.assert_array_equal(getattr(frame, name)[k], getattr(one, name))
+                np.testing.assert_array_equal(getattr(frame.rows(k), name), getattr(one, name))
+            np.testing.assert_array_equal(frame.stacked()[k], one.stacked())
+        assert frame_for(n, psi=states[0]).rows([0, 3]).psi_i.shape == (n,)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_per_row_chart_rows(self, n):
+        rng = np.random.default_rng(50 + n)
+        states = self.states(n, rng)
+        chart = full_cartan_chart(frame_for(n, psi=states))
+        lo, hi = chart.sample_box.T
+        x = rng.uniform(lo, hi, (len(states), chart.dim_m))
+        u, du = chart.evaluate(x), partials(chart, x)
+        for k, psi in enumerate(states):
+            one = full_cartan_chart(frame_for(n, psi=psi))
+            np.testing.assert_array_equal(chart.sample_box, one.sample_box)
+            np.testing.assert_array_equal(u[k], one.evaluate(x[[k]])[0])
+            np.testing.assert_array_equal(du[k], partials(one, x[[k]])[0])
+            np.testing.assert_array_equal(chart.rows(k).algebra, one.algebra)
+        assert chart.rows([1, 2]).evaluate(x[1:3]).shape == (2, n, n)
+        with pytest.raises(ShapeError):  # one point per row
+            chart.evaluate(x[:2])
+        with pytest.raises(ShapeError):
+            chart.evaluate(x[0])
+
+    def test_bad_stacks_rejected(self):
+        basis = build_gellmann_basis(3)
+        rng = np.random.default_rng(60)
+        for bad in (np.zeros((0, 3)), self.states(4, rng), self.states(3, rng)[None]):
+            with pytest.raises(ShapeError):
+                build_cartan_frame(bad, basis)
+        states = self.states(3, rng)
+        states[2] *= 1.1
+        with pytest.raises(DomainError):
+            build_cartan_frame(states, basis)
+
+    def test_every_row_verified(self):
+        from sun_phase.coset import _validate_frame
+
+        frame = frame_for(3, psi=self.states(3, np.random.default_rng(61)))
+        iso = frame.iso.copy()
+        iso[3, 0] *= 1.5  # one generator of one row no longer unit norm
+        with pytest.raises(InternalConsistencyError):
+            _validate_frame(dataclasses.replace(frame, iso=iso))
 
 
 class TestSection:
@@ -420,6 +488,26 @@ class TestStackedSlice:
             section(frame, np.array([good, uninvertible, singular]))
         with pytest.raises(ChartDegenerateError, match=r"singular at x = \[[^\[]*\]$"):
             section(frame, np.array([good, singular, uninvertible]))
+
+    def test_bridge_raises_error_of_first_failing_row(self, monkeypatch):
+        # the bridge's group side contracts with the metric of the section's
+        # frame; a stack raises what its first row with a bad metric raises
+        import sun_phase.amplitude as amplitude
+
+        original = amplitude.ck_metric
+
+        def rejecting(chart, x, frame=None, du=None):
+            if (x[..., 0] > 0.0).any():
+                raise DegenerateMetricError(f"metric rejected at x = {x}")
+            return original(chart, x, frame=frame, du=du)
+
+        monkeypatch.setattr(amplitude, "ck_metric", rejecting)
+        rng = np.random.default_rng(1505)
+        frame = frame_for(3, rng)
+        pair = StatePair(frame.psi_i, haar_state(3, rng))
+        y = np.array([[-0.1, 0.2, 0.1, 0.0], [0.2, 0.1, 0.0, 0.1], [0.3, 0.0, 0.2, 0.1]])
+        with pytest.raises(DegenerateMetricError, match=r"x = \[0\.2 [^\[]*\]$"):
+            bridge_residuals(pair, frame, y)
 
     def test_stack_names_its_lowest_amplitude_row(self):
         frame = frame_for(2, psi=PLUS)
