@@ -195,6 +195,12 @@ def expm_generator(l: np.ndarray, t=1.0) -> np.ndarray:
     return _unitary_from_eigh(w, v, t)
 
 
+def generator_sum(coeffs, gens: np.ndarray) -> np.ndarray:
+    """x^a g_a of coefficients (..., m) over generators (m, n, n), or over
+    one generator stack per row, (N, m, n, n)."""
+    return np.einsum("...a,...aij->...ij", coeffs, gens)
+
+
 def expm_partials(coeffs, gens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """U = exp(i x^a g_a) and its exact partials dU/dx_a, from one eigh.
 
@@ -217,7 +223,7 @@ def expm_partials(coeffs, gens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise ShapeError(f"expected {m} coefficients, got shape {coeffs.shape}")
     if gens.ndim == 4 and coeffs.shape[:-1] != gens.shape[:1]:
         raise ShapeError(f"{len(gens)} generator stacks for coefficients {coeffs.shape}")
-    w, v = _hermitian_eigh(np.einsum("...a,...aij->...ij", coeffs, gens))
+    w, v = _hermitian_eigh(generator_sum(coeffs, gens))
     u = _unitary_from_eigh(w, v, 1.0)
     phi = 1j * np.exp(0.5j * (w[..., :, None] + w[..., None, :])) * np.sinc(
         (w[..., :, None] - w[..., None, :]) / (2 * np.pi)

@@ -14,7 +14,7 @@ vortex around zeros of the amplitude.
 """
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -64,23 +64,44 @@ class PolarAmplitude:
     eta: float
     phase_defined: bool
 
+    def rows(self, index) -> "PolarAmplitude":
+        """The rows `index` of a stacked amplitude."""
+        return PolarAmplitude(
+            self.value[index], self.p[index], self.eta[index], self.phase_defined[index]
+        )
+
 
 def polar_amplitude(pair: StatePair, u: np.ndarray) -> PolarAmplitude:
     """Polar components of <psi_f|u|psi_i> for unitary u, or for each matrix
-    of a stack u (N, n, n), with one pair per matrix from a stacked pair."""
+    of a stack u (N, n, n), with one pair per matrix from a stacked pair.
+    One matrix is evaluated as a stack of one, so it rounds as its row of
+    any stack does."""
     n = pair.n
     if u.ndim not in (2, 3) or u.shape[-2:] != (n, n):
         raise ShapeError(f"expected {n}x{n} matrices, got {u.shape}")
     if np.abs(dagger(u) @ u - np.eye(n)).max(initial=0.0) >= ATOL_IDENTITY:
         raise DomainError("matrix is not unitary")
-    # [()]: a scalar for one matrix; hypot as in Python's complex abs (np.abs differs)
-    value = (pair.psi_f.conj()[..., None, :] @ u @ pair.psi_i[..., :, None])[..., 0, 0][()]
-    p = np.hypot(value.real, value.imag) ** 2
+    return _polar(pair, u)
+
+
+def _polar(pair: StatePair, u: np.ndarray) -> PolarAmplitude:
+    """`polar_amplitude` of matrices whose unitarity is already checked, as
+    `Chart.evaluate` checks every U it returns."""
+    if u.ndim == 2:
+        return _polar(pair, u[None]).rows(0)
+    value = (pair.psi_f.conj()[..., None, :] @ u @ pair.psi_i[..., :, None])[..., 0, 0]
+    p = np.hypot(value.real, value.imag) ** 2  # as Python's complex abs (np.abs differs)
     if (p > 1.0 + P_MIN).any():
         raise InternalConsistencyError(f"modulus squared {np.max(p)} exceeds 1")
     defined = p >= P_MIN
-    eta = np.where(defined, np.angle(value), 0.0)[()]
+    eta = np.where(defined, np.angle(value), 0.0)
     return PolarAmplitude(value=value, p=p, eta=eta, phase_defined=defined)
+
+
+# the fields of PhaseGradient computed from the frame, after n, p and eta
+_DIFFERENTIAL_FIELDS = (
+    "d_phase", "d_log_modulus", "phase_grad_sq", "log_modulus_grad_sq", "cross"
+)
 
 
 @dataclass(frozen=True)
@@ -107,6 +128,11 @@ class PhaseGradient:
             raise InternalConsistencyError(
                 f"phase gradient {np.nanmin(self.phase_grad_sq)} below the bound {bound}"
             )
+
+    def rows(self, index) -> "PhaseGradient":
+        """The rows `index` of stacked gradients."""
+        fields = ("p", "eta") + _DIFFERENTIAL_FIELDS
+        return PhaseGradient(self.n, **{name: getattr(self, name)[index] for name in fields})
 
     @classmethod
     def contract(cls, n, p, eta, d_phase, d_log_modulus, g_inv) -> "PhaseGradient":
@@ -152,25 +178,22 @@ def phase_gradient(pair: StatePair, chart: Chart, x) -> PhaseGradient:
     below raises NearZeroAmplitudeError, rows of a stack x (N, m) below get
     NaN gradients.  A stack raises the error of its first failing row.  A
     stacked pair or a per-row chart gives row k its own pair or chart.
+    U and its partials come from one chart call; one point is evaluated as
+    a stack of one, and every contraction is a product per point, so row k
+    of a stack equals the point x[k] alone bit for bit.
     """
     if pair.n != chart.n:
         raise ShapeError("state pair and chart dimensions differ")
     x = np.asarray(x, dtype=float)
+    if x.ndim == 1:  # one point, evaluated as a stack of one
+        grad = _stacked_gradient(pair, chart, x[None])
+        if grad.p[0] < P_GRAD:
+            raise NearZeroAmplitudeError(
+                f"p = {grad.p[0]:.3e} below {P_GRAD:.0e}; gradient formulas unusable here"
+            )
+        return grad.rows(0)
     try:
-        u = chart.evaluate(x)
-        amp = polar_amplitude(pair, u)
-        if x.ndim == 1:
-            if amp.p < P_GRAD:
-                raise NearZeroAmplitudeError(
-                    f"p = {amp.p:.3e} below {P_GRAD:.0e}; gradient formulas unusable here"
-                )
-            return _frame_gradient(pair, chart, x, u, amp)
-        rows = np.flatnonzero(amp.p >= P_GRAD)
-        usable = PolarAmplitude(*(field[rows] for field in astuple(amp)))
-        # d_phase, d_log_modulus, phase_grad_sq, ... of the rows above P_GRAD
-        kept = astuple(
-            _frame_gradient(pair.rows(rows), chart.rows(rows), x[rows], u[rows], usable)
-        )[3:]
+        return _stacked_gradient(pair, chart, x)
     except SunPhaseError:
         # a stack raises what the per-point loop raised: the first failing row's error
         for k in range(len(x) if x.ndim == 2 else 0):
@@ -180,22 +203,37 @@ def phase_gradient(pair: StatePair, chart: Chart, x) -> PhaseGradient:
                 continue
         raise
 
-    full = [np.full(shape, np.nan) for shape in (x.shape, x.shape, len(x), len(x), len(x))]
-    for a, b in zip(full, kept):  # rows below P_GRAD stay NaN
-        a[rows] = b
-    return PhaseGradient(chart.n, amp.p, amp.eta, *full)
+
+def _stacked_gradient(pair: StatePair, chart: Chart, x: np.ndarray) -> PhaseGradient:
+    """`phase_gradient` at a stack x (N, m), from one chart evaluation; rows
+    below P_GRAD get NaN gradients and no guard after the amplitude's."""
+    u, du = partials(chart, x)
+    amp = _polar(pair, u)
+    rows = np.flatnonzero(amp.p >= P_GRAD)
+    kept = _frame_gradient(
+        pair.rows(rows), chart.rows(rows), x[rows], u[rows], du[rows], amp.rows(rows)
+    )
+    gradients = {}
+    for name in _DIFFERENTIAL_FIELDS:  # rows below P_GRAD stay NaN
+        value = getattr(kept, name)
+        gradients[name] = np.full((len(x),) + value.shape[1:], np.nan)
+        gradients[name][rows] = value
+    return PhaseGradient(chart.n, amp.p, amp.eta, **gradients)
 
 
-def _frame_gradient(pair, chart, x, u, amp, du=None, frame=None) -> PhaseGradient:
-    """`phase_gradient` at points x where p >= P_GRAD, given U(x) and the
-    polar amplitude there, and the partials and frame at x when known."""
-    if du is None:
-        du = partials(chart, x)
+def _frame_gradient(pair, chart, x, u, du, amp, frame=None) -> PhaseGradient:
+    """`phase_gradient` at points x where p >= P_GRAD, given U(x), its
+    partials and the polar amplitude there, and the frame at x when known."""
     if frame is None:
         frame = left_invariant_frame(chart, x, du=du, u=u)
     metric = ck_metric(chart, x, frame=frame, du=du)
-    f_u = (pair.psi_f.conj()[..., None, :] @ u)[..., 0, :]
-    numerators = np.einsum("...j,...ajk,...k->...a", f_u, chart.algebra, pair.psi_i)
+    # <f|U g_a|i>: <f|U times the generators side by side, (n, m n), as one
+    # product per point, then each generator's row times |i>
+    n, m = chart.n, chart.dim_m
+    side_by_side = np.swapaxes(chart.algebra, -3, -2).reshape(chart.algebra.shape[:-3] + (n, m * n))
+    f_u = pair.psi_f.conj()[..., None, :] @ u
+    f_u_g = (f_u @ side_by_side).reshape(u.shape[:-2] + (m, n))
+    numerators = (f_u_g @ pair.psi_i[..., :, None])[..., 0]
     ratios = numerators / amp.value[..., None]
     d_complex = (np.swapaxes(frame.omega, -1, -2) @ ratios[..., :, None])[..., 0]
     return PhaseGradient.contract(
@@ -216,8 +254,8 @@ def phase_gradient_fd(pair: StatePair, chart: Chart, x, h: float = FD_STEP) -> P
         raise ShapeError("phase_gradient_fd takes one point")
     grad = phase_gradient(pair, chart, x)  # p, eta and every guard of the point
     steps = h * np.eye(chart.dim_m)
-    ap = polar_amplitude(pair, chart.evaluate(x + steps))
-    am = polar_amplitude(pair, chart.evaluate(x - steps))
+    ap = _polar(pair, chart.evaluate(x + steps))
+    am = _polar(pair, chart.evaluate(x - steps))
     if not (ap.phase_defined.all() and am.phase_defined.all()):
         raise NearZeroAmplitudeError("amplitude vanished inside the stencil")
     d_phase = (principal_angle(ap.eta - grad.eta) + principal_angle(grad.eta - am.eta)) / (2 * h)
@@ -294,7 +332,7 @@ def vortex_winding(
             raise DomainError("loop is not closed (first point != last point)")
 
     def eta_at(x):
-        amp = polar_amplitude(pair, chart.evaluate(x))
+        amp = _polar(pair, chart.evaluate(x))
         if np.min(amp.p) < P_GRAD:
             raise SingularLoopError(
                 f"loop passes within p = {np.min(amp.p):.3e} of an amplitude zero"

@@ -9,7 +9,12 @@ as a vielbein.
 Each function takes one point x (m,) or a stack of points (N, m); every
 guard is evaluated on each row, and a stack fails when any row fails.  A
 chart may carry a leading row axis, one chart per row of a stack (see
-`Chart.rows`).
+`Chart.rows`).  `partials(chart, x)` gives U and its exact partials
+from one chart call, `Chart.evaluate(x, with_partials=True)` (one
+eigendecomposition per factor on the exponential charts);
+`Chart.evaluate(x)` gives U alone.  The frame and metric
+contractions are matrix products batched over points only, so each row
+of a stack rounds as that point alone does.
 """
 from __future__ import annotations
 
@@ -24,6 +29,7 @@ from .algebra import (
     dagger,
     expm_generator,
     expm_partials,
+    generator_sum,
 )
 from .errors import (
     ChartDegenerateError,
@@ -45,8 +51,9 @@ class Chart:
     fixes the frame index.  `sample_box` is a conservative per-coordinate
     box inside the domain, used by sweep drivers; `contains` describes
     the true (possibly non-box) domain.  The functions take coordinates of
-    shape (..., dim_m); `partials_fn` gives the exact partials dU/dx_mu,
-    stacked with shape (..., dim_m, n, n).
+    shape (..., dim_m); `map_fn` gives U(x) and `map_partials_fn` gives U(x)
+    together with the exact partials dU/dx_mu, stacked with shape
+    (..., dim_m, n, n), from one shared evaluation.
 
     A per-row chart holds one chart for each row of a stack of N points:
     `algebra` has shape (N, dim_m, n, n), the functions take coordinates
@@ -60,7 +67,7 @@ class Chart:
     sample_box: np.ndarray
     map_fn: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     contains_fn: Callable[[np.ndarray], np.ndarray] = field(repr=False)
-    partials_fn: Callable[[np.ndarray], np.ndarray] = field(repr=False)
+    map_partials_fn: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] = field(repr=False)
     rows_fn: Callable[[object], "Chart"] | None = field(default=None, repr=False)
 
     def rows(self, index) -> "Chart":
@@ -76,8 +83,18 @@ class Chart:
         x = np.asarray(x, dtype=float)
         return x.ndim in (1, 2) and x.shape[-1] == self.dim_m and self.contains_fn(x)
 
-    def evaluate(self, x) -> np.ndarray:
-        """U(x); raises DomainError outside the chart domain."""
+    def evaluate(self, x, with_partials: bool = False):
+        """U(x); raises DomainError outside the chart domain.  With
+        `with_partials`, the pair (U, dU) of U and its exact partials
+        dU/dx_mu (..., dim_m, n, n), from one evaluation and one pass of the
+        guards."""
+        x = self._coordinates(x)
+        if not with_partials:
+            return self._checked(self.map_fn(x))
+        u, du = self.map_partials_fn(x)
+        return self._checked(u), du
+
+    def _coordinates(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if x.ndim not in (1, 2) or x.shape[-1] != self.dim_m:
             raise ShapeError(
@@ -87,7 +104,9 @@ class Chart:
             raise ShapeError(f"per-row chart of {len(self.algebra)} rows at points {x.shape}")
         if not self.contains_fn(x).all():
             raise DomainError(f"coordinates outside domain of chart '{self.label}'")
-        u = self.map_fn(x)
+        return x
+
+    def _checked(self, u: np.ndarray) -> np.ndarray:
         if np.abs(dagger(u) @ u - np.eye(self.n)).max(initial=0.0) >= ATOL_IDENTITY:
             raise InternalConsistencyError("chart produced a non-unitary matrix")
         if (np.abs(np.linalg.det(u) - 1.0) >= ATOL_IDENTITY).any():
@@ -125,10 +144,10 @@ def exp_chart(basis: GeneratorBasis) -> Chart:
     stacked = basis.matrices
 
     def _map(x: np.ndarray) -> np.ndarray:
-        return expm_generator(np.einsum("...a,aij->...ij", x, stacked))
+        return expm_generator(generator_sum(x, stacked))
 
-    def _partials(x: np.ndarray) -> np.ndarray:
-        return expm_partials(x, stacked)[1]
+    def _map_partials(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return expm_partials(x, stacked)
 
     def _contains(x: np.ndarray) -> np.ndarray:
         return np.linalg.norm(x, axis=-1) < radius
@@ -141,13 +160,7 @@ def exp_chart(basis: GeneratorBasis) -> Chart:
         sample_box=np.array([[-box_half, box_half]] * m),
         map_fn=_map,
         contains_fn=_contains,
-        partials_fn=_partials,
-    )
-
-
-def _unit_vector(theta, phi) -> np.ndarray:
-    return np.stack(
-        [np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)], axis=-1
+        map_partials_fn=_map_partials,
     )
 
 
@@ -164,27 +177,27 @@ def su2_polar_chart() -> Chart:
     eye = np.eye(2, dtype=complex)
     margin = CHART_MARGIN
 
-    def _map(x: np.ndarray) -> np.ndarray:
+    def _value(x: np.ndarray):
+        """U(x), with n.sigma and the sines and cosines the partials share."""
         chi, theta, phi = x.T
         chi = chi[..., None, None]  # scales each 2 x 2 matrix
-        return np.cos(chi) * eye + 1j * np.sin(chi) * np.einsum(
-            "...j,jab->...ab", _unit_vector(theta, phi), sigma
-        )
+        trig = np.cos(chi), np.sin(chi), np.cos(theta), np.sin(theta), np.cos(phi), np.sin(phi)
+        cos_chi, sin_chi, cos_t, sin_t, cos_p, sin_p = trig
+        nhat = np.stack([sin_t * cos_p, sin_t * sin_p, cos_t], axis=-1)
+        n_sigma = np.einsum("...j,jab->...ab", nhat, sigma)
+        return cos_chi * eye + 1j * sin_chi * n_sigma, n_sigma, trig
 
-    def _partials(x: np.ndarray) -> np.ndarray:
-        chi, theta, phi = x.T
-        chi = chi[..., None, None]
-        nhat = _unit_vector(theta, phi)
-        dn_dtheta = np.stack(
-            [np.cos(theta) * np.cos(phi), np.cos(theta) * np.sin(phi), -np.sin(theta)], axis=-1
-        )
-        dn_dphi = np.stack(
-            [-np.sin(theta) * np.sin(phi), np.sin(theta) * np.cos(phi), 0.0 * phi], axis=-1
-        )
-        d_chi = -np.sin(chi) * eye + 1j * np.cos(chi) * np.einsum("...j,jab->...ab", nhat, sigma)
-        d_theta = 1j * np.sin(chi) * np.einsum("...j,jab->...ab", dn_dtheta, sigma)
-        d_phi = 1j * np.sin(chi) * np.einsum("...j,jab->...ab", dn_dphi, sigma)
-        return np.stack([d_chi, d_theta, d_phi], axis=-3)
+    def _map(x: np.ndarray) -> np.ndarray:
+        return _value(x)[0]
+
+    def _map_partials(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        u, n_sigma, (cos_chi, sin_chi, cos_t, sin_t, cos_p, sin_p) = _value(x)
+        dn_dtheta = np.stack([cos_t * cos_p, cos_t * sin_p, -sin_t], axis=-1)
+        dn_dphi = np.stack([-sin_t * sin_p, sin_t * cos_p, np.zeros_like(sin_p)], axis=-1)
+        d_chi = -sin_chi * eye + 1j * cos_chi * n_sigma
+        d_theta = 1j * sin_chi * np.einsum("...j,jab->...ab", dn_dtheta, sigma)
+        d_phi = 1j * sin_chi * np.einsum("...j,jab->...ab", dn_dphi, sigma)
+        return u, np.stack([d_chi, d_theta, d_phi], axis=-3)
 
     def _contains(x: np.ndarray) -> np.ndarray:
         chi, theta = x[..., 0], x[..., 1]
@@ -202,7 +215,7 @@ def su2_polar_chart() -> Chart:
         ),
         map_fn=_map,
         contains_fn=_contains,
-        partials_fn=_partials,
+        map_partials_fn=_map_partials,
     )
 
 
@@ -217,7 +230,13 @@ def left_translate(chart: Chart, v: np.ndarray) -> Chart:
     if abs(np.linalg.det(v) - 1.0) >= ATOL_IDENTITY:
         raise DomainError("left-translation element has det != 1")
 
-    old_map, old_partials = chart.map_fn, chart.partials_fn
+    old_map, old_map_partials = chart.map_fn, chart.map_partials_fn
+
+    def _map_partials(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        u, du = old_map_partials(x)
+        both = v @ np.concatenate([u[..., None, :, :], du], axis=-3)  # one product
+        return both[..., 0, :, :], both[..., 1:, :, :]
+
     return Chart(
         label=chart.label + "+left",
         n=chart.n,
@@ -226,28 +245,29 @@ def left_translate(chart: Chart, v: np.ndarray) -> Chart:
         sample_box=chart.sample_box,
         map_fn=lambda x: v @ old_map(x),
         contains_fn=chart.contains_fn,
-        partials_fn=lambda x: np.einsum("ij,...mjk->...mik", v, old_partials(x)),
+        map_partials_fn=_map_partials,
     )
 
 
-def partials(chart: Chart, x, backend: str = "analytic") -> np.ndarray:
-    """Partial derivatives dU/dx_mu, stacked with shape (..., dim_m, n, n).
+def partials(chart: Chart, x, backend: str = "analytic") -> tuple[np.ndarray, np.ndarray]:
+    """The pair (U, dU) of U(x) and its partial derivatives dU/dx_mu,
+    stacked with shape (..., dim_m, n, n).
 
-    backend "analytic" uses the chart's exact partials; "fd" takes
-    central differences of `Chart.evaluate` with step `FD_STEP`, as an
-    independent cross-check.
+    backend "analytic" uses the chart's exact partials, evaluated with U in
+    one chart call; "fd" takes central differences of `Chart.evaluate` with
+    step `FD_STEP`, as an independent cross-check.
     """
     x = np.asarray(x, dtype=float)
     if backend == "analytic":
-        if not np.asarray(chart.contains(x)).all():
-            raise DomainError(f"coordinates outside domain of chart '{chart.label}'")
-        return chart.partials_fn(x)
+        return chart.evaluate(x, with_partials=True)
     if backend != "fd":
         raise ValueError(f"unknown backend '{backend}'")
     steps = FD_STEP * np.eye(chart.dim_m)
     plus, minus = ((x[..., None, :] + h).reshape(-1, chart.dim_m) for h in (steps, -steps))
-    du = (chart.evaluate(plus) - chart.evaluate(minus)) / (2 * FD_STEP)
-    return du.reshape(x.shape[:-1] + (chart.dim_m, chart.n, chart.n))
+    # the stencil of row k takes the chart of row k
+    stencil = chart.rows(np.repeat(np.arange(len(x)), chart.dim_m)) if x.ndim == 2 else chart
+    du = (stencil.evaluate(plus) - stencil.evaluate(minus)) / (2 * FD_STEP)
+    return chart.evaluate(x), du.reshape(x.shape[:-1] + (chart.dim_m, chart.n, chart.n))
 
 
 def left_invariant_frame(
@@ -262,21 +282,29 @@ def left_invariant_frame(
     ChartDegenerateError.
     """
     x = np.asarray(x, dtype=float)
+    if du is None:
+        u, du = partials(chart, x)
     if u is None:
         u = chart.evaluate(x)
-    if du is None:
-        du = partials(chart, x)
-    pulled = np.einsum("...ij,...mjk->...mik", dagger(u), du)  # U^dag dU per coordinate
+    n, m = chart.n, chart.dim_m
+    lead = du.shape[:-3]
+    # U^dag dU as one (n, n) @ (n, m n) product per point: pulled[..., i, mu, k]
+    pulled = dagger(u) @ np.swapaxes(du, -3, -2).reshape(lead + (n, m * n))
+    pulled = pulled.reshape(lead + (n, m, n))
+    per_coord = np.swapaxes(pulled, -3, -2)  # U^dag dU_mu, (..., m, n, n)
 
-    anti_herm = np.abs(pulled + dagger(pulled)).max(initial=0.0)
-    traces = np.abs(np.trace(pulled, axis1=-2, axis2=-1)).max(initial=0.0)
+    anti_herm = np.abs(per_coord + dagger(per_coord)).max(initial=0.0)
+    traces = np.abs(np.trace(per_coord, axis1=-2, axis2=-1)).max(initial=0.0)
     if anti_herm >= ATOL_FRAME or traces >= ATOL_FRAME:
         raise InternalConsistencyError(
             f"U^dag dU not in the algebra (anti-Hermitian residue {anti_herm:.2e}, "
             f"trace residue {traces:.2e})"
         )
 
-    omega_c = np.einsum("...aij,...mji->...am", chart.algebra, pulled) / 2j
+    # Tr(g_a P_mu) = sum_ik conj(g_a[i, k]) P_mu[i, k] for Hermitian g_a: the
+    # conjugated (m, n^2) generator matrix times the entries of P_mu in row order
+    gens = generator_matrix(chart.algebra)
+    omega_c = gens.conj() @ np.swapaxes(pulled, -1, -2).reshape(lead + (n * n, m)) / 2j
     imag_residue = np.abs(omega_c.imag).max(initial=0.0)
     if imag_residue >= ATOL_FRAME:
         raise InternalConsistencyError(
@@ -284,14 +312,15 @@ def left_invariant_frame(
         )
     omega = omega_c.real
 
-    rebuilt = 1j * np.einsum("...am,...aij->...mij", omega, chart.algebra)
-    if np.abs(pulled - rebuilt).max(initial=0.0) >= ATOL_FRAME:
+    # i omega^a g_a per coordinate, from one real product with the generator matrix
+    rebuilt = 1j * (np.swapaxes(omega, -1, -2) @ gens.view(float)).view(complex)
+    if np.abs(per_coord - rebuilt.reshape(lead + (m, n, n))).max(initial=0.0) >= ATOL_FRAME:
         raise InternalConsistencyError("frame does not reconstruct U^dag dU")
 
     if np.abs(np.linalg.det(omega)).min(initial=np.inf) < 1e-10:
         raise ChartDegenerateError(f"frame singular at x = {x}")
     dual = np.linalg.inv(omega)
-    if np.abs(omega @ dual - np.eye(chart.dim_m)).max(initial=0.0) >= ATOL_FRAME:
+    if np.abs(omega @ dual - np.eye(m)).max(initial=0.0) >= ATOL_FRAME:
         raise InternalConsistencyError("frame inversion failed")
     return FrameAtPoint(x=x, omega=omega, dual=dual)
 
@@ -310,18 +339,31 @@ def ck_metric(
     definite.
     """
     x = np.asarray(x, dtype=float)
+    u = None
     if du is None:
-        du = partials(chart, x)
+        u, du = partials(chart, x)
     if frame is None:
-        frame = left_invariant_frame(chart, x, du=du)
+        frame = left_invariant_frame(chart, x, du=du, u=u)
 
     g = np.swapaxes(frame.omega, -1, -2) @ frame.omega
-    g_trace = 0.5 * np.einsum("...mij,...kij->...mk", du, du.conj()).real
+    g_trace = 0.5 * real_gram(du.reshape(du.shape[:-2] + (chart.n**2,)))
     if np.abs(g - g_trace).max(initial=0.0) >= ATOL_FRAME:
         raise InternalConsistencyError(
             "vielbein metric disagrees with the trace form"
         )
     return MetricAtPoint(g=g, g_inv=inverse_metric(g, "x", x))
+
+
+def generator_matrix(algebra: np.ndarray) -> np.ndarray:
+    """Generators (..., m, n, n) as the rows of an (..., m, n^2) matrix."""
+    return np.ascontiguousarray(algebra).reshape(algebra.shape[:-2] + (algebra.shape[-1] ** 2,))
+
+
+def real_gram(a: np.ndarray) -> np.ndarray:
+    """Re(a a^dag) of complex matrices a (..., r, c), as one real (r, 2c)
+    product with its transpose per matrix."""
+    f = np.ascontiguousarray(a).view(float)
+    return f @ np.swapaxes(f, -1, -2)
 
 
 def inverse_metric(g: np.ndarray, name: str, at: np.ndarray) -> np.ndarray:

@@ -30,7 +30,7 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-from dataclasses import astuple, dataclass, field
+from dataclasses import dataclass, field
 from itertools import chain
 
 import numpy as np
@@ -433,7 +433,7 @@ def run_ray_sweep(config: SweepConfig, bridge_points: int, out_path: str | None 
             attempts += count
             point, _ = kept_section(draw(count, y_half), P_SKIP)
             result = _bridge_residuals(pair, frame, point)
-            rounds.append(np.column_stack(astuple(result)))
+            rounds.append(np.column_stack(list(vars(result).values())))  # fields, uncopied
             done += len(point.y)
         report["bridge_points_evaluated"] = done
         if done == 0:

@@ -11,7 +11,10 @@ exact factorization of group amplitudes through it, and the identities
 relating the group metric to the ray-space metric are evaluated on that
 chart, at one point y or at a stack of points (N, 2(n-1)).  A stack of
 reference states (N, n) gives per-row frames and a per-row full chart,
-whose row k is adapted to psi_i[k].
+whose row k is adapted to psi_i[k].  The section takes U and its partials
+at the slice from one chart call, whose product rule leaves out the
+isotropy and U(1) factors there (both exactly 1), and forms its Gram
+matrices and overlaps as products per point.
 """
 from __future__ import annotations
 
@@ -26,9 +29,18 @@ from .algebra import (
     dagger,
     expm_generator,
     expm_partials,
+    generator_sum,
 )
-from .amplitude import RelationResiduals, _frame_gradient, polar_amplitude
-from .charts import Chart, ck_metric, cometric, inverse_metric, left_invariant_frame, partials
+from .amplitude import RelationResiduals, _frame_gradient, _polar
+from .charts import (
+    Chart,
+    ck_metric,
+    cometric,
+    inverse_metric,
+    left_invariant_frame,
+    partials,
+    real_gram,
+)
 from .errors import (
     DomainError,
     InternalConsistencyError,
@@ -188,7 +200,7 @@ def _slice(frame: CartanFrame, y: np.ndarray) -> np.ndarray:
 def coset_element(frame: CartanFrame, y) -> np.ndarray:
     """Coset representative K(y) = exp(i y^A g_A) sweeping the section."""
     y = _coset_coordinates(frame, y)
-    return expm_generator(np.einsum("...a,aij->...ij", y, frame.coset))
+    return expm_generator(generator_sum(y, frame.coset))
 
 
 @dataclass(frozen=True)
@@ -233,7 +245,8 @@ class SectionPoint:
 def section(frame: CartanFrame, y) -> SectionPoint:
     """Section state psi(y) = U(y, 0, 0) psi_i with its ray-space geometry.
 
-    U, its exact partials and frame come from `full_cartan_chart(frame)`.
+    U, its exact partials (one chart call) and frame come from
+    `full_cartan_chart(frame)`.
     The two Fubini-Study constructions are cross-checked to 1e-6 and the
     Berry connection verified real to 1e-9; a stack raises the error of
     its first failing row.
@@ -243,13 +256,12 @@ def section(frame: CartanFrame, y) -> SectionPoint:
     x = _slice(frame, y)
     m = frame.dim_coset
     try:
-        kmat = chart.evaluate(x)
-        du = partials(chart, x)
+        kmat, du = partials(chart, x)
         chart_frame = left_invariant_frame(chart, x, du=du, u=kmat)
         psi = kmat @ frame.psi_i
         dpsi = du[..., :m, :, :] @ frame.psi_i
 
-        overlaps = np.einsum("...i,...mi->...m", psi.conj(), dpsi)
+        overlaps = (dpsi @ psi.conj()[..., :, None])[..., 0]  # <psi|d psi>
         # exactly imaginary; with exact partials the real part is rounding
         # only, far below the guard
         if np.abs(overlaps.real).max(initial=0.0) >= 1e-9:
@@ -258,7 +270,7 @@ def section(frame: CartanFrame, y) -> SectionPoint:
 
         tau = chart_frame.omega[..., :m, :m]
         fs_metric = np.swapaxes(tau, -1, -2) @ tau
-        grams = np.einsum("...mi,...ki->...mk", dpsi.conj(), dpsi).real
+        grams = real_gram(dpsi)  # Re<d psi|d psi>
         fs_metric_state = grams - berry[..., :, None] * berry[..., None, :]
         if np.abs(fs_metric - fs_metric_state).max(initial=0.0) >= ATOL_FD_MATCH:
             raise InternalConsistencyError(
@@ -312,8 +324,10 @@ def full_cartan_chart(frame: CartanFrame) -> Chart:
     Coordinates (y, xi_s, xi0) map to K(y) H_s(xi_s) exp(i lambda0 xi0);
     the attached generator stack follows the same order, so frame index
     dim-1 is the U(1) direction.  Exact partials: the product rule over
-    the three factors, each differentiated by `algebra.expm_partials`.
-    A factor with all-zero coordinates is exactly 1 in every row of a stack.
+    the three factors, each differentiated by `algebra.expm_partials`,
+    whose U is the map's bit for bit.  A factor with all-zero coordinates
+    is exactly 1 in every row of a stack, and is then left out of the
+    products.
     Per-row frames give a per-row chart (see `Chart.rows`); the sample box
     and the domain depend only on n.
     """
@@ -325,25 +339,32 @@ def full_cartan_chart(frame: CartanFrame) -> Chart:
 
     def _map(x: np.ndarray) -> np.ndarray:
         y, xs, x0 = x[..., :m_coset], x[..., m_coset:m_coset + m_iso], x[..., -1:]
-        u = expm_generator(np.einsum("...a,...aij->...ij", y, coset_g))
+        u = expm_generator(generator_sum(y, coset_g))
         if m_iso and xs.any():
-            s = expm_generator(np.einsum("...a,...aij->...ij", xs, iso_g))
+            s = expm_generator(generator_sum(xs, iso_g))
             u = _nonzero_rows(xs, u @ s, u)
         if x0.any():
             u = _nonzero_rows(x0, u @ expm_generator(lam0, x0[..., 0]), u)
         return u
 
-    def _partials(x: np.ndarray) -> np.ndarray:
+    def _map_partials(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # U = K S E and dU by the product rule; S and E are left out where
+        # they are exactly 1 in every row, as on the section slice
         y, xs, x0 = x[..., :m_coset], x[..., m_coset:m_coset + m_iso], x[..., -1:]
-        k, dk = expm_partials(y, coset_g)
-        s, ds = eye, 1j * iso_g
+        k, du_y = expm_partials(y, coset_g)
+        u, ds = k, 1j * iso_g
         if m_iso and xs.any():
             s_x, ds_x = expm_partials(xs, iso_g)
-            s, ds = _nonzero_rows(xs, s_x, s), _nonzero_rows(xs[..., None, :], ds_x, ds)
-        e = _nonzero_rows(x0, expm_generator(lam0, x0[..., 0]), eye) if x0.any() else eye
-        d0 = k @ s @ (1j * lam0) @ e
-        k, s, e = (a[..., None, :, :] for a in (k, s, e))  # broadcast over coordinates
-        return np.concatenate([dk @ s @ e, k @ ds @ e, d0[..., None, :, :]], axis=-3)
+            u = _nonzero_rows(xs, k @ s_x, k)
+            du_y = du_y @ _nonzero_rows(xs, s_x, eye)[..., None, :, :]
+            ds = _nonzero_rows(xs[..., None, :], ds_x, ds)
+        du_s, du_0 = k[..., None, :, :] @ ds, u @ (1j * lam0)
+        if x0.any():
+            e_x = expm_generator(lam0, x0[..., 0])
+            e = _nonzero_rows(x0, e_x, eye)
+            u = _nonzero_rows(x0, u @ e_x, u)
+            du_y, du_s, du_0 = du_y @ e[..., None, :, :], du_s @ e[..., None, :, :], du_0 @ e
+        return u, np.concatenate([du_y, du_s, du_0[..., None, :, :]], axis=-3)
 
     def _contains(x: np.ndarray) -> np.ndarray:
         y, xs, x0 = x[..., :m_coset], x[..., m_coset:m_coset + m_iso], x[..., -1]
@@ -369,7 +390,7 @@ def full_cartan_chart(frame: CartanFrame) -> Chart:
         sample_box=box,
         map_fn=_map,
         contains_fn=_contains,
-        partials_fn=_partials,
+        map_partials_fn=_map_partials,
         rows_fn=None if frame.psi_i.ndim == 1 else _rows,
     )
 
@@ -494,7 +515,7 @@ def _bridge_residuals(pair: StatePair, frame: CartanFrame, point: SectionPoint) 
     x, u = point.frame.x, point.kmat
     try:
         group = _frame_gradient(
-            pair, full_cartan_chart(frame), x, u, polar_amplitude(pair, u), point.du, point.frame
+            pair, full_cartan_chart(frame), x, u, point.du, _polar(pair, u), point.frame
         )
     except SunPhaseError:
         for k in range(len(x) if x.ndim == 2 else 0):

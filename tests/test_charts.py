@@ -5,6 +5,7 @@ from sun_phase.algebra import (
     StatePair,
     build_gellmann_basis,
     dagger,
+    expm_generator,
     expm_partials,
     haar_state,
     random_hermitian,
@@ -62,7 +63,7 @@ class TestExpChart:
     def test_partials_at_origin_are_generators(self):
         basis = build_gellmann_basis(3)
         chart = exp_chart(basis)
-        du = partials(chart, np.zeros(8))
+        du = partials(chart, np.zeros(8))[1]
         for a in range(8):
             np.testing.assert_allclose(du[a], 1j * basis[a], atol=1e-8)
 
@@ -71,8 +72,8 @@ class TestExpChart:
         chart = exp_chart(build_gellmann_basis(n))
         rng = np.random.default_rng(50 + n)
         for x in sample_in_box(chart, rng, 10):
-            exact = partials(chart, x, backend="analytic")
-            approx = partials(chart, x, backend="fd")
+            exact = partials(chart, x, backend="analytic")[1]
+            approx = partials(chart, x, backend="fd")[1]
             assert np.max(np.abs(exact - approx)) < ATOL_FD_MATCH
 
 
@@ -104,15 +105,15 @@ class TestSu2PolarChart:
     def test_chi_partial_at_quarter_turn(self):
         # d_chi U = -sin(chi) 1 + i cos(chi) sigma_x at theta=pi/2, phi=0
         chart = su2_polar_chart()
-        du = partials(chart, np.array([np.pi / 2, np.pi / 2, 0.0]))
+        du = partials(chart, np.array([np.pi / 2, np.pi / 2, 0.0]))[1]
         np.testing.assert_allclose(du[0], -np.eye(2), atol=1e-14)
 
     def test_analytic_vs_central_difference(self):
         chart = su2_polar_chart()
         rng = np.random.default_rng(8)
         for x in sample_in_box(chart, rng, 25):
-            exact = partials(chart, x, backend="analytic")
-            approx = partials(chart, x, backend="fd")
+            exact = partials(chart, x, backend="analytic")[1]
+            approx = partials(chart, x, backend="fd")[1]
             assert np.max(np.abs(exact - approx)) < 1e-6
 
     def test_metric_closed_form(self):
@@ -152,7 +153,7 @@ class TestFrames:
         rng = np.random.default_rng(29)
         for x in sample_in_box(chart, rng, 10):
             u = chart.evaluate(x)
-            du = partials(chart, x)
+            du = partials(chart, x)[1]
             frame = left_invariant_frame(chart, x, du=du)
             rebuilt = 1j * np.einsum("am,aij->mij", frame.omega, chart.algebra)
             pulled = np.einsum("ij,mjk->mik", dagger(u), du)
@@ -174,7 +175,7 @@ class TestMetric:
         chart = make_chart()
         rng = np.random.default_rng(99)
         for x in sample_in_box(chart, rng, 100):
-            du = partials(chart, x)
+            du = partials(chart, x)[1]
             frame = left_invariant_frame(chart, x, du=du)
             g_vielbein = frame.omega.T @ frame.omega
             g_trace = 0.5 * np.einsum("mij,kij->mk", du, du.conj()).real
@@ -226,7 +227,7 @@ class TestEmptyStacks:
         n, m = chart.n, chart.dim_m
         x = np.empty((0, m))
         u = chart.evaluate(x)
-        du = partials(chart, x)
+        du = partials(chart, x)[1]
         frame = left_invariant_frame(chart, x, du=du, u=u)
         metric = ck_metric(chart, x, frame=frame, du=du)
         assert u.shape == (0, n, n) and du.shape == (0, m, n, n)
@@ -243,3 +244,90 @@ class TestEmptyStacks:
         gens = build_gellmann_basis(3).matrices
         u, du = expm_partials(np.empty((0, len(gens))), gens)
         assert u.shape == (0, 3, 3) and du.shape == (0, len(gens), 3, 3)
+
+
+def chart_of_kind(kind, n, rng, rows):
+    """A chart of each kind; "cartan-rows" holds one frame per row."""
+    basis = build_gellmann_basis(n)
+    if kind == "su2-polar":
+        return su2_polar_chart()
+    if kind == "left":
+        return left_translate(exp_chart(basis), expm_generator(random_hermitian(n, rng, True)))
+    if kind == "cartan":
+        return full_cartan_chart(build_cartan_frame(haar_state(n, rng), basis))
+    if kind == "cartan-rows":
+        states = np.array([haar_state(n, rng) for _ in range(rows)])
+        return full_cartan_chart(build_cartan_frame(states, basis))
+    return exp_chart(basis)
+
+
+CHART_KINDS = [("su2-polar", 2)] + [
+    (kind, n) for kind in ("exp", "left", "cartan", "cartan-rows") for n in (2, 3, 5)
+]
+
+
+class TestOneChartCall:
+    """`Chart.evaluate(x, with_partials=True)` is the one chart call for U
+    and its partials: its U is `Chart.evaluate`'s bit for bit."""
+
+    @pytest.mark.parametrize("kind,n", CHART_KINDS)
+    def test_value_matches_evaluate(self, kind, n):
+        rng = np.random.default_rng(31 * n + len(kind))
+        rows = 6
+        chart = chart_of_kind(kind, n, rng, rows)
+        lo, hi = chart.sample_box.T
+        x = rng.uniform(lo, hi, (rows, chart.dim_m))
+        if kind.startswith("cartan"):
+            m_coset = 2 * (n - 1)
+            x[0, m_coset:] = 0.0  # the section slice
+            x[1, -1] = 0.0  # no U(1) factor
+            x[2, m_coset:-1] = 0.0  # no isotropy factor
+        stacks = [x]
+        if kind.startswith("cartan"):  # a stack on the slice only: S = E = 1 throughout
+            stacks.append(np.where(np.arange(chart.dim_m) < 2 * (n - 1), x, 0.0))
+        for xs in stacks:
+            u, du = chart.evaluate(xs, with_partials=True)
+            np.testing.assert_array_equal(u, chart.evaluate(xs))
+            np.testing.assert_array_equal(du, partials(chart, xs)[1])
+            assert np.max(np.abs(du - partials(chart, xs, backend="fd")[1])) < ATOL_FD_MATCH
+            for k in range(rows):
+                one = chart.rows(k)
+                u_k, du_k = one.evaluate(xs[k], with_partials=True)
+                np.testing.assert_array_equal(u_k, one.evaluate(xs[k]))
+                assert u_k.shape == (n, n) and du_k.shape == (chart.dim_m, n, n)
+
+    def test_partials_gives_the_value(self):
+        chart = exp_chart(build_gellmann_basis(3))
+        x = sample_in_box(chart, np.random.default_rng(2), 3)
+        for backend in ("analytic", "fd"):
+            u, du = partials(chart, x, backend=backend)
+            np.testing.assert_array_equal(u, chart.evaluate(x))
+            assert du.shape == (3, chart.dim_m, 3, 3)
+
+    def test_guards_of_evaluate(self):
+        import dataclasses
+
+        from sun_phase.errors import InternalConsistencyError
+
+        chart = exp_chart(build_gellmann_basis(2))
+        with pytest.raises(ShapeError):
+            chart.evaluate(np.zeros(4), with_partials=True)
+        with pytest.raises(DomainError):
+            chart.evaluate(np.array([np.pi, 0.0, 0.0]), with_partials=True)
+        rows = full_cartan_chart(
+            build_cartan_frame(np.eye(2, dtype=complex), build_gellmann_basis(2))
+        )
+        with pytest.raises(ShapeError):
+            rows.evaluate(np.zeros((3, 3)), with_partials=True)
+
+        def scaled(factor):
+            def map_partials_fn(x):
+                u, du = chart.map_partials_fn(x)
+                return factor * u, du
+
+            return dataclasses.replace(chart, map_partials_fn=map_partials_fn)
+
+        with pytest.raises(InternalConsistencyError, match="non-unitary"):
+            scaled(2.0).evaluate(np.zeros(3), with_partials=True)
+        with pytest.raises(InternalConsistencyError, match="det != 1"):
+            scaled(1j).evaluate(np.zeros(3), with_partials=True)

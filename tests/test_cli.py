@@ -460,15 +460,16 @@ class TestEvaluatedOnce:
 
     @staticmethod
     def count_rows(monkeypatch):
-        """Wrap `Chart.evaluate`; returns the list of row counts, one per call."""
+        """Wrap `Chart.evaluate`, the one chart call for U alone and for U with
+        its partials; returns the list of row counts, one per call."""
         from sun_phase.charts import Chart
 
         original = Chart.evaluate
         rows = []
 
-        def counted(self, x):
+        def counted(self, x, *args, **kwargs):
             rows.append(len(np.atleast_2d(x)))
-            return original(self, x)
+            return original(self, x, *args, **kwargs)
 
         monkeypatch.setattr(Chart, "evaluate", counted)
         return rows
@@ -545,6 +546,28 @@ class TestEvaluatedOnce:
         )
         assert code == EXIT_PASS
         assert len(eighs) <= 16
+
+    @pytest.mark.parametrize(
+        "argv,count",
+        [
+            # one block of 200 points, one exponential factor
+            (["verify-group", "--n", "3"], 1),
+            # one block on the per-row chart: the coset, isotropy and U(1) factors
+            (["verify-group", "--n", "3", "--chart", "cartan"], 3),
+            # the section block (its slice has the coset factor only), the
+            # factorization's two maps (3 + 1) and one bridge round
+            (["verify-ray", "--n", "4"], 6),
+        ],
+    )
+    def test_one_eigendecomposition_per_factor_and_block(
+        self, tmp_path, monkeypatch, argv, count
+    ):
+        # U and its partials come from one chart call, so the value and the
+        # Daleckii-Krein partials share each factor's eigendecomposition
+        eighs = self.count_calls(monkeypatch, np.linalg, "eigh")
+        code, _ = run_to_file(tmp_path, "r.json", argv)
+        assert code == EXIT_PASS
+        assert len(eighs) == count
 
     def test_verify_ray_bridge_reuses_the_section_frame(self, tmp_path, monkeypatch):
         # one frame for the section block and one for the bridge round: the
@@ -718,7 +741,14 @@ class TestLibraryErrors:
 
         def broken_exp_chart(basis):
             chart = exp_chart(basis)
-            return dataclasses.replace(chart, map_fn=lambda x: 2.0 * chart.map_fn(x))
+
+            def doubled(x):  # U and its partials from the one chart call
+                u, du = chart.map_partials_fn(x)
+                return 2.0 * u, 2.0 * du
+
+            return dataclasses.replace(
+                chart, map_fn=lambda x: 2.0 * chart.map_fn(x), map_partials_fn=doubled
+            )
 
         monkeypatch.setattr(cli, "exp_chart", broken_exp_chart)
         code, out = run_to_file(
