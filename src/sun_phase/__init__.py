@@ -41,6 +41,7 @@ from .charts import (
     MetricAtPoint,
     ck_metric,
     exp_chart,
+    fd_partials,
     left_invariant_frame,
     left_translate,
     partials,
@@ -100,6 +101,7 @@ __all__ = [
     "MetricAtPoint",
     "ck_metric",
     "exp_chart",
+    "fd_partials",
     "left_invariant_frame",
     "left_translate",
     "partials",

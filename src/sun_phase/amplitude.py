@@ -241,25 +241,26 @@ def _frame_gradient(pair, chart, x, u, du, amp, frame=None) -> PhaseGradient:
     )
 
 
-def phase_gradient_fd(pair: StatePair, chart: Chart, x, h: float = FD_STEP) -> PhaseGradient:
-    """Gradient of phase and log-modulus by central differences.
+def phase_gradient_fd(pair: StatePair, chart: Chart, x) -> PhaseGradient:
+    """Gradient of phase and log-modulus by central differences of step FD_STEP.
 
     Phase increments are compared modulo 2 pi, choosing the
     representative within pi of zero, which is unambiguous at distance
-    >> h from amplitude zeros (enforced through the p threshold).
+    >> FD_STEP from amplitude zeros (enforced through the p threshold).
     Independent of the frame route; used to cross-check it, at one point.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         raise ShapeError("phase_gradient_fd takes one point")
     grad = phase_gradient(pair, chart, x)  # p, eta and every guard of the point
-    steps = h * np.eye(chart.dim_m)
+    steps = FD_STEP * np.eye(chart.dim_m)
     ap = _polar(pair, chart.evaluate(x + steps))
     am = _polar(pair, chart.evaluate(x - steps))
     if not (ap.phase_defined.all() and am.phase_defined.all()):
         raise NearZeroAmplitudeError("amplitude vanished inside the stencil")
-    d_phase = (principal_angle(ap.eta - grad.eta) + principal_angle(grad.eta - am.eta)) / (2 * h)
-    d_log = (np.log(np.sqrt(ap.p)) - np.log(np.sqrt(am.p))) / (2 * h)
+    span = 2 * FD_STEP
+    d_phase = (principal_angle(ap.eta - grad.eta) + principal_angle(grad.eta - am.eta)) / span
+    d_log = (np.log(np.sqrt(ap.p)) - np.log(np.sqrt(am.p))) / span
     g_inv = ck_metric(chart, x).g_inv
     return PhaseGradient.contract(chart.n, grad.p, grad.eta, d_phase, d_log, g_inv)
 
@@ -272,22 +273,16 @@ class RelationResiduals(NamedTuple):
     cross: float
 
 
-def group_relation_residuals(
-    pair: StatePair, chart: Chart, x, backend: str = "frame"
-) -> RelationResiduals:
+def group_relation_residuals(pair: StatePair, chart: Chart, x) -> RelationResiduals:
     """Residuals of the phase/modulus identities at one chart point.
 
     Returns (| |grad eta|^2 - 1/p - (1 - 2/n) |,
              | |grad log sqrt p|^2 - 1/p + 1 |,
              | grad p . grad eta |).
-    backend "frame" uses the exact frame formula, "fd" the
-    central-difference route.
+    From the exact frame formula; `phase_gradient_fd(...).residuals()` is the
+    central-difference cross-check.
     """
-    if backend == "frame":
-        return phase_gradient(pair, chart, x).residuals()
-    if backend == "fd":
-        return phase_gradient_fd(pair, chart, x).residuals()
-    raise ValueError(f"unknown backend '{backend}'")
+    return phase_gradient(pair, chart, x).residuals()
 
 
 def reconstruct_modulus(pair: StatePair, chart: Chart, x) -> float:

@@ -12,9 +12,10 @@ chart may carry a leading row axis, one chart per row of a stack (see
 `Chart.rows`).  `partials(chart, x)` gives U and its exact partials
 from one chart call, `Chart.evaluate(x, with_partials=True)` (one
 eigendecomposition per factor on the exponential charts);
-`Chart.evaluate(x)` gives U alone.  The frame and metric
-contractions are matrix products batched over points only, so each row
-of a stack rounds as that point alone does.
+`Chart.evaluate(x)` gives U alone; `fd_partials(chart, x)` gives the pair
+by central differences, as an independent cross-check.  The frame and
+metric contractions are matrix products batched over points only, so
+each row of a stack rounds as that point alone does.
 """
 from __future__ import annotations
 
@@ -249,19 +250,16 @@ def left_translate(chart: Chart, v: np.ndarray) -> Chart:
     )
 
 
-def partials(chart: Chart, x, backend: str = "analytic") -> tuple[np.ndarray, np.ndarray]:
-    """The pair (U, dU) of U(x) and its partial derivatives dU/dx_mu,
-    stacked with shape (..., dim_m, n, n).
+def partials(chart: Chart, x) -> tuple[np.ndarray, np.ndarray]:
+    """The pair (U, dU) of U(x) and its exact partial derivatives dU/dx_mu,
+    stacked with shape (..., dim_m, n, n), from one chart call."""
+    return chart.evaluate(x, with_partials=True)
 
-    backend "analytic" uses the chart's exact partials, evaluated with U in
-    one chart call; "fd" takes central differences of `Chart.evaluate` with
-    step `FD_STEP`, as an independent cross-check.
-    """
+
+def fd_partials(chart: Chart, x) -> tuple[np.ndarray, np.ndarray]:
+    """`partials` by central differences of `Chart.evaluate` with step
+    `FD_STEP`: the independent cross-check of the exact partials."""
     x = np.asarray(x, dtype=float)
-    if backend == "analytic":
-        return chart.evaluate(x, with_partials=True)
-    if backend != "fd":
-        raise ValueError(f"unknown backend '{backend}'")
     steps = FD_STEP * np.eye(chart.dim_m)
     plus, minus = ((x[..., None, :] + h).reshape(-1, chart.dim_m) for h in (steps, -steps))
     # the stencil of row k takes the chart of row k

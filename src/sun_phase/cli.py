@@ -9,10 +9,10 @@ Every command evaluates stacks of points: the sweeps draw every point
 in the order of the per-point draws, then evaluate blocks of
 `Chart.block_rows()` points.  `verify-group --chart cartan` over random
 pairs evaluates a block on a per-row chart, each row adapted to its own
-psi_i.  `verify-ray` works on the full Cartan chart, whose slice
-(y, 0, 0) is the section; it draws bridge candidates in rounds of at
-most the points still missing, and the bridge's group side reuses the
-section's partials and frame.  `su2-demo` evaluates its grid in such
+psi_i.  `verify-ray` evaluates each block of section points, the slice
+(y, 0, 0) of the full Cartan chart, once, and every ray and bridge check
+reads that section point; it draws bridge candidates in rounds of at
+most the points still missing.  `su2-demo` evaluates its grid in such
 blocks and `vortex` its loop.  The low-amplitude skip reads p from the
 block's phase gradient or section states, and `vortex` takes its
 largest phase step from the phases the winding number was summed from.
@@ -22,8 +22,9 @@ Exit codes: 0 all checks pass, 1 check failure or a library error (a guard
 such as unitarity failing at a kept point: one `error:` line for the first
 such point in draw order), 2 configuration error (including arguments
 outside the domain of a chart, a loop or a trace, non-finite numbers, a
-`--sample-scale` that is not positive, and `--tol` names the command does
-not report), 3 inconclusive sweep (more than half of the points skipped).
+`--sample-scale` that is not positive, `--tol` names the command does
+not report, and sizes whose arrays cannot be allocated), 3 inconclusive
+sweep (more than half of the points skipped).
 """
 from __future__ import annotations
 
@@ -40,11 +41,11 @@ from .algebra import StatePair, build_gellmann_basis, haar_state
 from .amplitude import phase_gradient, principal_angle, vortex_winding
 from .charts import Chart, exp_chart, su2_polar_chart
 from .coset import (
-    _bridge_residuals,
-    _section_relation_residuals,
+    bridge_residuals,
     build_cartan_frame,
     factorization_residual,
     full_cartan_chart,
+    ray_relation_residuals,
     section,
     u1_berry_residuals,
     u1_eigenvalue,
@@ -388,10 +389,10 @@ def run_ray_sweep(config: SweepConfig, bridge_points: int, out_path: str | None 
     for start in range(0, config.points, step):
         y, xi_s, xi0 = np.split(draws[start:start + step], [m, m + frame.dim_iso], axis=1)
         point, kept = kept_section(y, P_SKIP_RAY)
-        rel = _section_relation_residuals(pair, point)
-        res_minus, res_plus = u1_berry_residuals(point, config.n)
+        rel = ray_relation_residuals(pair, point)
+        res_minus, res_plus = u1_berry_residuals(point)
         fs_gap = np.abs(point.fs_metric - point.fs_metric_state).max(axis=(1, 2))
-        fact = factorization_residual(pair, frame, y[kept], xi_s[kept], xi0[kept, 0])
+        fact = factorization_residual(pair, point, xi_s[kept], xi0[kept, 0])
         blocks.append(np.column_stack([*rel, res_plus, res_minus, fs_gap, fact]))
     table = np.concatenate(blocks)
     skipped = config.points - len(table)
@@ -432,7 +433,7 @@ def run_ray_sweep(config: SweepConfig, bridge_points: int, out_path: str | None 
             count = min(bridge_points - done, 4 * bridge_points - attempts, step)
             attempts += count
             point, _ = kept_section(draw(count, y_half), P_SKIP)
-            result = _bridge_residuals(pair, frame, point)
+            result = bridge_residuals(pair, point)
             rounds.append(np.column_stack(list(vars(result).values())))  # fields, uncopied
             done += len(point.y)
         report["bridge_points_evaluated"] = done
@@ -805,6 +806,9 @@ def main(argv=None) -> int:
         raise ConfigError(f"unknown command '{args.command}'")
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG_ERROR
+    except MemoryError as exc:  # a size whose arrays cannot be allocated
+        print(f"error: out of memory: {' '.join(str(exc).split())}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     except SunPhaseError as exc:  # raised inside the library: one line, no traceback
         print(f"error: {type(exc).__name__}: {' '.join(str(exc).split())}", file=sys.stderr)

@@ -5,11 +5,12 @@ Fixing a unit vector psi_i splits the algebra into a U(1) direction
 on psi_i), an su(n-1) isotropy block acting on the orthogonal
 complement, and 2(n-1) coset directions pairing psi_i with the
 complement.  The full Cartan chart U = K(y) H_s(xi_s) exp(i lambda0 xi0)
-has the section of states psi(y) = U(y, 0, 0) psi_i as its slice; its
-Fubini-Study geometry, Berry connection, phase/modulus identities, the
-exact factorization of group amplitudes through it, and the identities
-relating the group metric to the ray-space metric are evaluated on that
-chart, at one point y or at a stack of points (N, 2(n-1)).  A stack of
+has the section of states psi(y) = U(y, 0, 0) psi_i as its slice.
+`section(frame, y)` evaluates that slice once, at one point y or a stack
+(N, 2(n-1)); every ray-space check reads the `SectionPoint` it returns
+and the full chart it keeps: the Fubini-Study geometry and Berry
+connection, the phase/modulus identities, the factorization of group
+amplitudes through the section and the group-to-ray bridge.  A stack of
 reference states (N, n) gives per-row frames and a per-row full chart,
 whose row k is adapted to psi_i[k].  The section takes U and its partials
 at the slice from one chart call, whose product rule leaves out the
@@ -192,11 +193,6 @@ def _coset_coordinates(frame: CartanFrame, y) -> np.ndarray:
     return y
 
 
-def _slice(frame: CartanFrame, y: np.ndarray) -> np.ndarray:
-    """Full-chart coordinates (y, 0, 0) of the section points y."""
-    return np.concatenate([y, np.zeros(y.shape[:-1] + (frame.dim_iso + 1,))], axis=-1)
-
-
 def coset_element(frame: CartanFrame, y) -> np.ndarray:
     """Coset representative K(y) = exp(i y^A g_A) sweeping the section."""
     y = _coset_coordinates(frame, y)
@@ -208,7 +204,8 @@ class SectionPoint:
     """State, connection, and ray-space metric at section points y, one or
     stacked: the slice x = (y, 0, 0) of the full chart, where U(x) = K(y).
 
-    `du` holds the chart's partials at x and `frame` its frame there;
+    `chart` is the full Cartan chart the point was evaluated on, `du` its
+    partials at x and `frame` its frame there;
     `tau`, `iso_components` and `u1_component` are the frame's coset,
     isotropy and U(1) rows in the first 2(n-1) columns (the components of
     K^dag dK).  `dpsi` stacks the partials d psi / d y^mu.  `fs_metric`
@@ -217,6 +214,7 @@ class SectionPoint:
     the connection -i<psi|d psi>.
     """
 
+    chart: Chart
     y: np.ndarray
     kmat: np.ndarray
     psi: np.ndarray
@@ -238,22 +236,25 @@ class SectionPoint:
     def rows(self, index) -> "SectionPoint":
         """The points `index` of a stacked section."""
         frame = type(self.frame)(**{k: v[index] for k, v in vars(self.frame).items()})
-        fields = {k: v[index] for k, v in vars(self).items() if k != "frame"}
-        return SectionPoint(frame=frame, **fields)
+        fields = {k: v[index] for k, v in vars(self).items() if k not in ("chart", "frame")}
+        return SectionPoint(chart=self.chart.rows(index), frame=frame, **fields)
 
 
 def section(frame: CartanFrame, y) -> SectionPoint:
     """Section state psi(y) = U(y, 0, 0) psi_i with its ray-space geometry.
 
     U, its exact partials (one chart call) and frame come from
-    `full_cartan_chart(frame)`.
+    `full_cartan_chart(frame)`, which the point keeps.  The frame must
+    belong to one reference state: per-row frames raise ShapeError.
     The two Fubini-Study constructions are cross-checked to 1e-6 and the
     Berry connection verified real to 1e-9; a stack raises the error of
     its first failing row.
     """
+    if frame.psi_i.ndim != 1:
+        raise ShapeError("a section belongs to one reference state, not to per-row frames")
     y = _coset_coordinates(frame, y)
     chart = full_cartan_chart(frame)
-    x = _slice(frame, y)
+    x = np.concatenate([y, np.zeros(y.shape[:-1] + (frame.dim_iso + 1,))], axis=-1)
     m = frame.dim_coset
     try:
         kmat, du = partials(chart, x)
@@ -283,6 +284,7 @@ def section(frame: CartanFrame, y) -> SectionPoint:
         raise
 
     return SectionPoint(
+        chart=chart,
         y=y,
         kmat=kmat,
         psi=psi,
@@ -299,7 +301,7 @@ def section(frame: CartanFrame, y) -> SectionPoint:
     )
 
 
-def u1_berry_residuals(point: SectionPoint, n: int) -> tuple[float, float]:
+def u1_berry_residuals(point: SectionPoint) -> tuple[float, float]:
     """Componentwise residuals of the two sign conventions relating the
     U(1) frame component to the Berry connection.
 
@@ -307,6 +309,7 @@ def u1_berry_residuals(point: SectionPoint, n: int) -> tuple[float, float]:
     Exactly one of the two vanishes: with the negative-eigenvalue
     normalization of lambda0 fixed here, it is the second.
     """
+    n = point.chart.n
     c = np.sqrt(n / (2.0 * (n - 1)))
     minus = np.max(np.abs(point.u1_component - c * point.berry), axis=-1)
     plus = np.max(np.abs(point.u1_component + c * point.berry), axis=-1)
@@ -412,8 +415,9 @@ def _section_amplitude(pair: StatePair, point: SectionPoint):
     return p0, d_log_amp.imag, d_log, 2.0 * p0[..., None] * d_log
 
 
-def ray_relation_residuals(pair: StatePair, frame: CartanFrame, y) -> RelationResiduals:
-    """Residuals of the ray-space phase/modulus identities at section points y.
+def ray_relation_residuals(pair: StatePair, point: SectionPoint) -> RelationResiduals:
+    """Residuals of the ray-space phase/modulus identities at the section
+    points `point = section(frame, y)`.
 
     On the section psi(y), with the inverse of the Fubini-Study metric at
     unit scale (q = 1) and the Berry connection A:
@@ -425,11 +429,6 @@ def ray_relation_residuals(pair: StatePair, frame: CartanFrame, y) -> RelationRe
     Derivatives are exact (see `section`), so the residuals carry
     rounding error only, which grows like 1/p toward amplitude zeros.
     """
-    return _section_relation_residuals(pair, section(frame, y))
-
-
-def _section_relation_residuals(pair: StatePair, point: SectionPoint) -> RelationResiduals:
-    """`ray_relation_residuals` at `point = section(frame, y)`."""
     p0, d_eta, d_log, d_p = _section_amplitude(pair, point)
     gauged = d_eta - point.berry
     g_inv = point.fs_metric_inv
@@ -440,28 +439,28 @@ def _section_relation_residuals(pair: StatePair, point: SectionPoint) -> Relatio
     )
 
 
-def factorization_residual(pair: StatePair, frame: CartanFrame, y, xi_s, xi0: float) -> float:
+def factorization_residual(pair: StatePair, point: SectionPoint, xi_s, xi0) -> float:
     """Residual of the exact amplitude factorization through the section.
 
     <psi_f| K(y) H_s(xi_s) exp(i lambda0 xi0) |psi_i>
         = exp(i eigenvalue(lambda0 on psi_i) xi0) <psi_f|psi(y)>
 
-    holds because the isotropy factor fixes psi_i and psi_i is a
-    lambda0 eigenvector; the residual is matrix-exponential rounding
-    only (< 1e-9 everywhere).  Both sides are the map of the full chart,
-    at (y, xi_s, xi0) and (y, 0, 0), unchecked against its domain: the
-    identity holds for every xi_s.  Stacked coordinates give stacked rows.
+    at `point = section(frame, y)`, one row of xi_s and xi0 per point.  It
+    holds because the isotropy factor fixes psi_i and psi_i is a lambda0
+    eigenvector; the residual is matrix-exponential rounding only (< 1e-9
+    everywhere).  The left side is the map of the point's chart at
+    (y, xi_s, xi0), unchecked against its domain: the identity holds for
+    every xi_s.  The right side reads K(y) = U(y, 0, 0) from the point.
     """
-    y = _coset_coordinates(frame, y)
+    y, chart = point.y, point.chart
+    dim_iso = chart.dim_m - y.shape[-1] - 1
     xi_s, xi0 = np.asarray(xi_s, dtype=float), np.asarray(xi0, dtype=float)
-    if xi_s.shape != y.shape[:-1] + (frame.dim_iso,) or xi0.shape != y.shape[:-1]:
-        raise ShapeError(f"expected {frame.dim_iso} isotropy and 1 U(1) coordinates per point")
-    chart = full_cartan_chart(frame)
+    if xi_s.shape != y.shape[:-1] + (dim_iso,) or xi0.shape != y.shape[:-1]:
+        raise ShapeError(f"expected {dim_iso} isotropy and 1 U(1) coordinates per point")
     u = chart.map_fn(np.concatenate([y, xi_s, xi0[..., None]], axis=-1))
-    k0 = chart.map_fn(_slice(frame, y))
-    amps = (pair.psi_f.conj() @ np.stack([u, k0]))[..., None, :] @ pair.psi_i[:, None]
+    amps = (pair.psi_f.conj() @ np.stack([u, point.kmat]))[..., None, :] @ pair.psi_i[:, None]
     lhs, rhs = amps[..., 0, 0]
-    phase = np.exp(1j * u1_eigenvalue(frame.n) * xi0)
+    phase = np.exp(1j * u1_eigenvalue(chart.n) * xi0)
     # the product phase * rhs spelled out, so that every row rounds as one point does
     re = lhs.real - (phase.real * rhs.real - phase.imag * rhs.imag)
     im = lhs.imag - (phase.real * rhs.imag + phase.imag * rhs.real)
@@ -491,43 +490,38 @@ class BridgeResult:
     alt_residual_phase: float
 
 
-def bridge_residuals(pair: StatePair, frame: CartanFrame, y) -> BridgeResult:
+def bridge_residuals(pair: StatePair, point: SectionPoint) -> BridgeResult:
     """Check that group gradients split into ray-space gradients plus the
-    U(1) contribution, at the section slice of the full chart.
+    U(1) contribution, at the section points `point = section(frame, y)`.
 
         g^-1(d eta, d eta) = g_FS^-1(D eta, D eta) + 2(n-1)/n
         g^-1(d eta, d p)   = g_FS^-1(D eta, d p)
         g^-1(d p,  d p)    = g_FS^-1(d p,  d p)
 
     with D eta = d eta + sqrt(2(n-1)/n) u1 (equal to d eta - A).  Both
-    sides use exact derivatives of the full chart at x = (y, 0, 0): its
-    frame route on the group side, the section's on the ray side;
-    tolerance 1e-4.
+    sides use exact derivatives of the point's full chart at x = (y, 0, 0):
+    its frame route on the group side, from the section's partials and
+    frame, and the section's geometry on the ray side; tolerance 1e-4.  A
+    stack raises the error of its first failing row.
     """
-    return _bridge_residuals(pair, frame, section(frame, y))
-
-
-def _bridge_residuals(pair: StatePair, frame: CartanFrame, point: SectionPoint) -> BridgeResult:
-    """`bridge_residuals` at `point = section(frame, y)`."""
     p0, d_eta_y, _, d_p_y = _section_amplitude(pair, point)
     if np.min(p0, initial=np.inf) < 1e-6:
         raise NearZeroAmplitudeError(f"amplitude p = {np.min(p0):.3e} too small")
     x, u = point.frame.x, point.kmat
     try:
-        group = _frame_gradient(
-            pair, full_cartan_chart(frame), x, u, point.du, _polar(pair, u), point.frame
-        )
+        group = _frame_gradient(pair, point.chart, x, u, point.du, _polar(pair, u), point.frame)
     except SunPhaseError:
         for k in range(len(x) if x.ndim == 2 else 0):
-            _bridge_residuals(pair, frame, point.rows(k))  # the first failing row's error
+            bridge_residuals(pair, point.rows(k))  # the first failing row's error
         raise
 
-    scale = np.sqrt(2.0 * (frame.n - 1) / frame.n)
+    n = point.chart.n
+    scale = np.sqrt(2.0 * (n - 1) / n)
     gauged = d_eta_y + scale * point.u1_component
     gauged_alt = d_eta_y + point.berry
     fs_inv = point.fs_metric_inv
-    rhs_phase = cometric(gauged, fs_inv, gauged) + 2.0 * (frame.n - 1) / frame.n
-    alt_phase = cometric(gauged_alt, fs_inv, gauged_alt) + 2.0 * (frame.n - 1) / frame.n
+    rhs_phase = cometric(gauged, fs_inv, gauged) + 2.0 * (n - 1) / n
+    alt_phase = cometric(gauged_alt, fs_inv, gauged_alt) + 2.0 * (n - 1) / n
 
     return BridgeResult(
         residual_phase=np.abs(group.phase_grad_sq - rhs_phase),
@@ -541,16 +535,16 @@ def _bridge_residuals(pair: StatePair, frame: CartanFrame, point: SectionPoint) 
     )
 
 
-def ck_block_decomposition_residual(frame: CartanFrame, y) -> float:
-    """Residual of the coset block identity g_CK = g_FS + sum_i a^i a^i.
+def ck_block_decomposition_residual(point: SectionPoint) -> float:
+    """Residual of the coset block identity g_CK = g_FS + sum_i a^i a^i at
+    the section point `point = section(frame, y)`.
 
     The coset-coordinate block of the group metric at the section slice
     equals the Fubini-Study metric plus the contraction of the isotropy
     and U(1) components of K^dag dK.
     """
-    point = section(frame, y)
-    m = frame.dim_coset
-    block = ck_metric(full_cartan_chart(frame), point.frame.x, point.frame, point.du).g[:m, :m]
+    m = len(point.y)
+    block = ck_metric(point.chart, point.frame.x, point.frame, point.du).g[:m, :m]
     iso, u1 = point.iso_components, point.u1_component
     predicted = point.fs_metric + (np.outer(u1, u1) + iso.T @ iso)
     return float(np.max(np.abs(block - predicted)))

@@ -254,7 +254,7 @@ class TestCriterion7CartanFrame:
                     continue
                 xi_s = rng.uniform(-0.7, 0.7, frame.dim_iso)
                 xi0 = rng.uniform(-3.0, 3.0)
-                worst = max(worst, factorization_residual(pair, frame, y, xi_s, xi0))
+                worst = max(worst, factorization_residual(pair, section(frame, y), xi_s, xi0))
         assert _report(
             "7b amplitude-factorization",
             worst < 1e-9,
@@ -287,7 +287,7 @@ class TestCriterion8RayRelations:
         for n in (2, 3):
             frame, pair, ys = _section_sweep(n)
             for y in ys:
-                worst = max(worst, max(ray_relation_residuals(pair, frame, y)))
+                worst = max(worst, max(ray_relation_residuals(pair, section(frame, y))))
         assert _report(
             "8a ray-relations",
             worst < 1e-5,
@@ -317,7 +317,7 @@ class TestCriterion8RayRelations:
         for n in (2, 3):
             frame, _, ys = _section_sweep(n, points=50)
             for y in ys:
-                _, res_minus_convention = u1_berry_residuals(section(frame, y), n)
+                _, res_minus_convention = u1_berry_residuals(section(frame, y))
                 worst = max(worst, res_minus_convention)
         assert _report(
             "8c u1-berry-proportionality (coefficient -sqrt(n/(2(n-1))))",
@@ -336,7 +336,7 @@ class TestCriterion8RayRelations:
         for n in (2, 3):
             frame, _, ys = _section_sweep(n, points=50)
             for y in ys:
-                res_plus_convention, _ = u1_berry_residuals(section(frame, y), n)
+                res_plus_convention, _ = u1_berry_residuals(section(frame, y))
                 worst = max(worst, res_plus_convention)
         _report(
             "8d u1-berry-proportionality (coefficient +sqrt(n/(2(n-1))), as stated)",
@@ -352,7 +352,7 @@ class TestCriterion9Bridge:
         for n in (2, 3):
             frame, pair, ys = _section_sweep(n, points=50)
             for y in ys:
-                result = bridge_residuals(pair, frame, y)
+                result = bridge_residuals(pair, section(frame, y))
                 worst = max(
                     worst,
                     result.residual_phase,
@@ -373,7 +373,7 @@ class TestCriterion9Bridge:
         for n in (2, 3):
             frame, pair, ys = _section_sweep(n, points=10)
             for y in ys:
-                result = bridge_residuals(pair, frame, y)
+                result = bridge_residuals(pair, section(frame, y))
                 worst_rate = max(
                     worst_rate, abs(result.grad0_phase - u1_eigenvalue(n))
                 )
@@ -400,7 +400,7 @@ class TestCriterion9Bridge:
         for n in (2, 3):
             frame, pair, ys = _section_sweep(n, points=10)
             for y in ys:
-                result = bridge_residuals(pair, frame, y)
+                result = bridge_residuals(pair, section(frame, y))
                 worst = max(
                     worst, abs(result.grad0_phase - np.sqrt(2.0 * (n - 1) / n))
                 )

@@ -257,7 +257,7 @@ class TestVerifyRay:
         # draws and checks one candidate at a time
         from sun_phase import cli
         from sun_phase.algebra import StatePair, build_gellmann_basis, haar_state
-        from sun_phase.coset import bridge_residuals, build_cartan_frame, coset_element
+        from sun_phase.coset import bridge_residuals, build_cartan_frame, coset_element, section
 
         monkeypatch.setattr(cli, "P_SKIP", 0.5)
         argv = ["verify-ray", "--n", "3", "--points", "20", "--bridge-points", "6"]
@@ -275,7 +275,7 @@ class TestVerifyRay:
             attempts += 1
             y = rng.uniform(-half, half, frame.dim_coset)
             if abs(pair.psi_f.conj() @ coset_element(frame, y) @ pair.psi_i) ** 2 > 0.5:
-                alt.append(bridge_residuals(pair, frame, y).alt_residual_phase)
+                alt.append(bridge_residuals(pair, section(frame, y)).alt_residual_phase)
         assert report["bridge_points_evaluated"] == len(alt)
         assert code == (EXIT_PASS if alt else EXIT_INCONCLUSIVE)
         if alt:
@@ -555,8 +555,9 @@ class TestEvaluatedOnce:
             # one block on the per-row chart: the coset, isotropy and U(1) factors
             (["verify-group", "--n", "3", "--chart", "cartan"], 3),
             # the section block (its slice has the coset factor only), the
-            # factorization's two maps (3 + 1) and one bridge round
-            (["verify-ray", "--n", "4"], 6),
+            # factorization's full map (3; its right side is the section's
+            # K(y)) and one bridge round
+            (["verify-ray", "--n", "4"], 5),
         ],
     )
     def test_one_eigendecomposition_per_factor_and_block(
@@ -677,6 +678,11 @@ class TestInputErrors:
             # the sampling box must have a positive size
             ["verify-group", "--n", "3", "--sample-scale", "-1"],
             ["verify-ray", "--n", "3", "--sample-scale", "-1"],
+            # sizes whose arrays exceed any address space: the allocation fails at once
+            ["su2-demo", "--grid", "100000"],
+            ["superosc", "--n", "3", "--samples", "1000000000000000"],
+            ["vortex", "--samples", "1000000000000000"],
+            ["verify-ray", "--n", "3", "--points", "1000000000000000", "--bridge-points", "0"],
         ],
     )
     def test_domain_error_is_config_error(self, tmp_path, capsys, argv):

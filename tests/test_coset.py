@@ -13,7 +13,6 @@ from sun_phase.algebra import (
 )
 from sun_phase.amplitude import polar_amplitude
 from sun_phase.coset import (
-    _section_relation_residuals,
     bridge_residuals,
     build_cartan_frame,
     ck_block_decomposition_residual,
@@ -25,7 +24,7 @@ from sun_phase.coset import (
     u1_berry_residuals,
     u1_eigenvalue,
 )
-from sun_phase.charts import partials
+from sun_phase.charts import fd_partials, partials
 from sun_phase.errors import (
     ChartDegenerateError,
     DegenerateMetricError,
@@ -193,7 +192,7 @@ class TestSection:
         frame = frame_for(n, rng)
         for _ in range(10):
             y = rng.uniform(-0.5, 0.5, frame.dim_coset)
-            minus, plus = u1_berry_residuals(section(frame, y), n)
+            minus, plus = u1_berry_residuals(section(frame, y))
             assert plus < 1e-8
             assert minus > 1e-3 or np.max(np.abs(section(frame, y).berry)) < 1e-9
 
@@ -240,7 +239,7 @@ class TestRayRelations:
         rng = np.random.default_rng(50)
         psi = haar_state(2, rng)
         frame = build_cartan_frame(psi, build_gellmann_basis(2))
-        res = ray_relation_residuals(StatePair(psi, psi), frame, np.zeros(2))
+        res = ray_relation_residuals(StatePair(psi, psi), section(frame, np.zeros(2)))
         assert max(res) < 1e-9
 
     @pytest.mark.parametrize("n", [2, 3])
@@ -254,24 +253,38 @@ class TestRayRelations:
             amp = complex(pair.psi_f.conj() @ (coset_element(frame, y) @ frame.psi_i))
             if abs(amp) ** 2 < 1e-6:
                 continue
-            res = ray_relation_residuals(pair, frame, y)
+            res = ray_relation_residuals(pair, section(frame, y))
             assert max(res) < 1e-5
             tested += 1
         assert tested >= 30
 
-    def test_built_section_point_reused(self):
+    def test_built_section_point_reused(self, monkeypatch):
+        # every ray-space check reads the chart the section point was
+        # evaluated on; none builds the full chart again
+        import sun_phase.coset as coset
+
         rng = np.random.default_rng(1010)
         frame = frame_for(3, rng)
         pair = StatePair(frame.psi_i, haar_state(3, rng))
-        y = rng.uniform(-0.4, 0.4, frame.dim_coset)
+        y = rng.uniform(-0.4, 0.4, (2, frame.dim_coset))
         point = section(frame, y)
-        assert _section_relation_residuals(pair, point) == ray_relation_residuals(pair, frame, y)
+        assert point.rows(1).chart is point.chart
+
+        def rebuilt(frame):
+            raise AssertionError("full chart built again")
+
+        monkeypatch.setattr(coset, "full_cartan_chart", rebuilt)
+        assert max(np.max(r) for r in ray_relation_residuals(pair, point)) < 1e-5
+        assert np.max(u1_berry_residuals(point)[1]) < 1e-8
+        assert np.max(factorization_residual(pair, point, np.zeros((2, 3)), np.ones(2))) < 1e-9
+        assert np.max(bridge_residuals(pair, point).residual_phase) < 1e-4
+        assert ck_block_decomposition_residual(point.rows(0)) < 1e-6
 
     def test_near_zero_amplitude_raises(self):
         frame = frame_for(2, psi=PLUS)
         pair = StatePair(PLUS, np.array([0.0, 1.0], dtype=complex))
         with pytest.raises(NearZeroAmplitudeError):
-            ray_relation_residuals(pair, frame, np.zeros(2))
+            ray_relation_residuals(pair, section(frame, np.zeros(2)))
 
 
 class TestFactorization:
@@ -280,13 +293,13 @@ class TestFactorization:
         frame = frame_for(3, rng)
         pair = StatePair(frame.psi_i, haar_state(3, rng))
         y = rng.uniform(-0.5, 0.5, 4)
-        assert factorization_residual(pair, frame, y, np.zeros(3), 0.0) == 0.0
+        assert factorization_residual(pair, section(frame, y), np.zeros(3), 0.0) == 0.0
 
     def test_pure_u1_rotation_n2(self):
         # at n = 2 the U(1) eigenvalue is -1, so xi0 only shifts the phase
         frame = frame_for(2, psi=PLUS)
         pair = StatePair(PLUS, PLUS)
-        res = factorization_residual(pair, frame, np.zeros(2), np.zeros(0), 1.0)
+        res = factorization_residual(pair, section(frame, np.zeros(2)), np.zeros(0), 1.0)
         assert res < 1e-12
         u = coset_element(frame, np.zeros(2))
         amp = complex(pair.psi_f.conj() @ u @ pair.psi_i)
@@ -301,13 +314,13 @@ class TestFactorization:
             y = rng.uniform(-0.5, 0.5, frame.dim_coset)
             xi_s = rng.uniform(-0.5, 0.5, frame.dim_iso)
             xi0 = rng.uniform(-3.0, 3.0)
-            assert factorization_residual(pair, frame, y, xi_s, xi0) < 1e-9
+            assert factorization_residual(pair, section(frame, y), xi_s, xi0) < 1e-9
 
     def test_shape_check(self):
         frame = frame_for(3, np.random.default_rng(2))
         pair = StatePair(frame.psi_i, frame.psi_i)
         with pytest.raises(ShapeError):
-            factorization_residual(pair, frame, np.zeros(4), np.zeros(5), 0.1)
+            factorization_residual(pair, section(frame, np.zeros(4)), np.zeros(5), 0.1)
 
 
 class TestFullChart:
@@ -342,8 +355,8 @@ class TestFullChart:
             x[: frame.dim_coset] = rng.uniform(-0.5, 0.5, frame.dim_coset)
             points.append(x)
         for x in points:
-            exact = partials(chart, x, backend="analytic")[1]
-            approx = partials(chart, x, backend="fd")[1]
+            exact = partials(chart, x)[1]
+            approx = fd_partials(chart, x)[1]
             assert np.max(np.abs(exact - approx)) < ATOL_FD_MATCH
 
     def test_group_relations_hold_on_cartan_chart(self):
@@ -369,7 +382,7 @@ class TestBridge:
         rng = np.random.default_rng(81)
         psi = haar_state(3, rng)
         frame = build_cartan_frame(psi, build_gellmann_basis(3))
-        result = bridge_residuals(StatePair(psi, psi), frame, np.zeros(4))
+        result = bridge_residuals(StatePair(psi, psi), section(frame, np.zeros(4)))
         assert result.residual_phase < 1e-6
         assert result.residual_mixed < 1e-6
         assert result.residual_modulus < 1e-6
@@ -385,7 +398,7 @@ class TestBridge:
             amp = complex(pair.psi_f.conj() @ (coset_element(frame, y) @ frame.psi_i))
             if abs(amp) ** 2 < 1e-6:
                 continue
-            result = bridge_residuals(pair, frame, y)
+            result = bridge_residuals(pair, section(frame, y))
             assert result.residual_phase < 1e-4
             assert result.residual_mixed < 1e-4
             assert result.residual_modulus < 1e-4
@@ -401,7 +414,7 @@ class TestBridge:
         frame = frame_for(n, rng)
         pair = StatePair(frame.psi_i, haar_state(n, rng))
         y = rng.uniform(-0.4, 0.4, frame.dim_coset)
-        result = bridge_residuals(pair, frame, y)
+        result = bridge_residuals(pair, section(frame, y))
         assert result.grad0_phase == pytest.approx(u1_eigenvalue(n), abs=1e-6)
         assert result.u1_frame_component == pytest.approx(1.0, abs=1e-8)
 
@@ -412,7 +425,7 @@ class TestBridge:
         frame = frame_for(2, rng)
         pair = StatePair(frame.psi_i, haar_state(2, rng))
         y = np.array([0.4, -0.3])
-        result = bridge_residuals(pair, frame, y)
+        result = bridge_residuals(pair, section(frame, y))
         assert result.residual_phase < 1e-4
         assert result.alt_residual_phase > 1e-2
 
@@ -424,7 +437,7 @@ class TestBlockDecomposition:
         frame = frame_for(n, rng)
         for _ in range(5):
             y = rng.uniform(-0.5, 0.5, frame.dim_coset)
-            assert ck_block_decomposition_residual(frame, y) < 1e-6
+            assert ck_block_decomposition_residual(section(frame, y)) < 1e-6
 
 
 class TestStackedSlice:
@@ -462,10 +475,8 @@ class TestStackedSlice:
         pair = StatePair(frame.psi_i, haar_state(3, np.random.default_rng(1503)))
         point = section(frame, np.empty((0, 4)))
         assert point.psi.shape == (0, 3) and point.fs_metric_inv.shape == (0, 4, 4)
-        assert ray_relation_residuals(pair, frame, np.empty((0, 4))).phase.shape == (0,)
-        assert factorization_residual(
-            pair, frame, np.empty((0, 4)), np.empty((0, 3)), np.empty(0)
-        ).shape == (0,)
+        assert ray_relation_residuals(pair, point).phase.shape == (0,)
+        assert factorization_residual(pair, point, np.empty((0, 3)), np.empty(0)).shape == (0,)
 
     def test_bad_stacks_rejected(self):
         frame = frame_for(3, np.random.default_rng(1504))
@@ -475,7 +486,12 @@ class TestStackedSlice:
         with pytest.raises(DomainError):
             section(frame, np.array([np.zeros(4), np.full(4, 1.0)]))
         with pytest.raises(ShapeError):  # one U(1) coordinate per row
-            factorization_residual(pair, frame, np.zeros((2, 4)), np.zeros((2, 3)), 0.1)
+            factorization_residual(pair, section(frame, np.zeros((2, 4))), np.zeros((2, 3)), 0.1)
+        # a section belongs to one reference state, not to per-row frames
+        rng = np.random.default_rng(1506)
+        per_row = frame_for(3, psi=np.array([haar_state(3, rng) for _ in range(3)]))
+        with pytest.raises(ShapeError, match="one reference state"):
+            section(per_row, np.zeros((3, 4)))
 
     def test_stack_raises_error_of_first_failing_row(self):
         # near the |y| = pi/2 rim the frame first fails its inversion check,
@@ -507,13 +523,13 @@ class TestStackedSlice:
         pair = StatePair(frame.psi_i, haar_state(3, rng))
         y = np.array([[-0.1, 0.2, 0.1, 0.0], [0.2, 0.1, 0.0, 0.1], [0.3, 0.0, 0.2, 0.1]])
         with pytest.raises(DegenerateMetricError, match=r"x = \[0\.2 [^\[]*\]$"):
-            bridge_residuals(pair, frame, y)
+            bridge_residuals(pair, section(frame, y))
 
     def test_stack_names_its_lowest_amplitude_row(self):
         frame = frame_for(2, psi=PLUS)
         pair = StatePair(PLUS, np.array([0.0, 1.0], dtype=complex))
         with pytest.raises(NearZeroAmplitudeError, match=r"y = \[0\. 0\.\]"):
-            ray_relation_residuals(pair, frame, np.array([[0.3, 0.2], [0.0, 0.0]]))
+            ray_relation_residuals(pair, section(frame, np.array([[0.3, 0.2], [0.0, 0.0]])))
 
 
 def _within_ulps(stacked, one, scale):
@@ -536,7 +552,7 @@ def test_stacked_ray_path_matches_one_call_per_row(n, rows, seed):
     xi0 = rng.uniform(-2.0, 2.0, rows)
 
     stacked = section(frame, y)
-    facts = factorization_residual(pair, frame, y, xi_s, xi0)
+    facts = factorization_residual(pair, stacked, xi_s, xi0)
     for k in range(rows):
         one = section(frame, y[k])
         for name in (
@@ -548,16 +564,18 @@ def test_stacked_ray_path_matches_one_call_per_row(n, rows, seed):
         for name in ("omega", "dual"):
             value = getattr(one.frame, name)
             _within_ulps(getattr(stacked.frame, name)[k], value, max(1.0, np.max(np.abs(value))))
-        _within_ulps(facts[k], factorization_residual(pair, frame, y[k], xi_s[k], xi0[k]), 1.0)
+        _within_ulps(facts[k], factorization_residual(pair, one, xi_s[k], xi0[k]), 1.0)
 
     p = np.abs(stacked.overlap(pair.psi_f)) ** 2
     kept = np.flatnonzero(p > 1e-4)
-    rays = ray_relation_residuals(pair, frame, y[kept])
-    bridges = bridge_residuals(pair, frame, y[kept])
+    kept_point = section(frame, y[kept])
+    rays = ray_relation_residuals(pair, kept_point)
+    bridges = bridge_residuals(pair, kept_point)
     for j, k in enumerate(kept):
-        for stacked_value, value in zip(rays, ray_relation_residuals(pair, frame, y[k])):
+        one_point = section(frame, y[k])
+        for stacked_value, value in zip(rays, ray_relation_residuals(pair, one_point)):
             _within_ulps(stacked_value[j], value, 1.0 / p[k])
-        one = bridge_residuals(pair, frame, y[k])
+        one = bridge_residuals(pair, one_point)
         for name in ("residual_phase", "residual_mixed", "residual_modulus", "alt_residual_phase"):
             _within_ulps(getattr(bridges, name)[j], getattr(one, name), 1.0 / p[k] + 1.0)
         for name in ("grad0_phase", "u1_frame_component"):
