@@ -361,8 +361,7 @@ def run_ray_sweep(config: SweepConfig, bridge_points: int, out_path: str | None 
     rng = np.random.default_rng(config.seed)
     pair = resolve_pair(config, rng)
     frame = build_cartan_frame(pair.psi_i, build_gellmann_basis(config.n))
-    chart = full_cartan_chart(frame)
-    step = chart.block_rows()
+    step = frame.chart.block_rows()  # the chart every section of the sweep reuses
 
     m = frame.dim_coset
     y_half = np.full(m, (np.pi / 2) * 0.62 / np.sqrt(m) * config.sample_scale)

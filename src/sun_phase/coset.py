@@ -8,9 +8,10 @@ complement.  The full Cartan chart U = K(y) H_s(xi_s) exp(i lambda0 xi0)
 has the section of states psi(y) = U(y, 0, 0) psi_i as its slice.
 `section(frame, y)` evaluates that slice once, at one point y or a stack
 (N, 2(n-1)); every ray-space check reads the `SectionPoint` it returns
-and the full chart it keeps: the Fubini-Study geometry and Berry
-connection, the phase/modulus identities, the factorization of group
-amplitudes through the section and the group-to-ray bridge.  A stack of
+and the full chart it keeps, which the frame builds once (`frame.chart`):
+the Fubini-Study geometry and Berry connection, the phase/modulus
+identities, the factorization of group amplitudes through the section
+and the group-to-ray bridge.  A stack of
 reference states (N, n) gives per-row frames and a per-row full chart,
 whose row k is adapted to psi_i[k].  The section takes U and its partials
 at the slice from one chart call, whose product rule leaves out the
@@ -19,7 +20,8 @@ matrices and overlaps as products per point.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -100,7 +102,15 @@ class CartanFrame:
         row axis serves every row."""
         if self.psi_i.ndim == 1:
             return self
-        return CartanFrame(n=self.n, **{k: v[index] for k, v in vars(self).items() if k != "n"})
+        # the fields, not vars(self): a built `chart` sits in the instance dict
+        arrays = {f.name: getattr(self, f.name)[index] for f in fields(self) if f.name != "n"}
+        return CartanFrame(n=self.n, **arrays)
+
+    @cached_property
+    def chart(self) -> Chart:
+        """The full Cartan chart of this frame, built on first use and then
+        shared by every section evaluated on the frame."""
+        return full_cartan_chart(self)
 
 
 def _complement_basis(psi_i: np.ndarray) -> np.ndarray:
@@ -243,8 +253,8 @@ class SectionPoint:
 def section(frame: CartanFrame, y) -> SectionPoint:
     """Section state psi(y) = U(y, 0, 0) psi_i with its ray-space geometry.
 
-    U, its exact partials (one chart call) and frame come from
-    `full_cartan_chart(frame)`, which the point keeps.  The frame must
+    U, its exact partials (one chart call) and frame come from the full
+    Cartan chart `frame.chart`, which the point keeps.  The frame must
     belong to one reference state: per-row frames raise ShapeError.
     The two Fubini-Study constructions are cross-checked to 1e-6 and the
     Berry connection verified real to 1e-9; a stack raises the error of
@@ -253,7 +263,7 @@ def section(frame: CartanFrame, y) -> SectionPoint:
     if frame.psi_i.ndim != 1:
         raise ShapeError("a section belongs to one reference state, not to per-row frames")
     y = _coset_coordinates(frame, y)
-    chart = full_cartan_chart(frame)
+    chart = frame.chart
     x = np.concatenate([y, np.zeros(y.shape[:-1] + (frame.dim_iso + 1,))], axis=-1)
     m = frame.dim_coset
     try:
@@ -535,16 +545,18 @@ def bridge_residuals(pair: StatePair, point: SectionPoint) -> BridgeResult:
     )
 
 
-def ck_block_decomposition_residual(point: SectionPoint) -> float:
+def ck_block_decomposition_residual(point: SectionPoint):
     """Residual of the coset block identity g_CK = g_FS + sum_i a^i a^i at
-    the section point `point = section(frame, y)`.
+    the section points `point = section(frame, y)`, one value per point.
 
     The coset-coordinate block of the group metric at the section slice
     equals the Fubini-Study metric plus the contraction of the isotropy
     and U(1) components of K^dag dK.
     """
-    m = len(point.y)
-    block = ck_metric(point.chart, point.frame.x, point.frame, point.du).g[:m, :m]
+    m = point.y.shape[-1]
+    block = ck_metric(point.chart, point.frame.x, point.frame, point.du).g[..., :m, :m]
     iso, u1 = point.iso_components, point.u1_component
-    predicted = point.fs_metric + (np.outer(u1, u1) + iso.T @ iso)
-    return float(np.max(np.abs(block - predicted)))
+    predicted = point.fs_metric + (
+        u1[..., :, None] * u1[..., None, :] + np.swapaxes(iso, -1, -2) @ iso
+    )
+    return np.max(np.abs(block - predicted), axis=(-2, -1))[()]

@@ -7,6 +7,11 @@ phase gradient at the identity makes the local phase frequency at t = 0
 equal the full gradient magnitude, which is bounded below by the same
 constant: the phase locally oscillates at least as fast as the fastest
 Fourier component present in the signal.
+
+`phase_trace` samples the amplitude by evolving the bra: the row
+<psi_f|exp(i l t) is one O(n^2) contraction per sample, read against
+psi_i and l psi_i, and the Fourier sum over the spectrum reproduces it
+at every sample as a cross-check.
 """
 from __future__ import annotations
 
@@ -26,7 +31,7 @@ from .tolerances import ATOL_IDENTITY
 
 P_OVERLAP = 1e-8   # overlap threshold for a usable gradient direction
 P_TRACE = 1e-10    # amplitude threshold for local-frequency evaluation
-TRACE_BLOCK = 128  # samples per stacked (block, n, n) evaluation in phase_trace
+TRACE_BLOCK = 1024  # samples per (block, n) row evaluation in phase_trace
 
 
 @dataclass(frozen=True)
@@ -141,28 +146,39 @@ def _quotient_real(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (ar + ai * ratio) / (br + bi * ratio)
 
 
-def _trace_block(pair: StatePair, gen: NormalizedGenerator, t: np.ndarray):
-    """Amplitude, local frequency and definedness at the times `t`.
-
-    U(t) = V diag(e^{iwt}) V^dag and U l are built as stacked (len(t), n, n)
-    matrices, and <f|U|i> is read off them: the matrix route, independent of
-    the Fourier sum over the spectrum.  omega = Re[<f|U l|i> / <f|U|i>] where
-    |<f|U|i>|^2 >= P_TRACE and NaN elsewhere.  Each sample's value does not
-    depend on the other times in the block.
-    """
-    w = gen.eigenvalues
+def _trace_constants(pair: StatePair, gen: NormalizedGenerator):
+    """The per-pair constants of the row route: the bra <f|V, V^dag, and
+    the kets |i> and l|i> side by side as the columns of an (n, 2) array."""
     v = gen.eigenvectors
-    vh = dagger(v)
-    bra = pair.psi_f.conj()
-    ket = pair.psi_i[:, None]
-    phases = np.exp(1j * w * t[:, None])
-    u = (v * phases[:, None, :]) @ vh
-    ul = (v * (phases * w)[:, None, :]) @ vh
-    # a (1, n) @ (n, 1) product per sample: the dot product <f|u|i> of one matrix
-    amp = ((bra @ u)[:, None, :] @ ket)[:, 0, 0]
-    num = ((bra @ ul)[:, None, :] @ ket)[:, 0, 0]
+    kets = np.stack([pair.psi_i, gen.matrix @ pair.psi_i], axis=1)
+    return pair.psi_f.conj() @ v, dagger(v), kets
+
+
+def _phases(gen: NormalizedGenerator, t: np.ndarray) -> np.ndarray:
+    """e^{i w_k t} for every time (rows) and eigenvalue w_k (columns)."""
+    return np.exp(1j * np.outer(t, gen.eigenvalues))
+
+
+def _trace_block(constants, phases: np.ndarray):
+    """Amplitude, local frequency and definedness at the times of `phases`.
+
+    The bra is evolved instead of the matrix: the row <f|U(t) =
+    ((<f|V) * e^{iwt}) V^dag is one (len(t), n) x (n, n) contraction, and
+    <f|U|i> and <f|U l|i> are that row against |i> and l|i>, which are
+    formed in the original basis, independent of the Fourier sum over the
+    spectrum.  omega = Re[<f|U l|i> / <f|U|i>] where |<f|U|i>|^2 >= P_TRACE
+    and NaN elsewhere.
+
+    Each sample's value does not depend on the other times in the block:
+    einsum sums every row in the same order for any row count, whereas
+    matmul sends a one-row product to gemv, which rounds differently from
+    the gemm of two or more rows.
+    """
+    bra_v, vh, kets = constants
+    rows = np.einsum("sk,kj->sj", bra_v * phases, vh)
+    amp, num = np.einsum("sj,jc->cs", rows, kets)
     defined = np.abs(amp) ** 2 >= P_TRACE
-    omega = np.full(len(t), np.nan)
+    omega = np.full(len(phases), np.nan)
     omega[defined] = _quotient_real(num[defined], amp[defined])
     return amp, omega, defined
 
@@ -175,7 +191,8 @@ def local_frequency(pair: StatePair, gen: NormalizedGenerator, t: float) -> floa
     of one sample of the `phase_trace` kernel, so it equals the trace's
     omega at the same t exactly.
     """
-    _, omega, defined = _trace_block(pair, gen, np.array([t], dtype=float))
+    phases = _phases(gen, np.array([t], dtype=float))
+    _, omega, defined = _trace_block(_trace_constants(pair, gen), phases)
     if not defined[0]:
         raise UndefinedDirectionError(f"amplitude vanishes at t = {t}")
     return float(omega[0])
@@ -189,9 +206,11 @@ def phase_trace(
 ) -> PhaseTrace:
     """Amplitude and local phase frequency along exp(i l t).
 
-    The amplitude is evaluated through the matrix exponential, in blocks
-    of TRACE_BLOCK samples, so memory stays bounded for any sample count;
-    the Fourier sum over the spectrum reproduces it to rounding error.
+    The amplitude is evaluated on the row route of `_trace_block`, in
+    blocks of TRACE_BLOCK samples with an O(TRACE_BLOCK n) working set, so
+    memory stays bounded for any sample count; the phases e^{iwt} of a
+    block serve both that route and the Fourier sum over the spectrum,
+    which reproduces the amplitude to rounding error at every sample.
     Samples with squared amplitude below 1e-10 are flagged and carry
     omega = NaN.
     """
@@ -209,6 +228,7 @@ def phase_trace(
 
     t = np.linspace(t0, t1, samples)
     c = fourier_coefficients(pair, gen)
+    constants = _trace_constants(pair, gen)
     amplitude = np.empty(samples, dtype=complex)
     omega = np.empty(samples)
     defined = np.empty(samples, dtype=bool)
@@ -216,8 +236,9 @@ def phase_trace(
     fourier_residual = 0.0
     for start in range(0, samples, TRACE_BLOCK):
         block = slice(start, start + TRACE_BLOCK)
-        amplitude[block], omega[block], defined[block] = _trace_block(pair, gen, t[block])
-        rebuilt = np.einsum("k,sk->s", c, np.exp(1j * np.outer(t[block], gen.eigenvalues)))
+        phases = _phases(gen, t[block])
+        amplitude[block], omega[block], defined[block] = _trace_block(constants, phases)
+        rebuilt = np.einsum("k,sk->s", c, phases)
         fourier_residual = np.maximum(
             fourier_residual, np.max(np.abs(rebuilt - amplitude[block]))
         )

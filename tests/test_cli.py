@@ -586,6 +586,21 @@ class TestEvaluatedOnce:
         assert load(out)["bridge_points_evaluated"] == 4
         assert len(frames) == len(partials) == 2
 
+    def test_verify_ray_builds_one_full_chart(self, tmp_path, monkeypatch):
+        # the block size, the ray blocks and the bridge rounds share the
+        # frame's chart instead of building it once each
+        from sun_phase import coset
+
+        charts_built = self.count_calls(monkeypatch, coset, "full_cartan_chart")
+        code, out = run_to_file(
+            tmp_path,
+            "r.json",
+            ["verify-ray", "--n", "4", "--points", "60", "--bridge-points", "30", "--seed", "1"],
+        )
+        assert code == EXIT_PASS
+        assert load(out)["bridge_points_evaluated"] == 30
+        assert len(charts_built) == 1
+
 
 class TestConsoleScript:
     def test_installed_entrypoint(self, tmp_path):

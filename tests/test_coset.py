@@ -268,7 +268,7 @@ class TestRayRelations:
         pair = StatePair(frame.psi_i, haar_state(3, rng))
         y = rng.uniform(-0.4, 0.4, (2, frame.dim_coset))
         point = section(frame, y)
-        assert point.rows(1).chart is point.chart
+        assert point.rows(1).chart is point.chart is section(frame, y[0]).chart is frame.chart
 
         def rebuilt(frame):
             raise AssertionError("full chart built again")
@@ -278,7 +278,7 @@ class TestRayRelations:
         assert np.max(u1_berry_residuals(point)[1]) < 1e-8
         assert np.max(factorization_residual(pair, point, np.zeros((2, 3)), np.ones(2))) < 1e-9
         assert np.max(bridge_residuals(pair, point).residual_phase) < 1e-4
-        assert ck_block_decomposition_residual(point.rows(0)) < 1e-6
+        assert np.max(ck_block_decomposition_residual(point)) < 1e-6
 
     def test_near_zero_amplitude_raises(self):
         frame = frame_for(2, psi=PLUS)
@@ -438,6 +438,16 @@ class TestBlockDecomposition:
         for _ in range(5):
             y = rng.uniform(-0.5, 0.5, frame.dim_coset)
             assert ck_block_decomposition_residual(section(frame, y)) < 1e-6
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_stack_gives_per_row_values(self, n):
+        rng = np.random.default_rng(1410 + n)
+        frame = frame_for(n, rng)
+        y = rng.uniform(-0.5, 0.5, (2, frame.dim_coset))
+        stacked = ck_block_decomposition_residual(section(frame, y))
+        assert stacked.shape == (2,)
+        for k in range(2):
+            assert stacked[k] == ck_block_decomposition_residual(section(frame, y[k]))
 
 
 class TestStackedSlice:

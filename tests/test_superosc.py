@@ -47,20 +47,21 @@ def random_unit_generator(n, rng):
 
 
 def per_sample_trace(pair, gen, t):
-    """Oracle: one U(t) and U(t) l per sample, with Python complex division."""
-    v = gen.eigenvectors
+    """Oracle: the row <f|U(t) of one sample at a time, contracted with |i>
+    and l|i>, with Python complex division."""
+    bra_v = pair.psi_f.conj() @ gen.eigenvectors
+    vh = dagger(gen.eigenvectors)
+    l_ket = gen.matrix @ pair.psi_i
     amplitude = np.empty(len(t), dtype=complex)
     omega = np.full(len(t), np.nan)
     defined = np.zeros(len(t), dtype=bool)
     for idx, tk in enumerate(t):
-        phases = np.exp(1j * gen.eigenvalues * tk)
-        u = (v * phases) @ dagger(v)
-        amp = complex(pair.psi_f.conj() @ u @ pair.psi_i)
+        row = np.einsum("k,kj->j", bra_v * np.exp(1j * gen.eigenvalues * tk), vh)
+        amp = complex(np.einsum("j,j->", row, pair.psi_i))
         amplitude[idx] = amp
         if abs(amp) ** 2 >= P_TRACE:
             defined[idx] = True
-            ul = (v * (phases * gen.eigenvalues)) @ dagger(v)
-            omega[idx] = (complex(pair.psi_f.conj() @ ul @ pair.psi_i) / amp).real
+            omega[idx] = (complex(np.einsum("j,j->", row, l_ket)) / amp).real
     return amplitude, omega, defined
 
 
@@ -202,16 +203,22 @@ class TestPhaseTrace:
         assert trace.defined[0] and trace.defined[-1]
 
 
+# the oracle cases patch in a small block, so that short traces cross
+# block boundaries; the shipped TRACE_BLOCK has its own cases
+ORACLE_BLOCK = 128
+
+
 class TestBlockedTrace:
-    """The blocked matrix-route trace reproduces the per-sample evaluation
+    """The blocked row-route trace reproduces the per-sample evaluation
     bit for bit, at every block size and across block boundaries."""
 
     @pytest.mark.parametrize("n", range(2, 9))
     @pytest.mark.parametrize(
         "samples",
-        [2, TRACE_BLOCK - 1, TRACE_BLOCK, TRACE_BLOCK + 1, 3 * TRACE_BLOCK + 5],
+        [2, ORACLE_BLOCK - 1, ORACLE_BLOCK, ORACLE_BLOCK + 1, 3 * ORACLE_BLOCK + 5],
     )
-    def test_matches_per_sample_loop(self, n, samples):
+    def test_matches_per_sample_loop(self, n, samples, monkeypatch):
+        monkeypatch.setattr(superosc, "TRACE_BLOCK", ORACLE_BLOCK)
         rng = np.random.default_rng(2400 + 10 * n + samples)
         pair = random_pair(n, rng)
         gen = aligned_generator(pair, build_gellmann_basis(n))
@@ -220,8 +227,37 @@ class TestBlockedTrace:
         assert np.array_equal(trace.amplitude, amplitude)
         assert np.array_equal(trace.omega, omega, equal_nan=True)
         assert np.array_equal(trace.defined, defined)
-        for k in {0, samples // 2, min(TRACE_BLOCK, samples - 1), samples - 1}:
+        for k in {0, samples // 2, min(ORACLE_BLOCK, samples - 1), samples - 1}:
             assert local_frequency(pair, gen, trace.t[k]) == trace.omega[k]
+
+    @pytest.mark.parametrize("n", [2, 3, 8])
+    @pytest.mark.parametrize(
+        "samples", [TRACE_BLOCK - 1, TRACE_BLOCK + 1], ids=["block-1", "block+1"]
+    )
+    def test_shipped_block_matches_per_sample_loop(self, n, samples):
+        rng = np.random.default_rng(2450 + 10 * n + samples)
+        pair = random_pair(n, rng)
+        gen = aligned_generator(pair, build_gellmann_basis(n))
+        trace = phase_trace(pair, gen, samples=samples)
+        amplitude, omega, defined = per_sample_trace(pair, gen, trace.t)
+        assert np.array_equal(trace.amplitude, amplitude)
+        assert np.array_equal(trace.omega, omega, equal_nan=True)
+        assert np.array_equal(trace.defined, defined)
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 16])
+    def test_trace_independent_of_block_size(self, n, monkeypatch):
+        # a one-row block is where matmul would switch from gemm to gemv
+        rng = np.random.default_rng(2470 + n)
+        pair = random_pair(n, rng)
+        gen = random_unit_generator(n, rng)
+        reference = phase_trace(pair, gen, samples=50)
+        for block in (1, 2, 7):
+            monkeypatch.setattr(superosc, "TRACE_BLOCK", block)
+            trace = phase_trace(pair, gen, samples=50)
+            assert np.array_equal(trace.amplitude, reference.amplitude)
+            assert np.array_equal(trace.omega, reference.omega, equal_nan=True)
+            assert np.array_equal(trace.defined, reference.defined)
+            assert trace.fourier_residual == reference.fourier_residual
 
     def test_flagged_zero_crossing_matches_per_sample_loop(self):
         gen = normalized_generator(build_gellmann_basis(2)[0])
@@ -235,7 +271,7 @@ class TestBlockedTrace:
         with pytest.raises(UndefinedDirectionError):
             local_frequency(pair, gen, 0.0)
 
-    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    @pytest.mark.parametrize("n", [2, 3, 5, 8, 16, 32])
     def test_amplitude_against_taylor_oracle(self, n):
         rng = np.random.default_rng(2500 + n)
         pair = random_pair(n, rng)
@@ -275,9 +311,9 @@ class TestBlockedTrace:
         gen = random_unit_generator(3, rng)
         kernel = superosc._trace_block
 
-        def nan_in_last_block(pair, gen, t):
-            amp, omega, defined = kernel(pair, gen, t)
-            if t[-1] == 1.0:
+        def nan_in_last_block(constants, phases):
+            amp, omega, defined = kernel(constants, phases)
+            if len(phases) == 1:  # the last block of 2 TRACE_BLOCK + 1 samples: t = 1
                 amp[-1] = np.nan
             return amp, omega, defined
 
@@ -287,7 +323,7 @@ class TestBlockedTrace:
 
     def test_peak_memory_bounded(self):
         # the largest benchmark trace: blocks keep the working set to a few
-        # (TRACE_BLOCK, n, n) stacks next to the ~0.5 MiB of returned arrays
+        # (TRACE_BLOCK, n) arrays next to the ~0.5 MiB of returned arrays
         rng = np.random.default_rng(81)
         pair = random_pair(8, rng)
         gen = aligned_generator(pair, build_gellmann_basis(8))
@@ -298,6 +334,19 @@ class TestBlockedTrace:
         finally:
             tracemalloc.stop()
         assert peak < 2 * 2**20
+
+    def test_peak_memory_bounded_at_large_n(self):
+        # no (TRACE_BLOCK, n, n) stack: at n = 64 one would take 64 MiB
+        rng = np.random.default_rng(84)
+        pair = random_pair(64, rng)
+        gen = random_unit_generator(64, rng)
+        tracemalloc.start()
+        try:
+            phase_trace(pair, gen, samples=15000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
 
 class TestHotIntervals:
