@@ -211,7 +211,10 @@ def expm_partials(coeffs, gens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         Phi_jk = i exp(i (w_j + w_k)/2) sinc((w_j - w_k)/(2 pi))
 
     with numpy's normalized sinc.  This form needs no limit at
-    degenerate or near-degenerate eigenvalues.  Returns (U, dU), with dU
+    degenerate or near-degenerate eigenvalues.  The four products take
+    every generator at once, one product per point each: the generators
+    side by side (n, m n) where V acts on the left and stacked (m n, n)
+    where it acts on the right.  Returns (U, dU), with dU
     stacked as (m, n, n) for m generators (m, n, n).  Coefficients of
     shape (N, m) give U of shape (N, n, n) and dU of shape (N, m, n, n),
     from one generator stack shared by every row or from one per row,
@@ -228,9 +231,15 @@ def expm_partials(coeffs, gens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     phi = 1j * np.exp(0.5j * (w[..., :, None] + w[..., None, :])) * np.sinc(
         (w[..., :, None] - w[..., None, :]) / (2 * np.pi)
     )
-    v, vh = v[..., None, :, :], dagger(v)[..., None, :, :]  # broadcast over gens
-    du = v @ (phi[..., None, :, :] * (vh @ gens @ v)) @ vh
-    return u, du
+    # index order [i, a, k] throughout: an (n, m n) matrix for V on the left,
+    # an (m n, n) matrix for V on the right
+    n, lead = w.shape[-1], w.shape[:-1]
+    side = np.swapaxes(gens, -3, -2).reshape(gens.shape[:-3] + (n, m * n))
+    vh = dagger(v)
+    rotated = ((vh @ side).reshape(lead + (n * m, n)) @ v).reshape(lead + (n, m, n))
+    weighted = (phi[..., :, None, :] * rotated).reshape(lead + (n, m * n))
+    du = ((v @ weighted).reshape(lead + (n * m, n)) @ vh).reshape(lead + (n, m, n))
+    return u, np.swapaxes(du, -3, -2)
 
 
 def haar_state(n: int, rng: np.random.Generator) -> np.ndarray:

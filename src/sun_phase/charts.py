@@ -16,6 +16,14 @@ eigendecomposition per factor on the exponential charts);
 by central differences, as an independent cross-check.  The frame and
 metric contractions are matrix products batched over points only, so
 each row of a stack rounds as that point alone does.
+
+The frame's inverse dual = omega^-1 is the one matrix inversion per
+point; the inverse metric is dual dual^T (`vielbein_inverse`).  No
+eigenvalue test runs: g = omega^T omega is positive definite wherever
+the det(omega) guard passes, and a frame too close to singular for
+rounding fails that guard or the checks omega dual = 1 and g g^-1 = 1.
+Every guard on a chart's value, frame and metric is written
+`not residual < tol`, so that a NaN trips it.
 """
 from __future__ import annotations
 
@@ -108,9 +116,9 @@ class Chart:
         return x
 
     def _checked(self, u: np.ndarray) -> np.ndarray:
-        if np.abs(dagger(u) @ u - np.eye(self.n)).max(initial=0.0) >= ATOL_IDENTITY:
+        if not np.abs(dagger(u) @ u - np.eye(self.n)).max(initial=0.0) < ATOL_IDENTITY:
             raise InternalConsistencyError("chart produced a non-unitary matrix")
-        if (np.abs(np.linalg.det(u) - 1.0) >= ATOL_IDENTITY).any():
+        if not (np.abs(np.linalg.det(u) - 1.0) < ATOL_IDENTITY).all():
             raise InternalConsistencyError("chart produced det != 1")
         return u
 
@@ -293,7 +301,7 @@ def left_invariant_frame(
 
     anti_herm = np.abs(per_coord + dagger(per_coord)).max(initial=0.0)
     traces = np.abs(np.trace(per_coord, axis1=-2, axis2=-1)).max(initial=0.0)
-    if anti_herm >= ATOL_FRAME or traces >= ATOL_FRAME:
+    if not (anti_herm < ATOL_FRAME and traces < ATOL_FRAME):
         raise InternalConsistencyError(
             f"U^dag dU not in the algebra (anti-Hermitian residue {anti_herm:.2e}, "
             f"trace residue {traces:.2e})"
@@ -304,7 +312,7 @@ def left_invariant_frame(
     gens = generator_matrix(chart.algebra)
     omega_c = gens.conj() @ np.swapaxes(pulled, -1, -2).reshape(lead + (n * n, m)) / 2j
     imag_residue = np.abs(omega_c.imag).max(initial=0.0)
-    if imag_residue >= ATOL_FRAME:
+    if not imag_residue < ATOL_FRAME:
         raise InternalConsistencyError(
             f"frame coefficients not real (residue {imag_residue:.2e})"
         )
@@ -312,13 +320,13 @@ def left_invariant_frame(
 
     # i omega^a g_a per coordinate, from one real product with the generator matrix
     rebuilt = 1j * (np.swapaxes(omega, -1, -2) @ gens.view(float)).view(complex)
-    if np.abs(per_coord - rebuilt.reshape(lead + (m, n, n))).max(initial=0.0) >= ATOL_FRAME:
+    if not np.abs(per_coord - rebuilt.reshape(lead + (m, n, n))).max(initial=0.0) < ATOL_FRAME:
         raise InternalConsistencyError("frame does not reconstruct U^dag dU")
 
-    if np.abs(np.linalg.det(omega)).min(initial=np.inf) < 1e-10:
+    if not np.abs(np.linalg.det(omega)).min(initial=np.inf) >= 1e-10:
         raise ChartDegenerateError(f"frame singular at x = {x}")
     dual = np.linalg.inv(omega)
-    if np.abs(omega @ dual - np.eye(m)).max(initial=0.0) >= ATOL_FRAME:
+    if not np.abs(omega @ dual - np.eye(m)).max(initial=0.0) < ATOL_FRAME:
         raise InternalConsistencyError("frame inversion failed")
     return FrameAtPoint(x=x, omega=omega, dual=dual)
 
@@ -329,12 +337,14 @@ def ck_metric(
     frame: FrameAtPoint | None = None,
     du: np.ndarray | None = None,
 ) -> MetricAtPoint:
-    """Bi-invariant metric at x, as the frame contraction omega^T omega.
+    """Bi-invariant metric at x, as the frame contraction omega^T omega,
+    and its inverse dual dual^T from the frame's inverse dual.
 
     Cross-checked entrywise against the defining trace form
     (1/2) Tr(dU_mu dU_nu^dag); disagreement beyond tolerance indicates a
-    broken frame.  Raises DegenerateMetricError when not positive
-    definite.
+    broken frame.  g is positive definite behind the frame's det(omega)
+    guard; DegenerateMetricError when g g^-1 is not the identity to
+    ATOL_FRAME (see `vielbein_inverse`).
     """
     x = np.asarray(x, dtype=float)
     u = None
@@ -345,11 +355,11 @@ def ck_metric(
 
     g = np.swapaxes(frame.omega, -1, -2) @ frame.omega
     g_trace = 0.5 * real_gram(du.reshape(du.shape[:-2] + (chart.n**2,)))
-    if np.abs(g - g_trace).max(initial=0.0) >= ATOL_FRAME:
+    if not np.abs(g - g_trace).max(initial=0.0) < ATOL_FRAME:
         raise InternalConsistencyError(
             "vielbein metric disagrees with the trace form"
         )
-    return MetricAtPoint(g=g, g_inv=inverse_metric(g, "x", x))
+    return MetricAtPoint(g=g, g_inv=vielbein_inverse(g, frame.dual, "x", x))
 
 
 def generator_matrix(algebra: np.ndarray) -> np.ndarray:
@@ -364,13 +374,16 @@ def real_gram(a: np.ndarray) -> np.ndarray:
     return f @ np.swapaxes(f, -1, -2)
 
 
-def inverse_metric(g: np.ndarray, name: str, at: np.ndarray) -> np.ndarray:
-    """Inverse of a metric g[..., mu, nu] (or a stack of them) at `name = at`;
-    DegenerateMetricError unless positive definite and well conditioned."""
-    if np.linalg.eigvalsh(g)[..., 0].min(initial=np.inf) <= 0.0:
-        raise DegenerateMetricError(f"metric not positive definite at {name} = {at}")
-    g_inv = np.linalg.inv(g)
-    if np.abs(g @ g_inv - np.eye(g.shape[-1])).max(initial=0.0) >= ATOL_FRAME:
+def vielbein_inverse(g: np.ndarray, dual: np.ndarray, name: str, at: np.ndarray) -> np.ndarray:
+    """Inverse dual dual^T of a metric g = omega^T omega (or of a stack of
+    them) at `name = at`, from the inverse vielbein dual = omega^-1.
+
+    g is positive definite wherever omega is invertible, which the frame's
+    det(omega) guard ensures; DegenerateMetricError unless the product
+    g g^-1 is the identity to ATOL_FRAME (an ill-conditioned metric).
+    """
+    g_inv = dual @ np.swapaxes(dual, -1, -2)
+    if not np.abs(g @ g_inv - np.eye(g.shape[-1])).max(initial=0.0) < ATOL_FRAME:
         raise DegenerateMetricError(f"metric inversion ill-conditioned at {name} = {at}")
     return g_inv
 

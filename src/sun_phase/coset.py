@@ -16,7 +16,11 @@ reference states (N, n) gives per-row frames and a per-row full chart,
 whose row k is adapted to psi_i[k].  The section takes U and its partials
 at the slice from one chart call, whose product rule leaves out the
 isotropy and U(1) factors there (both exactly 1), and forms its Gram
-matrices and overlaps as products per point.
+matrices and overlaps as products per point.  At the slice the frame
+omega is block lower-triangular with an identity isotropy/U(1) block, so
+det(omega) = det(tau) for the coset block tau, and the leading block of
+the frame's inverse is tau^-1: the inverse Fubini-Study metric is read
+off it, with no further inversion and no eigenvalue test.
 """
 from __future__ import annotations
 
@@ -39,10 +43,10 @@ from .charts import (
     Chart,
     ck_metric,
     cometric,
-    inverse_metric,
     left_invariant_frame,
     partials,
     real_gram,
+    vielbein_inverse,
 )
 from .errors import (
     DomainError,
@@ -257,8 +261,12 @@ def section(frame: CartanFrame, y) -> SectionPoint:
     Cartan chart `frame.chart`, which the point keeps.  The frame must
     belong to one reference state: per-row frames raise ShapeError.
     The two Fubini-Study constructions are cross-checked to 1e-6 and the
-    Berry connection verified real to 1e-9; a stack raises the error of
-    its first failing row.
+    Berry connection verified real to 1e-9.  `fs_metric_inv` is T T^T for
+    the leading coset block T = tau^-1 of the frame's inverse; the frame's
+    det(omega) = det(tau) guard stands behind the positive definiteness of
+    `fs_metric`, and DegenerateMetricError is raised unless
+    fs_metric fs_metric_inv is the identity to ATOL_FRAME.  A stack raises
+    the error of its first failing row.
     """
     if frame.psi_i.ndim != 1:
         raise ShapeError("a section belongs to one reference state, not to per-row frames")
@@ -275,7 +283,7 @@ def section(frame: CartanFrame, y) -> SectionPoint:
         overlaps = (dpsi @ psi.conj()[..., :, None])[..., 0]  # <psi|d psi>
         # exactly imaginary; with exact partials the real part is rounding
         # only, far below the guard
-        if np.abs(overlaps.real).max(initial=0.0) >= 1e-9:
+        if not np.abs(overlaps.real).max(initial=0.0) < 1e-9:
             raise InternalConsistencyError("Berry connection has an imaginary part")
         berry = overlaps.imag  # components of -i<psi|d psi>
 
@@ -283,11 +291,13 @@ def section(frame: CartanFrame, y) -> SectionPoint:
         fs_metric = np.swapaxes(tau, -1, -2) @ tau
         grams = real_gram(dpsi)  # Re<d psi|d psi>
         fs_metric_state = grams - berry[..., :, None] * berry[..., None, :]
-        if np.abs(fs_metric - fs_metric_state).max(initial=0.0) >= ATOL_FD_MATCH:
+        if not np.abs(fs_metric - fs_metric_state).max(initial=0.0) < ATOL_FD_MATCH:
             raise InternalConsistencyError(
                 "Fubini-Study constructions disagree beyond tolerance"
             )
-        fs_inv = inverse_metric(fs_metric, "y", y)
+        # omega is block lower-triangular at the slice, with an identity
+        # isotropy/U(1) block, so the leading block of dual is tau^-1
+        fs_inv = vielbein_inverse(fs_metric, chart_frame.dual[..., :m, :m], "y", y)
     except SunPhaseError:
         for row in y if y.ndim == 2 else ():
             section(frame, row)  # raises the error of the first failing row

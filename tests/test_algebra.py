@@ -11,15 +11,18 @@ from sun_phase.algebra import (
     dagger,
     expm_generator,
     expm_partials,
+    generator_sum,
     haar_state,
     killing_inner,
     random_hermitian,
 )
+from sun_phase.charts import Chart, fd_partials
 from sun_phase.errors import (
     DimensionError,
     DomainError,
     ShapeError,
 )
+from sun_phase.tolerances import ATOL_FD_MATCH
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -257,6 +260,67 @@ def test_expm_partials_match_frechet_oracle(n, gap, seed):
     np.testing.assert_allclose(u, taylor_expm(1j * h, terms=60), rtol=0, atol=1e-13)
     for g, d in zip(gens, du):
         np.testing.assert_allclose(d, frechet_oracle(h, g), rtol=0, atol=1e-13)
+
+
+def broadcast_partials(coeffs, gens):
+    """Oracle: the Daleckii-Krein partials as one broadcast product chain
+    per (point, generator), V (Phi o V^dag g_a V) V^dag."""
+    w, v = np.linalg.eigh(generator_sum(coeffs, gens))
+    phi = 1j * np.exp(0.5j * (w[..., :, None] + w[..., None, :])) * np.sinc(
+        (w[..., :, None] - w[..., None, :]) / (2 * np.pi)
+    )
+    v, vh = v[..., None, :, :], dagger(v)[..., None, :, :]  # broadcast over gens
+    return v @ (phi[..., None, :, :] * (vh @ gens @ v)) @ vh
+
+
+def generator_chart(gens):
+    """The chart x -> exp(i x^a g_a) on all of R^m, over one generator stack
+    (m, n, n) or one per row (N, m, n, n)."""
+    m, n = gens.shape[-3], gens.shape[-1]
+    return Chart(
+        label="generators",
+        n=n,
+        dim_m=m,
+        algebra=gens,
+        sample_box=np.array([[-1.0, 1.0]] * m),
+        map_fn=lambda x: expm_generator(generator_sum(x, gens)),
+        contains_fn=lambda x: np.ones(x.shape[:-1], dtype=bool),
+        map_partials_fn=lambda x: expm_partials(x, gens),
+        rows_fn=None if gens.ndim == 3 else lambda index: generator_chart(gens[index]),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(2, 8),
+    kind=st.sampled_from(["point", "stack", "per-row", "near-degenerate"]),
+    rows=st.integers(1, 4),
+    eps=st.sampled_from([0.0, 1e-14, 1e-10, 1e-7]),
+    seed=st.integers(0, 2**16),
+)
+def test_expm_partials_match_broadcast_oracle(n, kind, rows, eps, seed):
+    # the generators side by side and stacked round as the per-generator
+    # products do, up to the order of BLAS sums
+    rng = np.random.default_rng(seed)
+    gens = build_gellmann_basis(n).matrices
+    m = len(gens)
+    coeffs = rng.uniform(-1.0, 1.0, (rows, m)) / np.sqrt(m)
+    if kind == "point":
+        coeffs = coeffs[0]
+    elif kind == "per-row":
+        rotations = [expm_generator(random_hermitian(n, rng, traceless=True)) for _ in range(rows)]
+        gens = np.array([v @ gens @ dagger(v) for v in rotations])
+    elif kind == "near-degenerate":
+        # a multiple of the last diagonal generator, whose eigenvalue
+        # 1 / sqrt(n(n-1)/2) has multiplicity n - 1, perturbed by eps
+        coeffs = eps * rng.standard_normal((rows, m))
+        coeffs[:, -1] += rng.uniform(-1.5, 1.5, rows)
+    u, du = expm_partials(coeffs, gens)
+    ulp = np.finfo(float).eps * np.abs(du).max()
+    np.testing.assert_allclose(du, broadcast_partials(coeffs, gens), rtol=0, atol=4 * ulp)
+    u_fd, du_fd = fd_partials(generator_chart(gens), coeffs)
+    np.testing.assert_array_equal(u, u_fd)
+    assert np.abs(du - du_fd).max() < ATOL_FD_MATCH
 
 
 class TestStatePair:

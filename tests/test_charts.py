@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -20,8 +22,14 @@ from sun_phase.charts import (
     partials,
     su2_polar_chart,
 )
-from sun_phase.coset import build_cartan_frame, full_cartan_chart
-from sun_phase.errors import DomainError, ShapeError
+from sun_phase.coset import build_cartan_frame, full_cartan_chart, section
+from sun_phase.errors import (
+    ChartDegenerateError,
+    DegenerateMetricError,
+    DomainError,
+    InternalConsistencyError,
+    ShapeError,
+)
 from sun_phase.tolerances import ATOL_FD_MATCH
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -207,6 +215,113 @@ class TestMetric:
             g0 = ck_metric(chart, x).g
             g1 = ck_metric(translated, x).g
             assert np.max(np.abs(g0 - g1)) < 1e-8
+
+
+def chart_with_frame(chart, omega):
+    """`chart` with its partials replaced by U(x) i omega^a g_a, so that its
+    frame at every point is the given omega (m, m)."""
+    pulled = 1j * np.einsum("am,aij->mij", omega, chart.algebra)
+
+    def map_partials_fn(x):
+        u = chart.map_fn(x)
+        return u, u[..., None, :, :] @ pulled
+
+    return dataclasses.replace(chart, map_partials_fn=map_partials_fn)
+
+
+def nearly_singular(m, s_min, rng):
+    """A random real (m, m) matrix with singular values 1 and one s_min, so
+    that |det| = s_min."""
+    a, _ = np.linalg.qr(rng.standard_normal((m, m)))
+    b, _ = np.linalg.qr(rng.standard_normal((m, m)))
+    return (a * np.append(np.ones(m - 1), s_min)) @ b
+
+
+def assert_inverse_close(g_inv, reference):
+    """Per point, max|g_inv - reference| <= 1e-12 max|reference|."""
+    scale = np.abs(reference).max(axis=(-2, -1))
+    assert (np.abs(g_inv - reference).max(axis=(-2, -1)) <= 1e-12 * scale).all()
+
+
+# smallest singular values of the test frames: below the det(omega) guard's
+# 1e-10, and above it where g = omega^T omega still rounds to indefinite
+S_BELOW_DET_GUARD = (0.0, 1e-30, 1e-16, 1e-12)
+S_ABOVE_DET_GUARD = (1e-9, 3e-9, 1e-8)
+
+
+class TestVielbeinInverse:
+    """g^-1 = dual dual^T from the frame's inverse, and the guards that stand
+    behind the positive definiteness of g, for which no eigenvalue test runs."""
+
+    def assert_indefinite_rejected(self, s_min, indefinite, evaluate):
+        """Every frame on which the eigenvalue test eigvalsh(g) <= 0 would
+        fire is rejected: by the det(omega) guard below its 1e-10, and above
+        it by the frame inversion or the metric conditioning guard."""
+        if s_min < 1e-10:
+            with pytest.raises(ChartDegenerateError, match="frame singular"):
+                evaluate()
+        elif indefinite:
+            with pytest.raises(
+                (DegenerateMetricError, InternalConsistencyError),
+                match="ill-conditioned|frame inversion failed",
+            ):
+                evaluate()
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 8])
+    def test_indefinite_metric_rejected(self, n):
+        rng = np.random.default_rng(1200 + n)
+        chart = exp_chart(build_gellmann_basis(n))
+        x = sample_in_box(chart, rng, 1)[0]
+        fired = {True: 0, False: 0}
+        for s_min in S_BELOW_DET_GUARD + S_ABOVE_DET_GUARD:
+            for _ in range(8):
+                omega = nearly_singular(chart.dim_m, s_min, rng)
+                indefinite = np.linalg.eigvalsh(omega.T @ omega)[0] <= 0.0
+                broken = chart_with_frame(chart, omega)
+                self.assert_indefinite_rejected(s_min, indefinite, lambda: ck_metric(broken, x))
+                fired[s_min < 1e-10] += indefinite
+        assert fired[True] and fired[False]  # the test fires on both sides of 1e-10
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 8])
+    def test_indefinite_fs_metric_rejected(self, n):
+        # at the section slice omega is block lower-triangular with an
+        # identity isotropy/U(1) block, so det(omega) = det(tau) and the
+        # det(omega) guard stands behind the Fubini-Study block as well
+        rng = np.random.default_rng(1300 + n)
+        frame = build_cartan_frame(haar_state(n, rng), build_gellmann_basis(n))
+        m, dim = frame.dim_coset, n * n - 1
+        y = rng.uniform(-0.3, 0.3, m)
+        fired = {True: 0, False: 0}
+        for s_min in S_BELOW_DET_GUARD + S_ABOVE_DET_GUARD:
+            for _ in range(8):
+                tau = nearly_singular(m, s_min, rng)
+                omega = np.eye(dim)
+                omega[:m, :m] = tau
+                omega[m:, :m] = rng.uniform(-0.5, 0.5, (dim - m, m))
+                indefinite = np.linalg.eigvalsh(tau.T @ tau)[0] <= 0.0
+                broken = dataclasses.replace(frame)
+                broken.__dict__["chart"] = chart_with_frame(frame.chart, omega)  # the cached chart
+                self.assert_indefinite_rejected(s_min, indefinite, lambda: section(broken, y))
+                fired[s_min < 1e-10] += indefinite
+        assert fired[True] and fired[False]
+
+    @pytest.mark.parametrize(
+        "kind,n", [("su2-polar", 2)] + [(k, n) for k in ("exp", "left", "cartan") for n in range(2, 9)]
+    )
+    def test_metric_inverse_matches_linalg_inv(self, kind, n):
+        rng = np.random.default_rng(1400 + n)
+        chart = chart_of_kind(kind, n, rng, 0)
+        lo, hi = chart.sample_box.T
+        metric = ck_metric(chart, rng.uniform(lo, hi, (8, chart.dim_m)))
+        assert_inverse_close(metric.g_inv, np.linalg.inv(metric.g))
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_fs_metric_inverse_matches_linalg_inv(self, n):
+        rng = np.random.default_rng(1500 + n)
+        frame = build_cartan_frame(haar_state(n, rng), build_gellmann_basis(n))
+        lo, hi = frame.chart.sample_box[: frame.dim_coset].T
+        point = section(frame, rng.uniform(lo, hi, (8, frame.dim_coset)))
+        assert_inverse_close(point.fs_metric_inv, np.linalg.inv(point.fs_metric))
 
 
 class TestEmptyStacks:

@@ -570,6 +570,26 @@ class TestEvaluatedOnce:
         assert code == EXIT_PASS
         assert len(eighs) == count
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify-group", "--n", "3"],
+            ["verify-ray", "--n", "4", "--points", "60", "--bridge-points", "30", "--seed", "1"],
+        ],
+    )
+    def test_one_inversion_per_frame(self, tmp_path, monkeypatch, argv):
+        # the metric inverses are products of the frame's inverse: no
+        # eigvalsh, and one inv per frame, that of omega
+        from sun_phase import charts
+
+        frames = self.count_calls(monkeypatch, charts, "left_invariant_frame")
+        eigvalshs = self.count_calls(monkeypatch, np.linalg, "eigvalsh")
+        invs = self.count_calls(monkeypatch, np.linalg, "inv")
+        code, _ = run_to_file(tmp_path, "r.json", argv)
+        assert code == EXIT_PASS
+        assert len(eigvalshs) == 0
+        assert len(invs) == len(frames) > 0
+
     def test_verify_ray_bridge_reuses_the_section_frame(self, tmp_path, monkeypatch):
         # one frame for the section block and one for the bridge round: the
         # bridge's group side takes the partials and frame of its section
@@ -780,6 +800,35 @@ class TestLibraryErrors:
         assert not out.exists()
         assert err.count("\n") == 1
         assert err.startswith("error: InternalConsistencyError: chart produced a non-unitary")
+        assert "Traceback" not in err
+
+    def test_nan_partial(self, tmp_path, capsys, monkeypatch):
+        # one NaN entry of dU trips the frame's guards before det(omega) sees
+        # it (no RuntimeWarning) and ends the command with one error line
+        import dataclasses
+
+        from sun_phase import cli
+
+        def nan_exp_chart(basis):
+            chart = exp_chart(basis)
+
+            def one_nan(x):
+                u, du = chart.map_partials_fn(x)
+                du = du.copy()
+                du.reshape(-1)[0] = np.nan
+                return u, du
+
+            return dataclasses.replace(chart, map_partials_fn=one_nan)
+
+        monkeypatch.setattr(cli, "exp_chart", nan_exp_chart)
+        code, out = run_to_file(
+            tmp_path, "r.json", ["verify-group", "--n", "3", "--points", "5", "--seed", "1"]
+        )
+        err = capsys.readouterr().err
+        assert code == EXIT_CHECK_FAILURE
+        assert not out.exists()
+        assert err.count("\n") == 1
+        assert err.startswith("error: InternalConsistencyError: U^dag dU not in the algebra")
         assert "Traceback" not in err
 
     def test_points_below_p_grad_are_skipped(self, tmp_path, monkeypatch):
