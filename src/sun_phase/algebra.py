@@ -71,7 +71,7 @@ class StatePair:
         for name, v in (("psi_i", self.psi_i), ("psi_f", self.psi_f)):
             if v.ndim not in (1, 2):
                 raise ShapeError(f"{name} must have shape (n,) or (N, n), got {v.shape}")
-            if (np.abs(np.linalg.norm(v, axis=-1) - 1.0) >= ATOL_CONSTRUCTION).any():
+            if not (np.abs(np.linalg.norm(v, axis=-1) - 1.0) < ATOL_CONSTRUCTION).all():
                 raise DomainError(f"{name} is not unit-norm")
         if self.psi_i.shape != self.psi_f.shape:
             raise ShapeError("state vectors have different dimensions")
@@ -171,14 +171,14 @@ def completeness_residual(x: np.ndarray, y: np.ndarray, basis: GeneratorBasis) -
 def _hermitian_eigh(l: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if l.ndim < 2 or l.shape[-1] != l.shape[-2]:
         raise ShapeError(f"generator must be square, got shape {l.shape}")
-    if np.abs(l - dagger(l)).max(initial=0.0) >= ATOL_IDENTITY:
+    if not np.abs(l - dagger(l)).max(initial=0.0) < ATOL_IDENTITY:
         raise DomainError("generator is not Hermitian")
     return np.linalg.eigh(l)
 
 
 def _unitary_from_eigh(w: np.ndarray, v: np.ndarray, t) -> np.ndarray:
     u = (v * np.exp(1j * w * np.asarray(t)[..., None])[..., None, :]) @ dagger(v)
-    if np.abs(dagger(u) @ u - np.eye(w.shape[-1])).max(initial=0.0) >= ATOL_IDENTITY:
+    if not np.abs(dagger(u) @ u - np.eye(w.shape[-1])).max(initial=0.0) < ATOL_IDENTITY:
         raise InternalConsistencyError("exponential lost unitarity")
     return u
 

@@ -79,7 +79,7 @@ def polar_amplitude(pair: StatePair, u: np.ndarray) -> PolarAmplitude:
     n = pair.n
     if u.ndim not in (2, 3) or u.shape[-2:] != (n, n):
         raise ShapeError(f"expected {n}x{n} matrices, got {u.shape}")
-    if np.abs(dagger(u) @ u - np.eye(n)).max(initial=0.0) >= ATOL_IDENTITY:
+    if not np.abs(dagger(u) @ u - np.eye(n)).max(initial=0.0) < ATOL_IDENTITY:
         raise DomainError("matrix is not unitary")
     return _polar(pair, u)
 

@@ -17,6 +17,10 @@ by central differences, as an independent cross-check.  The frame and
 metric contractions are matrix products batched over points only, so
 each row of a stack rounds as that point alone does.
 
+`frame_coefficients` projects U^dag dU on the generators for any set of
+partials, with the four frame guards, and `frame_dual` inverts the
+result behind the det(omega) guard; `left_invariant_frame` is the two
+over all coordinates, and the coset section uses them for its columns.
 The frame's inverse dual = omega^-1 is the one matrix inversion per
 point; the inverse metric is dual dual^T (`vielbein_inverse`).  No
 eigenvalue test runs: g = omega^T omega is positive definite wherever
@@ -234,9 +238,9 @@ def left_translate(chart: Chart, v: np.ndarray) -> Chart:
     The frame and metric are built from U^dag dU, so they are unchanged;
     this exists to verify that invariance.
     """
-    if np.max(np.abs(dagger(v) @ v - np.eye(chart.n))) >= ATOL_IDENTITY:
+    if not np.max(np.abs(dagger(v) @ v - np.eye(chart.n))) < ATOL_IDENTITY:
         raise DomainError("left-translation element is not unitary")
-    if abs(np.linalg.det(v) - 1.0) >= ATOL_IDENTITY:
+    if not abs(np.linalg.det(v) - 1.0) < ATOL_IDENTITY:
         raise DomainError("left-translation element has det != 1")
 
     old_map, old_map_partials = chart.map_fn, chart.map_partials_fn
@@ -282,9 +286,8 @@ def left_invariant_frame(
     """Extract omega[a, mu] from U^dag dU = i omega^a g_a and invert it.
 
     `du` and `u`, when given, are the partials and the value of the chart
-    at x.  Verifies that U^dag dU is anti-Hermitian and traceless, that
-    the extracted coefficients are real, and that they reconstruct
-    U^dag dU over the chart's generator basis.  A singular omega raises
+    at x.  Runs the guards of `frame_coefficients` over the chart's
+    generator basis and those of `frame_dual`; a singular omega raises
     ChartDegenerateError.
     """
     x = np.asarray(x, dtype=float)
@@ -292,12 +295,25 @@ def left_invariant_frame(
         u, du = partials(chart, x)
     if u is None:
         u = chart.evaluate(x)
-    n, m = chart.n, chart.dim_m
+    omega = frame_coefficients(u, du, chart.algebra)
+    return FrameAtPoint(x=x, omega=omega, dual=frame_dual(omega, x))
+
+
+def frame_coefficients(u: np.ndarray, du: np.ndarray, algebra: np.ndarray) -> np.ndarray:
+    """omega[..., a, mu] with U^dag dU_mu = i omega^a g_a, for partials du
+    (..., k, n, n) along any k coordinates and generators algebra
+    (..., m, n, n); omega has shape (..., m, k).
+
+    Verifies that U^dag dU is anti-Hermitian and traceless, that the
+    extracted coefficients are real, and that they reconstruct U^dag dU
+    over the generators.
+    """
+    n, k = u.shape[-1], du.shape[-3]
     lead = du.shape[:-3]
-    # U^dag dU as one (n, n) @ (n, m n) product per point: pulled[..., i, mu, k]
-    pulled = dagger(u) @ np.swapaxes(du, -3, -2).reshape(lead + (n, m * n))
-    pulled = pulled.reshape(lead + (n, m, n))
-    per_coord = np.swapaxes(pulled, -3, -2)  # U^dag dU_mu, (..., m, n, n)
+    # U^dag dU as one (n, n) @ (n, k n) product per point: pulled[..., i, mu, j]
+    pulled = dagger(u) @ np.swapaxes(du, -3, -2).reshape(lead + (n, k * n))
+    pulled = pulled.reshape(lead + (n, k, n))
+    per_coord = np.swapaxes(pulled, -3, -2)  # U^dag dU_mu, (..., k, n, n)
 
     anti_herm = np.abs(per_coord + dagger(per_coord)).max(initial=0.0)
     traces = np.abs(np.trace(per_coord, axis1=-2, axis2=-1)).max(initial=0.0)
@@ -307,10 +323,10 @@ def left_invariant_frame(
             f"trace residue {traces:.2e})"
         )
 
-    # Tr(g_a P_mu) = sum_ik conj(g_a[i, k]) P_mu[i, k] for Hermitian g_a: the
+    # Tr(g_a P_mu) = sum_ij conj(g_a[i, j]) P_mu[i, j] for Hermitian g_a: the
     # conjugated (m, n^2) generator matrix times the entries of P_mu in row order
-    gens = generator_matrix(chart.algebra)
-    omega_c = gens.conj() @ np.swapaxes(pulled, -1, -2).reshape(lead + (n * n, m)) / 2j
+    gens = generator_matrix(algebra)
+    omega_c = gens.conj() @ np.swapaxes(pulled, -1, -2).reshape(lead + (n * n, k)) / 2j
     imag_residue = np.abs(omega_c.imag).max(initial=0.0)
     if not imag_residue < ATOL_FRAME:
         raise InternalConsistencyError(
@@ -320,15 +336,24 @@ def left_invariant_frame(
 
     # i omega^a g_a per coordinate, from one real product with the generator matrix
     rebuilt = 1j * (np.swapaxes(omega, -1, -2) @ gens.view(float)).view(complex)
-    if not np.abs(per_coord - rebuilt.reshape(lead + (m, n, n))).max(initial=0.0) < ATOL_FRAME:
+    if not np.abs(per_coord - rebuilt.reshape(lead + (k, n, n))).max(initial=0.0) < ATOL_FRAME:
         raise InternalConsistencyError("frame does not reconstruct U^dag dU")
+    return omega
 
-    if not np.abs(np.linalg.det(omega)).min(initial=np.inf) >= 1e-10:
+
+def frame_dual(omega: np.ndarray, x: np.ndarray, det: np.ndarray | None = None) -> np.ndarray:
+    """The inverse dual = omega^-1 of square frame coefficients at points x:
+    ChartDegenerateError where |det(omega)| < 1e-10, InternalConsistencyError
+    unless omega dual is the identity to ATOL_FRAME.  `det`, when given,
+    is det(omega), known from a diagonal block of a block-triangular omega."""
+    if det is None:
+        det = np.linalg.det(omega)
+    if not np.abs(det).min(initial=np.inf) >= 1e-10:
         raise ChartDegenerateError(f"frame singular at x = {x}")
     dual = np.linalg.inv(omega)
-    if not np.abs(omega @ dual - np.eye(m)).max(initial=0.0) < ATOL_FRAME:
+    if not np.abs(omega @ dual - np.eye(omega.shape[-1])).max(initial=0.0) < ATOL_FRAME:
         raise InternalConsistencyError("frame inversion failed")
-    return FrameAtPoint(x=x, omega=omega, dual=dual)
+    return dual
 
 
 def ck_metric(

@@ -5,22 +5,25 @@ Fixing a unit vector psi_i splits the algebra into a U(1) direction
 on psi_i), an su(n-1) isotropy block acting on the orthogonal
 complement, and 2(n-1) coset directions pairing psi_i with the
 complement.  The full Cartan chart U = K(y) H_s(xi_s) exp(i lambda0 xi0)
-has the section of states psi(y) = U(y, 0, 0) psi_i as its slice.
-`section(frame, y)` evaluates that slice once, at one point y or a stack
-(N, 2(n-1)); every ray-space check reads the `SectionPoint` it returns
-and the full chart it keeps, which the frame builds once (`frame.chart`):
-the Fubini-Study geometry and Berry connection, the phase/modulus
+has the section of states psi(y) = U(y, 0, 0) psi_i = K(y) psi_i as its
+slice.  `section(frame, y)` evaluates that slice once, at one point y or
+a stack (N, 2(n-1)), from the coset factor alone: K(y) and dK/dy from one
+`expm_partials` call, the one the full chart (`frame.chart`, built once
+per frame) makes for that factor, and the first 2(n-1) frame columns
+from K^dag dK.  Every ray-space check reads the `SectionPoint` it
+returns: the Fubini-Study geometry and Berry connection, the phase/modulus
 identities, the factorization of group amplitudes through the section
-and the group-to-ray bridge.  A stack of
-reference states (N, n) gives per-row frames and a per-row full chart,
-whose row k is adapted to psi_i[k].  The section takes U and its partials
-at the slice from one chart call, whose product rule leaves out the
-isotropy and U(1) factors there (both exactly 1), and forms its Gram
-matrices and overlaps as products per point.  At the slice the frame
-omega is block lower-triangular with an identity isotropy/U(1) block, so
-det(omega) = det(tau) for the coset block tau, and the leading block of
-the frame's inverse is tau^-1: the inverse Fubini-Study metric is read
-off it, with no further inversion and no eigenvalue test.
+(K(y) times the chart's own isotropy and U(1) factors) and the
+group-to-ray bridge.  The chart's partials and full frame at (y, 0, 0),
+which only the bridge and the block decomposition read, are built on
+first read from K and dK/dy by the chart's product rule, with no second
+eigendecomposition.  A stack of reference states (N, n) gives per-row
+frames and a per-row full chart, whose row k is adapted to psi_i[k].
+At the slice the frame omega is block lower-triangular with an identity
+isotropy/U(1) block, so det(omega) = det(tau) for the coset block tau,
+and the leading block of the frame's inverse is tau^-1: the inverse
+Fubini-Study metric is read off it, with no further inversion and no
+eigenvalue test.
 """
 from __future__ import annotations
 
@@ -41,10 +44,12 @@ from .algebra import (
 from .amplitude import RelationResiduals, _frame_gradient, _polar
 from .charts import (
     Chart,
+    FrameAtPoint,
     ck_metric,
     cometric,
+    frame_coefficients,
+    frame_dual,
     left_invariant_frame,
-    partials,
     real_gram,
     vielbein_inverse,
 )
@@ -155,7 +160,7 @@ def build_cartan_frame(psi_i, basis: GeneratorBasis) -> CartanFrame:
     n = basis.n
     if psi_i.ndim not in (1, 2) or psi_i.shape[-1] != n or not psi_i.size:
         raise ShapeError(f"reference states need shape ({n},) or (N, {n}), got {psi_i.shape}")
-    if (np.abs(np.linalg.norm(psi_i, axis=-1) - 1.0) >= ATOL_CONSTRUCTION).any():
+    if not (np.abs(np.linalg.norm(psi_i, axis=-1) - 1.0) < ATOL_CONSTRUCTION).all():
         raise DomainError("reference state is not unit-norm")
 
     eye = np.eye(n, dtype=complex)
@@ -202,7 +207,7 @@ def _coset_coordinates(frame: CartanFrame, y) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     if y.ndim not in (1, 2) or y.shape[-1] != frame.dim_coset:
         raise ShapeError(f"expected {frame.dim_coset} coset coordinates, got shape {y.shape}")
-    if (np.linalg.norm(y, axis=-1) >= np.pi / 2).any():
+    if not (np.linalg.norm(y, axis=-1) < np.pi / 2).all():
         raise DomainError("coset coordinates outside the |y| < pi/2 ball")
     return y
 
@@ -218,23 +223,23 @@ class SectionPoint:
     """State, connection, and ray-space metric at section points y, one or
     stacked: the slice x = (y, 0, 0) of the full chart, where U(x) = K(y).
 
-    `chart` is the full Cartan chart the point was evaluated on, `du` its
-    partials at x and `frame` its frame there;
-    `tau`, `iso_components` and `u1_component` are the frame's coset,
-    isotropy and U(1) rows in the first 2(n-1) columns (the components of
+    `cartan` is the frame of the reference state, `chart` its full Cartan
+    chart; `kmat` is K(y) and `dkmat` its partials dK/dy.  `tau`,
+    `iso_components` and `u1_component` are the coset, isotropy and U(1)
+    rows of the frame's first 2(n-1) columns (the components of
     K^dag dK).  `dpsi` stacks the partials d psi / d y^mu.  `fs_metric`
     is the vielbein construction tau^T tau; `fs_metric_state` the state
     formula Re<d psi|d psi> - A A, kept for cross-checking.  `berry` is
-    the connection -i<psi|d psi>.
+    the connection -i<psi|d psi>.  `du` and `frame`, the chart's partials
+    and full frame at x, are built on first read (see `section`).
     """
 
-    chart: Chart
+    cartan: CartanFrame
     y: np.ndarray
     kmat: np.ndarray
+    dkmat: np.ndarray
     psi: np.ndarray
     dpsi: np.ndarray
-    du: np.ndarray
-    frame: FrameAtPoint
     tau: np.ndarray
     iso_components: np.ndarray
     u1_component: np.ndarray
@@ -243,42 +248,86 @@ class SectionPoint:
     fs_metric_inv: np.ndarray
     fs_metric_state: np.ndarray
 
+    @property
+    def chart(self) -> Chart:
+        return self.cartan.chart
+
+    @cached_property
+    def du(self) -> np.ndarray:
+        """The chart's partials at x = (y, 0, 0), by its product rule from
+        K and dK/dy: dU/dxi_s = K i g_s and dU/dxi0 = K i lambda0."""
+        x = _slice(self.cartan, self.y)
+        m = self.y.shape[-1]
+        return _product_rule(self.cartan, self.kmat, self.dkmat, x[..., m:-1], x[..., -1:])[1]
+
+    @cached_property
+    def frame(self) -> FrameAtPoint:
+        """The chart's full frame at x = (y, 0, 0), with every guard of
+        `left_invariant_frame`."""
+        x = _slice(self.cartan, self.y)
+        return left_invariant_frame(self.chart, x, du=self.du, u=self.kmat)
+
     def overlap(self, bra: np.ndarray):
         """<bra|psi(y)>: a scalar, or one value per row of a stack."""
         return (self.psi[..., None, :] @ bra.conj()[:, None])[..., 0, 0]
 
     def rows(self, index) -> "SectionPoint":
-        """The points `index` of a stacked section."""
-        frame = type(self.frame)(**{k: v[index] for k, v in vars(self.frame).items()})
-        fields = {k: v[index] for k, v in vars(self).items() if k not in ("chart", "frame")}
-        return SectionPoint(chart=self.chart.rows(index), frame=frame, **fields)
+        """The points `index` of a stacked section; `du` and `frame` are
+        built again for them on first read."""
+        arrays = {f.name: getattr(self, f.name)[index] for f in fields(self) if f.name != "cartan"}
+        return SectionPoint(cartan=self.cartan, **arrays)
+
+
+def _slice(frame: CartanFrame, y: np.ndarray) -> np.ndarray:
+    """Full-chart coordinates x = (y, 0, 0) of section points y."""
+    return np.concatenate([y, np.zeros(y.shape[:-1] + (frame.dim_iso + 1,))], axis=-1)
 
 
 def section(frame: CartanFrame, y) -> SectionPoint:
-    """Section state psi(y) = U(y, 0, 0) psi_i with its ray-space geometry.
+    """Section state psi(y) = K(y) psi_i with its ray-space geometry.
 
-    U, its exact partials (one chart call) and frame come from the full
-    Cartan chart `frame.chart`, which the point keeps.  The frame must
-    belong to one reference state: per-row frames raise ShapeError.
+    Evaluates the coset factor only: K and dK/dy come from one
+    `expm_partials` call, the one the full chart `frame.chart` makes for
+    its coset factor, so K is the chart's U(y, 0, 0) bit for bit and is
+    held to the chart's guards (domain, unitarity, det = 1).  K^dag dK is
+    projected on all generators, with the guards of
+    `charts.frame_coefficients`, for the frame's first 2(n-1) columns.
+    The chart's partials and full frame at (y, 0, 0) are left to the
+    point's `du` and `frame`, built on first read; only the bridge and the
+    block decomposition read them.  The frame must belong to one
+    reference state: per-row frames raise ShapeError.
+
     The two Fubini-Study constructions are cross-checked to 1e-6 and the
-    Berry connection verified real to 1e-9.  `fs_metric_inv` is T T^T for
-    the leading coset block T = tau^-1 of the frame's inverse; the frame's
-    det(omega) = det(tau) guard stands behind the positive definiteness of
-    `fs_metric`, and DegenerateMetricError is raised unless
-    fs_metric fs_metric_inv is the identity to ATOL_FRAME.  A stack raises
-    the error of its first failing row.
+    Berry connection verified real to 1e-9.  At the slice the full frame
+    omega is the coset columns followed by identity columns (the partials
+    K i g_s and K i lambda0 pull back to their own generators), so it is
+    block lower-triangular with an identity isotropy/U(1) block, and
+    det(omega) = det(tau).  That omega, formed from the coset columns, gets
+    the frame's det guard, on det(tau), and its inversion check
+    (`charts.frame_dual`), and `fs_metric_inv` is T T^T for the leading
+    block T = tau^-1 of its inverse.  The det guard stands behind the
+    positive definiteness of `fs_metric`, and DegenerateMetricError is
+    raised unless fs_metric fs_metric_inv is the identity to ATOL_FRAME.
+    A stack raises the error of its first failing row.
     """
     if frame.psi_i.ndim != 1:
         raise ShapeError("a section belongs to one reference state, not to per-row frames")
     y = _coset_coordinates(frame, y)
-    chart = frame.chart
-    x = np.concatenate([y, np.zeros(y.shape[:-1] + (frame.dim_iso + 1,))], axis=-1)
     m = frame.dim_coset
     try:
-        kmat, du = partials(chart, x)
-        chart_frame = left_invariant_frame(chart, x, du=du, u=kmat)
+        kmat, dkmat = expm_partials(y, frame.coset)
+        frame.chart._checked(kmat)
+        columns = frame_coefficients(kmat, dkmat, frame.chart.algebra)
+        tau = columns[..., :m, :]
+        # the frame at the slice: the coset columns, then identity columns,
+        # as K i g_s and K i lambda0 pull back to their own generators
+        x = _slice(frame, y)
+        omega = np.broadcast_to(np.eye(x.shape[-1]), x.shape + x.shape[-1:]).copy()
+        omega[..., :m] = columns
+        # det(omega) = det(tau), and the leading block of omega^-1 is tau^-1
+        tau_inv = frame_dual(omega, x, det=np.linalg.det(tau))[..., :m, :m]
         psi = kmat @ frame.psi_i
-        dpsi = du[..., :m, :, :] @ frame.psi_i
+        dpsi = dkmat @ frame.psi_i
 
         overlaps = (dpsi @ psi.conj()[..., :, None])[..., 0]  # <psi|d psi>
         # exactly imaginary; with exact partials the real part is rounding
@@ -287,7 +336,6 @@ def section(frame: CartanFrame, y) -> SectionPoint:
             raise InternalConsistencyError("Berry connection has an imaginary part")
         berry = overlaps.imag  # components of -i<psi|d psi>
 
-        tau = chart_frame.omega[..., :m, :m]
         fs_metric = np.swapaxes(tau, -1, -2) @ tau
         grams = real_gram(dpsi)  # Re<d psi|d psi>
         fs_metric_state = grams - berry[..., :, None] * berry[..., None, :]
@@ -295,25 +343,22 @@ def section(frame: CartanFrame, y) -> SectionPoint:
             raise InternalConsistencyError(
                 "Fubini-Study constructions disagree beyond tolerance"
             )
-        # omega is block lower-triangular at the slice, with an identity
-        # isotropy/U(1) block, so the leading block of dual is tau^-1
-        fs_inv = vielbein_inverse(fs_metric, chart_frame.dual[..., :m, :m], "y", y)
+        fs_inv = vielbein_inverse(fs_metric, tau_inv, "y", y)
     except SunPhaseError:
         for row in y if y.ndim == 2 else ():
             section(frame, row)  # raises the error of the first failing row
         raise
 
     return SectionPoint(
-        chart=chart,
+        cartan=frame,
         y=y,
         kmat=kmat,
+        dkmat=dkmat,
         psi=psi,
         dpsi=dpsi,
-        du=du,
-        frame=chart_frame,
         tau=tau,
-        iso_components=chart_frame.omega[..., m:-1, :m],
-        u1_component=chart_frame.omega[..., -1, :m],
+        iso_components=columns[..., m:-1, :],
+        u1_component=columns[..., -1, :],
         berry=berry,
         fs_metric=fs_metric,
         fs_metric_inv=fs_inv,
@@ -341,6 +386,39 @@ def _nonzero_rows(coords: np.ndarray, value: np.ndarray, zero: np.ndarray) -> np
     return np.where(coords.any(axis=-1)[..., None, None], value, zero)
 
 
+def _times_fiber(frame: CartanFrame, u: np.ndarray, xs: np.ndarray, x0: np.ndarray) -> np.ndarray:
+    """u H_s(xs) exp(i lambda0 x0): the isotropy and U(1) factors of the full
+    chart applied to u, each left out where its coordinates are all zero."""
+    if frame.dim_iso and xs.any():
+        s = expm_generator(generator_sum(xs, frame.iso))
+        u = _nonzero_rows(xs, u @ s, u)
+    if x0.any():
+        u = _nonzero_rows(x0, u @ expm_generator(frame.lambda0, x0[..., 0]), u)
+    return u
+
+
+def _product_rule(
+    frame: CartanFrame, k: np.ndarray, du_y: np.ndarray, xs: np.ndarray, x0: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """U = K S E and its partials over (y, xs, x0), from K and dK/dy by the
+    product rule; S and E are left out where they are exactly 1 in every
+    row, as on the section slice."""
+    iso_g, lam0, eye = frame.iso, frame.lambda0, np.eye(frame.n, dtype=complex)
+    u, ds = k, 1j * iso_g
+    if frame.dim_iso and xs.any():
+        s_x, ds_x = expm_partials(xs, iso_g)
+        u = _nonzero_rows(xs, k @ s_x, k)
+        du_y = du_y @ _nonzero_rows(xs, s_x, eye)[..., None, :, :]
+        ds = _nonzero_rows(xs[..., None, :], ds_x, ds)
+    du_s, du_0 = k[..., None, :, :] @ ds, u @ (1j * lam0)
+    if x0.any():
+        e_x = expm_generator(lam0, x0[..., 0])
+        e = _nonzero_rows(x0, e_x, eye)
+        u = _nonzero_rows(x0, u @ e_x, u)
+        du_y, du_s, du_0 = du_y @ e[..., None, :, :], du_s @ e[..., None, :, :], du_0 @ e
+    return u, np.concatenate([du_y, du_s, du_0[..., None, :, :]], axis=-3)
+
+
 def full_cartan_chart(frame: CartanFrame) -> Chart:
     """Chart splitting the group into coset, isotropy, and U(1) factors.
 
@@ -357,37 +435,17 @@ def full_cartan_chart(frame: CartanFrame) -> Chart:
     n = frame.n
     m_coset, m_iso = frame.dim_coset, frame.dim_iso
     m = m_coset + m_iso + 1
-    coset_g, iso_g, lam0 = frame.coset, frame.iso, frame.lambda0
-    eye = np.eye(n, dtype=complex)
+
+    def _split(x: np.ndarray):
+        return x[..., :m_coset], x[..., m_coset:m_coset + m_iso], x[..., -1:]
 
     def _map(x: np.ndarray) -> np.ndarray:
-        y, xs, x0 = x[..., :m_coset], x[..., m_coset:m_coset + m_iso], x[..., -1:]
-        u = expm_generator(generator_sum(y, coset_g))
-        if m_iso and xs.any():
-            s = expm_generator(generator_sum(xs, iso_g))
-            u = _nonzero_rows(xs, u @ s, u)
-        if x0.any():
-            u = _nonzero_rows(x0, u @ expm_generator(lam0, x0[..., 0]), u)
-        return u
+        y, xs, x0 = _split(x)
+        return _times_fiber(frame, expm_generator(generator_sum(y, frame.coset)), xs, x0)
 
     def _map_partials(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # U = K S E and dU by the product rule; S and E are left out where
-        # they are exactly 1 in every row, as on the section slice
-        y, xs, x0 = x[..., :m_coset], x[..., m_coset:m_coset + m_iso], x[..., -1:]
-        k, du_y = expm_partials(y, coset_g)
-        u, ds = k, 1j * iso_g
-        if m_iso and xs.any():
-            s_x, ds_x = expm_partials(xs, iso_g)
-            u = _nonzero_rows(xs, k @ s_x, k)
-            du_y = du_y @ _nonzero_rows(xs, s_x, eye)[..., None, :, :]
-            ds = _nonzero_rows(xs[..., None, :], ds_x, ds)
-        du_s, du_0 = k[..., None, :, :] @ ds, u @ (1j * lam0)
-        if x0.any():
-            e_x = expm_generator(lam0, x0[..., 0])
-            e = _nonzero_rows(x0, e_x, eye)
-            u = _nonzero_rows(x0, u @ e_x, u)
-            du_y, du_s, du_0 = du_y @ e[..., None, :, :], du_s @ e[..., None, :, :], du_0 @ e
-        return u, np.concatenate([du_y, du_s, du_0[..., None, :, :]], axis=-3)
+        y, xs, x0 = _split(x)
+        return _product_rule(frame, *expm_partials(y, frame.coset), xs, x0)
 
     def _contains(x: np.ndarray) -> np.ndarray:
         y, xs, x0 = x[..., :m_coset], x[..., m_coset:m_coset + m_iso], x[..., -1]
@@ -469,18 +527,19 @@ def factorization_residual(pair: StatePair, point: SectionPoint, xi_s, xi0) -> f
     holds because the isotropy factor fixes psi_i and psi_i is a lambda0
     eigenvector; the residual is matrix-exponential rounding only (< 1e-9
     everywhere).  The left side is the map of the point's chart at
-    (y, xi_s, xi0), unchecked against its domain: the identity holds for
-    every xi_s.  The right side reads K(y) = U(y, 0, 0) from the point.
+    (y, xi_s, xi0), unchecked against its domain (the identity holds for
+    every xi_s): the point's K(y) times the isotropy and U(1) factors,
+    formed as the chart's map forms them, so bit for bit its value.  The
+    right side reads K(y) = U(y, 0, 0) from the point.
     """
-    y, chart = point.y, point.chart
-    dim_iso = chart.dim_m - y.shape[-1] - 1
+    y, frame = point.y, point.cartan
     xi_s, xi0 = np.asarray(xi_s, dtype=float), np.asarray(xi0, dtype=float)
-    if xi_s.shape != y.shape[:-1] + (dim_iso,) or xi0.shape != y.shape[:-1]:
-        raise ShapeError(f"expected {dim_iso} isotropy and 1 U(1) coordinates per point")
-    u = chart.map_fn(np.concatenate([y, xi_s, xi0[..., None]], axis=-1))
+    if xi_s.shape != y.shape[:-1] + (frame.dim_iso,) or xi0.shape != y.shape[:-1]:
+        raise ShapeError(f"expected {frame.dim_iso} isotropy and 1 U(1) coordinates per point")
+    u = _times_fiber(frame, point.kmat, xi_s, xi0[..., None])
     amps = (pair.psi_f.conj() @ np.stack([u, point.kmat]))[..., None, :] @ pair.psi_i[:, None]
     lhs, rhs = amps[..., 0, 0]
-    phase = np.exp(1j * u1_eigenvalue(chart.n) * xi0)
+    phase = np.exp(1j * u1_eigenvalue(frame.n) * xi0)
     # the product phase * rhs spelled out, so that every row rounds as one point does
     re = lhs.real - (phase.real * rhs.real - phase.imag * rhs.imag)
     im = lhs.imag - (phase.real * rhs.imag + phase.imag * rhs.real)
@@ -527,11 +586,12 @@ def bridge_residuals(pair: StatePair, point: SectionPoint) -> BridgeResult:
     p0, d_eta_y, _, d_p_y = _section_amplitude(pair, point)
     if np.min(p0, initial=np.inf) < 1e-6:
         raise NearZeroAmplitudeError(f"amplitude p = {np.min(p0):.3e} too small")
-    x, u = point.frame.x, point.kmat
+    u = point.kmat
     try:
+        x = point.frame.x
         group = _frame_gradient(pair, point.chart, x, u, point.du, _polar(pair, u), point.frame)
     except SunPhaseError:
-        for k in range(len(x) if x.ndim == 2 else 0):
+        for k in range(len(u) if u.ndim == 3 else 0):
             bridge_residuals(pair, point.rows(k))  # the first failing row's error
         raise
 

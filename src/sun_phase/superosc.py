@@ -61,12 +61,12 @@ def normalized_generator(matrix: np.ndarray) -> NormalizedGenerator:
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ShapeError(f"generator must be square, got {matrix.shape}")
     n = matrix.shape[0]
-    if np.max(np.abs(matrix - dagger(matrix))) >= ATOL_IDENTITY:
+    if not np.max(np.abs(matrix - dagger(matrix))) < ATOL_IDENTITY:
         raise DomainError("generator is not Hermitian")
-    if abs(np.trace(matrix)) >= ATOL_IDENTITY:
+    if not abs(np.trace(matrix)) < ATOL_IDENTITY:
         raise DomainError("generator is not traceless")
     norm_sq = 0.5 * np.trace(matrix @ matrix).real
-    if abs(norm_sq - 1.0) >= ATOL_IDENTITY:
+    if not abs(norm_sq - 1.0) < ATOL_IDENTITY:
         raise DomainError("generator is not normalized to (1/2) Tr l^2 = 1")
     w, v = np.linalg.eigh(matrix)
     if np.max(np.abs(w)) > min_gradient_bound(n) + 1e-9:

@@ -16,12 +16,16 @@ from sun_phase.algebra import (
     killing_inner,
     random_hermitian,
 )
-from sun_phase.charts import Chart, fd_partials
+from sun_phase.amplitude import polar_amplitude
+from sun_phase.charts import Chart, exp_chart, fd_partials, left_translate
+from sun_phase.coset import build_cartan_frame
 from sun_phase.errors import (
     DimensionError,
     DomainError,
+    InternalConsistencyError,
     ShapeError,
 )
+from sun_phase.superosc import normalized_generator
 from sun_phase.tolerances import ATOL_FD_MATCH
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -341,3 +345,54 @@ class TestStatePair:
         rng = np.random.default_rng(3)
         for n in (2, 3, 4):
             assert abs(np.linalg.norm(haar_state(n, rng)) - 1.0) < 1e-12
+
+
+NAN = float("nan")
+NAN_MATRIX = np.full((2, 2), NAN, dtype=complex)
+PLUS = np.array([1.0, 0.0], dtype=complex)
+
+
+class TestNanInputsRejected:
+    """Each input guard is written `not residual < tol`, so a NaN trips it
+    instead of passing it on to LAPACK or into a result."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            pytest.param(
+                lambda: expm_partials([NAN, 0.0, 0.0], build_gellmann_basis(2).matrices),
+                id="hermitian-eigh-coefficient",
+            ),
+            pytest.param(lambda: expm_generator(NAN_MATRIX), id="hermitian-eigh-generator"),
+            pytest.param(
+                lambda: StatePair(np.array([NAN, 0.0], dtype=complex), PLUS),
+                id="state-pair-unit-norm",
+            ),
+            pytest.param(
+                lambda: polar_amplitude(StatePair(PLUS, PLUS), NAN_MATRIX),
+                id="polar-amplitude-unitarity",
+            ),
+            pytest.param(
+                lambda: build_cartan_frame(np.array([NAN, 1.0, 0.0]), build_gellmann_basis(3)),
+                id="cartan-frame-unit-norm",
+            ),
+            pytest.param(
+                lambda: left_translate(exp_chart(build_gellmann_basis(2)), NAN_MATRIX),
+                id="left-translate-unitarity",
+            ),
+            pytest.param(
+                lambda: normalized_generator(np.full((3, 3), NAN, dtype=complex)),
+                id="superosc-generator",
+            ),
+        ],
+    )
+    def test_nan_input_raises_domain_error(self, call):
+        with pytest.raises(DomainError):
+            call()
+
+    def test_nan_time_trips_the_unitarity_guard(self):
+        # a NaN time passes the Hermiticity check on the generator; the
+        # exponential's own unitarity guard, an internal consistency check,
+        # then trips instead of returning a NaN matrix
+        with pytest.raises(InternalConsistencyError, match="lost unitarity"):
+            expm_generator(PAULI_X, NAN)

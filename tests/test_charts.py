@@ -9,6 +9,7 @@ from sun_phase.algebra import (
     dagger,
     expm_generator,
     expm_partials,
+    generator_sum,
     haar_state,
     random_hermitian,
 )
@@ -229,6 +230,19 @@ def chart_with_frame(chart, omega):
     return dataclasses.replace(chart, map_partials_fn=map_partials_fn)
 
 
+def coset_factor_with_columns(frame, columns):
+    """An `expm_partials` for the coset factor of `frame` whose partials are
+    K(y) i omega^a g_a over all generators, so that the section's coset
+    columns at every point are the given omega (n^2 - 1, 2(n - 1))."""
+    pulled = 1j * np.einsum("am,aij->mij", columns, frame.stacked())
+
+    def coset_partials(y, gens):
+        k = expm_generator(generator_sum(y, gens))
+        return k, k[..., None, :, :] @ pulled
+
+    return coset_partials
+
+
 def nearly_singular(m, s_min, rng):
     """A random real (m, m) matrix with singular values 1 and one s_min, so
     that |det| = s_min."""
@@ -283,10 +297,13 @@ class TestVielbeinInverse:
         assert fired[True] and fired[False]  # the test fires on both sides of 1e-10
 
     @pytest.mark.parametrize("n", [2, 3, 4, 8])
-    def test_indefinite_fs_metric_rejected(self, n):
-        # at the section slice omega is block lower-triangular with an
-        # identity isotropy/U(1) block, so det(omega) = det(tau) and the
-        # det(omega) guard stands behind the Fubini-Study block as well
+    def test_indefinite_fs_metric_rejected(self, n, monkeypatch):
+        # the broken tau enters through the coset factor, the one factor a
+        # section evaluates; at the slice omega is block lower-triangular
+        # with an identity isotropy/U(1) block, so det(omega) = det(tau) and
+        # the det guard stands behind the Fubini-Study block as well
+        import sun_phase.coset as coset
+
         rng = np.random.default_rng(1300 + n)
         frame = build_cartan_frame(haar_state(n, rng), build_gellmann_basis(n))
         m, dim = frame.dim_coset, n * n - 1
@@ -295,13 +312,11 @@ class TestVielbeinInverse:
         for s_min in S_BELOW_DET_GUARD + S_ABOVE_DET_GUARD:
             for _ in range(8):
                 tau = nearly_singular(m, s_min, rng)
-                omega = np.eye(dim)
-                omega[:m, :m] = tau
-                omega[m:, :m] = rng.uniform(-0.5, 0.5, (dim - m, m))
+                columns = np.vstack([tau, rng.uniform(-0.5, 0.5, (dim - m, m))])
                 indefinite = np.linalg.eigvalsh(tau.T @ tau)[0] <= 0.0
-                broken = dataclasses.replace(frame)
-                broken.__dict__["chart"] = chart_with_frame(frame.chart, omega)  # the cached chart
-                self.assert_indefinite_rejected(s_min, indefinite, lambda: section(broken, y))
+                injected = coset_factor_with_columns(frame, columns)
+                monkeypatch.setattr(coset, "expm_partials", injected)
+                self.assert_indefinite_rejected(s_min, indefinite, lambda: section(frame, y))
                 fired[s_min < 1e-10] += indefinite
         assert fired[True] and fired[False]
 

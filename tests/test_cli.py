@@ -554,10 +554,11 @@ class TestEvaluatedOnce:
             (["verify-group", "--n", "3"], 1),
             # one block on the per-row chart: the coset, isotropy and U(1) factors
             (["verify-group", "--n", "3", "--chart", "cartan"], 3),
-            # the section block (its slice has the coset factor only), the
-            # factorization's full map (3; its right side is the section's
-            # K(y)) and one bridge round
-            (["verify-ray", "--n", "4"], 5),
+            # the section block (its coset factor), the factorization's
+            # isotropy and U(1) factors (2; its coset factor is the
+            # section's K(y)) and the section of one bridge round, whose
+            # full frame is built from that section's K and dK/dy
+            (["verify-ray", "--n", "4"], 4),
         ],
     )
     def test_one_eigendecomposition_per_factor_and_block(
@@ -579,24 +580,28 @@ class TestEvaluatedOnce:
     )
     def test_one_inversion_per_frame(self, tmp_path, monkeypatch, argv):
         # the metric inverses are products of the frame's inverse: no
-        # eigvalsh, and one inv per frame, that of omega
-        from sun_phase import charts
+        # eigvalsh, and one inv per frame, that of omega, and one per
+        # section, that of the slice frame whose leading block is tau
+        from sun_phase import charts, coset
 
         frames = self.count_calls(monkeypatch, charts, "left_invariant_frame")
+        sections = self.count_calls(monkeypatch, coset, "section")
         eigvalshs = self.count_calls(monkeypatch, np.linalg, "eigvalsh")
         invs = self.count_calls(monkeypatch, np.linalg, "inv")
         code, _ = run_to_file(tmp_path, "r.json", argv)
         assert code == EXIT_PASS
         assert len(eigvalshs) == 0
-        assert len(invs) == len(frames) > 0
+        assert len(invs) == len(frames) + len(sections) > 0
 
     def test_verify_ray_bridge_reuses_the_section_frame(self, tmp_path, monkeypatch):
-        # one frame for the section block and one for the bridge round: the
-        # bridge's group side takes the partials and frame of its section
-        from sun_phase import charts
+        # a section evaluates its coset factor only, so the ray block builds
+        # no full frame; the bridge round builds one, for its kept rows, from
+        # the K and dK/dy of its section, and no chart call makes partials
+        from sun_phase import charts, coset
 
         frames = self.count_calls(monkeypatch, charts, "left_invariant_frame")
         partials = self.count_calls(monkeypatch, charts, "partials")
+        sections = self.count_calls(monkeypatch, coset, "section")
         code, out = run_to_file(
             tmp_path,
             "r.json",
@@ -604,7 +609,9 @@ class TestEvaluatedOnce:
         )
         assert code == EXIT_PASS
         assert load(out)["bridge_points_evaluated"] == 4
-        assert len(frames) == len(partials) == 2
+        assert len(sections) == 2
+        assert len(frames) == 1
+        assert len(partials) == 0
 
     def test_verify_ray_builds_one_full_chart(self, tmp_path, monkeypatch):
         # the block size, the ray blocks and the bridge rounds share the

@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 from sun_phase.algebra import (
     StatePair,
     build_gellmann_basis,
+    expm_partials,
     haar_state,
     killing_inner,
+    random_hermitian,
 )
 from sun_phase.amplitude import polar_amplitude
 from sun_phase.coset import (
@@ -24,7 +26,7 @@ from sun_phase.coset import (
     u1_berry_residuals,
     u1_eigenvalue,
 )
-from sun_phase.charts import fd_partials, partials
+from sun_phase.charts import fd_partials, frame_coefficients, left_invariant_frame, partials
 from sun_phase.errors import (
     ChartDegenerateError,
     DegenerateMetricError,
@@ -288,6 +290,30 @@ class TestRayRelations:
 
 
 class TestFactorization:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_left_side_is_the_chart_map(self, n, monkeypatch):
+        # K(y) from the section times the isotropy and U(1) factors, formed
+        # as the chart's map forms them: bit for bit its value
+        import sun_phase.coset as coset
+
+        rng = np.random.default_rng(1700 + n)
+        frame = frame_for(n, rng)
+        pair = StatePair(frame.psi_i, haar_state(n, rng))
+        y = rng.uniform(-0.5, 0.5, (4, frame.dim_coset))
+        xi_s = rng.uniform(-0.5, 0.5, (4, frame.dim_iso))
+        xi0 = rng.uniform(-2.0, 2.0, 4)
+        xi_s[1], xi0[2] = 0.0, 0.0  # rows where a factor is left out
+        lefts = []
+        original = coset._times_fiber
+        monkeypatch.setattr(
+            coset, "_times_fiber", lambda *args: lefts.append(original(*args)) or lefts[-1]
+        )
+        for rows in (slice(None), 0):
+            factorization_residual(pair, section(frame, y[rows]), xi_s[rows], xi0[rows])
+            left = lefts[-1]
+            x = np.concatenate([y[rows], xi_s[rows], xi0[rows, None]], axis=-1)
+            assert np.array_equal(left, frame.chart.map_fn(x))
+
     def test_zero_isotropy_coordinates_exact(self):
         rng = np.random.default_rng(61)
         frame = frame_for(3, rng)
@@ -473,8 +499,12 @@ class TestStackedSlice:
         point = section(frame, y)
         x = np.zeros((3, full_cartan_chart(frame).dim_m))
         x[:, : frame.dim_coset] = y
+        # the full frame is built on first read, not by the section
+        assert "frame" not in vars(point) and "du" not in vars(point)
         assert np.array_equal(point.frame.x, x)
         assert np.array_equal(point.kmat, coset_element(frame, y))
+        u, du = partials(frame.chart, x)
+        assert np.array_equal(point.kmat, u) and np.array_equal(point.du, du)
         # the U(1) and isotropy coordinates enter with the identity frame
         m = frame.dim_coset
         identity = np.broadcast_to(np.eye(frame.dim_iso + 1), (3, frame.dim_iso + 1, frame.dim_iso + 1))
@@ -540,6 +570,91 @@ class TestStackedSlice:
         pair = StatePair(PLUS, np.array([0.0, 1.0], dtype=complex))
         with pytest.raises(NearZeroAmplitudeError, match=r"y = \[0\. 0\.\]"):
             ray_relation_residuals(pair, section(frame, np.array([[0.3, 0.2], [0.0, 0.0]])))
+
+
+class TestCosetFactor:
+    """A section evaluates the coset factor K(y) of the full chart only."""
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    @pytest.mark.parametrize("rows", [None, 1, 5])
+    def test_coset_columns_match_full_frame(self, n, rows):
+        rng = np.random.default_rng(1600 + 10 * n + (rows or 0))
+        frame = frame_for(n, rng)
+        m = frame.dim_coset
+        lo, hi = frame.chart.sample_box[:m].T
+        y = rng.uniform(lo, hi, (rows, m) if rows else m)
+        point = section(frame, y)
+        x = np.concatenate([y, np.zeros(y.shape[:-1] + (frame.dim_iso + 1,))], axis=-1)
+        full = left_invariant_frame(frame.chart, x).omega[..., :m]
+        columns = np.concatenate(
+            [point.tau, point.iso_components, point.u1_component[..., None, :]], axis=-2
+        )
+        assert columns.shape == full.shape
+        _within_ulps(columns, full, max(1.0, np.max(np.abs(full))))
+
+    def test_frame_built_once_for_the_kept_rows(self, monkeypatch):
+        import sun_phase.coset as coset
+
+        rng = np.random.default_rng(1610)
+        frame = frame_for(3, rng)
+        y = rng.uniform(-0.4, 0.4, (4, frame.dim_coset))
+        point = section(frame, y).rows(np.array([True, False, True, True]))
+        frames = []
+        original = coset.left_invariant_frame
+        monkeypatch.setattr(
+            coset, "left_invariant_frame", lambda *a, **k: frames.append(1) or original(*a, **k)
+        )
+        assert point.frame is point.frame and len(frames) == 1
+        assert point.frame.omega.shape == (3, 8, 8)
+        assert np.array_equal(point.frame.omega, original(frame.chart, point.frame.x).omega)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 8])
+    def test_fiber_guards_implied_by_unitarity(self, n, monkeypatch):
+        # The full frame's isotropy and U(1) columns are the coefficients of
+        # K^dag K i g_s; only the lazily built frame runs their guards (to
+        # ATOL_FRAME = 1e-8).  Their residues are of the size of
+        # |K^dag K - 1| (at most 1.7 times it for K(1 + s h) here), which
+        # the section's unitarity guard on K holds below ATOL_IDENTITY =
+        # 1e-10: a K on which a fiber guard trips fails the kept guard first.
+        import sun_phase.coset as coset
+
+        rng = np.random.default_rng(1620 + n)
+        frame = frame_for(n, rng)
+        y = rng.uniform(-0.4, 0.4, (3, frame.dim_coset))
+        k, dk = expm_partials(y, frame.coset)
+        h = random_hermitian(n, rng)
+        h /= np.abs(h).max()
+        fiber = 1j * frame.stacked()[frame.dim_coset:]
+        tripped = {"fiber": 0, "unitarity": 0}
+        for s in np.logspace(-12, -6, 25):
+            bent = k @ (np.eye(n) + s * h)
+            try:
+                frame_coefficients(bent, bent[..., None, :, :] @ fiber, frame.chart.algebra)
+            except InternalConsistencyError:
+                fiber_trips = True
+            else:
+                fiber_trips = False
+            monkeypatch.setattr(coset, "expm_partials", lambda coeffs, gens: (bent, dk))
+            try:
+                section(frame, y)
+            except InternalConsistencyError as exc:
+                assert "non-unitary" in str(exc)  # the kept guard, first
+                unitarity_trips = True
+            else:
+                unitarity_trips = False
+            assert unitarity_trips or not fiber_trips
+            tripped["fiber"] += fiber_trips
+            tripped["unitarity"] += unitarity_trips
+        # the sweep crosses both thresholds, the unitarity one first
+        assert 0 < tripped["fiber"] < tripped["unitarity"] < 25
+
+    def test_nan_coordinates_rejected(self):
+        frame = frame_for(3, np.random.default_rng(1630))
+        y = np.array([[0.1, 0.2, 0.0, 0.1], [np.nan, 0.0, 0.0, 0.0]])
+        with pytest.raises(DomainError):
+            section(frame, y)
+        with pytest.raises(DomainError):
+            coset_element(frame, y[1])
 
 
 def _within_ulps(stacked, one, scale):
