@@ -299,13 +299,7 @@ class VortexWinding(NamedTuple):
     max_phase_step: float
 
 
-def vortex_winding(
-    pair: StatePair,
-    chart: Chart,
-    loop,
-    refine: bool = True,
-    max_depth: int = 14,
-) -> VortexWinding:
+def vortex_winding(pair: StatePair, chart: Chart, loop, max_depth: int = 14) -> VortexWinding:
     """Winding number (1/2 pi) sum of unwrapped phase steps around a loop.
 
     The loop is an ordered array of coordinate rows (N, m) interpreted as
@@ -313,10 +307,10 @@ def vortex_winding(
     coordinates or (for periodic coordinates) with first and last
     mapping to the same group element.  The loop is evaluated as stacks
     of `chart.block_rows()` points.  Steps larger than pi/2 are
-    bisected (up to `max_depth` rounds) when `refine` is set, and raise
-    ResolutionError otherwise; points with p < 1e-8 raise
-    SingularLoopError.  The summed phase must land within 0.01 turns of
-    an integer.
+    bisected, up to `max_depth` rounds; a step still that large raises
+    ResolutionError (with `max_depth=0`, any such step does).  Points
+    with p < 1e-8 raise SingularLoopError.  The summed phase must land
+    within 0.01 turns of an integer.
     """
     loop = np.asarray(loop, dtype=float)
     if loop.ndim != 2 or len(loop) < 3:
@@ -339,9 +333,7 @@ def vortex_winding(
     steps = principal_angle(np.diff(etas))
     total = float(np.sum(steps[np.abs(steps) < np.pi / 2]))
     for k in np.flatnonzero(np.abs(steps) >= np.pi / 2):
-        total += _unwrapped_step(
-            loop[k], loop[k + 1], etas[k], etas[k + 1], eta_at, refine, max_depth
-        )
+        total += _unwrapped_step(loop[k], loop[k + 1], etas[k], etas[k + 1], eta_at, max_depth)
     turns = total / (2 * np.pi)
     winding = round(turns)
     if abs(turns - winding) >= 0.01:
@@ -351,16 +343,16 @@ def vortex_winding(
     return VortexWinding(winding=int(winding), max_phase_step=float(np.max(np.abs(steps))))
 
 
-def _unwrapped_step(x0, x1, eta0, eta1, eta_at, refine, depth):
+def _unwrapped_step(x0, x1, eta0, eta1, eta_at, depth):
     step = principal_angle(eta1 - eta0)
     if abs(step) < np.pi / 2:
         return step
-    if not refine or depth <= 0:
+    if depth <= 0:
         raise ResolutionError(
             f"phase step {step:.3f} rad exceeds pi/2; refine the loop sampling"
         )
     xm = (x0 + x1) / 2.0
     em = eta_at(xm)
-    return _unwrapped_step(x0, xm, eta0, em, eta_at, refine, depth - 1) + _unwrapped_step(
-        xm, x1, em, eta1, eta_at, refine, depth - 1
+    return _unwrapped_step(x0, xm, eta0, em, eta_at, depth - 1) + _unwrapped_step(
+        xm, x1, em, eta1, eta_at, depth - 1
     )

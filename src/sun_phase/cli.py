@@ -16,15 +16,17 @@ most the points still missing.  `su2-demo` evaluates its grid in such
 blocks and `vortex` its loop.  The low-amplitude skip reads p from the
 block's phase gradient or section states, and `vortex` takes its
 largest phase step from the phases the winding number was summed from.
-Check gates come from `tolerances.CHECK_GATES`.
+A report lists the checks its command measured, by name, in the order
+of `tolerances.CHECK_GATES[command]`, each gated by its `--tol` override
+or the default gate there.
 
 Exit codes: 0 all checks pass, 1 check failure or a library error (a guard
 such as unitarity failing at a kept point: one `error:` line for the first
 such point in draw order), 2 configuration error (including arguments
 outside the domain of a chart, a loop or a trace, non-finite numbers, a
-`--sample-scale` that is not positive, `--tol` names the command does
-not report, and sizes whose arrays cannot be allocated), 3 inconclusive
-sweep (more than half of the points skipped).
+`--sample-scale` that is not positive, a negative `--tol` value, `--tol`
+names the command does not report, and sizes whose arrays cannot be
+allocated), 3 inconclusive sweep (more than half of the points skipped).
 """
 from __future__ import annotations
 
@@ -234,18 +236,21 @@ def resolve_chart(config: SweepConfig, psi_i: np.ndarray) -> Chart:
 # report assembly
 
 
-_GATES = {name: gate for gates in CHECK_GATES.values() for name, gate in gates.items()}
-
-
-def make_check(name: str, max_residual: float, overrides: dict | None = None) -> dict:
-    """Check record gated by `overrides[name]`, else by the default gate."""
-    tolerance = (overrides or {}).get(name, _GATES[name])
-    return {
-        "name": name,
-        "max_residual": float(max_residual),
-        "tolerance": float(tolerance),
-        "pass": bool(max_residual <= tolerance),
-    }
+def _checks(command: str, worst: dict, overrides: dict | None = None) -> list[dict]:
+    """The check records of `command`: one for each name of
+    `CHECK_GATES[command]` that `worst` holds, in that order, gating the
+    worst residual by `overrides[name]`, else by the default gate."""
+    records = []
+    for name, gate in CHECK_GATES[command].items():
+        if name in worst:
+            tolerance = (overrides or {}).get(name, gate)
+            records.append({
+                "name": name,
+                "max_residual": float(worst[name]),
+                "tolerance": float(tolerance),
+                "pass": bool(worst[name] <= tolerance),
+            })
+    return records
 
 
 def base_report(command: str, config_echo: dict, seed: int) -> dict:
@@ -256,6 +261,27 @@ def base_report(command: str, config_echo: dict, seed: int) -> dict:
         "config": config_echo,
         "seed": seed,
     }
+
+
+def _sweep_report(command: str, config: SweepConfig, evaluated: int, **extra) -> dict:
+    """Report of a sweep that kept `evaluated` of its points: the point
+    counts, then `extra`.  More than half of the points skipped marks it
+    inconclusive, with an `error:` line on stderr."""
+    skipped = config.points - evaluated
+    report = base_report(command, config.echo(), config.seed)
+    report["points_requested"] = config.points
+    report["points_evaluated"] = evaluated
+    report["points_skipped_low_amplitude"] = skipped
+    report.update(extra)
+    if skipped > config.points / 2:
+        print("error: more than half of the sweep points were skipped", file=sys.stderr)
+        report["inconclusive"] = True
+    return report
+
+
+def _stacked(blocks: list[dict]) -> dict:
+    """The named columns of a list of blocks, each concatenated over the blocks."""
+    return {name: np.concatenate([block[name] for block in blocks]) for name in blocks[0]}
 
 
 def finish_report(report: dict, checks: list[dict], out_path: str | None) -> int:
@@ -306,45 +332,40 @@ def run_group_sweep(config: SweepConfig, out_path: str | None = None) -> int:
 
     step = chart.block_rows()
     bound = 2.0 * (n - 1) / n
-    kept = []
+    blocks = []
     for start in range(0, config.points, step):
         rows = slice(start, start + step)
         block_pair, x = pair.rows(rows), xs[rows]
         block_chart = resolve_chart(config, block_pair.psi_i) if follows_pair else chart
         grad = phase_gradient(block_pair, block_chart, x)
         res = grad.residuals()
-        rec_residual = abs(grad.reconstructed_modulus() - np.sqrt(grad.p)) / np.sqrt(grad.p)
-        bound_deficit = np.maximum(0.0, bound - grad.phase_grad_sq)
-        columns = [res.phase, res.modulus, res.cross, rec_residual, bound_deficit, grad.p, x]
-        kept.append(np.column_stack(columns)[grad.p > P_SKIP])  # NaN rows have p < P_GRAD
-    table = np.concatenate(kept)
-    skipped = config.points - len(table)
+        columns = {
+            "phase-identity": res.phase,
+            "modulus-identity": res.modulus,
+            "orthogonality": res.cross,
+            "reconstruction": abs(grad.reconstructed_modulus() - np.sqrt(grad.p)) / np.sqrt(grad.p),
+            "gradient-lower-bound": np.maximum(0.0, bound - grad.phase_grad_sq),
+            "p": grad.p,
+            "x": x,
+        }
+        kept = grad.p > P_SKIP  # NaN rows have p < P_GRAD
+        blocks.append({name: column[kept] for name, column in columns.items()})
+    table = _stacked(blocks)
 
-    report = base_report("verify-group", config.echo(), config.seed)
-    report["points_requested"] = config.points
-    report["points_evaluated"] = len(table)
-    report["points_skipped_low_amplitude"] = skipped
-
-    if skipped > config.points / 2:
-        print("error: more than half of the sweep points were skipped", file=sys.stderr)
-        report["inconclusive"] = True
+    report = _sweep_report("verify-group", config, len(table["p"]))
+    if report.get("inconclusive"):
         return finish_report(report, [], out_path)
 
-    worst = table[:, :5].max(axis=0)
-    tols = config.tolerances
-    checks = [
-        make_check("phase-identity", worst[0], tols),
-        make_check("modulus-identity", worst[1], tols),
-        make_check("orthogonality", worst[2], tols),
-        make_check("reconstruction", worst[3], tols),
-        make_check("gradient-lower-bound", worst[4], tols),
-    ]
     if config.per_point:
+        residuals = np.column_stack(
+            [table["phase-identity"], table["modulus-identity"], table["orthogonality"]]
+        )
         report["per_point"] = [
-            {"x": row[6:].tolist(), "p": float(row[5]), "residuals": row[:3].tolist()}
-            for row in table
+            {"x": x, "p": p, "residuals": r}
+            for x, p, r in zip(table["x"].tolist(), table["p"].tolist(), residuals.tolist())
         ]
-    return finish_report(report, checks, out_path)
+    worst = {name: table[name].max() for name in CHECK_GATES["verify-group"]}
+    return finish_report(report, _checks("verify-group", worst, config.tolerances), out_path)
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +401,7 @@ def run_ray_sweep(config: SweepConfig, bridge_points: int, out_path: str | None 
         point = section(frame, y)
         amp = point.overlap(pair.psi_f)
         kept = np.hypot(amp.real, amp.imag) ** 2 > p_skip
-        return point.rows(kept), kept
+        return (point if kept.all() else point.rows(kept)), kept
 
     # per point: y, then xi_s, then xi0
     draws = draw(config.points, np.concatenate([y_half, np.full(frame.dim_iso, 0.5), [2.0]]))
@@ -389,41 +410,31 @@ def run_ray_sweep(config: SweepConfig, bridge_points: int, out_path: str | None 
         y, xi_s, xi0 = np.split(draws[start:start + step], [m, m + frame.dim_iso], axis=1)
         point, kept = kept_section(y, P_SKIP_RAY)
         rel = ray_relation_residuals(pair, point)
-        res_minus, res_plus = u1_berry_residuals(point)
-        fs_gap = np.abs(point.fs_metric - point.fs_metric_state).max(axis=(1, 2))
-        fact = factorization_residual(pair, point, xi_s[kept], xi0[kept, 0])
-        blocks.append(np.column_stack([*rel, res_plus, res_minus, fs_gap, fact]))
-    table = np.concatenate(blocks)
-    skipped = config.points - len(table)
+        with_plus, with_minus = u1_berry_residuals(point)
+        blocks.append({
+            "ray-phase-identity": rel.phase,
+            "ray-modulus-identity": rel.modulus,
+            "ray-orthogonality": rel.cross,
+            "u1-berry-proportionality": with_minus,
+            "u1-berry-plus-coefficient": with_plus,  # the other sign, for the sign report
+            "fs-metric-agreement": np.abs(point.fs_metric - point.fs_metric_state).max(axis=(1, 2)),
+            "factorization": factorization_residual(pair, point, xi_s[kept], xi0[kept, 0]),
+        })
+    table = _stacked(blocks)
 
-    report = base_report("verify-ray", config.echo(), config.seed)
-    report["points_requested"] = config.points
-    report["points_evaluated"] = len(table)
-    report["points_skipped_low_amplitude"] = skipped
-    report["bridge_points"] = bridge_points
-
-    if skipped > config.points / 2:
-        print("error: more than half of the sweep points were skipped", file=sys.stderr)
-        report["inconclusive"] = True
+    report = _sweep_report(
+        "verify-ray", config, len(table["factorization"]), bridge_points=bridge_points
+    )
+    if report.get("inconclusive"):
         return finish_report(report, [], out_path)
 
-    worst = table.max(axis=0)
+    worst = {name: column.max() for name, column in table.items()}
     # the sign report: which proportionality convention the numerics satisfy
     report["u1_berry_sign"] = {
-        "residual_with_plus_coefficient": float(worst[4]),
-        "residual_with_minus_coefficient": float(worst[3]),
+        "residual_with_plus_coefficient": float(worst["u1-berry-plus-coefficient"]),
+        "residual_with_minus_coefficient": float(worst["u1-berry-proportionality"]),
         "resolved_coefficient": f"-sqrt({config.n}/(2*({config.n}-1)))",
     }
-
-    tols = config.tolerances
-    checks = [
-        make_check("ray-phase-identity", worst[0], tols),
-        make_check("ray-modulus-identity", worst[1], tols),
-        make_check("ray-orthogonality", worst[2], tols),
-        make_check("u1-berry-proportionality", worst[3], tols),
-        make_check("fs-metric-agreement", worst[5], tols),
-        make_check("factorization", worst[6], tols),
-    ]
 
     if bridge_points:
         rounds = []
@@ -433,32 +444,29 @@ def run_ray_sweep(config: SweepConfig, bridge_points: int, out_path: str | None 
             attempts += count
             point, _ = kept_section(draw(count, y_half), P_SKIP)
             result = bridge_residuals(pair, point)
-            rounds.append(np.column_stack(list(vars(result).values())))  # fields, uncopied
+            rounds.append({
+                "bridge-phase": result.residual_phase,
+                "bridge-mixed": result.residual_mixed,
+                "bridge-modulus": result.residual_modulus,
+                "u1-phase-rate": np.abs(result.grad0_phase - u1_eigenvalue(config.n)),
+                "u1-frame-component": np.abs(result.u1_frame_component - 1.0),
+                "bridge-phase-plus-berry": result.alt_residual_phase,  # for the sign report
+            })
             done += len(point.y)
         report["bridge_points_evaluated"] = done
         if done == 0:
             print("error: no usable bridge points found", file=sys.stderr)
             report["inconclusive"] = True
-            return finish_report(report, checks, out_path)
-        # residuals, then grad0_phase and u1_frame_component about their values
-        bridge = np.abs(np.concatenate(rounds) - [0, 0, 0, u1_eigenvalue(config.n), 1, 0])
-        bridge_worst = bridge.max(axis=0)
-        report["bridge_gauge_sign"] = {
-            "residual_with_minus_berry": float(bridge_worst[0]),
-            "best_residual_with_plus_berry": float(bridge[:, 5].min()),
-            "resolved_form": "d_eta - berry (= d_eta + sqrt(2(n-1)/n) u1)",
-        }
-        checks.extend(
-            [
-                make_check("bridge-phase", bridge_worst[0], tols),
-                make_check("bridge-mixed", bridge_worst[1], tols),
-                make_check("bridge-modulus", bridge_worst[2], tols),
-                make_check("u1-phase-rate", bridge_worst[3], tols),
-                make_check("u1-frame-component", bridge_worst[4], tols),
-            ]
-        )
+        else:
+            bridge = _stacked(rounds)
+            worst.update((name, column.max()) for name, column in bridge.items())
+            report["bridge_gauge_sign"] = {
+                "residual_with_minus_berry": float(worst["bridge-phase"]),
+                "best_residual_with_plus_berry": float(bridge["bridge-phase-plus-berry"].min()),
+                "resolved_form": "d_eta - berry (= d_eta + sqrt(2(n-1)/n) u1)",
+            }
 
-    return finish_report(report, checks, out_path)
+    return finish_report(report, _checks("verify-ray", worst, config.tolerances), out_path)
 
 
 # ---------------------------------------------------------------------------
@@ -501,12 +509,12 @@ def run_su2_demo(grid: int, out_path: str | None, csv_path: str | None) -> int:
     chi, theta, phi, p, eta = table[:, :5].T
     report = base_report("su2-demo", {"grid": grid}, seed=0)
     report["rows"] = len(table)
-    checks = [
-        make_check("closed-form-modulus", np.max(np.abs(p - np.sin(chi)**2 * np.sin(theta)**2))),
-        make_check("closed-form-phase", np.max(np.abs(principal_angle(eta - (phi + np.pi / 2))))),
-        make_check("gradient-inverse-modulus", np.max(table[:, 7])),
-    ]
-    return finish_report(report, checks, out_path)
+    worst = {
+        "closed-form-modulus": np.max(np.abs(p - np.sin(chi)**2 * np.sin(theta)**2)),
+        "closed-form-phase": np.max(np.abs(principal_angle(eta - (phi + np.pi / 2)))),
+        "gradient-inverse-modulus": np.max(table[:, 7]),
+    }
+    return finish_report(report, _checks("su2-demo", worst), out_path)
 
 
 # ---------------------------------------------------------------------------
@@ -563,16 +571,12 @@ def run_superosc(
     flagged = int(np.sum(~result.trace.defined))
     report["flagged_samples"] = flagged
 
-    checks = [
-        make_check(
-            "superoscillatory-at-zero", max(0.0, result.max_abs_eigenvalue - result.omega_zero)
-        ),
-        make_check(
-            "eigenvalue-cap", max(0.0, result.max_abs_eigenvalue - result.gradient_bound)
-        ),
-        make_check("fourier-reconstruction", result.trace.fourier_residual),
-    ]
-    return finish_report(report, checks, out_path)
+    worst = {
+        "superoscillatory-at-zero": max(0.0, result.max_abs_eigenvalue - result.omega_zero),
+        "eigenvalue-cap": max(0.0, result.max_abs_eigenvalue - result.gradient_bound),
+        "fourier-reconstruction": result.trace.fourier_residual,
+    }
+    return finish_report(report, _checks("superosc", worst), out_path)
 
 
 # ---------------------------------------------------------------------------
@@ -632,10 +636,8 @@ def run_vortex(
     report["max_phase_step"] = result.max_phase_step
     report["loop_points"] = len(loop)
 
-    checks = []
-    if expect is not None:
-        checks.append(make_check("winding", abs(result.winding - expect)))
-    return finish_report(report, checks, out_path)
+    worst = {} if expect is None else {"winding": abs(result.winding - expect)}
+    return finish_report(report, _checks("vortex", worst), out_path)
 
 
 # ---------------------------------------------------------------------------
@@ -740,6 +742,8 @@ def _parse_tolerances(entries: list[str]) -> dict:
             raise ConfigError(f"bad tolerance value in '{entry}'") from exc
         if not np.isfinite(out[name]):
             raise ConfigError(f"non-finite tolerance value in '{entry}'")
+        if out[name] < 0.0:
+            raise ConfigError(f"negative tolerance value in '{entry}'")
     return out
 
 

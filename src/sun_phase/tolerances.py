@@ -2,7 +2,9 @@
 
 Three tiers: construction checks on exactly representable structure,
 algebraic identities that only accumulate rounding error, and
-comparisons limited by central-difference truncation.
+comparisons limited by central-difference truncation.  `ATOL_FD_MATCH`,
+sized for that last tier, also gates the exact cross-check of the two
+Fubini-Study metric constructions in `coset.section`.
 """
 
 ATOL_CONSTRUCTION = 1e-12  # Hermiticity, tracelessness, normalization of inputs
@@ -17,8 +19,9 @@ P_GRAD = 1e-8              # below this the gradient formulas are ill-conditione
 
 CHART_MARGIN = 1e-3        # margin kept from chart-singular loci
 
-# Default gate of every named check the CLI reports, by the command that
-# reports it.  `--tol NAME=VALUE` may override only the checks of the
+# The named checks of each command with their default gates: the CLI
+# reports exactly these names, in this order, leaving out those a run did
+# not measure.  `--tol NAME=VALUE` may override only the checks of the
 # command it is given to.
 CHECK_GATES = {
     "verify-group": {

@@ -298,8 +298,8 @@ class TestVortexWinding:
         chart = su2_polar_chart()
         coarse = phi_loop(np.pi / 2, 0.1, samples=4)
         with pytest.raises(ResolutionError):
-            vortex_winding(SPIN_FLIP, chart, coarse, refine=False)
-        assert vortex_winding(SPIN_FLIP, chart, coarse, refine=True).winding == 1
+            vortex_winding(SPIN_FLIP, chart, coarse, max_depth=0)
+        assert vortex_winding(SPIN_FLIP, chart, coarse).winding == 1
 
     def test_loop_through_near_zero(self):
         chart = su2_polar_chart()

@@ -6,7 +6,7 @@ import pytest
 
 from sun_phase.amplitude import phase_gradient
 from sun_phase.charts import exp_chart
-from sun_phase.tolerances import P_GRAD
+from sun_phase.tolerances import CHECK_GATES, P_GRAD
 
 from sun_phase.cli import (
     CSV_BLOCK_ROWS,
@@ -240,6 +240,10 @@ class TestVerifyRay:
         bridge = report["bridge_gauge_sign"]
         assert bridge["residual_with_minus_berry"] < 1e-4
         assert bridge["best_residual_with_plus_berry"] > 1e-3
+        # the resolved conventions are the checks' own residuals
+        worst = {c["name"]: c["max_residual"] for c in report["checks"]}
+        assert sign["residual_with_minus_coefficient"] == worst["u1-berry-proportionality"]
+        assert bridge["residual_with_minus_berry"] == worst["bridge-phase"]
 
     def test_inconclusive_orthogonal_pair(self, tmp_path):
         code, out = run_to_file(
@@ -281,6 +285,34 @@ class TestVerifyRay:
         if alt:
             best = report["bridge_gauge_sign"]["best_residual_with_plus_berry"]
             assert best == pytest.approx(min(alt), rel=1e-9)
+
+
+class TestCheckRegistry:
+    """A report lists the checks of its command by name, in the order of
+    `CHECK_GATES`, leaving out only those the run did not measure."""
+
+    RUNS = [
+        (["verify-group", "--n", "3", "--points", "10", "--seed", "1"], None),
+        (["verify-group", "--n", "3", "--chart", "cartan", "--points", "6", "--seed", "2"], None),
+        (["verify-ray", "--n", "3", "--points", "10", "--bridge-points", "4", "--seed", "1"], None),
+        # no bridge points: the bridge checks are not measured
+        (["verify-ray", "--n", "2", "--points", "10", "--bridge-points", "0", "--seed", "1"], 6),
+        (["su2-demo", "--grid", "4"], None),
+        (["superosc", "--n", "3", "--samples", "64", "--seed", "1"], None),
+        (["vortex", "--expect", "1"], None),
+        # nothing to compare the winding with
+        (["vortex"], 0),
+    ]
+
+    @pytest.mark.parametrize("argv, count", RUNS)
+    def test_names_follow_registry(self, tmp_path, argv, count):
+        code, out = run_to_file(tmp_path, "r.json", argv)
+        assert code == EXIT_PASS
+        names = [c["name"] for c in load(out)["checks"]]
+        assert names == list(CHECK_GATES[argv[0]])[:count]
+
+    def test_every_command_covered(self):
+        assert {argv[0] for argv, _ in self.RUNS} == set(CHECK_GATES)
 
 
 class TestSu2Demo:
@@ -740,6 +772,7 @@ class TestInputErrors:
             ["verify-group", "--n", "2", "--pair", "explicit", "--psi-i", "1,0", "--psi-f", "0,inf"],
             ["verify-group", "--n", "2", "--tol", "phase-identity=nan"],
             ["verify-group", "--n", "2", "--tol", "phase-identity=inf"],
+            ["verify-group", "--n", "2", "--tol", "phase-identity=-inf"],
             ["superosc", "--n", "2", "--pair", "explicit", "--psi-i", "1,nan", "--psi-f", "1,0"],
             ["verify-group", "--n", "3", "--sample-scale", "nan"],
             ["verify-group", "--n", "3", "--sample-scale", "inf"],
@@ -769,6 +802,24 @@ class TestInputErrors:
         assert code == EXIT_CONFIG_ERROR
         assert not out.exists()
         assert argv[-1].partition("=")[0] in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["-1", "-1e-30"])
+    def test_negative_tol_rejected(self, tmp_path, capsys, value):
+        argv = ["verify-group", "--n", "2", "--points", "5", "--tol", f"phase-identity={value}"]
+        code, out = run_to_file(tmp_path, "r.json", argv)
+        assert code == EXIT_CONFIG_ERROR
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "phase-identity=" in err
+
+    def test_zero_tol_accepted(self, tmp_path):
+        argv = ["verify-group", "--n", "2", "--points", "5", "--seed", "1",
+                "--tol", "gradient-lower-bound=0"]
+        code, out = run_to_file(tmp_path, "r.json", argv)
+        assert code == EXIT_PASS
+        check = load(out)["checks"][-1]
+        assert (check["name"], check["tolerance"]) == ("gradient-lower-bound", 0)
 
     def test_bridge_tol_accepted_without_bridge_points(self, tmp_path):
         argv = ["verify-ray", "--n", "2", "--points", "5", "--bridge-points", "0",
