@@ -25,8 +25,9 @@ such as unitarity failing at a kept point: one `error:` line for the first
 such point in draw order), 2 configuration error (including arguments
 outside the domain of a chart, a loop or a trace, non-finite numbers, a
 `--sample-scale` that is not positive, a negative `--tol` value, `--tol`
-names the command does not report, and sizes whose arrays cannot be
-allocated), 3 inconclusive sweep (more than half of the points skipped).
+names the command does not report, sizes whose arrays cannot be
+allocated, and a `--out` or `--csv` path that cannot be written), 3
+inconclusive sweep (more than half of the points skipped).
 """
 from __future__ import annotations
 
@@ -34,11 +35,11 @@ import argparse
 import re
 import sys
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
 from . import __version__
+from ._csvformat import write_rows
 from .algebra import StatePair, build_gellmann_basis, haar_state
 from .amplitude import phase_gradient, principal_angle, vortex_winding
 from .charts import Chart, exp_chart, su2_polar_chart
@@ -134,19 +135,33 @@ _BLOCK_FORMATS = {"f": "%.17g", "i": "%d"}
 def write_csv(path: str, header: list[str], columns) -> None:
     """Write equal-length float or signed-integer numpy columns as CSV rows.
 
-    Floats print with 17 significant digits.  Rows are formatted
-    CSV_BLOCK_ROWS at a time, in one `%` pass per block.
+    Each float cell is written as `%.17g` writes it and each int cell as
+    `%d` does, byte for byte, CSV_BLOCK_ROWS rows at a time.  A block is
+    formatted in numpy (`_csvformat`), an int cell below 2^53 as the
+    float of the same value: with k = floor(log10 |x|) exact,
+    the 17 significant digits D are |x| 10^(16-k) rounded to an integer,
+    formed as a double-double p + t (Dekker's exact product with the
+    leading part of 10^(16-k), plus the trailing part) whose absolute
+    error is below 4e-15.  Rounding to nearest picks D unless frac(t) is
+    within 1e-6 of 1/2, where an exact tie would round to the even digit
+    and the error bound no longer proves which way `%` rounds.  The digits
+    come from a table of 4-digit groups and are laid out as `%g` does.
+    A row with such a near-tie, a nan or infinite cell, a nonzero
+    |x| outside [1e-270, 1e271) or an int with |v| >= 2^53 is written by
+    the `%` template instead: of the cells `superosc` and `su2-demo`
+    write, only the nan of an undefined omega is expected to be one.
+
+    A column of another dtype kind raises KeyError, and columns whose
+    count or lengths do not match the header raise ValueError.
     """
     rows = len(columns[0])
     if len(columns) != len(header) or any(len(column) != rows for column in columns):
         raise ValueError("write_csv needs one column per header entry, all of one length")
     template = ",".join(_BLOCK_FORMATS[column.dtype.kind] for column in columns) + "\n"
 
-    with open(path, "w", newline="") as handle:
-        handle.write(",".join(header) + "\n")
-        for start in range(0, rows, CSV_BLOCK_ROWS):
-            cells = [column[start:start + CSV_BLOCK_ROWS].tolist() for column in columns]
-            handle.write((template * len(cells[0])) % tuple(chain.from_iterable(zip(*cells))))
+    with open(path, "wb") as handle:
+        handle.write((",".join(header) + "\n").encode())
+        write_rows(handle, columns, template, CSV_BLOCK_ROWS)
 
 
 # ---------------------------------------------------------------------------
@@ -809,6 +824,9 @@ def main(argv=None) -> int:
         raise ConfigError(f"unknown command '{args.command}'")
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG_ERROR
+    except OSError as exc:  # a report or CSV path that cannot be written
+        print(f"error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     except MemoryError as exc:  # a size whose arrays cannot be allocated
         print(f"error: out of memory: {' '.join(str(exc).split())}", file=sys.stderr)

@@ -678,6 +678,25 @@ class TestConsoleScript:
         assert proc.returncode == 0
         assert load(out)["winding"] == 1
 
+    def test_python_m_sun_phase(self):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import sun_phase
+
+        src = str(Path(sun_phase.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "sun_phase", "su2-demo", "--grid", "2"],
+            capture_output=True,
+            env=env,
+        )
+        assert proc.returncode == 0
+        report = json.loads(proc.stdout)
+        assert (report["command"], report["pass"]) == ("su2-demo", True)
+
 
 class TestParser:
     def test_help_exits_zero(self):
@@ -812,6 +831,22 @@ class TestInputErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "phase-identity=" in err
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["verify-group", "--n", "3", "--points", "5"], "--out"),
+            (["su2-demo", "--grid", "3"], "--csv"),
+        ],
+    )
+    @pytest.mark.parametrize("target", ["missing directory", "directory"])
+    def test_unwritable_output_path(self, tmp_path, capsys, argv, flag, target):
+        path = tmp_path / "absent" / "x" if target == "missing directory" else tmp_path
+        assert main(argv + [flag, str(path)]) == EXIT_CONFIG_ERROR
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1
+        assert "Traceback" not in err
 
     def test_zero_tol_accepted(self, tmp_path):
         argv = ["verify-group", "--n", "2", "--points", "5", "--seed", "1",
