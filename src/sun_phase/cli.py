@@ -20,14 +20,21 @@ A report lists the checks its command measured, by name, in the order
 of `tolerances.CHECK_GATES[command]`, each gated by its `--tol` override
 or the default gate there.
 
+Each command is one runner, `run_*(args)`, that validates and reads its
+own options from the parsed namespace; `build_parser` binds it to the
+subparser, and `main` only parses, dispatches and maps errors to exit
+codes.
+
 Exit codes: 0 all checks pass, 1 check failure or a library error (a guard
 such as unitarity failing at a kept point: one `error:` line for the first
 such point in draw order), 2 configuration error (including arguments
-outside the domain of a chart, a loop or a trace, non-finite numbers, a
-`--sample-scale` that is not positive, a negative `--tol` value, `--tol`
-names the command does not report, sizes whose arrays cannot be
-allocated, and a `--out` or `--csv` path that cannot be written), 3
-inconclusive sweep (more than half of the points skipped).
+outside the domain of a chart, a loop or a trace, where `superosc` reports
+the trace's own `DomainError` after `cannot trace the phase:`, non-finite
+numbers, a `--sample-scale` that is not positive, a negative `--seed`,
+`--psi-i` or `--psi-f` without `--pair explicit`, a negative `--tol`
+value, `--tol` names the command does not report, sizes whose arrays
+cannot be allocated, and a `--out` or `--csv` path that cannot be
+written), 3 inconclusive sweep (more than half of the points skipped).
 """
 from __future__ import annotations
 
@@ -53,7 +60,7 @@ from .coset import (
     u1_berry_residuals,
     u1_eigenvalue,
 )
-from .errors import SunPhaseError
+from .errors import DomainError, SunPhaseError
 from .superosc import aligned_generator, superoscillation_report
 from .tolerances import CHECK_GATES
 
@@ -219,18 +226,21 @@ def _parse_state(text: str, n: int, name: str) -> np.ndarray:
     return v / norm
 
 
+def _spin_flip_pair(n: int) -> StatePair:
+    """The first two standard basis vectors of C^n, |0> to |1>."""
+    psi_i = np.zeros(n, dtype=complex)
+    psi_f = np.zeros(n, dtype=complex)
+    psi_i[0] = 1.0
+    psi_f[1] = 1.0
+    return StatePair(psi_i, psi_f)
+
+
 def resolve_pair(config: SweepConfig, rng: np.random.Generator) -> StatePair:
     if config.pair_kind == "random":
         return StatePair(haar_state(config.n, rng), haar_state(config.n, rng))
     if config.pair_kind == "spin-flip":
-        psi_i = np.zeros(config.n, dtype=complex)
-        psi_f = np.zeros(config.n, dtype=complex)
-        psi_i[0] = 1.0
-        psi_f[1] = 1.0
-        return StatePair(psi_i, psi_f)
-    if config.pair_kind == "explicit":
-        return StatePair(config.psi_i, config.psi_f)
-    raise ConfigError(f"unknown pair kind '{config.pair_kind}'")
+        return _spin_flip_pair(config.n)
+    return StatePair(config.psi_i, config.psi_f)
 
 
 def resolve_chart(config: SweepConfig, psi_i: np.ndarray) -> Chart:
@@ -242,9 +252,7 @@ def resolve_chart(config: SweepConfig, psi_i: np.ndarray) -> Chart:
         if config.n != 2:
             raise ConfigError("chart 'su2-polar' requires --n 2")
         return su2_polar_chart()
-    if config.chart == "cartan":
-        return full_cartan_chart(build_cartan_frame(psi_i, build_gellmann_basis(config.n)))
-    raise ConfigError(f"unknown chart '{config.chart}'")
+    return full_cartan_chart(build_cartan_frame(psi_i, build_gellmann_basis(config.n)))
 
 
 # ---------------------------------------------------------------------------
@@ -319,10 +327,9 @@ def finish_report(report: dict, checks: list[dict], out_path: str | None) -> int
 # verify-group
 
 
-def run_group_sweep(config: SweepConfig, out_path: str | None = None) -> int:
+def run_group_sweep(args) -> int:
     """Sweep the group-manifold gradient identities over random points."""
-    if config.points < 1:
-        raise ConfigError("--points must be >= 1")
+    config = _config_from_args(args)
     rng = np.random.default_rng(config.seed)
     n = config.n
     fixed = None if config.pair_kind == "random" else resolve_pair(config, rng)
@@ -369,7 +376,7 @@ def run_group_sweep(config: SweepConfig, out_path: str | None = None) -> int:
 
     report = _sweep_report("verify-group", config, len(table["p"]))
     if report.get("inconclusive"):
-        return finish_report(report, [], out_path)
+        return finish_report(report, [], args.out)
 
     if config.per_point:
         residuals = np.column_stack(
@@ -380,18 +387,18 @@ def run_group_sweep(config: SweepConfig, out_path: str | None = None) -> int:
             for x, p, r in zip(table["x"].tolist(), table["p"].tolist(), residuals.tolist())
         ]
     worst = {name: table[name].max() for name in CHECK_GATES["verify-group"]}
-    return finish_report(report, _checks("verify-group", worst, config.tolerances), out_path)
+    return finish_report(report, _checks("verify-group", worst, config.tolerances), args.out)
 
 
 # ---------------------------------------------------------------------------
 # verify-ray
 
 
-def run_ray_sweep(config: SweepConfig, bridge_points: int, out_path: str | None = None) -> int:
+def run_ray_sweep(args) -> int:
     """Sweep the ray-space identities, connection proportionality, and the
     group-to-ray bridge identities on the section."""
-    if config.points < 1:
-        raise ConfigError("--points must be >= 1")
+    config = _config_from_args(args)
+    bridge_points = args.bridge_points
     if bridge_points < 0:
         raise ConfigError("--bridge-points must be >= 0")
     rng = np.random.default_rng(config.seed)
@@ -441,7 +448,7 @@ def run_ray_sweep(config: SweepConfig, bridge_points: int, out_path: str | None 
         "verify-ray", config, len(table["factorization"]), bridge_points=bridge_points
     )
     if report.get("inconclusive"):
-        return finish_report(report, [], out_path)
+        return finish_report(report, [], args.out)
 
     worst = {name: column.max() for name, column in table.items()}
     # the sign report: which proportionality convention the numerics satisfy
@@ -481,25 +488,24 @@ def run_ray_sweep(config: SweepConfig, bridge_points: int, out_path: str | None 
                 "resolved_form": "d_eta - berry (= d_eta + sqrt(2(n-1)/n) u1)",
             }
 
-    return finish_report(report, _checks("verify-ray", worst, config.tolerances), out_path)
+    return finish_report(report, _checks("verify-ray", worst, config.tolerances), args.out)
 
 
 # ---------------------------------------------------------------------------
 # su2-demo
 
 
-def run_su2_demo(grid: int, out_path: str | None, csv_path: str | None) -> int:
+def run_su2_demo(args) -> int:
     """Closed-form demo on the SU(2) polar chart with the spin-flip pair.
 
     The amplitude is i sin(chi) sin(theta) e^{i phi}: modulus squared
     sin^2(chi) sin^2(theta), phase phi + pi/2, and |grad eta|^2 = 1/p.
     """
+    grid = args.grid
     if grid < 2:
         raise ConfigError("--grid must be >= 2")
     chart = su2_polar_chart()
-    pair = StatePair(
-        np.array([1.0, 0.0], dtype=complex), np.array([0.0, 1.0], dtype=complex)
-    )
+    pair = _spin_flip_pair(2)
     chis = np.linspace(0.2, np.pi - 0.2, grid)
     thetas = np.linspace(0.2, np.pi - 0.2, grid)
     phis = np.linspace(0.0, 2 * np.pi, grid, endpoint=False)
@@ -514,9 +520,9 @@ def run_su2_demo(grid: int, out_path: str | None, csv_path: str | None) -> int:
         block[:, 6] = 1.0 / grad.p
         block[:, 7] = np.abs(grad.phase_grad_sq - block[:, 6])
 
-    if csv_path:
+    if args.csv:
         write_csv(
-            csv_path,
+            args.csv,
             ["chi", "theta", "phi", "p", "eta", "grad_eta_sq", "inv_p", "residual"],
             table.T,
         )
@@ -529,28 +535,17 @@ def run_su2_demo(grid: int, out_path: str | None, csv_path: str | None) -> int:
         "closed-form-phase": np.max(np.abs(principal_angle(eta - (phi + np.pi / 2)))),
         "gradient-inverse-modulus": np.max(table[:, 7]),
     }
-    return finish_report(report, _checks("su2-demo", worst), out_path)
+    return finish_report(report, _checks("su2-demo", worst), args.out)
 
 
 # ---------------------------------------------------------------------------
 # superosc
 
 
-def run_superosc(
-    config: SweepConfig,
-    samples: int,
-    t_min: float,
-    t_max: float,
-    out_path: str | None,
-    csv_path: str | None,
-) -> int:
+def run_superosc(args) -> int:
     """Aligned-generator superoscillation report for one state pair."""
-    if samples < 2:
-        raise ConfigError("--samples must be >= 2")
-    if not (np.isfinite(t_min) and np.isfinite(t_max) and t_min < t_max):
-        raise ConfigError("--t-min and --t-max must be finite with --t-min < --t-max")
-    if not np.isfinite(t_max - t_min):
-        raise ConfigError("the width --t-max - --t-min is not finite")
+    config = _config_from_args(args)
+    samples, t_min, t_max = args.samples, args.t_min, args.t_max
     rng = np.random.default_rng(config.seed)
     pair = resolve_pair(config, rng)
     basis = build_gellmann_basis(config.n)
@@ -558,14 +553,15 @@ def run_superosc(
         gen = aligned_generator(pair, basis)
     except SunPhaseError as exc:
         raise ConfigError(f"cannot align generator: {exc}") from exc
-    if not np.isfinite(max(abs(t_min), abs(t_max)) * float(np.max(np.abs(gen.eigenvalues)))):
-        raise ConfigError("--t-min/--t-max times the largest eigenvalue is not finite")
-    result = superoscillation_report(pair, gen, t_range=(t_min, t_max), samples=samples)
+    try:
+        result = superoscillation_report(pair, gen, t_range=(t_min, t_max), samples=samples)
+    except DomainError as exc:  # --samples, --t-min or --t-max out of the trace's domain
+        raise ConfigError(f"cannot trace the phase: {exc}") from exc
 
-    if csv_path:
+    if args.csv:
         trace = result.trace
         write_csv(
-            csv_path,
+            args.csv,
             ["t", "re_amplitude", "im_amplitude", "omega", "defined"],
             [trace.t, trace.amplitude.real, trace.amplitude.imag, trace.omega,
              trace.defined.astype(np.int64)],
@@ -591,68 +587,51 @@ def run_superosc(
         "eigenvalue-cap": max(0.0, result.max_abs_eigenvalue - result.gradient_bound),
         "fourier-reconstruction": result.trace.fourier_residual,
     }
-    return finish_report(report, _checks("superosc", worst), out_path)
+    return finish_report(report, _checks("superosc", worst), args.out)
 
 
 # ---------------------------------------------------------------------------
 # vortex
 
 
-def build_loop(kind: str, chi: float, theta: float, phi: float, samples: int, reverse: bool):
+def build_loop(args):
+    """The `--loop` of the vortex options as (samples + 1, 3) chart points."""
     # 64 samples guarantee unambiguous unwrapping for unit-winding loops;
     # anything coarser is refined adaptively anyway, but keep the floor
-    if samples < 64:
+    if args.samples < 64:
         raise ConfigError("--samples must be >= 64")
-    ts = np.linspace(0.0, 2 * np.pi, samples + 1)
-    if kind == "phi-circle":
-        loop = np.column_stack([np.full_like(ts, chi), np.full_like(ts, theta), ts])
-    elif kind == "contractible":
-        radius = 0.25
-        loop = np.column_stack(
-            [chi + radius * np.cos(ts), theta + radius * np.sin(ts), np.full_like(ts, phi)]
-        )
-    else:
-        raise ConfigError(f"unknown loop kind '{kind}'")
-    if reverse:
+    ts = np.linspace(0.0, 2 * np.pi, args.samples + 1)
+    loop = np.tile([args.chi, args.theta, args.phi], (len(ts), 1))
+    if args.loop == "phi-circle":
+        loop[:, 2] = ts
+    else:  # contractible: a circle of radius 0.25 about (chi, theta)
+        loop[:, 0] += 0.25 * np.cos(ts)
+        loop[:, 1] += 0.25 * np.sin(ts)
+    if args.reverse:
         loop = loop[::-1]
     return loop
 
 
-def run_vortex(
-    kind: str,
-    chi: float,
-    theta: float,
-    phi: float,
-    samples: int,
-    reverse: bool,
-    expect: int | None,
-    out_path: str | None,
-) -> int:
+def run_vortex(args) -> int:
     """Winding of the spin-flip amplitude phase around a loop on SU(2)."""
+    for flag in ("chi", "theta", "phi"):
+        if not np.isfinite(getattr(args, flag)):
+            raise ConfigError(f"--{flag} is non-finite")
     chart = su2_polar_chart()
-    pair = StatePair(
-        np.array([1.0, 0.0], dtype=complex), np.array([0.0, 1.0], dtype=complex)
-    )
-    loop = build_loop(kind, chi, theta, phi, samples, reverse)
+    pair = _spin_flip_pair(2)
+    loop = build_loop(args)
     if not np.all(chart.contains(loop)):
-        raise ConfigError(f"the {kind} loop leaves the domain of chart '{chart.label}'")
+        raise ConfigError(f"the {args.loop} loop leaves the domain of chart '{chart.label}'")
     result = vortex_winding(pair, chart, loop)
 
-    config_echo = {
-        "loop": kind,
-        "chi": chi,
-        "theta": theta,
-        "phi": phi,
-        "samples": samples,
-        "reverse": reverse,
-    }
-    report = base_report("vortex", config_echo, seed=0)
+    echoed = ("loop", "chi", "theta", "phi", "samples", "reverse")
+    report = base_report("vortex", {name: getattr(args, name) for name in echoed}, seed=0)
     report["winding"] = result.winding
     report["max_phase_step"] = result.max_phase_step
     report["loop_points"] = len(loop)
 
-    worst = {} if expect is None else {"winding": abs(result.winding - expect)}
-    return finish_report(report, _checks("vortex", worst), out_path)
+    worst = {} if args.expect is None else {"winding": abs(result.winding - args.expect)}
+    return finish_report(report, _checks("vortex", worst), args.out)
 
 
 # ---------------------------------------------------------------------------
@@ -662,9 +641,8 @@ def run_vortex(
 _NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$", re.I)
 
 
-def _add_sweep_args(sub, default_points: int):
+def _add_state_args(sub):
     sub.add_argument("--n", type=int, required=True, help="group dimension (>= 2)")
-    sub.add_argument("--points", type=int, default=default_points)
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument(
         "--pair",
@@ -675,6 +653,11 @@ def _add_sweep_args(sub, default_points: int):
     )
     sub.add_argument("--psi-i", help="comma-separated complex entries")
     sub.add_argument("--psi-f", help="comma-separated complex entries")
+
+
+def _add_sweep_args(sub, default_points: int):
+    _add_state_args(sub)
+    sub.add_argument("--points", type=int, default=default_points)
     sub.add_argument(
         "--sample-scale",
         type=float,
@@ -688,7 +671,6 @@ def _add_sweep_args(sub, default_points: int):
         metavar="NAME=VALUE",
         help="override a named check tolerance (repeatable)",
     )
-    sub.add_argument("--out", help="write the JSON report here instead of stdout")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -700,9 +682,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     commands = parser.add_subparsers(dest="command", required=True)
 
+    # each command names its runner, looked up in this module when the parser is built
     group = commands.add_parser(
         "verify-group", help="sweep the group-manifold gradient identities"
     )
+    group.set_defaults(run=run_group_sweep)
     _add_sweep_args(group, default_points=200)
     group.add_argument("--chart", choices=["exp", "su2-polar", "cartan"], default="exp")
     group.add_argument("--per-point", action="store_true")
@@ -710,27 +694,23 @@ def build_parser() -> argparse.ArgumentParser:
     ray = commands.add_parser(
         "verify-ray", help="sweep the ray-space identities and bridge checks"
     )
+    ray.set_defaults(run=run_ray_sweep)
     _add_sweep_args(ray, default_points=100)
     ray.add_argument("--bridge-points", type=int, default=50)
 
     demo = commands.add_parser("su2-demo", help="closed-form SU(2) grid demo")
+    demo.set_defaults(run=run_su2_demo)
     demo.add_argument("--grid", type=int, default=20)
-    demo.add_argument("--out")
-    demo.add_argument("--csv")
 
     osc = commands.add_parser("superosc", help="aligned-generator phase trace")
-    osc.add_argument("--n", type=int, required=True)
-    osc.add_argument("--seed", type=int, default=0)
-    osc.add_argument("--pair", choices=["random", "spin-flip", "explicit"], default="random")
-    osc.add_argument("--psi-i")
-    osc.add_argument("--psi-f")
+    osc.set_defaults(run=run_superosc)
+    _add_state_args(osc)
     osc.add_argument("--samples", type=int, default=1024)
     osc.add_argument("--t-min", type=float, default=-np.pi)
     osc.add_argument("--t-max", type=float, default=np.pi)
-    osc.add_argument("--out")
-    osc.add_argument("--csv")
 
     vortex = commands.add_parser("vortex", help="phase winding around a loop")
+    vortex.set_defaults(run=run_vortex)
     vortex.add_argument("--loop", choices=["phi-circle", "contractible"], default="phi-circle")
     vortex.add_argument("--chi", type=float, default=np.pi / 2)
     vortex.add_argument("--theta", type=float, default=0.1)
@@ -738,7 +718,11 @@ def build_parser() -> argparse.ArgumentParser:
     vortex.add_argument("--samples", type=int, default=64)
     vortex.add_argument("--reverse", action="store_true")
     vortex.add_argument("--expect", type=int)
-    vortex.add_argument("--out")
+
+    for sub in (demo, osc):
+        sub.add_argument("--csv", help="write the CSV table here")
+    for sub in commands.choices.values():
+        sub.add_argument("--out", help="write the JSON report here instead of stdout")
     # argparse takes "-1e-3" for a flag: its own pattern of negative numbers has no exponent
     for sub in (parser, *commands.choices.values()):
         sub._negative_number_matcher = _NEGATIVE_NUMBER
@@ -784,6 +768,12 @@ def _config_from_args(args) -> SweepConfig:
             raise ConfigError("--pair explicit requires --psi-i and --psi-f")
         config.psi_i = _parse_state(args.psi_i, args.n, "--psi-i")
         config.psi_f = _parse_state(args.psi_f, args.n, "--psi-f")
+    elif args.psi_i is not None or args.psi_f is not None:
+        raise ConfigError("--psi-i and --psi-f need --pair explicit")
+    if config.points < 1:
+        raise ConfigError("--points must be >= 1")
+    if config.seed < 0:
+        raise ConfigError("--seed must be >= 0")
     return config
 
 
@@ -795,33 +785,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
 
     try:
-        if args.command == "verify-group":
-            return run_group_sweep(_config_from_args(args), out_path=args.out)
-        if args.command == "verify-ray":
-            return run_ray_sweep(
-                _config_from_args(args), bridge_points=args.bridge_points, out_path=args.out
-            )
-        if args.command == "su2-demo":
-            return run_su2_demo(args.grid, out_path=args.out, csv_path=args.csv)
-        if args.command == "superosc":
-            return run_superosc(
-                _config_from_args(args), args.samples, args.t_min, args.t_max, args.out, args.csv
-            )
-        if args.command == "vortex":
-            for flag in ("chi", "theta", "phi"):
-                if not np.isfinite(getattr(args, flag)):
-                    raise ConfigError(f"--{flag} is non-finite")
-            return run_vortex(
-                args.loop,
-                args.chi,
-                args.theta,
-                args.phi,
-                args.samples,
-                args.reverse,
-                args.expect,
-                args.out,
-            )
-        raise ConfigError(f"unknown command '{args.command}'")
+        return args.run(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR

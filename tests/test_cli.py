@@ -741,6 +741,74 @@ class TestParser:
         assert code == EXIT_PASS
         assert load(out)["pass"] is True
 
+    # every option of every command: (default, type, choices, required)
+    PAIRS = ["random", "spin-flip", "explicit"]
+    STATE_OPTIONS = {
+        ("--n",): (None, int, None, True),
+        ("--seed",): (0, int, None, False),
+        ("--pair",): ("random", None, PAIRS, False),
+        ("--psi-i",): (None, None, None, False),
+        ("--psi-f",): (None, None, None, False),
+    }
+    SWEEP_OPTIONS = {
+        **STATE_OPTIONS,
+        ("--sample-scale",): (1.0, float, None, False),
+        ("--tol",): ([], None, None, False),
+        ("--out",): (None, None, None, False),
+    }
+    OPTIONS = {
+        "verify-group": {
+            **SWEEP_OPTIONS,
+            ("--points",): (200, int, None, False),
+            ("--chart",): ("exp", None, ["exp", "su2-polar", "cartan"], False),
+            ("--per-point",): (False, None, None, False),
+        },
+        "verify-ray": {
+            **SWEEP_OPTIONS,
+            ("--points",): (100, int, None, False),
+            ("--bridge-points",): (50, int, None, False),
+        },
+        "su2-demo": {
+            ("--grid",): (20, int, None, False),
+            ("--out",): (None, None, None, False),
+            ("--csv",): (None, None, None, False),
+        },
+        "superosc": {
+            **STATE_OPTIONS,
+            ("--samples",): (1024, int, None, False),
+            ("--t-min",): (-np.pi, float, None, False),
+            ("--t-max",): (np.pi, float, None, False),
+            ("--out",): (None, None, None, False),
+            ("--csv",): (None, None, None, False),
+        },
+        "vortex": {
+            ("--loop",): ("phi-circle", None, ["phi-circle", "contractible"], False),
+            ("--chi",): (np.pi / 2, float, None, False),
+            ("--theta",): (0.1, float, None, False),
+            ("--phi",): (0.3, float, None, False),
+            ("--samples",): (64, int, None, False),
+            ("--reverse",): (False, None, None, False),
+            ("--expect",): (None, int, None, False),
+            ("--out",): (None, None, None, False),
+        },
+    }
+
+    def test_options_table(self):
+        import argparse
+
+        parser = build_parser()
+        commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        assert set(commands.choices) == set(self.OPTIONS)
+        for name, sub in commands.choices.items():
+            options = {
+                tuple(action.option_strings): (
+                    action.default, action.type, action.choices, action.required
+                )
+                for action in sub._actions
+                if action.dest != "help"
+            }
+            assert options == self.OPTIONS[name], name
+
     def test_unknown_command_exits_two(self):
         assert main(["no-such-command"]) == 2
 
@@ -751,6 +819,16 @@ class TestParser:
 
 class TestInputErrors:
     """Bad user input exits with code 2 and one `error:` line, never a traceback."""
+
+    @staticmethod
+    def assert_one_error_line(tmp_path, capsys, argv) -> str:
+        code, out = run_to_file(tmp_path, "r.json", argv)
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG_ERROR
+        assert not out.exists()
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        return err
 
     @pytest.mark.parametrize(
         "argv",
@@ -776,13 +854,16 @@ class TestInputErrors:
             ["superosc", "--n", "3", "--samples", "1000000000000000"],
             ["vortex", "--samples", "1000000000000000"],
             ["verify-ray", "--n", "3", "--points", "1000000000000000", "--bridge-points", "0"],
+            # sizes below their floor
+            ["verify-ray", "--n", "3", "--points", "0"],
+            ["verify-ray", "--n", "3", "--points", "5", "--bridge-points", "-1"],
+            ["verify-ray", "--n", "1"],
+            ["superosc", "--n", "1"],
+            ["vortex", "--samples", "63"],
         ],
     )
     def test_domain_error_is_config_error(self, tmp_path, capsys, argv):
-        code, out = run_to_file(tmp_path, "r.json", argv)
-        assert code == EXIT_CONFIG_ERROR
-        assert not out.exists()
-        assert capsys.readouterr().err.startswith("error: ")
+        self.assert_one_error_line(tmp_path, capsys, argv)
 
     @pytest.mark.parametrize(
         "argv",
@@ -848,6 +929,29 @@ class TestInputErrors:
         assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify-group", "--n", "3", "--points", "5", "--seed", "-1"],
+            ["verify-ray", "--n", "3", "--points", "5", "--seed", "-1"],
+            ["superosc", "--n", "3", "--samples", "64", "--seed", "-1"],
+        ],
+    )
+    def test_negative_seed_rejected(self, tmp_path, capsys, argv):
+        # numpy's generator takes only non-negative seeds
+        assert "--seed" in self.assert_one_error_line(tmp_path, capsys, argv)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify-group", "--n", "3", "--points", "5", "--psi-i", "1,0,0"],
+            ["superosc", "--n", "3", "--samples", "64", "--psi-f", "0,1,0"],
+        ],
+    )
+    def test_state_without_explicit_pair_rejected(self, tmp_path, capsys, argv):
+        # a state another pair kind would ignore
+        assert "--pair explicit" in self.assert_one_error_line(tmp_path, capsys, argv)
+
     def test_zero_tol_accepted(self, tmp_path):
         argv = ["verify-group", "--n", "2", "--points", "5", "--seed", "1",
                 "--tol", "gradient-lower-bound=0"]
@@ -862,6 +966,34 @@ class TestInputErrors:
         code, out = run_to_file(tmp_path, "r.json", argv)
         assert code == EXIT_PASS
         assert load(out)["config"]["tolerance_overrides"] == {"bridge-phase": 1e-3}
+
+
+class TestDispatch:
+    """`main` calls the runner of each command through its `cli` module
+    binding, the binding a tracer replaces, with the parsed arguments alone."""
+
+    @pytest.mark.parametrize(
+        "argv, runner",
+        [
+            (["verify-group", "--n", "2"], "run_group_sweep"),
+            (["verify-ray", "--n", "2"], "run_ray_sweep"),
+            (["su2-demo"], "run_su2_demo"),
+            (["superosc", "--n", "2"], "run_superosc"),
+            (["vortex"], "run_vortex"),
+        ],
+    )
+    def test_main_calls_the_module_binding(self, monkeypatch, argv, runner):
+        from sun_phase import cli
+
+        calls = []
+
+        def recorder(args):
+            calls.append(args)
+            return 7
+
+        monkeypatch.setattr(cli, runner, recorder)
+        assert main(argv) == 7
+        assert [args.command for args in calls] == [argv[0]]
 
 
 class TestLibraryErrors:
