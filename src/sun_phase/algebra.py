@@ -242,10 +242,28 @@ def expm_partials(coeffs, gens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return u, np.swapaxes(du, -3, -2)
 
 
+def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per-row dot products of stacks (..., n), a matmul of (..., 1, n) by
+    (..., n, 1): each row is the BLAS dot that a 1-D `a @ b` calls."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _row_norm(v: np.ndarray) -> np.ndarray:
+    """Per-row 2-norms of a complex stack (..., n), bit for bit what
+    `np.linalg.norm` gives for each row alone."""
+    return np.sqrt(_row_dot(v.real, v.real) + _row_dot(v.imag, v.imag))
+
+
+def _unit_rows(gauss: np.ndarray) -> np.ndarray:
+    """Unit complex rows (..., n) from Gaussian draws (..., 2, n), the real
+    parts first: a stack of `haar_state` draws, normalized at once."""
+    v = gauss[..., 0, :] + 1j * gauss[..., 1, :]
+    return v / _row_norm(v)[..., None]
+
+
 def haar_state(n: int, rng: np.random.Generator) -> np.ndarray:
     """Random unit vector, uniform on the sphere in C^n."""
-    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    return v / np.linalg.norm(v)
+    return _unit_rows(rng.standard_normal(2 * n).reshape(2, n))
 
 
 def random_hermitian(n: int, rng: np.random.Generator, traceless: bool = False) -> np.ndarray:

@@ -7,15 +7,20 @@ significant digits, and no timestamps are recorded.
 
 Every command evaluates stacks of points: the sweeps draw every point
 in the order of the per-point draws, then evaluate blocks of
-`Chart.block_rows()` points.  `verify-group --chart cartan` over random
-pairs evaluates a block on a per-row chart, each row adapted to its own
-psi_i.  `verify-ray` evaluates each block of section points, the slice
+`Chart.block_rows()` points.  `verify-group` makes two RNG calls per
+point, the normals of two `haar_state` calls in one call and then x,
+and normalizes all random pairs as one stack.  `verify-group --chart
+cartan` over random pairs evaluates a block on a per-row chart, each row
+adapted to its own psi_i; the complement bases of those frames come from
+one stacked Gram-Schmidt, while a single state keeps the per-state loop.
+`verify-ray` evaluates each block of section points, the slice
 (y, 0, 0) of the full Cartan chart, once, and every ray and bridge check
 reads that section point; it draws bridge candidates in rounds of at
-most the points still missing.  `su2-demo` evaluates its grid in such
-blocks and `vortex` its loop.  The low-amplitude skip reads p from the
-block's phase gradient or section states, and `vortex` takes its
-largest phase step from the phases the winding number was summed from.
+most the points still missing, into columns allocated for every bridge
+point.  `su2-demo` evaluates its grid in such blocks and `vortex` its
+loop.  The low-amplitude skip reads p from the block's phase gradient
+or section states, and `vortex` takes its largest phase step from the
+phases the winding number was summed from.
 A report lists the checks its command measured, by name, in the order
 of `tolerances.CHECK_GATES[command]`, each gated by its `--tol` override
 or the default gate there.
@@ -47,7 +52,7 @@ import numpy as np
 
 from . import __version__
 from ._csvformat import write_rows
-from .algebra import StatePair, build_gellmann_basis, haar_state
+from .algebra import StatePair, _unit_rows, build_gellmann_basis, haar_state
 from .amplitude import phase_gradient, principal_angle, vortex_winding
 from .charts import Chart, exp_chart, su2_polar_chart
 from .coset import (
@@ -338,17 +343,26 @@ def run_group_sweep(args) -> int:
     chart = resolve_chart(config, np.eye(n, dtype=complex)[0] if fixed is None else fixed.psi_i)
     lo, hi = chart.sample_box.T
     half = (hi - lo) / 2.0 * config.sample_scale
+    low, high = (lo + hi) / 2.0 - half, (lo + hi) / 2.0 + half
 
-    draws = []  # per point: psi_i and psi_f of a random pair, then x
-    for _ in range(config.points):
-        states = (haar_state(n, rng), haar_state(n, rng)) if fixed is None else ()
-        draws.append((*states, rng.uniform((lo + hi) / 2.0 - half, (lo + hi) / 2.0 + half)))
-    *states, xs = map(np.array, zip(*draws))
+    # per point, the draws of two `haar_state` calls (psi_i re, im, psi_f re,
+    # im) in one call, then x: a normal takes a variable number of stream
+    # words, so x is drawn in this loop
+    gauss = np.empty((config.points, 2, 2, n)) if fixed is None else None
+    xs = np.empty((config.points, chart.dim_m))
+    for k in range(config.points):
+        if fixed is None:
+            rng.standard_normal(out=gauss[k].reshape(4 * n))
+        xs[k] = rng.uniform(low, high)
     if not np.all(chart.contains(xs)):
         raise ConfigError(
             f"--sample-scale {config.sample_scale} draws points outside chart '{chart.label}'"
         )
-    pair = StatePair(*states) if fixed is None else fixed
+    # psi_i and psi_f as contiguous stacks, each row normalized as haar_state does
+    if fixed is None:
+        pair = StatePair(*np.ascontiguousarray(_unit_rows(gauss).swapaxes(0, 1)))
+    else:
+        pair = fixed
     # only the cartan chart follows the pair (it is adapted to psi_i)
     follows_pair = fixed is None and config.chart == "cartan"
 
@@ -459,28 +473,31 @@ def run_ray_sweep(args) -> int:
     }
 
     if bridge_points:
-        rounds = []
+        # the last name is the other gauge sign, for the sign report
+        names = ("bridge-phase", "bridge-mixed", "bridge-modulus", "u1-phase-rate",
+                 "u1-frame-component", "bridge-phase-plus-berry")
+        columns = np.empty((len(names), bridge_points))  # each round fills its rows
         done = attempts = 0
         while done < bridge_points and attempts < 4 * bridge_points:
             count = min(bridge_points - done, 4 * bridge_points - attempts, step)
             attempts += count
             point, _ = kept_section(draw(count, y_half), P_SKIP)
             result = bridge_residuals(pair, point)
-            rounds.append({
-                "bridge-phase": result.residual_phase,
-                "bridge-mixed": result.residual_mixed,
-                "bridge-modulus": result.residual_modulus,
-                "u1-phase-rate": np.abs(result.grad0_phase - u1_eigenvalue(config.n)),
-                "u1-frame-component": np.abs(result.u1_frame_component - 1.0),
-                "bridge-phase-plus-berry": result.alt_residual_phase,  # for the sign report
-            })
+            columns[:, done:done + len(point.y)] = (
+                result.residual_phase,
+                result.residual_mixed,
+                result.residual_modulus,
+                np.abs(result.grad0_phase - u1_eigenvalue(config.n)),
+                np.abs(result.u1_frame_component - 1.0),
+                result.alt_residual_phase,
+            )
             done += len(point.y)
         report["bridge_points_evaluated"] = done
         if done == 0:
             print("error: no usable bridge points found", file=sys.stderr)
             report["inconclusive"] = True
         else:
-            bridge = _stacked(rounds)
+            bridge = dict(zip(names, columns[:, :done]))
             worst.update((name, column.max()) for name, column in bridge.items())
             report["bridge_gauge_sign"] = {
                 "residual_with_minus_berry": float(worst["bridge-phase"]),

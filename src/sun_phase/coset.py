@@ -35,6 +35,8 @@ import numpy as np
 from .algebra import (
     GeneratorBasis,
     StatePair,
+    _row_dot,
+    _row_norm,
     build_gellmann_basis,
     dagger,
     expm_generator,
@@ -125,24 +127,63 @@ class CartanFrame:
 def _complement_basis(psi_i: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the complement of psi_i, by Gram-Schmidt over
     the standard basis in order (deterministic), one row per state of a
-    stack (..., n)."""
+    stack (..., n).
+
+    A stack of several states runs one Gram-Schmidt over all rows, each
+    row projecting against the vectors it has kept so far; its rows equal
+    the single-state loop bit for bit, and that loop, cheaper for one
+    state, builds the basis of a single state."""
     n = psi_i.shape[-1]
-    bases = []
-    for psi in psi_i.reshape(-1, n):
-        kept: list[np.ndarray] = []
-        for j in range(n):
-            v = np.zeros(n, dtype=complex)
-            v[j] = 1.0
-            v = v - psi * (psi.conj() @ v)
-            for u in kept:
-                v = v - u * (u.conj() @ v)
-            norm = np.linalg.norm(v)
-            if norm > 1e-6:
-                kept.append(v / norm)
-        if len(kept) != n - 1:
-            raise InternalConsistencyError("complement basis construction failed")
-        bases.append(kept)
+    states = psi_i.reshape(-1, n)
+    if len(states) == 1:
+        bases = [_complement_basis_one(states[0])]
+    else:
+        bases = _complement_basis_rows(states)
     return np.reshape(bases, psi_i.shape[:-1] + (n - 1, n))
+
+
+def _complement_basis_one(psi: np.ndarray) -> list[np.ndarray]:
+    n = len(psi)
+    kept: list[np.ndarray] = []
+    for j in range(n):
+        v = np.zeros(n, dtype=complex)
+        v[j] = 1.0
+        v = v - psi * (psi.conj() @ v)
+        for u in kept:
+            v = v - u * (u.conj() @ v)
+        norm = np.linalg.norm(v)
+        if norm > 1e-6:
+            kept.append(v / norm)
+    if len(kept) != n - 1:
+        raise InternalConsistencyError("complement basis construction failed")
+    return kept
+
+
+def _complement_basis_rows(states: np.ndarray) -> np.ndarray:
+    """`_complement_basis_one` of every row of states (N, n) at once.  Row k
+    keeps its vectors in slots 0 .. count[k] - 1: rows that dropped
+    different standard basis vectors differ in count, and a projection
+    step changes only the rows that hold its slot.  The dots and norms are
+    per-row matmuls, the BLAS dots of the single-state loop."""
+    rows, n = states.shape
+    kept = np.zeros((rows, n, n), dtype=complex)
+    count = np.zeros(rows, dtype=int)
+    index = np.arange(rows)
+    conj = states.conj()
+    for j in range(n):
+        v = np.zeros((rows, n), dtype=complex)
+        v[:, j] = 1.0
+        v = v - states * _row_dot(conj, v)[:, None]
+        for slot in range(j):
+            u = kept[:, slot]
+            v = np.where((count > slot)[:, None], v - u * _row_dot(u.conj(), v)[:, None], v)
+        norm = _row_norm(v)
+        keep = norm > 1e-6
+        kept[index[keep], count[keep]] = v[keep] / norm[keep, None]
+        count += keep
+    if (count != n - 1).any():
+        raise InternalConsistencyError("complement basis construction failed")
+    return kept[:, : n - 1]
 
 
 def build_cartan_frame(psi_i, basis: GeneratorBasis) -> CartanFrame:

@@ -219,6 +219,9 @@ def phase_trace(
     if samples < 2:
         raise DomainError("need at least 2 samples")
     t0, t1 = t_range
+    for name, bound in (("start", t0), ("end", t1)):
+        if not np.isfinite(bound):
+            raise DomainError(f"time range {name} is not finite: {bound}")
     if not t1 > t0:
         raise DomainError("empty time range")
     if not np.isfinite(t1 - t0):

@@ -854,6 +854,8 @@ class TestInputErrors:
             ["superosc", "--n", "3", "--samples", "1000000000000000"],
             ["vortex", "--samples", "1000000000000000"],
             ["verify-ray", "--n", "3", "--points", "1000000000000000", "--bridge-points", "0"],
+            ["verify-group", "--n", "3", "--points", "1000000000000000"],
+            ["verify-ray", "--n", "2", "--points", "5", "--bridge-points", "1000000000000000"],
             # sizes below their floor
             ["verify-ray", "--n", "3", "--points", "0"],
             ["verify-ray", "--n", "3", "--points", "5", "--bridge-points", "-1"],
@@ -952,6 +954,22 @@ class TestInputErrors:
         # a state another pair kind would ignore
         assert "--pair explicit" in self.assert_one_error_line(tmp_path, capsys, argv)
 
+    @pytest.mark.parametrize(
+        "bounds, cause",
+        [
+            (["--t-min", "nan"], "start is not finite: nan"),
+            (["--t-max", "nan"], "end is not finite: nan"),
+            (["--t-min", "-inf"], "start is not finite: -inf"),
+            (["--t-max", "inf"], "end is not finite: inf"),
+            # finite bounds whose difference overflows
+            (["--t-min=-1e308", "--t-max=1e308"], "width is not finite"),
+        ],
+    )
+    def test_time_range_error_names_its_cause(self, tmp_path, capsys, bounds, cause):
+        # a NaN bound is not an empty range, nor an infinite one an infinite width
+        err = self.assert_one_error_line(tmp_path, capsys, ["superosc", "--n", "3"] + bounds)
+        assert err == f"error: cannot trace the phase: time range {cause}\n"
+
     def test_zero_tol_accepted(self, tmp_path):
         argv = ["verify-group", "--n", "2", "--points", "5", "--seed", "1",
                 "--tol", "gradient-lower-bound=0"]
@@ -966,6 +984,80 @@ class TestInputErrors:
         code, out = run_to_file(tmp_path, "r.json", argv)
         assert code == EXIT_PASS
         assert load(out)["config"]["tolerance_overrides"] == {"bridge-phase": 1e-3}
+
+
+class TestSweepDraws:
+    """verify-group draws its points as a loop of per-point draws would:
+    two `haar_state` calls for a random pair, then x from one `uniform`."""
+
+    @staticmethod
+    def evaluated(tmp_path, monkeypatch, argv):
+        """The pair rows and points that `phase_gradient` receives, over all blocks."""
+        from sun_phase import cli
+
+        psi_i, psi_f, xs = [], [], []
+
+        def recorded(pair, chart, x):
+            psi_i.append(pair.psi_i)
+            psi_f.append(pair.psi_f)
+            xs.append(x)
+            return phase_gradient(pair, chart, x)
+
+        monkeypatch.setattr(cli, "phase_gradient", recorded)
+        assert run_to_file(tmp_path, "r.json", argv)[0] == EXIT_PASS
+        return psi_i, psi_f, np.concatenate(xs)
+
+    @staticmethod
+    def sample_box(n, chart):
+        from sun_phase.algebra import build_gellmann_basis
+        from sun_phase.coset import build_cartan_frame, full_cartan_chart
+
+        basis = build_gellmann_basis(n)
+        if chart == "exp":
+            return exp_chart(basis).sample_box
+        return full_cartan_chart(build_cartan_frame(np.eye(n)[0], basis)).sample_box
+
+    @classmethod
+    def reference(cls, n, chart, points, seed, random_pair):
+        """The per-point loop: psi_i, psi_f, x per point, in that order."""
+        from sun_phase.algebra import haar_state
+
+        lo, hi = cls.sample_box(n, chart).T
+        half = (hi - lo) / 2.0
+        rng = np.random.default_rng(seed)
+        psi_i, psi_f, xs = [], [], []
+        for _ in range(points):
+            if random_pair:
+                psi_i.append(haar_state(n, rng))
+                psi_f.append(haar_state(n, rng))
+            xs.append(rng.uniform((lo + hi) / 2.0 - half, (lo + hi) / 2.0 + half))
+        return np.array(psi_i), np.array(psi_f), np.array(xs)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 8])
+    @pytest.mark.parametrize("chart", ["exp", "cartan"])
+    def test_random_pairs_equal_per_point_draws(self, tmp_path, monkeypatch, n, chart):
+        points = 9 if n == 8 else 13
+        for seed in range(20):
+            argv = ["verify-group", "--n", str(n), "--chart", chart, "--points", str(points),
+                    "--seed", str(seed)]
+            psi_i, psi_f, xs = self.evaluated(tmp_path, monkeypatch, argv)
+            ref_i, ref_f, ref_x = self.reference(n, chart, points, seed, random_pair=True)
+            for got, want in ((np.concatenate(psi_i), ref_i), (np.concatenate(psi_f), ref_f),
+                              (xs, ref_x)):
+                assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 8])
+    @pytest.mark.parametrize("pair", ["spin-flip", "explicit"])
+    def test_fixed_pair_draws_only_x(self, tmp_path, monkeypatch, n, pair):
+        states = ["--psi-i", ",".join(["1"] + ["0"] * (n - 1)),
+                  "--psi-f", ",".join(["0.6", "0.8j"] + ["0"] * (n - 2))]
+        for seed in range(20):
+            argv = ["verify-group", "--n", str(n), "--pair", pair, "--points", "11",
+                    "--seed", str(seed)] + (states if pair == "explicit" else [])
+            psi_i, _, xs = self.evaluated(tmp_path, monkeypatch, argv)
+            assert all(psi.shape == (n,) for psi in psi_i)  # one pair serves every row
+            _, _, ref_x = self.reference(n, "exp", 11, seed, random_pair=False)
+            assert xs.tobytes() == ref_x.tobytes()
 
 
 class TestDispatch:

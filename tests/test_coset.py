@@ -15,6 +15,7 @@ from sun_phase.algebra import (
 )
 from sun_phase.amplitude import polar_amplitude
 from sun_phase.coset import (
+    _complement_basis,
     bridge_residuals,
     build_cartan_frame,
     ck_block_decomposition_residual,
@@ -89,6 +90,50 @@ class TestCartanFrame:
         basis = build_gellmann_basis(3)
         with pytest.raises(DomainError):
             build_cartan_frame(np.array([1.0, 1.0, 0.0], dtype=complex), basis)
+
+
+class TestStackedComplement:
+    """A stack of several states builds its complement bases in one
+    Gram-Schmidt over all rows, bit for bit the single-state loop per row."""
+
+    @staticmethod
+    def stack(n, rng, rows):
+        """Haar rows with e_0, e_{n-1} and rows 1e-8 off a basis vector mixed
+        in: each drops another standard basis vector in the Gram-Schmidt."""
+        states = np.array([haar_state(n, rng) for _ in range(rows)])
+        eye = np.eye(n, dtype=complex)
+        special = [eye[0], eye[n - 1]]
+        for k in rng.integers(0, n, 2):
+            near = eye[k] + 1e-8 * haar_state(n, rng)
+            special.append(near / np.linalg.norm(near))
+        for slot, state in zip(rng.permutation(rows), special):
+            states[slot] = state
+        return states
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 8])
+    def test_rows_equal_single_state_loop(self, n):
+        rng = np.random.default_rng(900 + n)
+        for rows in [2, 3, 4, 7, 15, 40] + list(rng.integers(2, 41, 6)):
+            states = self.stack(n, rng, rows)
+            stacked = _complement_basis(states)
+            single = np.array([_complement_basis(psi) for psi in states])
+            assert stacked.shape == (rows, n - 1, n)
+            assert stacked.tobytes() == single.tobytes()
+
+    def test_single_state_shapes(self):
+        psi = haar_state(3, np.random.default_rng(3))
+        one = _complement_basis(psi)
+        assert one.shape == (2, 3)
+        assert _complement_basis(psi[None]).tobytes() == one[None].tobytes()
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_zero_row_raises(self, n):
+        states = np.array([haar_state(n, np.random.default_rng(n)) for _ in range(4)])
+        states[2] = 0.0  # keeps all n standard basis vectors
+        with pytest.raises(InternalConsistencyError, match="complement basis"):
+            _complement_basis(states)
+        with pytest.raises(InternalConsistencyError, match="complement basis"):
+            _complement_basis(states[2])
 
 
 class TestPerRowFrames:

@@ -297,6 +297,24 @@ class TestBlockedTrace:
         with pytest.raises(DomainError):
             phase_trace(pair, gen, t_range=(-1e308, 1e308))
 
+    @pytest.mark.parametrize(
+        "t_range, bound",
+        [
+            ((np.nan, 1.0), "start is not finite: nan"),
+            ((-1.0, np.nan), "end is not finite: nan"),
+            ((-np.inf, 1.0), "start is not finite: -inf"),
+            ((-1.0, np.inf), "end is not finite: inf"),
+            ((np.nan, np.nan), "start is not finite: nan"),
+        ],
+    )
+    def test_non_finite_bound_named(self, t_range, bound):
+        # checked before the range: NaN fails `t1 > t0` as an empty range would
+        rng = np.random.default_rng(81)
+        pair = random_pair(2, rng)
+        gen = random_unit_generator(2, rng)
+        with pytest.raises(DomainError, match=f"^time range {bound}$"):
+            phase_trace(pair, gen, t_range=t_range)
+
     def test_phase_overflow_rejected(self):
         # the width is finite, but w t overflows for |w| > 1 and exp(1j inf) is NaN
         rng = np.random.default_rng(82)
