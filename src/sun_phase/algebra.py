@@ -196,9 +196,8 @@ def expm_generator(l: np.ndarray, t=1.0) -> np.ndarray:
 
 
 def generator_sum(coeffs, gens: np.ndarray) -> np.ndarray:
-    """x^a g_a of coefficients (..., m) over generators (m, n, n), or over
-    one generator stack per row, (N, m, n, n)."""
-    return np.einsum("...a,...aij->...ij", coeffs, gens)
+    """x^a g_a of coefficients (..., m) over generators (m, n, n)."""
+    return np.einsum("...a,aij->...ij", coeffs, gens)
 
 
 def expm_partials(coeffs, gens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -216,16 +215,14 @@ def expm_partials(coeffs, gens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     side by side (n, m n) where V acts on the left and stacked (m n, n)
     where it acts on the right.  Returns (U, dU), with dU
     stacked as (m, n, n) for m generators (m, n, n).  Coefficients of
-    shape (N, m) give U of shape (N, n, n) and dU of shape (N, m, n, n),
-    from one generator stack shared by every row or from one per row,
-    gens (N, m, n, n).
+    shape (N, m) give U of shape (N, n, n) and dU of shape (N, m, n, n).
     """
     coeffs = np.asarray(coeffs, dtype=float)
-    m = gens.shape[-3]
+    m = len(gens)
+    if gens.ndim != 3:
+        raise ShapeError(f"expected one generator stack (m, n, n), got shape {gens.shape}")
     if coeffs.ndim not in (1, 2) or coeffs.shape[-1] != m:
         raise ShapeError(f"expected {m} coefficients, got shape {coeffs.shape}")
-    if gens.ndim == 4 and coeffs.shape[:-1] != gens.shape[:1]:
-        raise ShapeError(f"{len(gens)} generator stacks for coefficients {coeffs.shape}")
     w, v = _hermitian_eigh(generator_sum(coeffs, gens))
     u = _unitary_from_eigh(w, v, 1.0)
     phi = 1j * np.exp(0.5j * (w[..., :, None] + w[..., None, :])) * np.sinc(
@@ -234,7 +231,7 @@ def expm_partials(coeffs, gens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # index order [i, a, k] throughout: an (n, m n) matrix for V on the left,
     # an (m n, n) matrix for V on the right
     n, lead = w.shape[-1], w.shape[:-1]
-    side = np.swapaxes(gens, -3, -2).reshape(gens.shape[:-3] + (n, m * n))
+    side = np.swapaxes(gens, 0, 1).reshape(n, m * n)
     vh = dagger(v)
     rotated = ((vh @ side).reshape(lead + (n * m, n)) @ v).reshape(lead + (n, m, n))
     weighted = (phi[..., :, None, :] * rotated).reshape(lead + (n, m * n))

@@ -177,7 +177,7 @@ def phase_gradient(pair: StatePair, chart: Chart, x) -> PhaseGradient:
     Requires p >= 1e-8 (the formula divides by the amplitude): one point
     below raises NearZeroAmplitudeError, rows of a stack x (N, m) below get
     NaN gradients.  A stack raises the error of its first failing row.  A
-    stacked pair or a per-row chart gives row k its own pair or chart.
+    stacked pair gives row k its own pair.
     U and its partials come from one chart call; one point is evaluated as
     a stack of one, and every contraction is a product per point, so row k
     of a stack equals the point x[k] alone bit for bit.
@@ -198,7 +198,7 @@ def phase_gradient(pair: StatePair, chart: Chart, x) -> PhaseGradient:
         # a stack raises what the per-point loop raised: the first failing row's error
         for k in range(len(x) if x.ndim == 2 else 0):
             try:
-                phase_gradient(pair.rows(k), chart.rows(k), x[k])
+                phase_gradient(pair.rows(k), chart, x[k])
             except NearZeroAmplitudeError:
                 continue
         raise
@@ -210,9 +210,7 @@ def _stacked_gradient(pair: StatePair, chart: Chart, x: np.ndarray) -> PhaseGrad
     u, du = partials(chart, x)
     amp = _polar(pair, u)
     rows = np.flatnonzero(amp.p >= P_GRAD)
-    kept = _frame_gradient(
-        pair.rows(rows), chart.rows(rows), x[rows], u[rows], du[rows], amp.rows(rows)
-    )
+    kept = _frame_gradient(pair.rows(rows), chart, x[rows], u[rows], du[rows], amp.rows(rows))
     gradients = {}
     for name in _DIFFERENTIAL_FIELDS:  # rows below P_GRAD stay NaN
         value = getattr(kept, name)
@@ -230,7 +228,7 @@ def _frame_gradient(pair, chart, x, u, du, amp, frame=None) -> PhaseGradient:
     # <f|U g_a|i>: <f|U times the generators side by side, (n, m n), as one
     # product per point, then each generator's row times |i>
     n, m = chart.n, chart.dim_m
-    side_by_side = np.swapaxes(chart.algebra, -3, -2).reshape(chart.algebra.shape[:-3] + (n, m * n))
+    side_by_side = np.swapaxes(chart.algebra, 0, 1).reshape(n, m * n)
     f_u = pair.psi_f.conj()[..., None, :] @ u
     f_u_g = (f_u @ side_by_side).reshape(u.shape[:-2] + (m, n))
     numerators = (f_u_g @ pair.psi_i[..., :, None])[..., 0]

@@ -7,11 +7,10 @@ bi-invariant metric g_uv = (1/2) Tr(dU dU^dag), for which the frame acts
 as a vielbein.
 
 Each function takes one point x (m,) or a stack of points (N, m); every
-guard is evaluated on each row, and a stack fails when any row fails.  A
-chart may carry a leading row axis, one chart per row of a stack (see
-`Chart.rows`).  `partials(chart, x)` gives U and its exact partials
-from one chart call, `Chart.evaluate(x, with_partials=True)` (one
-eigendecomposition per factor on the exponential charts);
+guard is evaluated on each row, and a stack fails when any row fails.
+`partials(chart, x)` gives U and its exact partials from one chart
+call, `Chart.evaluate(x, with_partials=True)` (one eigendecomposition
+per factor on the exponential charts);
 `Chart.evaluate(x)` gives U alone; `fd_partials(chart, x)` gives the pair
 by central differences, as an independent cross-check.  The frame and
 metric contractions are matrix products batched over points only, so
@@ -67,10 +66,6 @@ class Chart:
     shape (..., dim_m); `map_fn` gives U(x) and `map_partials_fn` gives U(x)
     together with the exact partials dU/dx_mu, stacked with shape
     (..., dim_m, n, n), from one shared evaluation.
-
-    A per-row chart holds one chart for each row of a stack of N points:
-    `algebra` has shape (N, dim_m, n, n), the functions take coordinates
-    (N, dim_m), and `rows_fn(index)` builds the chart of the rows `index`.
     """
 
     label: str
@@ -81,12 +76,6 @@ class Chart:
     map_fn: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     contains_fn: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     map_partials_fn: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] = field(repr=False)
-    rows_fn: Callable[[object], "Chart"] | None = field(default=None, repr=False)
-
-    def rows(self, index) -> "Chart":
-        """The chart of the rows `index` of a per-row chart; a chart without a
-        row axis serves every row."""
-        return self if self.rows_fn is None else self.rows_fn(index)
 
     def block_rows(self) -> int:
         """Points per stacked evaluation: about BLOCK_ENTRIES entries of dU."""
@@ -113,8 +102,6 @@ class Chart:
             raise ShapeError(
                 f"chart '{self.label}' expects {self.dim_m} coordinates, got {x.shape}"
             )
-        if self.algebra.ndim == 4 and x.shape[:-1] != self.algebra.shape[:1]:
-            raise ShapeError(f"per-row chart of {len(self.algebra)} rows at points {x.shape}")
         if not self.contains_fn(x).all():
             raise DomainError(f"coordinates outside domain of chart '{self.label}'")
         return x
@@ -274,9 +261,7 @@ def fd_partials(chart: Chart, x) -> tuple[np.ndarray, np.ndarray]:
     x = np.asarray(x, dtype=float)
     steps = FD_STEP * np.eye(chart.dim_m)
     plus, minus = ((x[..., None, :] + h).reshape(-1, chart.dim_m) for h in (steps, -steps))
-    # the stencil of row k takes the chart of row k
-    stencil = chart.rows(np.repeat(np.arange(len(x)), chart.dim_m)) if x.ndim == 2 else chart
-    du = (stencil.evaluate(plus) - stencil.evaluate(minus)) / (2 * FD_STEP)
+    du = (chart.evaluate(plus) - chart.evaluate(minus)) / (2 * FD_STEP)
     return chart.evaluate(x), du.reshape(x.shape[:-1] + (chart.dim_m, chart.n, chart.n))
 
 
@@ -302,7 +287,7 @@ def left_invariant_frame(
 def frame_coefficients(u: np.ndarray, du: np.ndarray, algebra: np.ndarray) -> np.ndarray:
     """omega[..., a, mu] with U^dag dU_mu = i omega^a g_a, for partials du
     (..., k, n, n) along any k coordinates and generators algebra
-    (..., m, n, n); omega has shape (..., m, k).
+    (m, n, n); omega has shape (..., m, k).
 
     Verifies that U^dag dU is anti-Hermitian and traceless, that the
     extracted coefficients are real, and that they reconstruct U^dag dU
@@ -388,8 +373,8 @@ def ck_metric(
 
 
 def generator_matrix(algebra: np.ndarray) -> np.ndarray:
-    """Generators (..., m, n, n) as the rows of an (..., m, n^2) matrix."""
-    return np.ascontiguousarray(algebra).reshape(algebra.shape[:-2] + (algebra.shape[-1] ** 2,))
+    """Generators (m, n, n) as the rows of an (m, n^2) matrix."""
+    return np.ascontiguousarray(algebra).reshape(len(algebra), algebra.shape[-1] ** 2)
 
 
 def real_gram(a: np.ndarray) -> np.ndarray:

@@ -10,9 +10,8 @@ in the order of the per-point draws, then evaluate blocks of
 `Chart.block_rows()` points.  `verify-group` makes two RNG calls per
 point, the normals of two `haar_state` calls in one call and then x,
 and normalizes all random pairs as one stack.  `verify-group --chart
-cartan` over random pairs evaluates a block on a per-row chart, each row
-adapted to its own psi_i; the complement bases of those frames come from
-one stacked Gram-Schmidt, while a single state keeps the per-state loop.
+cartan` evaluates every pair on the chart of e_0, rotated once to
+(e_0, W^dag psi_f) by W = [psi_i | complement] (`coset._reference_pair`).
 `verify-ray` evaluates each block of section points, the slice
 (y, 0, 0) of the full Cartan chart, once, and every ray and bridge check
 reads that section point; it draws bridge candidates in rounds of at
@@ -56,6 +55,7 @@ from .algebra import StatePair, _unit_rows, build_gellmann_basis, haar_state
 from .amplitude import phase_gradient, principal_angle, vortex_winding
 from .charts import Chart, exp_chart, su2_polar_chart
 from .coset import (
+    _reference_pair,
     bridge_residuals,
     build_cartan_frame,
     factorization_residual,
@@ -183,13 +183,13 @@ def write_csv(path: str, header: list[str], columns) -> None:
 @dataclass
 class SweepConfig:
     n: int
-    chart: str = "exp"
-    points: int = 200
+    chart: str | None = None
+    points: int | None = None
     seed: int = 0
     pair_kind: str = "random"
     psi_i: np.ndarray | None = None
     psi_f: np.ndarray | None = None
-    sample_scale: float = 1.0
+    sample_scale: float | None = None
     tolerances: dict = field(default_factory=dict)
     per_point: bool = False
 
@@ -202,6 +202,7 @@ class SweepConfig:
             "pair": self.pair_kind,
             "sample_scale": self.sample_scale,
         }
+        out = {key: value for key, value in out.items() if value is not None}
         if self.psi_i is not None:
             out["psi_i"] = [format_float(v) for v in np.ravel([self.psi_i.real, self.psi_i.imag])]
             out["psi_f"] = [format_float(v) for v in np.ravel([self.psi_f.real, self.psi_f.imag])]
@@ -220,15 +221,25 @@ def _parse_state(text: str, n: int, name: str) -> np.ndarray:
     v = np.array(entries, dtype=complex)
     if not np.all(np.isfinite(v)):
         raise ConfigError(f"{name} has a non-finite entry")
-    norm = np.linalg.norm(v)
-    if norm == 0.0:
+    largest = np.abs(v.view(float)).max()
+    if largest == 0.0:
         raise ConfigError(f"{name} is the zero vector")
-    if abs(norm - 1.0) > 1e-6:
-        print(
-            f"warning: {name} norm deviates by {abs(norm - 1.0):.2e}; normalizing",
-            file=sys.stderr,
-        )
+    # a largest part far from 1 divided out, the sum of squares stays in range
+    scale = 1.0 if 1e-150 < largest < 1e150 else float(largest)
+    v = (v.view(float) / scale).view(complex)
+    norm = np.linalg.norm(v)
+    size = float(norm) * scale  # a Python float: past the largest double, inf with no warning
+    if abs(size - 1.0) > 1e-6:
+        deviation = f"{abs(size - 1.0):.2e}" if size < np.inf else "more than 1.8e+308"
+        print(f"warning: {name} norm deviates by {deviation}; normalizing", file=sys.stderr)
     return v / norm
+
+
+def _check_addressable(option: str, value: int, nbytes: int) -> None:
+    """ConfigError when `option` sizes arrays of `nbytes` bytes in all, more
+    than numpy can address (numpy raises ValueError, not MemoryError, there)."""
+    if nbytes > np.iinfo(np.intp).max:
+        raise ConfigError(f"{option} {value} needs arrays larger than numpy can address")
 
 
 def _spin_flip_pair(n: int) -> StatePair:
@@ -248,16 +259,16 @@ def resolve_pair(config: SweepConfig, rng: np.random.Generator) -> StatePair:
     return StatePair(config.psi_i, config.psi_f)
 
 
-def resolve_chart(config: SweepConfig, psi_i: np.ndarray) -> Chart:
-    """The chart of the sweep; the cartan chart is adapted to the reference
-    state psi_i, or per row to a stack of them (N, n)."""
+def resolve_chart(config: SweepConfig) -> Chart:
+    """The chart of the sweep; the cartan chart is adapted to e_0."""
     if config.chart == "exp":
         return exp_chart(build_gellmann_basis(config.n))
     if config.chart == "su2-polar":
         if config.n != 2:
             raise ConfigError("chart 'su2-polar' requires --n 2")
         return su2_polar_chart()
-    return full_cartan_chart(build_cartan_frame(psi_i, build_gellmann_basis(config.n)))
+    e_0 = np.eye(config.n, dtype=complex)[0]
+    return full_cartan_chart(build_cartan_frame(e_0, build_gellmann_basis(config.n)))
 
 
 # ---------------------------------------------------------------------------
@@ -338,9 +349,7 @@ def run_group_sweep(args) -> int:
     rng = np.random.default_rng(config.seed)
     n = config.n
     fixed = None if config.pair_kind == "random" else resolve_pair(config, rng)
-    # the sample box and the domain of every chart depend only on n, so the
-    # chart of any reference state gives them; a fixed pair's chart is shared
-    chart = resolve_chart(config, np.eye(n, dtype=complex)[0] if fixed is None else fixed.psi_i)
+    chart = resolve_chart(config)
     lo, hi = chart.sample_box.T
     half = (hi - lo) / 2.0 * config.sample_scale
     low, high = (lo + hi) / 2.0 - half, (lo + hi) / 2.0 + half
@@ -363,17 +372,15 @@ def run_group_sweep(args) -> int:
         pair = StatePair(*np.ascontiguousarray(_unit_rows(gauss).swapaxes(0, 1)))
     else:
         pair = fixed
-    # only the cartan chart follows the pair (it is adapted to psi_i)
-    follows_pair = fixed is None and config.chart == "cartan"
+    if config.chart == "cartan":  # the chart of psi_i is W U_e0 W^dag
+        pair = _reference_pair(pair)
 
     step = chart.block_rows()
     bound = 2.0 * (n - 1) / n
     blocks = []
     for start in range(0, config.points, step):
         rows = slice(start, start + step)
-        block_pair, x = pair.rows(rows), xs[rows]
-        block_chart = resolve_chart(config, block_pair.psi_i) if follows_pair else chart
-        grad = phase_gradient(block_pair, block_chart, x)
+        grad = phase_gradient(pair.rows(rows), chart, xs[rows])
         res = grad.residuals()
         columns = {
             "phase-identity": res.phase,
@@ -382,7 +389,7 @@ def run_group_sweep(args) -> int:
             "reconstruction": abs(grad.reconstructed_modulus() - np.sqrt(grad.p)) / np.sqrt(grad.p),
             "gradient-lower-bound": np.maximum(0.0, bound - grad.phase_grad_sq),
             "p": grad.p,
-            "x": x,
+            "x": xs[rows],
         }
         kept = grad.p > P_SKIP  # NaN rows have p < P_GRAD
         blocks.append({name: column[kept] for name, column in columns.items()})
@@ -415,6 +422,7 @@ def run_ray_sweep(args) -> int:
     bridge_points = args.bridge_points
     if bridge_points < 0:
         raise ConfigError("--bridge-points must be >= 0")
+    _check_addressable("--bridge-points", bridge_points, 48 * bridge_points)  # six columns
     rng = np.random.default_rng(config.seed)
     pair = resolve_pair(config, rng)
     frame = build_cartan_frame(pair.psi_i, build_gellmann_basis(config.n))
@@ -521,6 +529,7 @@ def run_su2_demo(args) -> int:
     grid = args.grid
     if grid < 2:
         raise ConfigError("--grid must be >= 2")
+    _check_addressable("--grid", grid, 64 * grid**3)  # the (grid^3, 8) table
     chart = su2_polar_chart()
     pair = _spin_flip_pair(2)
     chis = np.linspace(0.2, np.pi - 0.2, grid)
@@ -563,6 +572,7 @@ def run_superosc(args) -> int:
     """Aligned-generator superoscillation report for one state pair."""
     config = _config_from_args(args)
     samples, t_min, t_max = args.samples, args.t_min, args.t_max
+    _check_addressable("--samples", samples, 33 * samples)  # t, amplitude, omega, defined
     rng = np.random.default_rng(config.seed)
     pair = resolve_pair(config, rng)
     basis = build_gellmann_basis(config.n)
@@ -617,6 +627,7 @@ def build_loop(args):
     # anything coarser is refined adaptively anyway, but keep the floor
     if args.samples < 64:
         raise ConfigError("--samples must be >= 64")
+    _check_addressable("--samples", args.samples, 24 * (args.samples + 1))
     ts = np.linspace(0.0, 2 * np.pi, args.samples + 1)
     loop = np.tile([args.chi, args.theta, args.phi], (len(ts), 1))
     if args.loop == "phi-circle":
@@ -765,16 +776,19 @@ def _parse_tolerances(entries: list[str]) -> dict:
 
 def _config_from_args(args) -> SweepConfig:
     """Sweep configuration of a verify-group, verify-ray or superosc command;
-    options the command lacks keep their `SweepConfig` defaults."""
-    if args.n < 2:
+    options the command lacks stay None, and its report does not echo them."""
+    n = args.n
+    if n < 2:
         raise ConfigError("--n must be >= 2")
-    config = SweepConfig(n=args.n, seed=args.seed, pair_kind=args.pair)
+    _check_addressable("--n", n, 16 * n**4)  # the (n^2 - 1, n, n) generator basis
+    config = SweepConfig(n=n, seed=args.seed, pair_kind=args.pair)
     for name in ("chart", "points", "sample_scale", "per_point"):
         if hasattr(args, name):
             setattr(config, name, getattr(args, name))
-    if not np.isfinite(config.sample_scale):
+    scale = config.sample_scale
+    if scale is not None and not np.isfinite(scale):
         raise ConfigError("--sample-scale is non-finite")
-    if config.sample_scale <= 0.0:
+    if scale is not None and scale <= 0.0:
         raise ConfigError("--sample-scale must be > 0")
     config.tolerances = _parse_tolerances(getattr(args, "tol", []))
     unknown = sorted(set(config.tolerances) - set(CHECK_GATES[args.command]))
@@ -787,8 +801,11 @@ def _config_from_args(args) -> SweepConfig:
         config.psi_f = _parse_state(args.psi_f, args.n, "--psi-f")
     elif args.psi_i is not None or args.psi_f is not None:
         raise ConfigError("--psi-i and --psi-f need --pair explicit")
-    if config.points < 1:
-        raise ConfigError("--points must be >= 1")
+    if config.points is not None:
+        if config.points < 1:
+            raise ConfigError("--points must be >= 1")
+        # the draws of every point: 4n normals and at most n^2 - 1 coordinates
+        _check_addressable("--points", config.points, 8 * (4 * n + n * n) * config.points)
     if config.seed < 0:
         raise ConfigError("--seed must be >= 0")
     return config

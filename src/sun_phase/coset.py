@@ -17,8 +17,8 @@ identities, the factorization of group amplitudes through the section
 group-to-ray bridge.  The chart's partials and full frame at (y, 0, 0),
 which only the bridge and the block decomposition read, are built on
 first read from K and dK/dy by the chart's product rule, with no second
-eigendecomposition.  A stack of reference states (N, n) gives per-row
-frames and a per-row full chart, whose row k is adapted to psi_i[k].
+eigendecomposition.  The chart of psi_i is W U_e0(x) W^dag, W = [psi_i |
+complement], so `_reference_pair` rotates pairs onto the chart U_e0 of e_0.
 At the slice the frame omega is block lower-triangular with an identity
 isotropy/U(1) block, so det(omega) = det(tau) for the coset block tau,
 and the leading block of the frame's inverse is tau^-1: the inverse
@@ -82,9 +82,7 @@ class CartanFrame:
     `coset` stacks the off-block generators X_1..X_{n-1}, Y_1..Y_{n-1};
     `iso` stacks the embedded su(n-1) block (empty for n = 2);
     `complement` holds the n-1 orthonormal vectors spanning the
-    complement of psi_i, one per row.  Per-row frames, built from a stack
-    of reference states (N, n), carry a leading row axis on every array;
-    row k is the frame of psi_i[k].
+    complement of psi_i, one per row.
     """
 
     n: int
@@ -104,18 +102,7 @@ class CartanFrame:
 
     def stacked(self) -> np.ndarray:
         """All generators in full-chart coordinate order: coset, iso, lambda0."""
-        return np.concatenate(
-            [self.coset, self.iso, self.lambda0[..., np.newaxis, :, :]], axis=-3
-        )
-
-    def rows(self, index) -> "CartanFrame":
-        """The frames of the rows `index` of per-row frames; a frame without a
-        row axis serves every row."""
-        if self.psi_i.ndim == 1:
-            return self
-        # the fields, not vars(self): a built `chart` sits in the instance dict
-        arrays = {f.name: getattr(self, f.name)[index] for f in fields(self) if f.name != "n"}
-        return CartanFrame(n=self.n, **arrays)
+        return np.concatenate([self.coset, self.iso, self.lambda0[None]])
 
     @cached_property
     def chart(self) -> Chart:
@@ -186,6 +173,27 @@ def _complement_basis_rows(states: np.ndarray) -> np.ndarray:
     return kept[:, : n - 1]
 
 
+def _adapted_basis(psi_i: np.ndarray) -> np.ndarray:
+    """W = [psi_i | complement] for a state (n,) or each row of a stack
+    (N, n): the frame of psi_i is W (frame of e_0) W^dag generator by
+    generator.  InternalConsistencyError unless W is unitary to ATOL_CONSTRUCTION."""
+    rows = np.concatenate([psi_i[..., None, :], _complement_basis(psi_i)], axis=-2)
+    w = np.swapaxes(rows, -1, -2)
+    if not np.abs(dagger(w) @ w - np.eye(w.shape[-1])).max(initial=0.0) < ATOL_CONSTRUCTION:
+        raise InternalConsistencyError("[psi_i | complement] is not unitary")
+    return w
+
+
+def _reference_pair(pair: StatePair) -> StatePair:
+    """(e_0, W^dag psi_f) for W = `_adapted_basis(psi_i)`, row by row for a
+    stacked pair: <psi_f|W U_e0(x) W^dag|psi_i> = <W^dag psi_f|U_e0(x)|e_0>,
+    with the same frame and metric at x."""
+    w = _adapted_basis(pair.psi_i)
+    e_0 = np.zeros_like(pair.psi_i)
+    e_0[..., 0] = 1.0
+    return StatePair(e_0, (dagger(w) @ pair.psi_f[..., :, None])[..., 0])
+
+
 def build_cartan_frame(psi_i, basis: GeneratorBasis) -> CartanFrame:
     """Adapted generator frame splitting su(n) around the ray of psi_i.
 
@@ -193,29 +201,28 @@ def build_cartan_frame(psi_i, basis: GeneratorBasis) -> CartanFrame:
     (1/2) Tr lambda0^2 = 1 with eigenvalue -sqrt(2(n-1)/n) on psi_i;
     coset generators |psi><k| + |k><psi| and -i|psi><k| + i|k><psi|;
     isotropy block the generalized Gell-Mann basis of the complement.
-    All pairwise trace-orthogonality relations are verified on exit.  A
-    stack of states (N, n) gives per-row frames, every row verified; row k
-    equals the frame of psi_i[k] bit for bit.
+    All pairwise trace-orthogonality relations are verified on exit.
+    psi_i is one state (n,); a stack raises ShapeError.
     """
     psi_i = np.asarray(psi_i, dtype=complex)
     n = basis.n
-    if psi_i.ndim not in (1, 2) or psi_i.shape[-1] != n or not psi_i.size:
-        raise ShapeError(f"reference states need shape ({n},) or (N, {n}), got {psi_i.shape}")
-    if not (np.abs(np.linalg.norm(psi_i, axis=-1) - 1.0) < ATOL_CONSTRUCTION).all():
+    if psi_i.shape != (n,):
+        raise ShapeError(f"a reference state needs shape ({n},), got {psi_i.shape}")
+    if not abs(np.linalg.norm(psi_i) - 1.0) < ATOL_CONSTRUCTION:
         raise DomainError("reference state is not unit-norm")
 
     eye = np.eye(n, dtype=complex)
-    projector = psi_i[..., :, None] * psi_i.conj()[..., None, :]
+    projector = psi_i[:, None] * psi_i.conj()[None, :]
     lambda0 = np.sqrt(2.0 / (n * (n - 1))) * (eye - n * projector)
 
     complement = _complement_basis(psi_i)
-    cross = psi_i[..., None, :, None] * complement.conj()[..., :, None, :]  # |psi><k| per k
+    cross = psi_i[None, :, None] * complement.conj()[:, None, :]  # |psi><k| per k
     coset = np.concatenate([cross + dagger(cross), -1j * cross + 1j * dagger(cross)], axis=-3)
 
     if n == 2:
-        iso = np.zeros(psi_i.shape[:-1] + (0, n, n), dtype=complex)
+        iso = np.zeros((0, n, n), dtype=complex)
     else:
-        w = np.swapaxes(complement, -1, -2)[..., None, :, :]  # columns are the |k>
+        w = complement.T[None, :, :]  # columns are the |k>
         iso = w @ build_gellmann_basis(n - 1).matrices @ dagger(w)
 
     frame = CartanFrame(
@@ -226,7 +233,7 @@ def build_cartan_frame(psi_i, basis: GeneratorBasis) -> CartanFrame:
 
 
 def _validate_frame(frame: CartanFrame) -> None:
-    """Verify the generators of a frame, or of every row of per-row frames."""
+    """Verify the generators of a frame."""
     n = frame.n
     if 1 + frame.dim_iso + frame.dim_coset != n * n - 1:
         raise InternalConsistencyError("generator count mismatch")
@@ -335,8 +342,7 @@ def section(frame: CartanFrame, y) -> SectionPoint:
     `charts.frame_coefficients`, for the frame's first 2(n-1) columns.
     The chart's partials and full frame at (y, 0, 0) are left to the
     point's `du` and `frame`, built on first read; only the bridge and the
-    block decomposition read them.  The frame must belong to one
-    reference state: per-row frames raise ShapeError.
+    block decomposition read them.
 
     The two Fubini-Study constructions are cross-checked to 1e-6 and the
     Berry connection verified real to 1e-9.  At the slice the full frame
@@ -351,8 +357,6 @@ def section(frame: CartanFrame, y) -> SectionPoint:
     raised unless fs_metric fs_metric_inv is the identity to ATOL_FRAME.
     A stack raises the error of its first failing row.
     """
-    if frame.psi_i.ndim != 1:
-        raise ShapeError("a section belongs to one reference state, not to per-row frames")
     y = _coset_coordinates(frame, y)
     m = frame.dim_coset
     try:
@@ -469,9 +473,7 @@ def full_cartan_chart(frame: CartanFrame) -> Chart:
     the three factors, each differentiated by `algebra.expm_partials`,
     whose U is the map's bit for bit.  A factor with all-zero coordinates
     is exactly 1 in every row of a stack, and is then left out of the
-    products.
-    Per-row frames give a per-row chart (see `Chart.rows`); the sample box
-    and the domain depend only on n.
+    products.  The sample box and the domain depend only on n.
     """
     n = frame.n
     m_coset, m_iso = frame.dim_coset, frame.dim_iso
@@ -501,9 +503,6 @@ def full_cartan_chart(frame: CartanFrame) -> Chart:
         box[m_coset:m_coset + m_iso] = [-s_half, s_half]
     box[-1] = [-np.pi * (1 - CHART_MARGIN), np.pi * (1 - CHART_MARGIN)]
 
-    def _rows(index) -> Chart:
-        return full_cartan_chart(frame.rows(index))
-
     return Chart(
         label="cartan",
         n=n,
@@ -513,7 +512,6 @@ def full_cartan_chart(frame: CartanFrame) -> Chart:
         map_fn=_map,
         contains_fn=_contains,
         map_partials_fn=_map_partials,
-        rows_fn=None if frame.psi_i.ndim == 1 else _rows,
     )
 
 

@@ -22,7 +22,10 @@ CHART_MARGIN = 1e-3        # margin kept from chart-singular loci
 # The named checks of each command with their default gates: the CLI
 # reports exactly these names, in this order, leaving out those a run did
 # not measure.  `--tol NAME=VALUE` may override only the checks of the
-# command it is given to.
+# command it is given to.  Four gates equal a library guard on the same
+# residual, which raises (exit 1) first, so a larger override cannot loosen
+# them: fs-metric-agreement (`coset.section`), gradient-lower-bound
+# (`PhaseGradient`), fourier-reconstruction and eigenvalue-cap (superosc).
 CHECK_GATES = {
     "verify-group": {
         "phase-identity": 1e-8,

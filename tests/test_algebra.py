@@ -228,21 +228,9 @@ class TestExpmPartials:
     def test_coefficient_count_checked(self):
         with pytest.raises(ShapeError):
             expm_partials(np.zeros(2), build_gellmann_basis(2).matrices)
-
-    def test_per_row_generators_match_one_stack_per_row(self):
-        # generators (N, m, n, n), one stack per row: row k is bit for bit
-        # what a one-row stack gives on row k's generators alone
-        rng = np.random.default_rng(11)
-        rotations = [expm_generator(random_hermitian(3, rng, traceless=True)) for _ in range(4)]
-        gens = np.array([v @ build_gellmann_basis(3).matrices @ dagger(v) for v in rotations])
-        x = rng.uniform(-0.3, 0.3, (4, 8))
-        u, du = expm_partials(x, gens)
-        for k in range(4):
-            u_k, du_k = expm_partials(x[[k]], gens[k])
-            np.testing.assert_array_equal(u[k], u_k[0])
-            np.testing.assert_array_equal(du[k], du_k[0])
-        with pytest.raises(ShapeError):  # one generator stack per row of x
-            expm_partials(x[:3], gens)
+        gens = build_gellmann_basis(3).matrices
+        with pytest.raises(ShapeError):  # one generator stack serves every row
+            expm_partials(np.zeros((2, 8)), np.array([gens, gens]))
 
 
 @settings(max_examples=40, deadline=None)
@@ -278,8 +266,7 @@ def broadcast_partials(coeffs, gens):
 
 
 def generator_chart(gens):
-    """The chart x -> exp(i x^a g_a) on all of R^m, over one generator stack
-    (m, n, n) or one per row (N, m, n, n)."""
+    """The chart x -> exp(i x^a g_a) on all of R^m over generators (m, n, n)."""
     m, n = gens.shape[-3], gens.shape[-1]
     return Chart(
         label="generators",
@@ -290,14 +277,13 @@ def generator_chart(gens):
         map_fn=lambda x: expm_generator(generator_sum(x, gens)),
         contains_fn=lambda x: np.ones(x.shape[:-1], dtype=bool),
         map_partials_fn=lambda x: expm_partials(x, gens),
-        rows_fn=None if gens.ndim == 3 else lambda index: generator_chart(gens[index]),
     )
 
 
 @settings(max_examples=40, deadline=None)
 @given(
     n=st.integers(2, 8),
-    kind=st.sampled_from(["point", "stack", "per-row", "near-degenerate"]),
+    kind=st.sampled_from(["point", "stack", "near-degenerate"]),
     rows=st.integers(1, 4),
     eps=st.sampled_from([0.0, 1e-14, 1e-10, 1e-7]),
     seed=st.integers(0, 2**16),
@@ -311,9 +297,6 @@ def test_expm_partials_match_broadcast_oracle(n, kind, rows, eps, seed):
     coeffs = rng.uniform(-1.0, 1.0, (rows, m)) / np.sqrt(m)
     if kind == "point":
         coeffs = coeffs[0]
-    elif kind == "per-row":
-        rotations = [expm_generator(random_hermitian(n, rng, traceless=True)) for _ in range(rows)]
-        gens = np.array([v @ gens @ dagger(v) for v in rotations])
     elif kind == "near-degenerate":
         # a multiple of the last diagonal generator, whose eigenvalue
         # 1 / sqrt(n(n-1)/2) has multiplicity n - 1, perturbed by eps

@@ -387,13 +387,11 @@ class TestSuperoscCommand:
     def test_orthogonal_pair_is_config_error(self):
         assert main(["superosc", "--n", "2", "--pair", "spin-flip"]) == EXIT_CONFIG_ERROR
 
-    def test_config_echo_keeps_sweep_defaults(self, tmp_path):
+    def test_config_echo_holds_only_its_options(self, tmp_path):
+        # superosc has no --chart, --points or --sample-scale to echo
         code, out = run_to_file(tmp_path, "r.json", ["superosc", "--n", "2", "--samples", "64"])
         assert code == EXIT_PASS
-        config = load(out)["config"]
-        assert config["points"] == 200
-        assert config["chart"] == "exp"
-        assert "tolerance_overrides" not in config
+        assert load(out)["config"] == {"n": 2, "seed": 0, "pair": "random"}
 
 
 class TestVortexCommand:
@@ -516,7 +514,7 @@ class TestEvaluatedOnce:
         assert rows == [load(out)["points_requested"]] == [12]
 
     def test_verify_group_cartan_random_evaluates_blocks(self, tmp_path, monkeypatch):
-        # the chart follows each random pair; one per-row chart holds all 12
+        # one chart, that of e_0, evaluates all 12 rotated pairs in one stack
         rows = self.count_rows(monkeypatch)
         code, out = run_to_file(
             tmp_path,
@@ -856,6 +854,13 @@ class TestInputErrors:
             ["verify-ray", "--n", "3", "--points", "1000000000000000", "--bridge-points", "0"],
             ["verify-group", "--n", "3", "--points", "1000000000000000"],
             ["verify-ray", "--n", "2", "--points", "5", "--bridge-points", "1000000000000000"],
+            # sizes beyond what numpy can address, where numpy raises ValueError
+            ["verify-group", "--n", "3", "--points", "10000000000000000000"],
+            ["verify-ray", "--n", "3", "--points", "2", "--bridge-points", "10000000000000000000"],
+            ["vortex", "--samples", "10000000000000000000"],
+            ["superosc", "--n", "3", "--samples", "10000000000000000000"],
+            ["verify-group", "--n", "3000000000", "--points", "1"],
+            ["su2-demo", "--grid", "1000000"],
             # sizes below their floor
             ["verify-ray", "--n", "3", "--points", "0"],
             ["verify-ray", "--n", "3", "--points", "5", "--bridge-points", "-1"],
@@ -970,6 +975,26 @@ class TestInputErrors:
         err = self.assert_one_error_line(tmp_path, capsys, ["superosc", "--n", "3"] + bounds)
         assert err == f"error: cannot trace the phase: time range {cause}\n"
 
+    @pytest.mark.parametrize(
+        "entries, ordinary",
+        [
+            # the norm overflows, or underflows to 0, though the state is neither
+            ("1e308,1e308", "1,1"),
+            ("1e-320,0", "1,0"),
+        ],
+    )
+    def test_state_of_extreme_norm_normalized(self, tmp_path, capsys, entries, ordinary):
+        argv = ["verify-group", "--n", "2", "--points", "3", "--pair", "explicit", "--psi-f", "1,0"]
+        code, out = run_to_file(tmp_path, "scaled.json", argv + ["--psi-i", entries])
+        err = capsys.readouterr().err
+        assert code == EXIT_PASS
+        assert err.startswith("warning: --psi-i norm deviates by ") and err.count("\n") == 1
+        assert "inf" not in err and "nan" not in err
+        # the same unit state, bit for bit, as the ordinary entries give
+        code, plain = run_to_file(tmp_path, "plain.json", argv + ["--psi-i", ordinary])
+        assert code == EXIT_PASS
+        assert out.read_bytes() == plain.read_bytes()
+
     def test_zero_tol_accepted(self, tmp_path):
         argv = ["verify-group", "--n", "2", "--points", "5", "--seed", "1",
                 "--tol", "gradient-lower-bound=0"]
@@ -986,9 +1011,33 @@ class TestInputErrors:
         assert load(out)["config"]["tolerance_overrides"] == {"bridge-phase": 1e-3}
 
 
+class TestConfigEcho:
+    """A report's `config` holds only options of its command."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify-group", "--n", "2", "--points", "3", "--tol", "phase-identity=1e-7"],
+            ["verify-ray", "--n", "2", "--points", "3", "--bridge-points", "0"],
+            ["superosc", "--n", "2", "--samples", "64", "--pair", "explicit",
+             "--psi-i", "1,0", "--psi-f", "0.6,0.8"],
+            ["su2-demo", "--grid", "3"],
+            ["vortex", "--expect", "1"],
+        ],
+    )
+    def test_config_keys_are_options(self, tmp_path, argv):
+        code, out = run_to_file(tmp_path, "r.json", argv)
+        assert code == EXIT_PASS
+        options = set(vars(build_parser().parse_args(argv)))  # the command's option names
+        # `tolerance_overrides` echoes the --tol entries
+        keys = {"tol" if key == "tolerance_overrides" else key for key in load(out)["config"]}
+        assert keys and keys <= options
+
+
 class TestSweepDraws:
     """verify-group draws its points as a loop of per-point draws would:
-    two `haar_state` calls for a random pair, then x from one `uniform`."""
+    two `haar_state` calls for a random pair, then x from one `uniform`.  A
+    cartan sweep evaluates each pair rotated onto e_0 (`coset._reference_pair`)."""
 
     @staticmethod
     def evaluated(tmp_path, monkeypatch, argv):
@@ -1019,8 +1068,10 @@ class TestSweepDraws:
 
     @classmethod
     def reference(cls, n, chart, points, seed, random_pair):
-        """The per-point loop: psi_i, psi_f, x per point, in that order."""
-        from sun_phase.algebra import haar_state
+        """The per-point loop: psi_i, psi_f, x per point, in that order, with
+        the pair of a cartan sweep rotated point by point."""
+        from sun_phase.algebra import StatePair, haar_state
+        from sun_phase.coset import _reference_pair
 
         lo, hi = cls.sample_box(n, chart).T
         half = (hi - lo) / 2.0
@@ -1028,8 +1079,11 @@ class TestSweepDraws:
         psi_i, psi_f, xs = [], [], []
         for _ in range(points):
             if random_pair:
-                psi_i.append(haar_state(n, rng))
-                psi_f.append(haar_state(n, rng))
+                pair = StatePair(haar_state(n, rng), haar_state(n, rng))
+                if chart == "cartan":
+                    pair = _reference_pair(pair)
+                psi_i.append(pair.psi_i)
+                psi_f.append(pair.psi_f)
             xs.append(rng.uniform((lo + hi) / 2.0 - half, (lo + hi) / 2.0 + half))
         return np.array(psi_i), np.array(psi_f), np.array(xs)
 

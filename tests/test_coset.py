@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,14 +6,17 @@ from hypothesis import strategies as st
 from sun_phase.algebra import (
     StatePair,
     build_gellmann_basis,
+    dagger,
     expm_partials,
     haar_state,
     killing_inner,
     random_hermitian,
 )
-from sun_phase.amplitude import polar_amplitude
+from sun_phase.amplitude import phase_gradient, polar_amplitude
 from sun_phase.coset import (
+    _adapted_basis,
     _complement_basis,
+    _reference_pair,
     bridge_residuals,
     build_cartan_frame,
     ck_block_decomposition_residual,
@@ -137,8 +138,10 @@ class TestStackedComplement:
 
 
 class TestPerRowFrames:
-    """A stack of reference states gives one frame per row, and the full
-    chart of those frames one chart per row."""
+    """Per-row frames are gone: `build_cartan_frame` takes one state, and the
+    chart adapted to psi_i is W U_e0(x) W^dag for the chart U_e0 of e_0 and
+    W = [psi_i | complement], so a stack of pairs is evaluated on the chart
+    of e_0, each row's pair rotated to (e_0, W^dag psi_f)."""
 
     @staticmethod
     def states(n, rng, rows=5):
@@ -147,58 +150,120 @@ class TestPerRowFrames:
         states[1] = np.eye(n)[n - 1]
         return states
 
-    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @staticmethod
+    def reference_chart(n):
+        return frame_for(n, psi=np.eye(n, dtype=complex)[0]).chart
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 8])
     def test_rows_equal_one_state_frames(self, n):
-        states = self.states(n, np.random.default_rng(40 + n))
-        frame = frame_for(n, psi=states)
-        assert frame.stacked().shape == (len(states), n * n - 1, n, n)
+        # the rotated pairs on the chart of e_0 give, row by row, what the
+        # chart of each row's own psi_i gives, to rounding
+        rng = np.random.default_rng(40 + n)
+        states = self.states(n, rng)
+        finals = np.array([haar_state(n, rng) for _ in states])
+        chart = self.reference_chart(n)
+        lo, hi = chart.sample_box.T
+        x = rng.uniform(lo, hi, (len(states), chart.dim_m))
+        grad = phase_gradient(_reference_pair(StatePair(states, finals)), chart, x)
+        residuals = grad.residuals()
         for k, psi in enumerate(states):
-            one = frame_for(n, psi=psi)
-            for name in ("psi_i", "lambda0", "coset", "iso", "complement"):
-                np.testing.assert_array_equal(getattr(frame, name)[k], getattr(one, name))
-                np.testing.assert_array_equal(getattr(frame.rows(k), name), getattr(one, name))
-            np.testing.assert_array_equal(frame.stacked()[k], one.stacked())
-        assert frame_for(n, psi=states[0]).rows([0, 3]).psi_i.shape == (n,)
+            one = phase_gradient(StatePair(psi, finals[k]), frame_for(n, psi=psi).chart, x[k])
+            assert grad.p[k] == pytest.approx(one.p, rel=1e-12, abs=1e-15)
+            assert grad.phase_grad_sq[k] == pytest.approx(one.phase_grad_sq, rel=1e-10)
+            assert grad.log_modulus_grad_sq[k] == pytest.approx(one.log_modulus_grad_sq, rel=1e-10)
+            for name, value in one.residuals()._asdict().items():
+                assert value < 1e-9 and getattr(residuals, name)[k] < 1e-9
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_per_row_chart_rows(self, n):
+        # the chart of each row's psi_i is W U_e0(x) W^dag, with its
+        # generators W g_a W^dag and the frame of U_e0 at x
         rng = np.random.default_rng(50 + n)
         states = self.states(n, rng)
-        chart = full_cartan_chart(frame_for(n, psi=states))
+        chart = self.reference_chart(n)
         lo, hi = chart.sample_box.T
         x = rng.uniform(lo, hi, (len(states), chart.dim_m))
-        u, du = chart.evaluate(x), partials(chart, x)[1]
+        w = _adapted_basis(states)
+        u, du = partials(chart, x)
+        omega = left_invariant_frame(chart, x).omega
         for k, psi in enumerate(states):
-            one = full_cartan_chart(frame_for(n, psi=psi))
-            np.testing.assert_array_equal(chart.sample_box, one.sample_box)
-            np.testing.assert_array_equal(u[k], one.evaluate(x[[k]])[0])
-            np.testing.assert_array_equal(du[k], partials(one, x[[k]])[1][0])
-            np.testing.assert_array_equal(chart.rows(k).algebra, one.algebra)
-        assert chart.rows([1, 2]).evaluate(x[1:3]).shape == (2, n, n)
-        with pytest.raises(ShapeError):  # one point per row
-            chart.evaluate(x[:2])
-        with pytest.raises(ShapeError):
-            chart.evaluate(x[0])
+            one = frame_for(n, psi=psi).chart
+            np.testing.assert_array_equal(one.sample_box, chart.sample_box)
+            np.testing.assert_allclose(one.algebra, w[k] @ chart.algebra @ dagger(w[k]), atol=1e-14)
+            u_k, du_k = partials(one, x[k])
+            np.testing.assert_allclose(u_k, w[k] @ u[k] @ dagger(w[k]), atol=1e-13)
+            np.testing.assert_allclose(du_k, w[k] @ du[k] @ dagger(w[k]), atol=1e-13)
+            np.testing.assert_allclose(left_invariant_frame(one, x[k]).omega, omega[k], atol=1e-12)
 
     def test_bad_stacks_rejected(self):
         basis = build_gellmann_basis(3)
         rng = np.random.default_rng(60)
-        for bad in (np.zeros((0, 3)), self.states(4, rng), self.states(3, rng)[None]):
-            with pytest.raises(ShapeError):
+        for bad in (np.zeros((0, 3)), np.zeros(4), self.states(3, rng), self.states(4, rng),
+                    self.states(3, rng)[:1]):
+            with pytest.raises(ShapeError):  # one reference state, of dimension n
                 build_cartan_frame(bad, basis)
-        states = self.states(3, rng)
-        states[2] *= 1.1
         with pytest.raises(DomainError):
-            build_cartan_frame(states, basis)
+            build_cartan_frame(1.1 * haar_state(3, rng), basis)
 
-    def test_every_row_verified(self):
-        from sun_phase.coset import _validate_frame
+    def test_every_row_verified(self, monkeypatch):
+        # the check on W, in place of the per-row frame validation: one
+        # complement vector of one row of a stack off by 1e-9 fails
+        from sun_phase import coset
 
-        frame = frame_for(3, psi=self.states(3, np.random.default_rng(61)))
-        iso = frame.iso.copy()
-        iso[3, 0] *= 1.5  # one generator of one row no longer unit norm
-        with pytest.raises(InternalConsistencyError):
-            _validate_frame(dataclasses.replace(frame, iso=iso))
+        states = self.states(3, np.random.default_rng(61))
+        original = coset._complement_basis
+
+        def skewed(psi_i):
+            basis = original(psi_i).copy()
+            basis[3, 0] *= 1.0 + 1e-9
+            return basis
+
+        _adapted_basis(states)
+        monkeypatch.setattr(coset, "_complement_basis", skewed)
+        with pytest.raises(InternalConsistencyError, match="not unitary"):
+            _adapted_basis(states)
+        with pytest.raises(InternalConsistencyError, match="not unitary"):
+            _reference_pair(StatePair(states, states))
+
+
+class TestReferencePair:
+    """W = [psi_i | complement] and the pair (e_0, W^dag psi_f) that the chart
+    of e_0 evaluates as the chart of psi_i evaluates (psi_i, psi_f)."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 8])
+    def test_w_unitary_and_maps_psi_i_to_e0(self, n):
+        rng = np.random.default_rng(70 + n)
+        states = TestStackedComplement.stack(n, rng, 9)
+        e_0 = np.eye(n)[0]
+        for psi, w in zip(states, _adapted_basis(states)):
+            np.testing.assert_allclose(dagger(w) @ w, np.eye(n), atol=1e-14)
+            np.testing.assert_allclose(dagger(w) @ psi, e_0, atol=1e-14)
+            np.testing.assert_array_equal(w[:, 0], psi)  # psi_i is the first column
+        pair = _reference_pair(StatePair(states, states[::-1]))
+        np.testing.assert_array_equal(pair.psi_i, np.broadcast_to(e_0, states.shape))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 8])
+    def test_stacked_rotation_equals_per_row(self, n):
+        rng = np.random.default_rng(80 + n)
+        for rows in (2, 7, 40):
+            states = TestStackedComplement.stack(n, rng, rows)
+            finals = np.array([haar_state(n, rng) for _ in range(rows)])
+            w = _adapted_basis(states)
+            pair = _reference_pair(StatePair(states, finals))
+            for k in range(rows):
+                assert _adapted_basis(states[k]).tobytes() == w[k].tobytes()
+                one = _reference_pair(StatePair(states[k], finals[k]))
+                assert one.psi_i.tobytes() == pair.psi_i[k].tobytes()
+                assert one.psi_f.tobytes() == pair.psi_f[k].tobytes()
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 8])
+    def test_spin_flip_gives_identity(self, n):
+        # the complement of e_0 is e_1 .. e_{n-1} bit for bit, so W = 1 and
+        # the spin-flip pair is left as it is
+        e_0, e_1 = np.eye(n, dtype=complex)[:2]
+        assert _adapted_basis(e_0).tobytes() == np.eye(n, dtype=complex).tobytes()
+        pair = _reference_pair(StatePair(e_0, e_1))
+        assert pair.psi_i.tobytes() == e_0.tobytes() and pair.psi_f.tobytes() == e_1.tobytes()
 
 
 class TestSection:
@@ -572,11 +637,6 @@ class TestStackedSlice:
             section(frame, np.array([np.zeros(4), np.full(4, 1.0)]))
         with pytest.raises(ShapeError):  # one U(1) coordinate per row
             factorization_residual(pair, section(frame, np.zeros((2, 4))), np.zeros((2, 3)), 0.1)
-        # a section belongs to one reference state, not to per-row frames
-        rng = np.random.default_rng(1506)
-        per_row = frame_for(3, psi=np.array([haar_state(3, rng) for _ in range(3)]))
-        with pytest.raises(ShapeError, match="one reference state"):
-            section(per_row, np.zeros((3, 4)))
 
     def test_stack_raises_error_of_first_failing_row(self):
         # near the |y| = pi/2 rim the frame first fails its inversion check,
