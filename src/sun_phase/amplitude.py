@@ -206,10 +206,15 @@ def phase_gradient(pair: StatePair, chart: Chart, x) -> PhaseGradient:
 
 def _stacked_gradient(pair: StatePair, chart: Chart, x: np.ndarray) -> PhaseGradient:
     """`phase_gradient` at a stack x (N, m), from one chart evaluation; rows
-    below P_GRAD get NaN gradients and no guard after the amplitude's."""
+    below P_GRAD get NaN gradients and no guard after the amplitude's.  A
+    stack with every row kept goes to the frame route with no row copies;
+    its products are per row, so the rows keep their bits."""
     u, du = partials(chart, x)
     amp = _polar(pair, u)
-    rows = np.flatnonzero(amp.p >= P_GRAD)
+    kept_rows = amp.p >= P_GRAD
+    if kept_rows.all():
+        return _frame_gradient(pair, chart, x, u, du, amp)
+    rows = np.flatnonzero(kept_rows)
     kept = _frame_gradient(pair.rows(rows), chart, x[rows], u[rows], du[rows], amp.rows(rows))
     gradients = {}
     for name in _DIFFERENTIAL_FIELDS:  # rows below P_GRAD stay NaN

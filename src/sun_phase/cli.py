@@ -8,10 +8,13 @@ significant digits, and no timestamps are recorded.
 Every command evaluates stacks of points: the sweeps draw every point
 in the order of the per-point draws, then evaluate blocks of
 `Chart.block_rows()` points.  `verify-group` makes two RNG calls per
-point, the normals of two `haar_state` calls in one call and then x,
-and normalizes all random pairs as one stack.  `verify-group --chart
-cartan` evaluates every pair on the chart of e_0, rotated once to
-(e_0, W^dag psi_f) by W = [psi_i | complement] (`coset._reference_pair`).
+point, one `standard_normal(4n)` for the normals of two `haar_state`
+calls and then one `random(m)` for x (one `random` call for every x
+with a fixed pair), scales the table of x in place to the sampling box,
+bit for bit `uniform(low, high)`, and normalizes all random pairs as one
+stack.  `verify-group --chart cartan` evaluates every pair on the chart
+of e_0, rotated once to (e_0, W^dag psi_f) by W = [psi_i | complement]
+(`coset._reference_pair`).
 `verify-ray` evaluates each block of section points, the slice
 (y, 0, 0) of the full Cartan chart, once, and every ray and bridge check
 reads that section point; it draws bridge candidates in rounds of at
@@ -36,9 +39,10 @@ outside the domain of a chart, a loop or a trace, where `superosc` reports
 the trace's own `DomainError` after `cannot trace the phase:`, non-finite
 numbers, a `--sample-scale` that is not positive, a negative `--seed`,
 `--psi-i` or `--psi-f` without `--pair explicit`, a negative `--tol`
-value, `--tol` names the command does not report, sizes whose arrays
-cannot be allocated, and a `--out` or `--csv` path that cannot be
-written), 3 inconclusive sweep (more than half of the points skipped).
+value, `--tol` names the command does not report or that are given
+twice, sizes whose arrays cannot be allocated, and a `--out` or `--csv`
+path that cannot be written), 3 inconclusive sweep (more than half of
+the points skipped).
 """
 from __future__ import annotations
 
@@ -355,14 +359,20 @@ def run_group_sweep(args) -> int:
     low, high = (lo + hi) / 2.0 - half, (lo + hi) / 2.0 + half
 
     # per point, the draws of two `haar_state` calls (psi_i re, im, psi_f re,
-    # im) in one call, then x: a normal takes a variable number of stream
-    # words, so x is drawn in this loop
+    # im) in one call, then x's unit draws: a normal takes a variable number
+    # of stream words, so x is drawn in this loop; a fixed pair draws no
+    # normals, so every x comes from one call.  Scaled in place afterwards,
+    # each x is `uniform(low, high)` bit for bit: low + (high - low) * u
     gauss = np.empty((config.points, 2, 2, n)) if fixed is None else None
     xs = np.empty((config.points, chart.dim_m))
-    for k in range(config.points):
-        if fixed is None:
+    if fixed is None:
+        for k in range(config.points):
             rng.standard_normal(out=gauss[k].reshape(4 * n))
-        xs[k] = rng.uniform(low, high)
+            rng.random(out=xs[k])
+    else:
+        rng.random(out=xs)
+    np.multiply(xs, high - low, out=xs)
+    np.add(xs, low, out=xs)
     if not np.all(chart.contains(xs)):
         raise ConfigError(
             f"--sample-scale {config.sample_scale} draws points outside chart '{chart.label}'"
@@ -763,6 +773,8 @@ def _parse_tolerances(entries: list[str]) -> dict:
         if "=" not in entry:
             raise ConfigError(f"--tol expects NAME=VALUE, got '{entry}'")
         name, _, value = entry.partition("=")
+        if name in out:  # the last entry would win, and a gate could loosen silently
+            raise ConfigError(f"--tol names the check {name} twice")
         try:
             out[name] = float(value)
         except ValueError as exc:

@@ -464,3 +464,33 @@ class TestStackedGuards:
                     np.testing.assert_allclose(
                         getattr(grad, name)[k], getattr(direct, name), rtol=1e-10, atol=1e-12
                     )
+
+    @pytest.mark.parametrize("kind, n", [("exp", 3), ("su2-polar", 2), ("cartan-e0", 3)])
+    @pytest.mark.parametrize("stacked_pairs", [False, True])
+    def test_skipped_row_keeps_rows_of_fully_kept_stack(self, monkeypatch, kind, n, stacked_pairs):
+        # a stack with every row kept takes the frame route whole; one with a
+        # skipped row evaluates its kept rows apart, and both give the same bits
+        from sun_phase import amplitude
+
+        rng = np.random.default_rng(11)
+        chart = stacked_chart(kind, n, rng, 6)
+        lo, hi = chart.sample_box.T
+        xs = rng.uniform(lo, hi, size=(6, chart.dim_m))
+        shape = (6, n) if stacked_pairs else (n,)
+        states = [rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in range(2)]
+        pair = StatePair(*(v / np.linalg.norm(v, axis=-1, keepdims=True) for v in states))
+        if kind == "cartan-e0":
+            pair = _reference_pair(pair)
+        whole = phase_gradient(pair, chart, xs)
+        assert np.all(whole.p >= P_GRAD)
+        low, next_low = np.sort(whole.p)[:2]
+        skipped = int(np.argmin(whole.p))
+        monkeypatch.setattr(amplitude, "P_GRAD", (low + next_low) / 2.0)
+        grad = phase_gradient(pair, chart, xs)
+        kept = np.arange(6) != skipped
+        for name in GRADIENT_FIELDS:
+            np.testing.assert_array_equal(getattr(grad, name)[kept], getattr(whole, name)[kept])
+        assert grad.p[skipped] == whole.p[skipped] and np.isnan(grad.d_phase[skipped]).all()
+        assert np.isnan(grad.cross[skipped])
+        with pytest.raises(NearZeroAmplitudeError):  # one point below keeps raising
+            phase_gradient(pair.rows(skipped) if stacked_pairs else pair, chart, xs[skipped])

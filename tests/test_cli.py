@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from sun_phase.amplitude import phase_gradient
-from sun_phase.charts import exp_chart
+from sun_phase.charts import exp_chart, su2_polar_chart
 from sun_phase.tolerances import CHECK_GATES, P_GRAD
 
 from sun_phase.cli import (
@@ -910,6 +910,14 @@ class TestInputErrors:
         assert not out.exists()
         assert argv[-1].partition("=")[0] in capsys.readouterr().err
 
+    @pytest.mark.parametrize("values", [("1e-30", "1"), ("1", "1e-30")])
+    def test_repeated_tol_name_rejected(self, tmp_path, capsys, values):
+        # the last entry would win, so a strict gate given first would loosen
+        argv = ["verify-group", "--n", "3", "--points", "5"]
+        for value in values:
+            argv += ["--tol", f"phase-identity={value}"]
+        assert "phase-identity" in self.assert_one_error_line(tmp_path, capsys, argv)
+
     @pytest.mark.parametrize("value", ["-1", "-1e-30"])
     def test_negative_tol_rejected(self, tmp_path, capsys, value):
         argv = ["verify-group", "--n", "2", "--points", "5", "--tol", f"phase-identity={value}"]
@@ -1036,8 +1044,9 @@ class TestConfigEcho:
 
 class TestSweepDraws:
     """verify-group draws its points as a loop of per-point draws would:
-    two `haar_state` calls for a random pair, then x from one `uniform`.  A
-    cartan sweep evaluates each pair rotated onto e_0 (`coset._reference_pair`)."""
+    two `haar_state` calls for a random pair, then x from one `uniform` over
+    the sampling box.  A cartan sweep evaluates each pair rotated onto e_0
+    (`coset._reference_pair`)."""
 
     @staticmethod
     def evaluated(tmp_path, monkeypatch, argv):
@@ -1061,20 +1070,22 @@ class TestSweepDraws:
         from sun_phase.algebra import build_gellmann_basis
         from sun_phase.coset import build_cartan_frame, full_cartan_chart
 
+        if chart == "su2-polar":
+            return su2_polar_chart().sample_box
         basis = build_gellmann_basis(n)
         if chart == "exp":
             return exp_chart(basis).sample_box
         return full_cartan_chart(build_cartan_frame(np.eye(n)[0], basis)).sample_box
 
     @classmethod
-    def reference(cls, n, chart, points, seed, random_pair):
+    def reference(cls, n, chart, points, seed, random_pair, scale=1.0):
         """The per-point loop: psi_i, psi_f, x per point, in that order, with
         the pair of a cartan sweep rotated point by point."""
         from sun_phase.algebra import StatePair, haar_state
         from sun_phase.coset import _reference_pair
 
         lo, hi = cls.sample_box(n, chart).T
-        half = (hi - lo) / 2.0
+        half = (hi - lo) / 2.0 * scale
         rng = np.random.default_rng(seed)
         psi_i, psi_f, xs = [], [], []
         for _ in range(points):
@@ -1087,31 +1098,51 @@ class TestSweepDraws:
             xs.append(rng.uniform((lo + hi) / 2.0 - half, (lo + hi) / 2.0 + half))
         return np.array(psi_i), np.array(psi_f), np.array(xs)
 
-    @pytest.mark.parametrize("n", [2, 3, 4, 8])
-    @pytest.mark.parametrize("chart", ["exp", "cartan"])
-    def test_random_pairs_equal_per_point_draws(self, tmp_path, monkeypatch, n, chart):
-        points = 9 if n == 8 else 13
+    def assert_random_draws(self, tmp_path, monkeypatch, n, chart, points, scale=1.0):
         for seed in range(20):
             argv = ["verify-group", "--n", str(n), "--chart", chart, "--points", str(points),
-                    "--seed", str(seed)]
+                    "--seed", str(seed), "--sample-scale", str(scale)]
             psi_i, psi_f, xs = self.evaluated(tmp_path, monkeypatch, argv)
-            ref_i, ref_f, ref_x = self.reference(n, chart, points, seed, random_pair=True)
+            ref_i, ref_f, ref_x = self.reference(n, chart, points, seed, True, scale)
             for got, want in ((np.concatenate(psi_i), ref_i), (np.concatenate(psi_f), ref_f),
                               (xs, ref_x)):
                 assert got.tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("n", [2, 3, 4, 8])
-    @pytest.mark.parametrize("pair", ["spin-flip", "explicit"])
-    def test_fixed_pair_draws_only_x(self, tmp_path, monkeypatch, n, pair):
+    def assert_fixed_draws(self, tmp_path, monkeypatch, n, chart, pair, scale=1.0):
         states = ["--psi-i", ",".join(["1"] + ["0"] * (n - 1)),
                   "--psi-f", ",".join(["0.6", "0.8j"] + ["0"] * (n - 2))]
         for seed in range(20):
-            argv = ["verify-group", "--n", str(n), "--pair", pair, "--points", "11",
-                    "--seed", str(seed)] + (states if pair == "explicit" else [])
+            argv = ["verify-group", "--n", str(n), "--chart", chart, "--pair", pair,
+                    "--points", "11", "--seed", str(seed), "--sample-scale", str(scale)]
+            argv += states if pair == "explicit" else []
             psi_i, _, xs = self.evaluated(tmp_path, monkeypatch, argv)
             assert all(psi.shape == (n,) for psi in psi_i)  # one pair serves every row
-            _, _, ref_x = self.reference(n, "exp", 11, seed, random_pair=False)
+            _, _, ref_x = self.reference(n, chart, 11, seed, False, scale)
             assert xs.tobytes() == ref_x.tobytes()
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 8])
+    @pytest.mark.parametrize("chart", ["exp", "cartan"])
+    def test_random_pairs_equal_per_point_draws(self, tmp_path, monkeypatch, n, chart):
+        self.assert_random_draws(tmp_path, monkeypatch, n, chart, 9 if n == 8 else 13)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 8])
+    @pytest.mark.parametrize("pair", ["spin-flip", "explicit"])
+    def test_fixed_pair_draws_only_x(self, tmp_path, monkeypatch, n, pair):
+        self.assert_fixed_draws(tmp_path, monkeypatch, n, "exp", pair)
+
+    # the su2-polar box [margin, pi - margin] has low != -high; a scale
+    # below 1 shrinks every box about its centre
+    BOXES = [("su2-polar", 2, 1.0), ("su2-polar", 2, 0.5), ("exp", 3, 0.5), ("cartan", 3, 0.5)]
+
+    @pytest.mark.parametrize("chart, n, scale", BOXES)
+    def test_random_pairs_draw_uniform_on_box(self, tmp_path, monkeypatch, chart, n, scale):
+        self.assert_random_draws(tmp_path, monkeypatch, n, chart, 13, scale)
+
+    @pytest.mark.parametrize("chart, n, scale", BOXES)
+    @pytest.mark.parametrize("pair", ["spin-flip", "explicit"])
+    def test_fixed_pair_draws_uniform_on_box(self, tmp_path, monkeypatch, chart, n, scale, pair):
+        # every x from one `random` call, bit for bit the per-point `uniform`
+        self.assert_fixed_draws(tmp_path, monkeypatch, n, chart, pair, scale)
 
 
 class TestDispatch:
