@@ -9,11 +9,11 @@ Every command evaluates stacks of points: the sweeps draw every point
 in the order of the per-point draws, then evaluate blocks of
 `Chart.block_rows()` points.  `verify-group` makes two RNG calls per
 point, one `standard_normal(4n)` for the normals of two `haar_state`
-calls and then one `random(m)` for x (one `random` call for every x
-with a fixed pair), scales the table of x in place to the sampling box,
-bit for bit `uniform(low, high)`, and normalizes all random pairs as one
-stack.  `verify-group --chart cartan` evaluates every pair on the chart
-of e_0, rotated once to (e_0, W^dag psi_f) by W = [psi_i | complement]
+calls and then one `random(m)` for x (a fixed pair draws no normals),
+scales the table of x in place to the sampling box, bit for bit
+`uniform(low, high)`, and normalizes all random pairs as one stack.
+`verify-group --chart cartan` evaluates every pair on the chart of e_0,
+rotated once to (e_0, W^dag psi_f) by W = [psi_i | complement]
 (`coset._reference_pair`).
 `verify-ray` evaluates each block of section points, the slice
 (y, 0, 0) of the full Cartan chart, once, and every ray and bridge check
@@ -37,9 +37,10 @@ such as unitarity failing at a kept point: one `error:` line for the first
 such point in draw order), 2 configuration error (including arguments
 outside the domain of a chart, a loop or a trace, where `superosc` reports
 the trace's own `DomainError` after `cannot trace the phase:`, non-finite
-numbers, a `--sample-scale` that is not positive, a negative `--seed`,
-`--psi-i` or `--psi-f` without `--pair explicit`, a negative `--tol`
-value, `--tol` names the command does not report or that are given
+numbers, a `--sample-scale` that is not positive or that widens the
+sampling box of `verify-group` beyond the largest double, a negative
+`--seed`, `--psi-i` or `--psi-f` without `--pair explicit`, a negative
+`--tol` value, `--tol` names the command does not report or that are given
 twice, sizes whose arrays cannot be allocated, and a `--out` or `--csv`
 path that cannot be written), 3 inconclusive sweep (more than half of
 the points skipped).
@@ -355,23 +356,27 @@ def run_group_sweep(args) -> int:
     fixed = None if config.pair_kind == "random" else resolve_pair(config, rng)
     chart = resolve_chart(config)
     lo, hi = chart.sample_box.T
-    half = (hi - lo) / 2.0 * config.sample_scale
-    low, high = (lo + hi) / 2.0 - half, (lo + hi) / 2.0 + half
+    with np.errstate(over="ignore"):  # an overflowing box is rejected below
+        half = (hi - lo) / 2.0 * config.sample_scale
+        low, high = (lo + hi) / 2.0 - half, (lo + hi) / 2.0 + half
+        width = high - low
+    if not np.all(np.isfinite(width)):
+        raise ConfigError(
+            f"--sample-scale {config.sample_scale} makes the sampling box of chart "
+            f"'{chart.label}' wider than the largest double"
+        )
 
     # per point, the draws of two `haar_state` calls (psi_i re, im, psi_f re,
     # im) in one call, then x's unit draws: a normal takes a variable number
-    # of stream words, so x is drawn in this loop; a fixed pair draws no
-    # normals, so every x comes from one call.  Scaled in place afterwards,
-    # each x is `uniform(low, high)` bit for bit: low + (high - low) * u
+    # of stream words, so x is drawn in this loop.  Scaled in place
+    # afterwards, each x is `uniform(low, high)` bit for bit: low + width * u
     gauss = np.empty((config.points, 2, 2, n)) if fixed is None else None
     xs = np.empty((config.points, chart.dim_m))
-    if fixed is None:
-        for k in range(config.points):
+    for k in range(config.points):
+        if fixed is None:
             rng.standard_normal(out=gauss[k].reshape(4 * n))
-            rng.random(out=xs[k])
-    else:
-        rng.random(out=xs)
-    np.multiply(xs, high - low, out=xs)
+        rng.random(out=xs[k])
+    np.multiply(xs, width, out=xs)
     np.add(xs, low, out=xs)
     if not np.all(chart.contains(xs)):
         raise ConfigError(

@@ -835,6 +835,14 @@ class TestInputErrors:
             ["verify-group", "--n", "3", "--points", "5", "--sample-scale", "3"],
             # the scaled sampling box leaves the |y| < pi/2 ball of the section
             ["verify-ray", "--n", "3", "--points", "5", "--sample-scale", "3"],
+            # the scaled sampling box is wider than the largest double: rejected
+            # before any draw, with no numpy overflow warning
+            pytest.param(["verify-group", "--n", "2", "--chart", "su2-polar", "--points", "5",
+                          "--sample-scale", "1e308"],
+                         marks=pytest.mark.filterwarnings("error::RuntimeWarning")),
+            pytest.param(["verify-group", "--n", "3", "--chart", "cartan", "--points", "5",
+                          "--sample-scale", "1e308"],
+                         marks=pytest.mark.filterwarnings("error::RuntimeWarning")),
             # the phi-circle loop at theta = 5e-4 runs inside the chart margin
             ["vortex", "--theta", "0.0005"],
             ["vortex", "--loop", "contractible", "--chi", "0.1", "--theta", "0.1"],
@@ -1098,7 +1106,17 @@ class TestSweepDraws:
             xs.append(rng.uniform((lo + hi) / 2.0 - half, (lo + hi) / 2.0 + half))
         return np.array(psi_i), np.array(psi_f), np.array(xs)
 
-    def assert_random_draws(self, tmp_path, monkeypatch, n, chart, points, scale=1.0):
+    @pytest.mark.parametrize(
+        "chart, n, scale",
+        [pytest.param(chart, n, 1.0, id=f"{chart}-{n}")
+         for chart in ("exp", "cartan") for n in (2, 3, 4, 8)]
+        # the su2-polar box [margin, pi - margin] has low != -high; a scale
+        # below 1 shrinks the box about its centre
+        + [pytest.param("su2-polar", 2, 1.0, id="su2-polar-2"),
+           pytest.param("cartan", 3, 0.5, id="cartan-3-scale0.5")],
+    )
+    def test_random_pairs_equal_per_point_draws(self, tmp_path, monkeypatch, chart, n, scale):
+        points = 9 if n == 8 else 13
         for seed in range(20):
             argv = ["verify-group", "--n", str(n), "--chart", chart, "--points", str(points),
                     "--seed", str(seed), "--sample-scale", str(scale)]
@@ -1108,7 +1126,15 @@ class TestSweepDraws:
                               (xs, ref_x)):
                 assert got.tobytes() == want.tobytes()
 
-    def assert_fixed_draws(self, tmp_path, monkeypatch, n, chart, pair, scale=1.0):
+    @pytest.mark.parametrize(
+        "pair, n, chart, scale",
+        [pytest.param(pair, n, "exp", 1.0, id=f"{pair}-{n}")
+         for pair in ("explicit", "spin-flip") for n in (2, 3, 4, 8)]
+        + [pytest.param(pair, n, chart, scale, id=f"{pair}-{n}-{chart}-scale{scale}")
+           for pair in ("explicit", "spin-flip")
+           for chart, n, scale in (("su2-polar", 2, 1.0), ("exp", 3, 0.5))],
+    )
+    def test_fixed_pair_draws_only_x(self, tmp_path, monkeypatch, pair, n, chart, scale):
         states = ["--psi-i", ",".join(["1"] + ["0"] * (n - 1)),
                   "--psi-f", ",".join(["0.6", "0.8j"] + ["0"] * (n - 2))]
         for seed in range(20):
@@ -1119,30 +1145,6 @@ class TestSweepDraws:
             assert all(psi.shape == (n,) for psi in psi_i)  # one pair serves every row
             _, _, ref_x = self.reference(n, chart, 11, seed, False, scale)
             assert xs.tobytes() == ref_x.tobytes()
-
-    @pytest.mark.parametrize("n", [2, 3, 4, 8])
-    @pytest.mark.parametrize("chart", ["exp", "cartan"])
-    def test_random_pairs_equal_per_point_draws(self, tmp_path, monkeypatch, n, chart):
-        self.assert_random_draws(tmp_path, monkeypatch, n, chart, 9 if n == 8 else 13)
-
-    @pytest.mark.parametrize("n", [2, 3, 4, 8])
-    @pytest.mark.parametrize("pair", ["spin-flip", "explicit"])
-    def test_fixed_pair_draws_only_x(self, tmp_path, monkeypatch, n, pair):
-        self.assert_fixed_draws(tmp_path, monkeypatch, n, "exp", pair)
-
-    # the su2-polar box [margin, pi - margin] has low != -high; a scale
-    # below 1 shrinks every box about its centre
-    BOXES = [("su2-polar", 2, 1.0), ("su2-polar", 2, 0.5), ("exp", 3, 0.5), ("cartan", 3, 0.5)]
-
-    @pytest.mark.parametrize("chart, n, scale", BOXES)
-    def test_random_pairs_draw_uniform_on_box(self, tmp_path, monkeypatch, chart, n, scale):
-        self.assert_random_draws(tmp_path, monkeypatch, n, chart, 13, scale)
-
-    @pytest.mark.parametrize("chart, n, scale", BOXES)
-    @pytest.mark.parametrize("pair", ["spin-flip", "explicit"])
-    def test_fixed_pair_draws_uniform_on_box(self, tmp_path, monkeypatch, chart, n, scale, pair):
-        # every x from one `random` call, bit for bit the per-point `uniform`
-        self.assert_fixed_draws(tmp_path, monkeypatch, n, chart, pair, scale)
 
 
 class TestDispatch:
