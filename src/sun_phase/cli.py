@@ -28,9 +28,11 @@ of `tolerances.CHECK_GATES[command]`, each gated by its `--tol` override
 or the default gate there.
 
 Each command is one runner, `run_*(args)`, that validates and reads its
-own options from the parsed namespace; `build_parser` binds it to the
-subparser, and `main` only parses, dispatches and maps errors to exit
-codes.
+own options from the parsed namespace.  `main` only parses, dispatches
+and maps errors to exit codes.  The parser is built on the first `main`
+call and shared by later ones; it holds each runner by name, and every
+call looks the name up in this module, so rebinding `cli.run_*` takes
+effect on the next call.
 
 Exit codes: 0 all checks pass, 1 check failure or a library error (a guard
 such as unitarity failing at a kept point: one `error:` line for the first
@@ -48,6 +50,7 @@ the points skipped).
 from __future__ import annotations
 
 import argparse
+import functools
 import re
 import sys
 from dataclasses import dataclass, field
@@ -378,7 +381,9 @@ def run_group_sweep(args) -> int:
         rng.random(out=xs[k])
     np.multiply(xs, width, out=xs)
     np.add(xs, low, out=xs)
-    if not np.all(chart.contains(xs)):
+    with np.errstate(over="ignore"):  # a norm past the largest double is inf: outside
+        inside = chart.contains(xs)
+    if not np.all(inside):
         raise ConfigError(
             f"--sample-scale {config.sample_scale} draws points outside chart '{chart.label}'"
         )
@@ -449,7 +454,9 @@ def run_ray_sweep(args) -> int:
     def draw(count, half):
         """`count` points of uniform draws in [-half, half]; y comes first."""
         rows = rng.uniform(-half, half, (count, len(half)))
-        if (np.linalg.norm(rows[:, :m], axis=1) >= np.pi / 2).any():
+        with np.errstate(over="ignore"):  # a norm past the largest double is inf: outside
+            outside = np.linalg.norm(rows[:, :m], axis=1) >= np.pi / 2
+        if outside.any():
             raise ConfigError(
                 f"--sample-scale {config.sample_scale} draws points outside the |y| < pi/2 ball"
             )
@@ -716,7 +723,11 @@ def _add_sweep_args(sub, default_points: int):
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command.  Built once, on the first call, and
+    shared, so it is read-only.  Each subparser's `run` default is the
+    name of its runner, which `main` looks up on every call."""
     parser = argparse.ArgumentParser(
         prog="sun-phase",
         description="Numerical verification of phase/modulus gradient "
@@ -725,11 +736,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     commands = parser.add_subparsers(dest="command", required=True)
 
-    # each command names its runner, looked up in this module when the parser is built
+    # each command names its runner; `main` looks the name up in this module on every call
     group = commands.add_parser(
         "verify-group", help="sweep the group-manifold gradient identities"
     )
-    group.set_defaults(run=run_group_sweep)
+    group.set_defaults(run="run_group_sweep")
     _add_sweep_args(group, default_points=200)
     group.add_argument("--chart", choices=["exp", "su2-polar", "cartan"], default="exp")
     group.add_argument("--per-point", action="store_true")
@@ -737,23 +748,23 @@ def build_parser() -> argparse.ArgumentParser:
     ray = commands.add_parser(
         "verify-ray", help="sweep the ray-space identities and bridge checks"
     )
-    ray.set_defaults(run=run_ray_sweep)
+    ray.set_defaults(run="run_ray_sweep")
     _add_sweep_args(ray, default_points=100)
     ray.add_argument("--bridge-points", type=int, default=50)
 
     demo = commands.add_parser("su2-demo", help="closed-form SU(2) grid demo")
-    demo.set_defaults(run=run_su2_demo)
+    demo.set_defaults(run="run_su2_demo")
     demo.add_argument("--grid", type=int, default=20)
 
     osc = commands.add_parser("superosc", help="aligned-generator phase trace")
-    osc.set_defaults(run=run_superosc)
+    osc.set_defaults(run="run_superosc")
     _add_state_args(osc)
     osc.add_argument("--samples", type=int, default=1024)
     osc.add_argument("--t-min", type=float, default=-np.pi)
     osc.add_argument("--t-max", type=float, default=np.pi)
 
     vortex = commands.add_parser("vortex", help="phase winding around a loop")
-    vortex.set_defaults(run=run_vortex)
+    vortex.set_defaults(run="run_vortex")
     vortex.add_argument("--loop", choices=["phi-circle", "contractible"], default="phi-circle")
     vortex.add_argument("--chi", type=float, default=np.pi / 2)
     vortex.add_argument("--theta", type=float, default=0.1)
@@ -836,7 +847,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
 
     try:
-        return args.run(args)
+        return globals()[args.run](args)  # a rebound `run_*` is the one that runs
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR

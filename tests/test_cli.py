@@ -875,6 +875,16 @@ class TestInputErrors:
             ["verify-ray", "--n", "1"],
             ["superosc", "--n", "1"],
             ["vortex", "--samples", "63"],
+            # the box is finite, but the norms of its points overflow to inf,
+            # which the domain test rejects with no numpy overflow warning
+            pytest.param(["verify-group", "--n", "3", "--chart", "exp", "--points", "5",
+                          "--sample-scale", "1e308"],
+                         marks=pytest.mark.filterwarnings("error::RuntimeWarning")),
+            pytest.param(["verify-group", "--n", "3", "--chart", "exp", "--points", "5",
+                          "--sample-scale", "1e307"],
+                         marks=pytest.mark.filterwarnings("error::RuntimeWarning")),
+            pytest.param(["verify-ray", "--n", "3", "--points", "5", "--sample-scale", "1e308"],
+                         marks=pytest.mark.filterwarnings("error::RuntimeWarning")),
         ],
     )
     def test_domain_error_is_config_error(self, tmp_path, capsys, argv):
@@ -1173,6 +1183,77 @@ class TestDispatch:
         monkeypatch.setattr(cli, runner, recorder)
         assert main(argv) == 7
         assert [args.command for args in calls] == [argv[0]]
+
+
+class TestSharedParser:
+    """The parser is built once per process; no call leaves state in it
+    that changes what a later call does."""
+
+    ARGV = ["verify-group", "--n", "2", "--points", "5", "--seed", "4"]
+
+    @staticmethod
+    def report_bytes(tmp_path, name, argv):
+        code, out = run_to_file(tmp_path, name, argv)
+        assert code == EXIT_PASS
+        return out.read_bytes()
+
+    def test_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_later_call_constructs_no_parser(self, tmp_path, monkeypatch):
+        import argparse
+
+        assert main(self.ARGV + ["--out", str(tmp_path / "warm.json")]) == EXIT_PASS
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        assert main(self.ARGV + ["--out", str(tmp_path / "r.json")]) == EXIT_PASS
+        assert built == []
+
+    def test_rebound_runner_runs_after_warm_up(self, tmp_path, monkeypatch):
+        from sun_phase import cli
+
+        argv = ["superosc", "--n", "2", "--samples", "64"]
+        assert main(argv + ["--out", str(tmp_path / "warm.json")]) == EXIT_PASS
+        calls = []
+        monkeypatch.setattr(cli, "run_superosc", lambda args: calls.append(args.samples) or 7)
+        assert main(argv) == 7
+        assert calls == [64]
+
+    def test_tol_override_does_not_carry_over(self, tmp_path):
+        import argparse
+
+        from sun_phase import cli
+
+        cli.build_parser.cache_clear()  # the argv runs first, on a new parser
+        first = self.report_bytes(tmp_path, "first.json", self.ARGV)
+        overridden = self.report_bytes(
+            tmp_path, "tol.json", self.ARGV + ["--tol", "phase-identity=1"]
+        )
+        assert b"tolerance_overrides" in overridden
+        assert self.report_bytes(tmp_path, "again.json", self.ARGV) == first
+
+        parser = build_parser()
+        commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        (tol,) = [a for a in commands.choices["verify-group"]._actions if a.dest == "tol"]
+        assert tol.default == []
+
+    def test_rejected_argv_leaves_no_state(self, tmp_path, capsys):
+        expected = self.report_bytes(tmp_path, "first.json", self.ARGV)
+        assert main(["verify-group", "--points", "5"]) == EXIT_CONFIG_ERROR  # --n missing
+        assert "--n" in capsys.readouterr().err
+        assert self.report_bytes(tmp_path, "again.json", self.ARGV) == expected
+
+    def test_help_twice(self, capsys):
+        assert main(["--help"]) == 0
+        first = capsys.readouterr().out
+        assert main(["--help"]) == 0
+        assert capsys.readouterr().out == first
 
 
 class TestLibraryErrors:
