@@ -27,8 +27,10 @@ A report lists the checks its command measured, by name, in the order
 of `tolerances.CHECK_GATES[command]`, each gated by its `--tol` override
 or the default gate there.
 
-Each command is one runner, `run_*(args)`, that validates and reads its
-own options from the parsed namespace.  `main` only parses, dispatches
+Each command is one runner, `run_*(args)`, that validates and reads the
+parsed namespace itself; validated values (the `--tol` overrides, the
+unit states of an explicit pair) are rebound there, and a report's
+`config` echoes the namespace (`_echo`).  `main` only parses, dispatches
 and maps errors to exit codes.  The parser is built on the first `main`
 call and shared by later ones; it holds each runner by name, and every
 call looks the name up in this module, so rebinding `cli.run_*` takes
@@ -40,12 +42,12 @@ such point in draw order), 2 configuration error (including arguments
 outside the domain of a chart, a loop or a trace, where `superosc` reports
 the trace's own `DomainError` after `cannot trace the phase:`, non-finite
 numbers, a `--sample-scale` that is not positive or that widens the
-sampling box of `verify-group` beyond the largest double, a negative
-`--seed`, `--psi-i` or `--psi-f` without `--pair explicit`, a negative
-`--tol` value, `--tol` names the command does not report or that are given
-twice, sizes whose arrays cannot be allocated, and a `--out` or `--csv`
-path that cannot be written), 3 inconclusive sweep (more than half of
-the points skipped).
+sampling box of `verify-group` or `verify-ray` beyond the largest double,
+a negative `--seed`, `--psi-i` or `--psi-f` without `--pair explicit`, a
+negative `--tol` value, `--tol` names the command does not report or that
+are given twice, sizes whose arrays cannot be allocated, and a `--out` or
+`--csv` path that cannot be written), 3 inconclusive sweep (more than half
+of the points skipped).
 """
 from __future__ import annotations
 
@@ -53,7 +55,6 @@ import argparse
 import functools
 import re
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -106,45 +107,36 @@ def format_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _json_chunks(obj, indent: int):
-    pad = "  " * indent
+def _json(obj, pad: str = "") -> str:
+    """`obj` as JSON text indented by two spaces a level, its lines after
+    the first prefixed with `pad`."""
     if isinstance(obj, dict):
         if not obj:
-            yield "{}"
-            return
-        yield "{\n"
-        for idx, (key, value) in enumerate(obj.items()):
-            yield f'{pad}  "{key}": '
-            yield from _json_chunks(value, indent + 1)
-            yield ",\n" if idx < len(obj) - 1 else "\n"
-        yield pad + "}"
-    elif isinstance(obj, (list, tuple)):
+            return "{}"
+        inner = pad + "  "
+        items = ",\n".join(f'{inner}"{key}": {_json(value, inner)}' for key, value in obj.items())
+        return "{\n" + items + "\n" + pad + "}"
+    if isinstance(obj, (list, tuple)):
         if len(obj) == 0:
-            yield "[]"
-            return
-        yield "[\n"
-        for idx, value in enumerate(obj):
-            yield pad + "  "
-            yield from _json_chunks(value, indent + 1)
-            yield ",\n" if idx < len(obj) - 1 else "\n"
-        yield pad + "]"
-    elif isinstance(obj, str):
+            return "[]"
+        inner = pad + "  "
+        return "[\n" + ",\n".join(inner + _json(value, inner) for value in obj) + "\n" + pad + "]"
+    if isinstance(obj, str):
         escaped = obj.replace("\\", "\\\\").replace('"', '\\"')
-        yield f'"{escaped}"'
-    elif isinstance(obj, (bool, np.bool_)):
-        yield "true" if obj else "false"
-    elif isinstance(obj, (int, np.integer)):
-        yield str(int(obj))
-    elif isinstance(obj, (float, np.floating)):
-        yield format_float(float(obj))
-    elif obj is None:
-        yield "null"
-    else:
-        raise TypeError(f"cannot serialize {type(obj)}")
+        return f'"{escaped}"'
+    if isinstance(obj, (bool, np.bool_)):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return format_float(float(obj))
+    if obj is None:
+        return "null"
+    raise TypeError(f"cannot serialize {type(obj)}")
 
 
 def dump_report(report: dict) -> str:
-    return "".join(_json_chunks(report, 0)) + "\n"
+    return _json(report) + "\n"
 
 
 # `%` conversion per numpy dtype kind: floats with 17 significant digits,
@@ -188,37 +180,6 @@ def write_csv(path: str, header: list[str], columns) -> None:
 # configuration
 
 
-@dataclass
-class SweepConfig:
-    n: int
-    chart: str | None = None
-    points: int | None = None
-    seed: int = 0
-    pair_kind: str = "random"
-    psi_i: np.ndarray | None = None
-    psi_f: np.ndarray | None = None
-    sample_scale: float | None = None
-    tolerances: dict = field(default_factory=dict)
-    per_point: bool = False
-
-    def echo(self) -> dict:
-        out = {
-            "n": self.n,
-            "chart": self.chart,
-            "points": self.points,
-            "seed": self.seed,
-            "pair": self.pair_kind,
-            "sample_scale": self.sample_scale,
-        }
-        out = {key: value for key, value in out.items() if value is not None}
-        if self.psi_i is not None:
-            out["psi_i"] = [format_float(v) for v in np.ravel([self.psi_i.real, self.psi_i.imag])]
-            out["psi_f"] = [format_float(v) for v in np.ravel([self.psi_f.real, self.psi_f.imag])]
-        if self.tolerances:
-            out["tolerance_overrides"] = dict(sorted(self.tolerances.items()))
-        return out
-
-
 def _parse_state(text: str, n: int, name: str) -> np.ndarray:
     try:
         entries = [complex(part) for part in text.split(",")]
@@ -252,31 +213,40 @@ def _check_addressable(option: str, value: int, nbytes: int) -> None:
 
 def _spin_flip_pair(n: int) -> StatePair:
     """The first two standard basis vectors of C^n, |0> to |1>."""
-    psi_i = np.zeros(n, dtype=complex)
-    psi_f = np.zeros(n, dtype=complex)
-    psi_i[0] = 1.0
-    psi_f[1] = 1.0
-    return StatePair(psi_i, psi_f)
+    return StatePair(*np.eye(n, dtype=complex)[:2])
 
 
-def resolve_pair(config: SweepConfig, rng: np.random.Generator) -> StatePair:
-    if config.pair_kind == "random":
-        return StatePair(haar_state(config.n, rng), haar_state(config.n, rng))
-    if config.pair_kind == "spin-flip":
-        return _spin_flip_pair(config.n)
-    return StatePair(config.psi_i, config.psi_f)
+def resolve_pair(args, rng: np.random.Generator) -> StatePair:
+    if args.pair == "random":
+        return StatePair(haar_state(args.n, rng), haar_state(args.n, rng))
+    if args.pair == "spin-flip":
+        return _spin_flip_pair(args.n)
+    return StatePair(args.psi_i, args.psi_f)
 
 
-def resolve_chart(config: SweepConfig) -> Chart:
+def resolve_chart(args) -> Chart:
     """The chart of the sweep; the cartan chart is adapted to e_0."""
-    if config.chart == "exp":
-        return exp_chart(build_gellmann_basis(config.n))
-    if config.chart == "su2-polar":
-        if config.n != 2:
+    if args.chart == "exp":
+        return exp_chart(build_gellmann_basis(args.n))
+    if args.chart == "su2-polar":
+        if args.n != 2:
             raise ConfigError("chart 'su2-polar' requires --n 2")
         return su2_polar_chart()
-    e_0 = np.eye(config.n, dtype=complex)[0]
-    return full_cartan_chart(build_cartan_frame(e_0, build_gellmann_basis(config.n)))
+    e_0 = np.eye(args.n, dtype=complex)[0]
+    return full_cartan_chart(build_cartan_frame(e_0, build_gellmann_basis(args.n)))
+
+
+def _scaled_box(lo, hi, scale: float, of: str):
+    """(low, high, width) of the box [lo, hi] scaled by `scale` about its centre."""
+    with np.errstate(over="ignore"):  # an overflowing box is rejected below
+        half = (hi - lo) / 2.0 * scale
+        low, high = (lo + hi) / 2.0 - half, (lo + hi) / 2.0 + half
+        width = high - low
+    if not np.all(np.isfinite(width)):
+        raise ConfigError(
+            f"--sample-scale {scale} makes the sampling box of {of} wider than the largest double"
+        )
+    return low, high, width
 
 
 # ---------------------------------------------------------------------------
@@ -300,6 +270,21 @@ def _checks(command: str, worst: dict, overrides: dict | None = None) -> list[di
     return records
 
 
+_SWEEP_ECHO = ("n", "chart", "points", "seed", "pair", "sample_scale")  # sweeps and superosc
+
+
+def _echo(args, names) -> dict:
+    """A report's `config`: the options of `names` the command has, in that
+    order, then an explicit pair's states and the sorted `--tol` overrides."""
+    out = {name: getattr(args, name) for name in names if hasattr(args, name)}
+    if getattr(args, "psi_i", None) is not None:
+        out["psi_i"] = [format_float(v) for v in np.ravel([args.psi_i.real, args.psi_i.imag])]
+        out["psi_f"] = [format_float(v) for v in np.ravel([args.psi_f.real, args.psi_f.imag])]
+    if getattr(args, "tol", None):
+        out["tolerance_overrides"] = dict(sorted(args.tol.items()))
+    return out
+
+
 def base_report(command: str, config_echo: dict, seed: int) -> dict:
     return {
         "schema": SCHEMA,
@@ -310,17 +295,17 @@ def base_report(command: str, config_echo: dict, seed: int) -> dict:
     }
 
 
-def _sweep_report(command: str, config: SweepConfig, evaluated: int, **extra) -> dict:
+def _sweep_report(command: str, args, evaluated: int, **extra) -> dict:
     """Report of a sweep that kept `evaluated` of its points: the point
     counts, then `extra`.  More than half of the points skipped marks it
     inconclusive, with an `error:` line on stderr."""
-    skipped = config.points - evaluated
-    report = base_report(command, config.echo(), config.seed)
-    report["points_requested"] = config.points
+    skipped = args.points - evaluated
+    report = base_report(command, _echo(args, _SWEEP_ECHO), args.seed)
+    report["points_requested"] = args.points
     report["points_evaluated"] = evaluated
     report["points_skipped_low_amplitude"] = skipped
     report.update(extra)
-    if skipped > config.points / 2:
+    if skipped > args.points / 2:
         print("error: more than half of the sweep points were skipped", file=sys.stderr)
         report["inconclusive"] = True
     return report
@@ -353,29 +338,20 @@ def finish_report(report: dict, checks: list[dict], out_path: str | None) -> int
 
 def run_group_sweep(args) -> int:
     """Sweep the group-manifold gradient identities over random points."""
-    config = _config_from_args(args)
-    rng = np.random.default_rng(config.seed)
-    n = config.n
-    fixed = None if config.pair_kind == "random" else resolve_pair(config, rng)
-    chart = resolve_chart(config)
-    lo, hi = chart.sample_box.T
-    with np.errstate(over="ignore"):  # an overflowing box is rejected below
-        half = (hi - lo) / 2.0 * config.sample_scale
-        low, high = (lo + hi) / 2.0 - half, (lo + hi) / 2.0 + half
-        width = high - low
-    if not np.all(np.isfinite(width)):
-        raise ConfigError(
-            f"--sample-scale {config.sample_scale} makes the sampling box of chart "
-            f"'{chart.label}' wider than the largest double"
-        )
+    _check_sweep_args(args)
+    rng = np.random.default_rng(args.seed)
+    n = args.n
+    fixed = None if args.pair == "random" else resolve_pair(args, rng)
+    chart = resolve_chart(args)
+    low, _, width = _scaled_box(*chart.sample_box.T, args.sample_scale, f"chart '{chart.label}'")
 
     # per point, the draws of two `haar_state` calls (psi_i re, im, psi_f re,
     # im) in one call, then x's unit draws: a normal takes a variable number
     # of stream words, so x is drawn in this loop.  Scaled in place
     # afterwards, each x is `uniform(low, high)` bit for bit: low + width * u
-    gauss = np.empty((config.points, 2, 2, n)) if fixed is None else None
-    xs = np.empty((config.points, chart.dim_m))
-    for k in range(config.points):
+    gauss = np.empty((args.points, 2, 2, n)) if fixed is None else None
+    xs = np.empty((args.points, chart.dim_m))
+    for k in range(args.points):
         if fixed is None:
             rng.standard_normal(out=gauss[k].reshape(4 * n))
         rng.random(out=xs[k])
@@ -385,20 +361,20 @@ def run_group_sweep(args) -> int:
         inside = chart.contains(xs)
     if not np.all(inside):
         raise ConfigError(
-            f"--sample-scale {config.sample_scale} draws points outside chart '{chart.label}'"
+            f"--sample-scale {args.sample_scale} draws points outside chart '{chart.label}'"
         )
     # psi_i and psi_f as contiguous stacks, each row normalized as haar_state does
     if fixed is None:
         pair = StatePair(*np.ascontiguousarray(_unit_rows(gauss).swapaxes(0, 1)))
     else:
         pair = fixed
-    if config.chart == "cartan":  # the chart of psi_i is W U_e0 W^dag
+    if args.chart == "cartan":  # the chart of psi_i is W U_e0 W^dag
         pair = _reference_pair(pair)
 
     step = chart.block_rows()
     bound = 2.0 * (n - 1) / n
     blocks = []
-    for start in range(0, config.points, step):
+    for start in range(0, args.points, step):
         rows = slice(start, start + step)
         grad = phase_gradient(pair.rows(rows), chart, xs[rows])
         res = grad.residuals()
@@ -415,11 +391,11 @@ def run_group_sweep(args) -> int:
         blocks.append({name: column[kept] for name, column in columns.items()})
     table = _stacked(blocks)
 
-    report = _sweep_report("verify-group", config, len(table["p"]))
+    report = _sweep_report("verify-group", args, len(table["p"]))
     if report.get("inconclusive"):
         return finish_report(report, [], args.out)
 
-    if config.per_point:
+    if args.per_point:
         residuals = np.column_stack(
             [table["phase-identity"], table["modulus-identity"], table["orthogonality"]]
         )
@@ -428,7 +404,7 @@ def run_group_sweep(args) -> int:
             for x, p, r in zip(table["x"].tolist(), table["p"].tolist(), residuals.tolist())
         ]
     worst = {name: table[name].max() for name in CHECK_GATES["verify-group"]}
-    return finish_report(report, _checks("verify-group", worst, config.tolerances), args.out)
+    return finish_report(report, _checks("verify-group", worst, args.tol), args.out)
 
 
 # ---------------------------------------------------------------------------
@@ -438,18 +414,19 @@ def run_group_sweep(args) -> int:
 def run_ray_sweep(args) -> int:
     """Sweep the ray-space identities, connection proportionality, and the
     group-to-ray bridge identities on the section."""
-    config = _config_from_args(args)
+    _check_sweep_args(args)
     bridge_points = args.bridge_points
     if bridge_points < 0:
         raise ConfigError("--bridge-points must be >= 0")
     _check_addressable("--bridge-points", bridge_points, 48 * bridge_points)  # six columns
-    rng = np.random.default_rng(config.seed)
-    pair = resolve_pair(config, rng)
-    frame = build_cartan_frame(pair.psi_i, build_gellmann_basis(config.n))
+    rng = np.random.default_rng(args.seed)
+    pair = resolve_pair(args, rng)
+    frame = build_cartan_frame(pair.psi_i, build_gellmann_basis(args.n))
     step = frame.chart.block_rows()  # the chart every section of the sweep reuses
 
     m = frame.dim_coset
-    y_half = np.full(m, (np.pi / 2) * 0.62 / np.sqrt(m) * config.sample_scale)
+    y_box = np.full(m, (np.pi / 2) * 0.62 / np.sqrt(m))
+    _, y_half, _ = _scaled_box(-y_box, y_box, args.sample_scale, "the section")
 
     def draw(count, half):
         """`count` points of uniform draws in [-half, half]; y comes first."""
@@ -458,7 +435,7 @@ def run_ray_sweep(args) -> int:
             outside = np.linalg.norm(rows[:, :m], axis=1) >= np.pi / 2
         if outside.any():
             raise ConfigError(
-                f"--sample-scale {config.sample_scale} draws points outside the |y| < pi/2 ball"
+                f"--sample-scale {args.sample_scale} draws points outside the |y| < pi/2 ball"
             )
         return rows
 
@@ -470,9 +447,9 @@ def run_ray_sweep(args) -> int:
         return (point if kept.all() else point.rows(kept)), kept
 
     # per point: y, then xi_s, then xi0
-    draws = draw(config.points, np.concatenate([y_half, np.full(frame.dim_iso, 0.5), [2.0]]))
+    draws = draw(args.points, np.concatenate([y_half, np.full(frame.dim_iso, 0.5), [2.0]]))
     blocks = []
-    for start in range(0, config.points, step):
+    for start in range(0, args.points, step):
         y, xi_s, xi0 = np.split(draws[start:start + step], [m, m + frame.dim_iso], axis=1)
         point, kept = kept_section(y, P_SKIP_RAY)
         rel = ray_relation_residuals(pair, point)
@@ -489,7 +466,7 @@ def run_ray_sweep(args) -> int:
     table = _stacked(blocks)
 
     report = _sweep_report(
-        "verify-ray", config, len(table["factorization"]), bridge_points=bridge_points
+        "verify-ray", args, len(table["factorization"]), bridge_points=bridge_points
     )
     if report.get("inconclusive"):
         return finish_report(report, [], args.out)
@@ -499,7 +476,7 @@ def run_ray_sweep(args) -> int:
     report["u1_berry_sign"] = {
         "residual_with_plus_coefficient": float(worst["u1-berry-plus-coefficient"]),
         "residual_with_minus_coefficient": float(worst["u1-berry-proportionality"]),
-        "resolved_coefficient": f"-sqrt({config.n}/(2*({config.n}-1)))",
+        "resolved_coefficient": f"-sqrt({args.n}/(2*({args.n}-1)))",
     }
 
     if bridge_points:
@@ -517,7 +494,7 @@ def run_ray_sweep(args) -> int:
                 result.residual_phase,
                 result.residual_mixed,
                 result.residual_modulus,
-                np.abs(result.grad0_phase - u1_eigenvalue(config.n)),
+                np.abs(result.grad0_phase - u1_eigenvalue(args.n)),
                 np.abs(result.u1_frame_component - 1.0),
                 result.alt_residual_phase,
             )
@@ -535,7 +512,7 @@ def run_ray_sweep(args) -> int:
                 "resolved_form": "d_eta - berry (= d_eta + sqrt(2(n-1)/n) u1)",
             }
 
-    return finish_report(report, _checks("verify-ray", worst, config.tolerances), args.out)
+    return finish_report(report, _checks("verify-ray", worst, args.tol), args.out)
 
 
 # ---------------------------------------------------------------------------
@@ -576,7 +553,7 @@ def run_su2_demo(args) -> int:
         )
 
     chi, theta, phi, p, eta = table[:, :5].T
-    report = base_report("su2-demo", {"grid": grid}, seed=0)
+    report = base_report("su2-demo", _echo(args, ("grid",)), seed=0)
     report["rows"] = len(table)
     worst = {
         "closed-form-modulus": np.max(np.abs(p - np.sin(chi)**2 * np.sin(theta)**2)),
@@ -592,18 +569,15 @@ def run_su2_demo(args) -> int:
 
 def run_superosc(args) -> int:
     """Aligned-generator superoscillation report for one state pair."""
-    config = _config_from_args(args)
-    samples, t_min, t_max = args.samples, args.t_min, args.t_max
-    _check_addressable("--samples", samples, 33 * samples)  # t, amplitude, omega, defined
-    rng = np.random.default_rng(config.seed)
-    pair = resolve_pair(config, rng)
-    basis = build_gellmann_basis(config.n)
+    _check_sweep_args(args)
+    _check_addressable("--samples", args.samples, 33 * args.samples)  # t, amplitude, omega, defined
+    pair = resolve_pair(args, np.random.default_rng(args.seed))
     try:
-        gen = aligned_generator(pair, basis)
+        gen = aligned_generator(pair, build_gellmann_basis(args.n))
     except SunPhaseError as exc:
         raise ConfigError(f"cannot align generator: {exc}") from exc
     try:
-        result = superoscillation_report(pair, gen, t_range=(t_min, t_max), samples=samples)
+        result = superoscillation_report(pair, gen, (args.t_min, args.t_max), args.samples)
     except DomainError as exc:  # --samples, --t-min or --t-max out of the trace's domain
         raise ConfigError(f"cannot trace the phase: {exc}") from exc
 
@@ -616,9 +590,9 @@ def run_superosc(args) -> int:
              trace.defined.astype(np.int64)],
         )
 
-    report = base_report("superosc", config.echo(), config.seed)
-    report["samples"] = samples
-    report["t_range"] = [t_min, t_max]
+    report = base_report("superosc", _echo(args, _SWEEP_ECHO), args.seed)
+    report["samples"] = args.samples
+    report["t_range"] = [args.t_min, args.t_max]
     report["omega_zero"] = result.omega_zero
     report["max_abs_eigenvalue"] = result.max_abs_eigenvalue
     report["gradient_bound"] = result.gradient_bound
@@ -628,8 +602,7 @@ def run_superosc(args) -> int:
         {"eigenvalue": float(l), "abs_coefficient": float(abs(c))}
         for l, c in zip(result.trace.eigenvalues, result.trace.fourier_c)
     ]
-    flagged = int(np.sum(~result.trace.defined))
-    report["flagged_samples"] = flagged
+    report["flagged_samples"] = int(np.sum(~result.trace.defined))
 
     worst = {
         "superoscillatory-at-zero": max(0.0, result.max_abs_eigenvalue - result.omega_zero),
@@ -674,8 +647,8 @@ def run_vortex(args) -> int:
         raise ConfigError(f"the {args.loop} loop leaves the domain of chart '{chart.label}'")
     result = vortex_winding(pair, chart, loop)
 
-    echoed = ("loop", "chi", "theta", "phi", "samples", "reverse")
-    report = base_report("vortex", {name: getattr(args, name) for name in echoed}, seed=0)
+    echoed = _echo(args, ("loop", "chi", "theta", "phi", "samples", "reverse"))
+    report = base_report("vortex", echoed, seed=0)
     report["winding"] = result.winding
     report["max_phase_step"] = result.max_phase_step
     report["loop_points"] = len(loop)
@@ -802,41 +775,38 @@ def _parse_tolerances(entries: list[str]) -> dict:
     return out
 
 
-def _config_from_args(args) -> SweepConfig:
-    """Sweep configuration of a verify-group, verify-ray or superosc command;
-    options the command lacks stay None, and its report does not echo them."""
+def _check_sweep_args(args) -> None:
+    """Validate the options of a verify-group, verify-ray or superosc
+    command.  Rebinds, never mutates, `args.tol` to the dict of overrides
+    and, for an explicit pair, `args.psi_i` and `args.psi_f` to the unit
+    states: the namespace holds the parser's own default objects."""
     n = args.n
     if n < 2:
         raise ConfigError("--n must be >= 2")
     _check_addressable("--n", n, 16 * n**4)  # the (n^2 - 1, n, n) generator basis
-    config = SweepConfig(n=n, seed=args.seed, pair_kind=args.pair)
-    for name in ("chart", "points", "sample_scale", "per_point"):
-        if hasattr(args, name):
-            setattr(config, name, getattr(args, name))
-    scale = config.sample_scale
-    if scale is not None and not np.isfinite(scale):
+    scale = getattr(args, "sample_scale", 1.0)  # superosc has no sampling box
+    if not np.isfinite(scale):
         raise ConfigError("--sample-scale is non-finite")
-    if scale is not None and scale <= 0.0:
+    if scale <= 0.0:
         raise ConfigError("--sample-scale must be > 0")
-    config.tolerances = _parse_tolerances(getattr(args, "tol", []))
-    unknown = sorted(set(config.tolerances) - set(CHECK_GATES[args.command]))
+    args.tol = _parse_tolerances(getattr(args, "tol", []))
+    unknown = sorted(set(args.tol) - set(CHECK_GATES[args.command]))
     if unknown:
         raise ConfigError(f"{args.command} reports no check named {', '.join(unknown)}")
     if args.pair == "explicit":
         if not args.psi_i or not args.psi_f:
             raise ConfigError("--pair explicit requires --psi-i and --psi-f")
-        config.psi_i = _parse_state(args.psi_i, args.n, "--psi-i")
-        config.psi_f = _parse_state(args.psi_f, args.n, "--psi-f")
+        args.psi_i = _parse_state(args.psi_i, n, "--psi-i")
+        args.psi_f = _parse_state(args.psi_f, n, "--psi-f")
     elif args.psi_i is not None or args.psi_f is not None:
         raise ConfigError("--psi-i and --psi-f need --pair explicit")
-    if config.points is not None:
-        if config.points < 1:
+    if hasattr(args, "points"):
+        if args.points < 1:
             raise ConfigError("--points must be >= 1")
         # the draws of every point: 4n normals and at most n^2 - 1 coordinates
-        _check_addressable("--points", config.points, 8 * (4 * n + n * n) * config.points)
-    if config.seed < 0:
+        _check_addressable("--points", args.points, 8 * (4 * n + n * n) * args.points)
+    if args.seed < 0:
         raise ConfigError("--seed must be >= 0")
-    return config
 
 
 def main(argv=None) -> int:

@@ -1,8 +1,14 @@
+import contextlib
+import io
 import json
+import string
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sun_phase.amplitude import phase_gradient
 from sun_phase.charts import exp_chart, su2_polar_chart
@@ -32,6 +38,60 @@ def load(path):
     return json.loads(path.read_text())
 
 
+# dict keys as the reports name them; string values hold every printable
+# ASCII character, `"` and `\` among them
+KEYS = st.text(string.ascii_letters + string.digits + "-_", max_size=8)
+
+
+def report_values(floats: bool):
+    """(value, plain) pairs: a report value of dicts, lists and tuples of
+    Python and numpy scalars, and the same value as `json.dumps` takes it."""
+    integers = st.integers(-(2**63), 2**63 - 1)
+    same = [
+        st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7E), max_size=8),
+        st.booleans(),
+        st.none(),
+        integers,
+    ]
+    leaves = [strategy.map(lambda v: (v, v)) for strategy in same] + [
+        st.booleans().map(lambda b: (np.bool_(b), b)),
+        integers.map(lambda i: (np.int64(i), i)),
+        st.integers(0, 255).map(lambda i: (np.uint8(i), i)),
+    ]
+    if floats:
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        leaves += [finite.map(lambda x: (x, x)), finite.map(lambda x: (np.float64(x), x))]
+    return st.recursive(
+        st.one_of(leaves),
+        lambda children: st.one_of(
+            st.lists(children, max_size=4).map(split_pairs),
+            st.lists(children, max_size=4).map(split_pairs).map(lambda p: (tuple(p[0]), p[1])),
+            st.dictionaries(KEYS, children, max_size=4).map(split_pairs),
+        ),
+        max_leaves=24,
+    )
+
+
+def split_pairs(items):
+    """A list or dict of (value, plain) pairs as one (value, plain) pair."""
+    if isinstance(items, dict):
+        return ({k: v for k, (v, _) in items.items()}, {k: p for k, (_, p) in items.items()})
+    return [v for v, _ in items], [p for _, p in items]
+
+
+def number_texts(plain):
+    """`plain` with each float replaced by format(x, ".17g") and each int by str(i)."""
+    if isinstance(plain, dict):
+        return {key: number_texts(value) for key, value in plain.items()}
+    if isinstance(plain, list):
+        return [number_texts(value) for value in plain]
+    if isinstance(plain, float):
+        return format(plain, ".17g")
+    if isinstance(plain, int) and not isinstance(plain, bool):
+        return str(plain)
+    return plain
+
+
 class TestSerialization:
     def test_float_formatting(self):
         assert format_float(1.0) == "1"
@@ -53,6 +113,30 @@ class TestSerialization:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             dump_report({"x": float("nan")})
+
+    @settings(max_examples=200, deadline=None)
+    @given(pair=st.dictionaries(KEYS, report_values(floats=False), max_size=5).map(split_pairs))
+    def test_layout_matches_json_dumps(self, pair):
+        report, plain = pair
+        assert dump_report(report) == json.dumps(plain, indent=2) + "\n"
+
+    @settings(max_examples=200, deadline=None)
+    @given(pair=st.dictionaries(KEYS, report_values(floats=True), max_size=5).map(split_pairs))
+    def test_floats_round_trip_as_17_digits(self, pair):
+        report, plain = pair
+        text = dump_report(report)
+        assert json.loads(text) == plain  # every value exactly
+        # each number's text: a float's is format(x, ".17g"), an int's is str(i)
+        assert json.loads(text, parse_float=str, parse_int=str) == number_texts(plain)
+
+    @pytest.mark.parametrize("nan", [float("nan"), np.float64("nan")])
+    def test_nan_nested_in_list_rejected(self, nan):
+        with pytest.raises(ValueError):
+            dump_report({"a": [1.0, {"b": [2, nan]}]})
+
+    def test_set_rejected(self):
+        with pytest.raises(TypeError):
+            dump_report({"a": [{1, 2}]})
 
 
 def rowwise_csv(header, rows):
@@ -885,10 +969,38 @@ class TestInputErrors:
                          marks=pytest.mark.filterwarnings("error::RuntimeWarning")),
             pytest.param(["verify-ray", "--n", "3", "--points", "5", "--sample-scale", "1e308"],
                          marks=pytest.mark.filterwarnings("error::RuntimeWarning")),
+            # the ray half-width is finite but the box width is not: rejected
+            # before any draw, not by numpy's OverflowError in `uniform`
+            pytest.param(["verify-ray", "--n", "2", "--points", "5", "--sample-scale", "1.79e308"],
+                         marks=pytest.mark.filterwarnings("error::RuntimeWarning")),
+            # a finite box whose points leave the |y| < pi/2 ball, or the chart
+            pytest.param(["verify-ray", "--n", "3", "--points", "5", "--sample-scale", "1.79e308"],
+                         marks=pytest.mark.filterwarnings("error::RuntimeWarning")),
+            pytest.param(["verify-group", "--n", "3", "--points", "5", "--sample-scale", "1.79e308"],
+                         marks=pytest.mark.filterwarnings("error::RuntimeWarning")),
         ],
     )
     def test_domain_error_is_config_error(self, tmp_path, capsys, argv):
         self.assert_one_error_line(tmp_path, capsys, argv)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        command=st.sampled_from([("verify-group", "--chart", "exp"),
+                                 ("verify-group", "--chart", "cartan"), ("verify-ray",)]),
+        n=st.sampled_from([2, 3, 4]),
+        # log-uniform in [1e-3, 1.78e308], and the largest double
+        scale=st.one_of(st.floats(-3.0, 308.25).map(lambda e: 10.0**e),
+                        st.just(sys.float_info.max)),
+    )
+    @example(command=("verify-ray",), n=2, scale=1.79e308)
+    def test_any_sample_scale_ends_in_an_exit_code(self, command, n, scale):
+        argv = [*command, "--n", str(n), "--points", "3", "--sample-scale", repr(scale)]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)  # raises nothing
+        assert code in (EXIT_PASS, EXIT_CHECK_FAILURE, EXIT_CONFIG_ERROR, EXIT_INCONCLUSIVE)
+        if code != EXIT_PASS:
+            assert sum(line.startswith("error:") for line in err.getvalue().splitlines()) <= 1
 
     @pytest.mark.parametrize(
         "argv",
@@ -1058,6 +1170,41 @@ class TestConfigEcho:
         # `tolerance_overrides` echoes the --tol entries
         keys = {"tol" if key == "tolerance_overrides" else key for key in load(out)["config"]}
         assert keys and keys <= options
+
+    EXPLICIT = ["--pair", "explicit", "--psi-i", "1,0", "--psi-f", "0.6,0.8j"]
+    TOL = ["--tol", "phase-identity=1", "--tol", "modulus-identity=1"]
+    SWEEP = ["n", "chart", "points", "seed", "pair", "sample_scale"]
+
+    @pytest.mark.parametrize(
+        "argv, keys",
+        [
+            (["verify-group", "--n", "2", "--points", "3"], SWEEP),
+            (["verify-group", "--n", "2", "--points", "3", *EXPLICIT, *TOL],
+             SWEEP + ["psi_i", "psi_f", "tolerance_overrides"]),
+            (["verify-ray", "--n", "2", "--points", "3", "--bridge-points", "0"],
+             ["n", "points", "seed", "pair", "sample_scale"]),
+            (["verify-ray", "--n", "2", "--points", "3", "--bridge-points", "0", *EXPLICIT,
+              "--tol", "ray-phase-identity=1", "--tol", "factorization=1"],
+             ["n", "points", "seed", "pair", "sample_scale", "psi_i", "psi_f",
+              "tolerance_overrides"]),
+            (["superosc", "--n", "2", "--samples", "64"], ["n", "seed", "pair"]),
+            (["superosc", "--n", "2", "--samples", "64", *EXPLICIT],
+             ["n", "seed", "pair", "psi_i", "psi_f"]),
+            (["su2-demo", "--grid", "3"], ["grid"]),
+            (["vortex", "--expect", "1"], ["loop", "chi", "theta", "phi", "samples", "reverse"]),
+        ],
+    )
+    def test_config_key_order(self, tmp_path, argv, keys):
+        code, out = run_to_file(tmp_path, "r.json", argv)
+        assert code == EXIT_PASS
+        config = load(out)["config"]
+        assert list(config) == keys
+        if "psi_i" in config:  # real parts, then imaginary parts, as 17-digit strings
+            assert config["psi_i"] == ["1", "0", "0", "0"]
+            assert config["psi_f"] == [format_float(v) for v in (0.6, 0, 0, 0.8)]
+        if "tolerance_overrides" in config:  # sorted by name; the argv gives the other order
+            overrides = config["tolerance_overrides"]
+            assert list(overrides) == sorted(overrides) and len(overrides) == 2
 
 
 class TestSweepDraws:
@@ -1248,6 +1395,20 @@ class TestSharedParser:
         assert main(["verify-group", "--points", "5"]) == EXIT_CONFIG_ERROR  # --n missing
         assert "--n" in capsys.readouterr().err
         assert self.report_bytes(tmp_path, "again.json", self.ARGV) == expected
+
+    def test_validation_leaves_the_parser_defaults(self, tmp_path):
+        # the runners rebind `args.tol`, `args.psi_i` and `args.psi_f`; a
+        # namespace starts from the parser's own default objects
+        explicit = ["superosc", "--n", "2", "--samples", "64", "--pair", "explicit",
+                    "--psi-i", "1,0", "--psi-f", "0.6,0.8j"]
+        assert main(explicit + ["--out", str(tmp_path / "osc.json")]) == EXIT_PASS
+        tol = self.ARGV + ["--tol", "phase-identity=1", "--out", str(tmp_path / "tol.json")]
+        assert main(tol) == EXIT_PASS
+        for argv in (["verify-group", "--n", "2"], ["verify-ray", "--n", "2"],
+                     ["superosc", "--n", "2"]):
+            fresh = build_parser().parse_args(argv)
+            assert fresh.psi_i is None and fresh.psi_f is None
+            assert getattr(fresh, "tol", []) == []
 
     def test_help_twice(self, capsys):
         assert main(["--help"]) == 0
