@@ -73,9 +73,9 @@ class PolarAmplitude:
 
 def polar_amplitude(pair: StatePair, u: np.ndarray) -> PolarAmplitude:
     """Polar components of <psi_f|u|psi_i> for unitary u, or for each matrix
-    of a stack u (N, n, n), with one pair per matrix from a stacked pair.
-    One matrix is evaluated as a stack of one, so it rounds as its row of
-    any stack does."""
+    of a stack u (N, n, n), with one pair per matrix from a stacked pair
+    (ShapeError for any other number of rows).  One matrix is evaluated as
+    a stack of one, so it rounds as its row of any stack does."""
     n = pair.n
     if u.ndim not in (2, 3) or u.shape[-2:] != (n, n):
         raise ShapeError(f"expected {n}x{n} matrices, got {u.shape}")
@@ -86,9 +86,12 @@ def polar_amplitude(pair: StatePair, u: np.ndarray) -> PolarAmplitude:
 
 def _polar(pair: StatePair, u: np.ndarray) -> PolarAmplitude:
     """`polar_amplitude` of matrices whose unitarity is already checked, as
-    `Chart.evaluate` checks every U it returns."""
+    `Chart.evaluate` checks every U it returns.  ShapeError unless a stacked
+    pair has exactly one row per matrix."""
     if u.ndim == 2:
         return _polar(pair, u[None]).rows(0)
+    if pair.psi_i.ndim == 2 and len(pair.psi_i) != len(u):
+        raise ShapeError(f"{len(pair.psi_i)} state pairs for {len(u)} matrices")
     value = (pair.psi_f.conj()[..., None, :] @ u @ pair.psi_i[..., :, None])[..., 0, 0]
     p = np.hypot(value.real, value.imag) ** 2  # as Python's complex abs (np.abs differs)
     if (p > 1.0 + P_MIN).any():
@@ -213,9 +216,11 @@ def _stacked_gradient(pair: StatePair, chart: Chart, x: np.ndarray) -> PhaseGrad
     amp = _polar(pair, u)
     kept_rows = amp.p >= P_GRAD
     if kept_rows.all():
-        return _frame_gradient(pair, chart, x, u, du, amp)
+        return _frame_gradient(pair, chart, u, du, amp, left_invariant_frame(chart, x, u, du))
     rows = np.flatnonzero(kept_rows)
-    kept = _frame_gradient(pair.rows(rows), chart, x[rows], u[rows], du[rows], amp.rows(rows))
+    u, du = u[rows], du[rows]
+    frame = left_invariant_frame(chart, x[rows], u, du)
+    kept = _frame_gradient(pair.rows(rows), chart, u, du, amp.rows(rows), frame)
     gradients = {}
     for name in _DIFFERENTIAL_FIELDS:  # rows below P_GRAD stay NaN
         value = getattr(kept, name)
@@ -224,12 +229,10 @@ def _stacked_gradient(pair: StatePair, chart: Chart, x: np.ndarray) -> PhaseGrad
     return PhaseGradient(chart.n, amp.p, amp.eta, **gradients)
 
 
-def _frame_gradient(pair, chart, x, u, du, amp, frame=None) -> PhaseGradient:
-    """`phase_gradient` at points x where p >= P_GRAD, given U(x), its
-    partials and the polar amplitude there, and the frame at x when known."""
-    if frame is None:
-        frame = left_invariant_frame(chart, x, du=du, u=u)
-    metric = ck_metric(chart, x, frame=frame, du=du)
+def _frame_gradient(pair, chart, u, du, amp, frame) -> PhaseGradient:
+    """`phase_gradient` at the points frame.x where p >= P_GRAD, given U,
+    its partials, the polar amplitude and the left-invariant frame there."""
+    metric = ck_metric(frame, du)
     # <f|U g_a|i>: <f|U times the generators side by side, (n, m n), as one
     # product per point, then each generator's row times |i>
     n, m = chart.n, chart.dim_m
@@ -250,7 +253,11 @@ def phase_gradient_fd(pair: StatePair, chart: Chart, x) -> PhaseGradient:
     Phase increments are compared modulo 2 pi, choosing the
     representative within pi of zero, which is unambiguous at distance
     >> FD_STEP from amplitude zeros (enforced through the p threshold).
-    Independent of the frame route; used to cross-check it, at one point.
+    The differentials of eta and log sqrt p are independent of the frame
+    route.  The inverse metric they are contracted with is shared with it:
+    g^-1 comes from one `partials`, `left_invariant_frame`, `ck_metric`
+    chain, and the trace-form check in `ck_metric` guards it.  Used to
+    cross-check `phase_gradient`, at one point.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
@@ -264,7 +271,8 @@ def phase_gradient_fd(pair: StatePair, chart: Chart, x) -> PhaseGradient:
     span = 2 * FD_STEP
     d_phase = (principal_angle(ap.eta - grad.eta) + principal_angle(grad.eta - am.eta)) / span
     d_log = (np.log(np.sqrt(ap.p)) - np.log(np.sqrt(am.p))) / span
-    g_inv = ck_metric(chart, x).g_inv
+    u, du = partials(chart, x)
+    g_inv = ck_metric(left_invariant_frame(chart, x, u, du), du).g_inv
     return PhaseGradient.contract(chart.n, grad.p, grad.eta, d_phase, d_log, g_inv)
 
 

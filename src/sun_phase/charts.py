@@ -18,13 +18,16 @@ each row of a stack rounds as that point alone does.
 
 `frame_coefficients` projects U^dag dU on the generators for any set of
 partials, with the four frame guards, and `frame_dual` inverts the
-result behind the det(omega) guard; `left_invariant_frame` is the two
-over all coordinates, and the coset section uses them for its columns.
-The frame's inverse dual = omega^-1 is the one matrix inversion per
-point; the inverse metric is dual dual^T (`vielbein_inverse`).  No
-eigenvalue test runs: g = omega^T omega is positive definite wherever
-the det(omega) guard passes, and a frame too close to singular for
-rounding fails that guard or the checks omega dual = 1 and g g^-1 = 1.
+result behind the det(omega) guard; `left_invariant_frame(chart, x, u,
+du)` is the two over all coordinates, and the coset section uses them
+for its columns; `ck_metric(frame, du)` contracts that frame into the
+metric.  Both take the U and dU their caller holds, so neither evaluates
+the chart.  The frame's inverse dual = omega^-1 is the one matrix
+inversion per point; the inverse metric is dual dual^T
+(`vielbein_inverse`).  No eigenvalue test runs: g = omega^T omega is
+positive definite wherever the det(omega) guard passes, and a frame too
+close to singular for rounding fails that guard or the checks
+omega dual = 1 and g g^-1 = 1.
 Every guard on a chart's value, frame and metric is written
 `not residual < tol`, so that a NaN trips it.
 """
@@ -265,21 +268,13 @@ def fd_partials(chart: Chart, x) -> tuple[np.ndarray, np.ndarray]:
     return chart.evaluate(x), du.reshape(x.shape[:-1] + (chart.dim_m, chart.n, chart.n))
 
 
-def left_invariant_frame(
-    chart: Chart, x, du: np.ndarray | None = None, u: np.ndarray | None = None
-) -> FrameAtPoint:
-    """Extract omega[a, mu] from U^dag dU = i omega^a g_a and invert it.
-
-    `du` and `u`, when given, are the partials and the value of the chart
-    at x.  Runs the guards of `frame_coefficients` over the chart's
-    generator basis and those of `frame_dual`; a singular omega raises
-    ChartDegenerateError.
+def left_invariant_frame(chart: Chart, x, u: np.ndarray, du: np.ndarray) -> FrameAtPoint:
+    """Extract omega[a, mu] from U^dag dU = i omega^a g_a at x, given the
+    value u and the partials du of the chart there, and invert it.  Runs
+    the guards of `frame_coefficients` over the chart's generator basis and
+    those of `frame_dual`; a singular omega raises ChartDegenerateError.
     """
     x = np.asarray(x, dtype=float)
-    if du is None:
-        u, du = partials(chart, x)
-    if u is None:
-        u = chart.evaluate(x)
     omega = frame_coefficients(u, du, chart.algebra)
     return FrameAtPoint(x=x, omega=omega, dual=frame_dual(omega, x))
 
@@ -341,14 +336,10 @@ def frame_dual(omega: np.ndarray, x: np.ndarray, det: np.ndarray | None = None) 
     return dual
 
 
-def ck_metric(
-    chart: Chart,
-    x,
-    frame: FrameAtPoint | None = None,
-    du: np.ndarray | None = None,
-) -> MetricAtPoint:
-    """Bi-invariant metric at x, as the frame contraction omega^T omega,
-    and its inverse dual dual^T from the frame's inverse dual.
+def ck_metric(frame: FrameAtPoint, du: np.ndarray) -> MetricAtPoint:
+    """Bi-invariant metric at frame.x, as the frame contraction omega^T
+    omega, and its inverse dual dual^T from the frame's inverse dual; du
+    are the partials the frame was built from.
 
     Cross-checked entrywise against the defining trace form
     (1/2) Tr(dU_mu dU_nu^dag); disagreement beyond tolerance indicates a
@@ -356,20 +347,13 @@ def ck_metric(
     guard; DegenerateMetricError when g g^-1 is not the identity to
     ATOL_FRAME (see `vielbein_inverse`).
     """
-    x = np.asarray(x, dtype=float)
-    u = None
-    if du is None:
-        u, du = partials(chart, x)
-    if frame is None:
-        frame = left_invariant_frame(chart, x, du=du, u=u)
-
     g = np.swapaxes(frame.omega, -1, -2) @ frame.omega
-    g_trace = 0.5 * real_gram(du.reshape(du.shape[:-2] + (chart.n**2,)))
+    g_trace = 0.5 * real_gram(du.reshape(du.shape[:-2] + (du.shape[-1] ** 2,)))
     if not np.abs(g - g_trace).max(initial=0.0) < ATOL_FRAME:
         raise InternalConsistencyError(
             "vielbein metric disagrees with the trace form"
         )
-    return MetricAtPoint(g=g, g_inv=vielbein_inverse(g, frame.dual, "x", x))
+    return MetricAtPoint(g=g, g_inv=vielbein_inverse(g, frame.dual, "x", frame.x))
 
 
 def generator_matrix(algebra: np.ndarray) -> np.ndarray:

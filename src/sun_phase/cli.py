@@ -759,9 +759,9 @@ def build_parser() -> argparse.ArgumentParser:
 def _parse_tolerances(entries: list[str]) -> dict:
     out = {}
     for entry in entries:
-        if "=" not in entry:
+        name, equals, value = entry.partition("=")
+        if not (name and equals):
             raise ConfigError(f"--tol expects NAME=VALUE, got '{entry}'")
-        name, _, value = entry.partition("=")
         if name in out:  # the last entry would win, and a gate could loosen silently
             raise ConfigError(f"--tol names the check {name} twice")
         try:

@@ -313,7 +313,7 @@ class SectionPoint:
         """The chart's full frame at x = (y, 0, 0), with every guard of
         `left_invariant_frame`."""
         x = _slice(self.cartan, self.y)
-        return left_invariant_frame(self.chart, x, du=self.du, u=self.kmat)
+        return left_invariant_frame(self.chart, x, self.kmat, self.du)
 
     def overlap(self, bra: np.ndarray):
         """<bra|psi(y)>: a scalar, or one value per row of a stack."""
@@ -627,8 +627,7 @@ def bridge_residuals(pair: StatePair, point: SectionPoint) -> BridgeResult:
         raise NearZeroAmplitudeError(f"amplitude p = {np.min(p0):.3e} too small")
     u = point.kmat
     try:
-        x = point.frame.x
-        group = _frame_gradient(pair, point.chart, x, u, point.du, _polar(pair, u), point.frame)
+        group = _frame_gradient(pair, point.chart, u, point.du, _polar(pair, u), point.frame)
     except SunPhaseError:
         for k in range(len(u) if u.ndim == 3 else 0):
             bridge_residuals(pair, point.rows(k))  # the first failing row's error
@@ -663,7 +662,7 @@ def ck_block_decomposition_residual(point: SectionPoint):
     and U(1) components of K^dag dK.
     """
     m = point.y.shape[-1]
-    block = ck_metric(point.chart, point.frame.x, point.frame, point.du).g[..., :m, :m]
+    block = ck_metric(point.frame, point.du).g[..., :m, :m]
     iso, u1 = point.iso_components, point.u1_component
     predicted = point.fs_metric + (
         u1[..., :, None] * u1[..., None, :] + np.swapaxes(iso, -1, -2) @ iso

@@ -31,6 +31,7 @@ from sun_phase.errors import (
     InternalConsistencyError,
     NearZeroAmplitudeError,
     ResolutionError,
+    ShapeError,
     SingularLoopError,
 )
 from sun_phase.tolerances import P_GRAD
@@ -96,6 +97,20 @@ class TestPolarAmplitude:
     def test_rejects_non_unitary(self):
         with pytest.raises(DomainError):
             polar_amplitude(SPIN_FLIP, 2.0 * np.eye(2, dtype=complex))
+
+    @pytest.mark.parametrize("case", ["one matrix", "one point", "two matrices"])
+    def test_stacked_pair_needs_one_row_per_matrix(self, case):
+        # a stacked pair is never broadcast against fewer or more matrices
+        rng = np.random.default_rng(8)
+        pair = StatePair(*(np.array([haar_state(3, rng) for _ in range(4)]) for _ in range(2)))
+        chart = exp_chart(build_gellmann_basis(3))
+        x = sample_in_box(chart, rng, 2)
+        with pytest.raises(ShapeError, match="4 state pairs for"):
+            if case == "one point":
+                phase_gradient(pair, chart, x[0])
+            else:
+                polar_amplitude(pair, chart.evaluate(x[0] if case == "one matrix" else x))
+        assert polar_amplitude(pair, chart.evaluate(sample_in_box(chart, rng, 4))).p.shape == (4,)
 
 
 class TestPhaseGradient:

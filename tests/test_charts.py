@@ -41,6 +41,12 @@ def sample_in_box(chart, rng, count):
     return [rng.uniform(lo, hi) for _ in range(count)]
 
 
+def metric_at(chart, x):
+    """The metric at x through the chain partials -> frame -> metric."""
+    u, du = partials(chart, x)
+    return ck_metric(left_invariant_frame(chart, x, u, du), du)
+
+
 class TestExpChart:
     def test_origin_is_identity(self):
         chart = exp_chart(build_gellmann_basis(3))
@@ -131,7 +137,7 @@ class TestSu2PolarChart:
         rng = np.random.default_rng(4)
         for x in sample_in_box(chart, rng, 30):
             chi, theta, _ = x
-            metric = ck_metric(chart, x)
+            metric = metric_at(chart, x)
             expected = np.diag(
                 [1.0, np.sin(chi) ** 2, np.sin(chi) ** 2 * np.sin(theta) ** 2]
             )
@@ -144,7 +150,8 @@ class TestSu2PolarChart:
 class TestFrames:
     def test_identity_frame_at_origin(self):
         chart = exp_chart(build_gellmann_basis(3))
-        frame = left_invariant_frame(chart, np.zeros(8))
+        x = np.zeros(8)
+        frame = left_invariant_frame(chart, x, *partials(chart, x))
         np.testing.assert_allclose(frame.omega, np.eye(8), atol=1e-8)
 
     @pytest.mark.parametrize("make_chart", [su2_polar_chart, lambda: exp_chart(build_gellmann_basis(3))])
@@ -152,7 +159,7 @@ class TestFrames:
         chart = make_chart()
         rng = np.random.default_rng(17)
         for x in sample_in_box(chart, rng, 10):
-            frame = left_invariant_frame(chart, x)
+            frame = left_invariant_frame(chart, x, *partials(chart, x))
             np.testing.assert_allclose(
                 frame.omega @ frame.dual, np.eye(chart.dim_m), atol=1e-8
             )
@@ -162,9 +169,8 @@ class TestFrames:
         chart = su2_polar_chart()
         rng = np.random.default_rng(29)
         for x in sample_in_box(chart, rng, 10):
-            u = chart.evaluate(x)
-            du = partials(chart, x)[1]
-            frame = left_invariant_frame(chart, x, du=du)
+            u, du = partials(chart, x)
+            frame = left_invariant_frame(chart, x, u, du)
             rebuilt = 1j * np.einsum("am,aij->mij", frame.omega, chart.algebra)
             pulled = np.einsum("ij,mjk->mik", dagger(u), du)
             assert np.max(np.abs(pulled - rebuilt)) < 1e-8
@@ -173,7 +179,7 @@ class TestFrames:
 class TestMetric:
     def test_metric_at_origin_is_identity(self):
         chart = exp_chart(build_gellmann_basis(4))
-        metric = ck_metric(chart, np.zeros(15))
+        metric = metric_at(chart, np.zeros(15))
         np.testing.assert_allclose(metric.g, np.eye(15), atol=1e-8)
 
     @pytest.mark.parametrize(
@@ -185,8 +191,8 @@ class TestMetric:
         chart = make_chart()
         rng = np.random.default_rng(99)
         for x in sample_in_box(chart, rng, 100):
-            du = partials(chart, x)[1]
-            frame = left_invariant_frame(chart, x, du=du)
+            u, du = partials(chart, x)
+            frame = left_invariant_frame(chart, x, u, du)
             g_vielbein = frame.omega.T @ frame.omega
             g_trace = 0.5 * np.einsum("mij,kij->mk", du, du.conj()).real
             assert np.max(np.abs(g_vielbein - g_trace)) < 1e-8
@@ -201,8 +207,8 @@ class TestMetric:
         v = expm_generator(random_hermitian(n, rng, traceless=True))
         translated = left_translate(chart, v)
         for x in sample_in_box(chart, rng, 10):
-            g0 = ck_metric(chart, x).g
-            g1 = ck_metric(translated, x).g
+            g0 = metric_at(chart, x).g
+            g1 = metric_at(translated, x).g
             assert np.max(np.abs(g0 - g1)) < 1e-8
 
     def test_left_invariance_su2_polar_analytic(self):
@@ -213,8 +219,8 @@ class TestMetric:
         v = expm_generator(random_hermitian(2, rng, traceless=True))
         translated = left_translate(chart, v)
         for x in sample_in_box(chart, rng, 10):
-            g0 = ck_metric(chart, x).g
-            g1 = ck_metric(translated, x).g
+            g0 = metric_at(chart, x).g
+            g1 = metric_at(translated, x).g
             assert np.max(np.abs(g0 - g1)) < 1e-8
 
 
@@ -292,7 +298,7 @@ class TestVielbeinInverse:
                 omega = nearly_singular(chart.dim_m, s_min, rng)
                 indefinite = np.linalg.eigvalsh(omega.T @ omega)[0] <= 0.0
                 broken = chart_with_frame(chart, omega)
-                self.assert_indefinite_rejected(s_min, indefinite, lambda: ck_metric(broken, x))
+                self.assert_indefinite_rejected(s_min, indefinite, lambda: metric_at(broken, x))
                 fired[s_min < 1e-10] += indefinite
         assert fired[True] and fired[False]  # the test fires on both sides of 1e-10
 
@@ -327,7 +333,7 @@ class TestVielbeinInverse:
         rng = np.random.default_rng(1400 + n)
         chart = chart_of_kind(kind, n, rng)
         lo, hi = chart.sample_box.T
-        metric = ck_metric(chart, rng.uniform(lo, hi, (8, chart.dim_m)))
+        metric = metric_at(chart, rng.uniform(lo, hi, (8, chart.dim_m)))
         assert_inverse_close(metric.g_inv, np.linalg.inv(metric.g))
 
     @pytest.mark.parametrize("n", range(2, 9))
@@ -359,11 +365,11 @@ class TestEmptyStacks:
         x = np.empty((0, m))
         u = chart.evaluate(x)
         du = partials(chart, x)[1]
-        frame = left_invariant_frame(chart, x, du=du, u=u)
-        metric = ck_metric(chart, x, frame=frame, du=du)
+        frame = left_invariant_frame(chart, x, u, du)
+        metric = ck_metric(frame, du)
         assert u.shape == (0, n, n) and du.shape == (0, m, n, n)
-        assert frame.omega.shape == frame.dual.shape == metric.g_inv.shape == (0, m, m)
-        assert left_invariant_frame(chart, x).omega.shape == ck_metric(chart, x).g.shape == (0, m, m)
+        assert frame.omega.shape == frame.dual.shape == (0, m, m)
+        assert metric.g.shape == metric.g_inv.shape == (0, m, m)
 
         rng = np.random.default_rng(6)
         pair = StatePair(haar_state(n, rng), haar_state(n, rng))

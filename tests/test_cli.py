@@ -1040,6 +1040,13 @@ class TestInputErrors:
         assert not out.exists()
         assert argv[-1].partition("=")[0] in capsys.readouterr().err
 
+    @pytest.mark.parametrize("entry", ["phase-identity", "=1"])
+    def test_malformed_tol_rejected(self, tmp_path, capsys, entry):
+        # an entry with no `=`, or with an empty name before it
+        argv = ["verify-group", "--n", "3", "--tol", entry]
+        err = self.assert_one_error_line(tmp_path, capsys, argv)
+        assert err == f"error: --tol expects NAME=VALUE, got '{entry}'\n"
+
     @pytest.mark.parametrize("values", [("1e-30", "1"), ("1", "1e-30")])
     def test_repeated_tol_name_rejected(self, tmp_path, capsys, values):
         # the last entry would win, so a strict gate given first would loosen

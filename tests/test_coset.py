@@ -185,7 +185,7 @@ class TestPerRowFrames:
         x = rng.uniform(lo, hi, (len(states), chart.dim_m))
         w = _adapted_basis(states)
         u, du = partials(chart, x)
-        omega = left_invariant_frame(chart, x).omega
+        omega = left_invariant_frame(chart, x, u, du).omega
         for k, psi in enumerate(states):
             one = frame_for(n, psi=psi).chart
             np.testing.assert_array_equal(one.sample_box, chart.sample_box)
@@ -193,7 +193,8 @@ class TestPerRowFrames:
             u_k, du_k = partials(one, x[k])
             np.testing.assert_allclose(u_k, w[k] @ u[k] @ dagger(w[k]), atol=1e-13)
             np.testing.assert_allclose(du_k, w[k] @ du[k] @ dagger(w[k]), atol=1e-13)
-            np.testing.assert_allclose(left_invariant_frame(one, x[k]).omega, omega[k], atol=1e-12)
+            omega_k = left_invariant_frame(one, x[k], u_k, du_k).omega
+            np.testing.assert_allclose(omega_k, omega[k], atol=1e-12)
 
     def test_bad_stacks_rejected(self):
         basis = build_gellmann_basis(3)
@@ -657,10 +658,10 @@ class TestStackedSlice:
 
         original = amplitude.ck_metric
 
-        def rejecting(chart, x, frame=None, du=None):
-            if (x[..., 0] > 0.0).any():
-                raise DegenerateMetricError(f"metric rejected at x = {x}")
-            return original(chart, x, frame=frame, du=du)
+        def rejecting(frame, du):
+            if (frame.x[..., 0] > 0.0).any():
+                raise DegenerateMetricError(f"metric rejected at x = {frame.x}")
+            return original(frame, du)
 
         monkeypatch.setattr(amplitude, "ck_metric", rejecting)
         rng = np.random.default_rng(1505)
@@ -690,7 +691,7 @@ class TestCosetFactor:
         y = rng.uniform(lo, hi, (rows, m) if rows else m)
         point = section(frame, y)
         x = np.concatenate([y, np.zeros(y.shape[:-1] + (frame.dim_iso + 1,))], axis=-1)
-        full = left_invariant_frame(frame.chart, x).omega[..., :m]
+        full = left_invariant_frame(frame.chart, x, *partials(frame.chart, x)).omega[..., :m]
         columns = np.concatenate(
             [point.tau, point.iso_components, point.u1_component[..., None, :]], axis=-2
         )
@@ -711,7 +712,9 @@ class TestCosetFactor:
         )
         assert point.frame is point.frame and len(frames) == 1
         assert point.frame.omega.shape == (3, 8, 8)
-        assert np.array_equal(point.frame.omega, original(frame.chart, point.frame.x).omega)
+        x = point.frame.x
+        rebuilt = original(frame.chart, x, *partials(frame.chart, x))
+        assert np.array_equal(point.frame.omega, rebuilt.omega)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 8])
     def test_fiber_guards_implied_by_unitarity(self, n, monkeypatch):
