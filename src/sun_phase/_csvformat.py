@@ -21,14 +21,19 @@ Python.  A float cell x goes through these steps:
   with at least two exponent digits, trailing zeros and a bare point
   dropped, and the sign from the sign bit, so -0.0 gives `-0`.
 
-An int cell with |v| < 2^53 is the float cell of the same value: `%.17g`
-of an integer below 10^16 is its digits.  A cell's text is formed as
-three little-endian 64-bit words, byte j of the text in bits 8j..8j+7,
-so moving text is shifting words, and a 0 byte is padding.  A block of
-rows is one byte matrix of fixed-width cells, written without its 0
-bytes.  A row with a cell not proven exact (a near-tie, nan, inf,
-0 < |x| < 1e-270, |x| >= 1e271, or an int with |v| >= 2^53) is written
-by the `%` template instead.
+In a block where an int column holds only 0..9 (the 0/1 flag of a
+trace), each cell is its one ASCII digit, the text of `%d`, written
+straight into its byte cell; the float steps above format only the
+other columns.  Any other int cell with |v| < 2^53 is the float cell of
+the same value: `%.17g` of an integer below 10^16 is its digits.  A
+cell's text is formed as three little-endian 64-bit words, byte j of
+the text in bits 8j..8j+7, so moving text is shifting words, and a 0
+byte is padding.  A block of rows is one byte matrix of fixed-width
+cells, written without its 0 bytes.  A row with a cell not proven exact
+(a near-tie, nan, inf, 0 < |x| < 1e-270, |x| >= 1e271, or an int with
+|v| >= 2^53) is written by the `%` template instead; only a block that
+has such a row is split into runs, and a fully proven block is written
+with one mask.
 
 Every step writes into work rows allocated once per `write_rows` call,
 so a block allocates only its output bytes.  With a fresh array per
@@ -137,17 +142,19 @@ def _tables() -> SimpleNamespace:
     return tables
 
 
-def _store(out: np.ndarray, words) -> None:
-    """Write three words per cell into the byte cells `out` (R, C, 24)."""
+def _store(out: np.ndarray, cols, words) -> None:
+    """Write three words per cell into the byte cells `out[:, cols]` of
+    `out` (R, C, 24); `cols` is a slice or a list of column indices."""
     view = out.view("<u8")
     for w, word in enumerate(words):
-        view[..., w] = word.reshape(view.shape[:-1])
+        view[:, cols, w] = word.reshape(len(view), -1)
 
 
-def _float_cells(x: np.ndarray, out: np.ndarray, work: np.ndarray, flags: np.ndarray):
-    """Write the `%.17g` texts of float64 cells `x` (R, C) into `out`
-    (R, C, 24), 0-padded; return the rows not proven exact.  `work` and
-    `flags` are uint64 and bool work rows, at least x.size long."""
+def _float_cells(x: np.ndarray, out: np.ndarray, cols, work: np.ndarray, flags: np.ndarray):
+    """Write the `%.17g` texts of float64 cells `x` (R, F) into the
+    columns `cols` of `out` (R, C, 24), 0-padded; return the rows not
+    proven exact, or None when every cell is.  `work` and `flags` are
+    uint64 and bool work rows, at least x.size long."""
     tab = _tables()
     n = x.size
     x = x.reshape(n)
@@ -303,8 +310,8 @@ def _float_cells(x: np.ndarray, out: np.ndarray, work: np.ndarray, flags: np.nda
     np.add(at, flag, out=at)
     tab.prefix.take(at, out=m, mode="clip")
     np.bitwise_or(l0, m, out=l0)
-    _store(out, lows)
-    return bad.reshape(out.shape[:2]).any(axis=1)
+    _store(out, cols, lows)
+    return bad.reshape(len(out), -1).any(axis=1) if bad.any() else None
 
 
 def write_rows(handle, columns, template: str, block_rows: int) -> None:
@@ -317,7 +324,7 @@ def write_rows(handle, columns, template: str, block_rows: int) -> None:
     block_rows = min(rows, block_rows)
     _tables()  # built before the work rows, so that their peaks do not add
     size = block_rows * len(columns)
-    values = np.empty((block_rows, len(columns)))
+    values = np.empty(size)
     matrix = np.empty((block_rows, len(columns), _CELL), np.uint8)
     matrix[:, :, -1] = ord(",")
     matrix[:, -1, -1] = ord("\n")
@@ -335,15 +342,36 @@ def write_rows(handle, columns, template: str, block_rows: int) -> None:
     for first in range(0, rows, block_rows):
         cells = [column[first:first + block_rows] for column in columns]
         count = len(cells[0])
-        block, exact = matrix[:count], np.ones(count, bool)
-        with np.errstate(invalid="ignore"):  # a float32 signaling nan; it goes through `%`
-            for j, cell in enumerate(cells):
-                values[:count, j] = cell
-                if cell.dtype.kind == "i":  # exact as a double below 2^53
-                    exact &= (cell > -2**53) & (cell < 2**53)
-        bad = _float_cells(values[:count], block[:, :, :-1], work, flags) | ~exact
+        block = matrix[:count]
+        floats, unproven = [], None  # the columns of the float route; rows for `%`
+        for j, cell in enumerate(cells):
+            if cell.dtype.kind == "i":
+                low, high = cell.min(), cell.max()
+                if 0 <= low and high <= 9:  # one digit byte per cell
+                    digits = block[:, j, :-1].view("<u8")
+                    np.add(cell, ord("0"), out=digits[:, 0], casting="unsafe")
+                    digits[:, 1:] = 0
+                    continue
+                if low <= -2**53 or high >= 2**53:  # not exact as a double
+                    wide = (cell <= -2**53) | (cell >= 2**53)
+                    unproven = wide if unproven is None else unproven | wide
+            floats.append(j)
+        if floats:
+            x = values[:count * len(floats)].reshape(count, len(floats))
+            with np.errstate(invalid="ignore"):  # a float32 signaling nan; it goes through `%`
+                for k, j in enumerate(floats):
+                    x[:, k] = cells[j]
+            # adjacent columns as a slice, which numpy writes twice as fast as a list
+            span = slice(floats[0], floats[-1] + 1)
+            cols = span if span.stop - span.start == len(floats) else floats
+            bad = _float_cells(x, block[:, :, :-1], cols, work, flags)
+            if bad is not None:
+                unproven = bad if unproven is None else unproven | bad
+        if unproven is None:
+            write_fast(block, 0, count)
+            continue
         # rows not proven exact, in runs [begin, end), go through `%`
-        edges = np.flatnonzero(np.diff(bad, prepend=False, append=False)).reshape(-1, 2)
+        edges = np.flatnonzero(np.diff(unproven, prepend=False, append=False)).reshape(-1, 2)
         done = 0
         for begin, end in edges.tolist():
             write_fast(block, done, begin)

@@ -93,8 +93,14 @@ class StatePair:
         return self.psi_i.shape[-1]
 
     def rows(self, index) -> "StatePair":
-        """The rows `index` of a stacked pair; an unstacked pair serves every row."""
-        return self if self.psi_i.ndim == 1 else StatePair(self.psi_i[index], self.psi_f[index])
+        """The rows `index` of a stacked pair; an unstacked pair serves every
+        row, and so does a stacked pair for a slice that covers all of its
+        rows.  Any other index builds, and validates, a new pair."""
+        if self.psi_i.ndim == 1:
+            return self
+        if isinstance(index, slice) and index.indices(len(self.psi_i)) == (0, len(self.psi_i), 1):
+            return self
+        return StatePair(self.psi_i[index], self.psi_f[index])
 
 
 @functools.lru_cache(maxsize=None)

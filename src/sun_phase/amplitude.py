@@ -326,7 +326,7 @@ def vortex_winding(pair: StatePair, chart: Chart, loop, max_depth: int = 14) -> 
     loop = np.asarray(loop, dtype=float)
     if loop.ndim != 2 or len(loop) < 3:
         raise DomainError("loop needs at least 3 points")
-    if not np.allclose(loop[0], loop[-1], atol=1e-12):
+    if not np.allclose(loop[0], loop[-1], rtol=0.0, atol=1e-12):
         u_first, u_last = chart.evaluate(loop[[0, -1]])
         if np.max(np.abs(u_first - u_last)) >= 1e-10:
             raise DomainError("loop is not closed (first point != last point)")

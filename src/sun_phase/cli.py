@@ -149,8 +149,10 @@ def write_csv(path: str, header: list[str], columns) -> None:
 
     Each float cell is written as `%.17g` writes it and each int cell as
     `%d` does, byte for byte, CSV_BLOCK_ROWS rows at a time.  A block is
-    formatted in numpy (`_csvformat`), an int cell below 2^53 as the
-    float of the same value: with k = floor(log10 |x|) exact,
+    formatted in numpy (`_csvformat`).  An int column whose cells in the
+    block are all 0..9 is written as one digit byte per cell; any other
+    int cell below 2^53 is written as the float of the same value: with
+    k = floor(log10 |x|) exact,
     the 17 significant digits D are |x| 10^(16-k) rounded to an integer,
     formed as a double-double p + t (Dekker's exact product with the
     leading part of 10^(16-k), plus the trailing part) whose absolute
@@ -161,7 +163,8 @@ def write_csv(path: str, header: list[str], columns) -> None:
     A row with such a near-tie, a nan or infinite cell, a nonzero
     |x| outside [1e-270, 1e271) or an int with |v| >= 2^53 is written by
     the `%` template instead: of the cells `superosc` and `su2-demo`
-    write, only the nan of an undefined omega is expected to be one.
+    write, only the nan of an undefined omega is expected to be one.  A
+    block with no such row is written in one piece.
 
     A column of another dtype kind raises KeyError, and columns whose
     count or lengths do not match the header raise ValueError.

@@ -167,7 +167,9 @@ def _trace_block(constants, phases: np.ndarray):
     <f|U|i> and <f|U l|i> are that row against |i> and l|i>, which are
     formed in the original basis, independent of the Fourier sum over the
     spectrum.  omega = Re[<f|U l|i> / <f|U|i>] where |<f|U|i>|^2 >= P_TRACE
-    and NaN elsewhere.
+    and NaN elsewhere.  A block defined at every sample takes the quotient
+    of the whole block, with no masking: the same values, since the
+    quotient works element by element.
 
     Each sample's value does not depend on the other times in the block:
     einsum sums every row in the same order for any row count, whereas
@@ -178,6 +180,8 @@ def _trace_block(constants, phases: np.ndarray):
     rows = np.einsum("sk,kj->sj", bra_v * phases, vh)
     amp, num = np.einsum("sj,jc->cs", rows, kets)
     defined = np.abs(amp) ** 2 >= P_TRACE
+    if defined.all():
+        return amp, _quotient_real(num, amp), defined
     omega = np.full(len(phases), np.nan)
     omega[defined] = _quotient_real(num[defined], amp[defined])
     return amp, omega, defined

@@ -329,6 +329,26 @@ class TestStatePair:
         for n in (2, 3, 4):
             assert abs(np.linalg.norm(haar_state(n, rng)) - 1.0) < 1e-12
 
+    def test_rows_covering_a_stack_return_the_pair(self):
+        # a slice over every row, also one that reaches past the end, is
+        # the pair itself, not a copy validated again
+        rng = np.random.default_rng(4)
+        stack = np.array([haar_state(3, rng) for _ in range(10)])
+        pair = StatePair(stack, stack[::-1].copy())
+        for k in (0, 1, 5):
+            assert pair.rows(slice(0, 10 + k)) is pair
+        assert pair.rows(slice(None)) is pair
+
+    def test_rows_of_part_of_a_stack_are_a_new_pair(self):
+        rng = np.random.default_rng(5)
+        stack = np.array([haar_state(3, rng) for _ in range(10)])
+        pair = StatePair(stack, stack[::-1].copy())
+        for index in (slice(2, 7), slice(0, 9), slice(None, None, -1), np.arange(10), 3):
+            part = pair.rows(index)
+            assert part is not pair
+            assert np.array_equal(part.psi_i, pair.psi_i[index])
+            assert np.array_equal(part.psi_f, pair.psi_f[index])
+
 
 NAN = float("nan")
 NAN_MATRIX = np.full((2, 2), NAN, dtype=complex)

@@ -328,6 +328,16 @@ class TestVortexWinding:
         with pytest.raises(DomainError):
             vortex_winding(SPIN_FLIP, chart, loop)
 
+    def test_nearly_closed_loop_rejected(self):
+        # first and last coordinates 3e-6 apart are not the same point, nor
+        # the same group element: a relative tolerance must not close them
+        chart = su2_polar_chart()
+        s = np.linspace(0.0, 2 * np.pi, 65)
+        loop = np.array([[1.2 + 0.3 * np.cos(t), 1.0 + 0.3 * np.sin(t), 0.7] for t in s])
+        loop[-1, 0] += 3e-6
+        with pytest.raises(DomainError, match="not closed"):
+            vortex_winding(SPIN_FLIP, chart, loop)
+
 
 class TestMinGradientBound:
     def test_values(self):

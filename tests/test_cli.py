@@ -153,15 +153,23 @@ def rowwise_csv(header, rows):
 class TestWriteCsv:
     def test_matches_rowwise_formatter(self, tmp_path):
         special = [1.0, float("nan"), -0.0, 1e-300, 5e-324, float("inf"), -np.pi, 1 / 3, 1e22]
-        rows = 2 * CSV_BLOCK_ROWS + 3
+        rows = 4 * CSV_BLOCK_ROWS + 3
         rng = np.random.default_rng(5)
         floats = np.resize(np.array(special), rows) * np.where(rng.random(rows) < 0.5, 1.0, -1e-7)
+        # digits 0..9, except one 10 in block 1 and a -1 and 2^53 in block 2:
+        # digit blocks come before and after blocks of the float route, and
+        # every block holds nan floats, whose rows go through `%`; the 10
+        # shares its row with -pi, so the fast path writes that row
+        digits = rng.integers(0, 10, rows)
+        digits[CSV_BLOCK_ROWS + 8] = 10
+        digits[2 * CSV_BLOCK_ROWS + 3], digits[2 * CSV_BLOCK_ROWS + 11] = -1, 2**53
         columns = [
             floats,
+            digits,
             rng.integers(-10**12, 10**12, rows),
             np.float32(rng.standard_normal(rows)),
         ]
-        header = ["f", "i", "f32"]
+        header = ["f", "d", "i", "f32"]
         path = tmp_path / "c.csv"
         write_csv(str(path), header, columns)
         assert path.read_text() == rowwise_csv(header, zip(*columns))

@@ -1,7 +1,8 @@
 """The CSV formatter writes exactly the bytes of `%.17g` and `%d`.
 
 Every case compares `write_csv` with `format(float(v), ".17g")` and
-`str(int(v))` cell by cell; together they cover more than 10^6 values.
+`str(int(v))` cell by cell, or with the `%` template row by row; together
+they cover more than 10^6 values.
 """
 import io
 import math
@@ -12,7 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sun_phase import _csvformat
+from sun_phase.algebra import StatePair, build_gellmann_basis
 from sun_phase.cli import CSV_BLOCK_ROWS, main, write_csv
+from sun_phase.superosc import normalized_generator, phase_trace
 
 
 def reference(values):
@@ -113,24 +116,60 @@ def test_int64_column(tmp_path):
     assert_exact(tmp_path, values)
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.floats(width=64), min_size=1, max_size=40))
-def test_any_float_column(values):
-    column = np.array(values, dtype=np.float64)
+@st.composite
+def float_and_int_columns(draw):
+    """A float column and an int column of 0..9, some of whose cells are
+    10, -1 or 2^53, so that 4-row blocks take every route."""
+    floats = draw(st.lists(st.floats(width=64), min_size=1, max_size=40))
+    rows = len(floats)
+    ints = draw(st.lists(st.integers(0, 9), min_size=rows, max_size=rows))
+    for row, value in draw(st.lists(st.tuples(st.integers(0, rows - 1),
+                                              st.sampled_from([10, -1, 2**53])), max_size=4)):
+        ints[row] = value
+    return np.array(floats, dtype=np.float64), np.array(ints, dtype=np.int64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(float_and_int_columns())
+def test_any_float_and_int_columns(columns):
+    # the int column between two float columns: in a digit block the float
+    # cells are not adjacent
+    floats, ints = columns
+    columns = [floats, ints, floats[::-1]]
+    template = "%.17g,%d,%.17g\n"
     handle = io.BytesIO()
-    _csvformat.write_rows(handle, [column], "%.17g\n", 16)
-    assert handle.getvalue().decode().split("\n")[:-1] == reference(column)
+    _csvformat.write_rows(handle, columns, template, 4)
+    expected = "".join(template % row for row in zip(*(c.tolist() for c in columns)))
+    assert handle.getvalue().decode() == expected
+
+
+def test_flagged_trace_csv_matches_template(tmp_path):
+    # t = 0 is the first row of the second block: its omega is nan and its
+    # flag 0, in a block whose flags are all digits
+    gen = normalized_generator(build_gellmann_basis(2)[0])
+    pair = StatePair(np.array([1.0, 0.0], complex), np.array([0.0, 1.0], complex))
+    trace = phase_trace(pair, gen, (-1, 1), 2 * CSV_BLOCK_ROWS + 1)
+    assert not trace.defined[CSV_BLOCK_ROWS] and trace.defined.sum() == 2 * CSV_BLOCK_ROWS
+    columns = [trace.t, trace.amplitude.real, trace.amplitude.imag, trace.omega,
+               trace.defined.astype(np.int64)]
+    path = tmp_path / "t.csv"
+    write_csv(str(path), ["t", "re_amplitude", "im_amplitude", "omega", "defined"], columns)
+    template = "%.17g,%.17g,%.17g,%.17g,%d\n"
+    expected = "t,re_amplitude,im_amplitude,omega,defined\n" + "".join(
+        template % row for row in zip(*(c.tolist() for c in columns)))
+    assert path.read_bytes() == expected.encode()
 
 
 def test_superosc_trace_takes_the_fast_path(tmp_path, monkeypatch):
     # no row of a benchmark-sized trace may reach the `%` fallback, so a
     # broken fast path cannot hide behind it
-    unproven = []
+    unproven, widths = [], []
     format_cells = _csvformat._float_cells
 
-    def spy(*args):
-        rows = format_cells(*args)
-        unproven.append(int(rows.sum()))
+    def spy(x, *args):
+        widths.append(x.shape[1])
+        rows = format_cells(x, *args)
+        unproven.append(0 if rows is None else int(rows.sum()))
         return rows
 
     monkeypatch.setattr(_csvformat, "_float_cells", spy)
@@ -139,3 +178,5 @@ def test_superosc_trace_takes_the_fast_path(tmp_path, monkeypatch):
     assert main(argv) == 0
     assert len(unproven) == math.ceil(15000 / CSV_BLOCK_ROWS)
     assert sum(unproven) == 0
+    # the 0/1 `defined` column is written as digits, never as floats
+    assert set(widths) == {4}
