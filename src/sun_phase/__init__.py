@@ -1,7 +1,7 @@
 """Numerical toolkit for phase/modulus gradient identities of SU(n)
 transition amplitudes in the defining representation.
 
-Builds generator bases and group-manifold charts, extracts
+Builds the su(n) generator stack and group-manifold charts, extracts
 left-invariant frames and the bi-invariant metric, decomposes
 amplitudes into modulus and phase, and verifies the exact identities
 tying their gradients together, on the full group and on ray-space
@@ -12,13 +12,11 @@ superoscillatory phase behavior of one-parameter subgroups.
 __version__ = "0.1.0"
 
 from .algebra import (
-    GeneratorBasis,
     StatePair,
     build_gellmann_basis,
     completeness_residual,
     expm_generator,
     haar_state,
-    killing_inner,
     random_hermitian,
 )
 from .amplitude import (
@@ -76,13 +74,11 @@ from .superosc import (
 
 __all__ = [
     "__version__",
-    "GeneratorBasis",
     "StatePair",
     "build_gellmann_basis",
     "completeness_residual",
     "expm_generator",
     "haar_state",
-    "killing_inner",
     "random_hermitian",
     "PhaseGradient",
     "PolarAmplitude",

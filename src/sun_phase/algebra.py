@@ -1,10 +1,10 @@
 """Complex matrix core and su(n) Lie-algebra structure.
 
-Generator bases in the defining representation, normalized so that
-Tr(g_a g_b) = 2 delta_ab, together with the trace inner product they
-induce, the completeness identity on the fundamental representation,
-and one-parameter unitary subgroups built from a Hermitian
-eigendecomposition.
+The su(n) generators of the defining representation, normalized so
+that Tr(g_a g_b) = 2 delta_ab and stacked as one read-only (n^2 - 1, n, n)
+array, together with the completeness identity on the fundamental
+representation and one-parameter unitary subgroups built from a
+Hermitian eigendecomposition.
 """
 from __future__ import annotations
 
@@ -31,32 +31,6 @@ def _check_square(a: np.ndarray, name: str = "matrix") -> int:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ShapeError(f"{name} must be square, got shape {a.shape}")
     return a.shape[0]
-
-
-@dataclass(frozen=True)
-class GeneratorBasis:
-    """Ordered basis of the n^2 - 1 traceless Hermitian generators of su(n).
-
-    `matrices` is stacked with shape (n^2 - 1, n, n); the ordering is fixed
-    (symmetric pair type, then antisymmetric pair type, then diagonal) so
-    that callers can index generators deterministically.
-    """
-
-    n: int
-    matrices: np.ndarray
-
-    def __len__(self) -> int:
-        return self.matrices.shape[0]
-
-    def __getitem__(self, a: int) -> np.ndarray:
-        return self.matrices[a]
-
-    def __iter__(self):
-        return iter(self.matrices)
-
-    @property
-    def dim_algebra(self) -> int:
-        return self.n * self.n - 1
 
 
 @dataclass(frozen=True)
@@ -104,14 +78,15 @@ class StatePair:
 
 
 @functools.lru_cache(maxsize=None)
-def build_gellmann_basis(n: int) -> GeneratorBasis:
-    """Generalized Gell-Mann generators of su(n), Tr(g_a g_b) = 2 delta_ab.
+def build_gellmann_basis(n: int) -> np.ndarray:
+    """Generalized Gell-Mann generators of su(n), Tr(g_a g_b) = 2 delta_ab,
+    stacked with shape (n^2 - 1, n, n).
 
     Ordering: symmetric off-diagonal pairs E_jk + E_kj by (j, k)
     lexicographic, then antisymmetric pairs -i E_jk + i E_kj, then the
     n - 1 diagonal generators.  For n = 2 this yields the Pauli matrices
     (sigma_x, sigma_y, sigma_z).  Built once per n and shared, so
-    `matrices` is read-only.
+    the stack is read-only.
     """
     if n < 2:
         raise DimensionError(f"group dimension must be >= 2, got {n}")
@@ -134,40 +109,21 @@ def build_gellmann_basis(n: int) -> GeneratorBasis:
             d[j, j] = 1.0
         d[l, l] = -float(l)
         gens.append(d * np.sqrt(2.0 / (l * (l + 1))))
-    matrices = np.array(gens)
-    matrices.flags.writeable = False
-    return GeneratorBasis(n=n, matrices=matrices)
+    basis = np.array(gens)
+    basis.flags.writeable = False
+    return basis
 
 
-def killing_inner(a: np.ndarray, b: np.ndarray) -> float:
-    """Trace inner product (1/2) Re Tr(ab).
-
-    On Hermitian operands the trace is real; a significant imaginary part
-    indicates corrupted inputs and raises.
-    """
-    na = _check_square(a, "a")
-    nb = _check_square(b, "b")
-    if na != nb:
-        raise ShapeError(f"dimension mismatch: {na} vs {nb}")
-    t = np.trace(a @ b)
-    hermitian = max(np.max(np.abs(m - dagger(m))) for m in (a, b)) < ATOL_CONSTRUCTION
-    if hermitian and abs(t.imag) >= ATOL_CONSTRUCTION:
-        raise InternalConsistencyError(
-            f"trace of Hermitian product has imaginary part {t.imag:.3e}"
-        )
-    return 0.5 * t.real
-
-
-def completeness_residual(x: np.ndarray, y: np.ndarray, basis: GeneratorBasis) -> float:
+def completeness_residual(x: np.ndarray, y: np.ndarray, basis: np.ndarray) -> float:
     """Residual of the fundamental-representation completeness identity.
 
     |(1/2) sum_a Tr(x g_a y g_a)  -  (Tr x Tr y - Tr(xy)/n)|
 
-    Vanishes identically for an exactly orthonormal basis; the returned
-    size measures basis quality.
+    summed over the generators `basis` (m, n, n).  Vanishes identically for
+    an exactly orthonormal basis; the returned size measures basis quality.
     """
     n = _check_square(x, "x")
-    if _check_square(y, "y") != n or basis.n != n:
+    if _check_square(y, "y") != n or basis.shape[-1] != n:
         raise ShapeError("x, y and basis must share one dimension")
     lhs = 0.5 * sum(np.trace(x @ g @ y @ g) for g in basis)
     rhs = np.trace(x) * np.trace(y) - np.trace(x @ y) / n

@@ -55,20 +55,22 @@ def min_gradient_bound(n: int) -> float:
 class PolarAmplitude:
     """Amplitude value with modulus-squared p and principal phase eta.
 
-    `phase_defined` is False when p is too small for the phase to carry
-    meaning; eta is then reported as 0.  Stacked matrices give arrays.
+    `phase_defined` is False when p is below P_MIN, too small for the
+    phase to carry meaning; eta is then reported as 0.  Stacked matrices
+    give arrays.
     """
 
     value: complex
     p: float
     eta: float
-    phase_defined: bool
+
+    @property
+    def phase_defined(self):
+        return self.p >= P_MIN
 
     def rows(self, index) -> "PolarAmplitude":
         """The rows `index` of a stacked amplitude."""
-        return PolarAmplitude(
-            self.value[index], self.p[index], self.eta[index], self.phase_defined[index]
-        )
+        return PolarAmplitude(self.value[index], self.p[index], self.eta[index])
 
 
 def polar_amplitude(pair: StatePair, u: np.ndarray) -> PolarAmplitude:
@@ -96,9 +98,8 @@ def _polar(pair: StatePair, u: np.ndarray) -> PolarAmplitude:
     p = np.hypot(value.real, value.imag) ** 2  # as Python's complex abs (np.abs differs)
     if (p > 1.0 + P_MIN).any():
         raise InternalConsistencyError(f"modulus squared {np.max(p)} exceeds 1")
-    defined = p >= P_MIN
-    eta = np.where(defined, np.angle(value), 0.0)
-    return PolarAmplitude(value=value, p=p, eta=eta, phase_defined=defined)
+    eta = np.where(p >= P_MIN, np.angle(value), 0.0)
+    return PolarAmplitude(value=value, p=p, eta=eta)
 
 
 # the fields of PhaseGradient computed from the frame, after n, p and eta

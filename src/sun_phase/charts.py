@@ -2,7 +2,8 @@
 
 A chart maps real coordinates x to a special unitary matrix U(x).  From
 the partial derivatives of the map we extract the left-invariant frame
-(the coefficient forms of U^dag dU over a generator basis) and the
+(the coefficient forms of U^dag dU over the chart's generator stack
+(m, n, n), which alone fixes n and the m coordinates) and the
 bi-invariant metric g_uv = (1/2) Tr(dU dU^dag), for which the frame acts
 as a vielbein.
 
@@ -33,13 +34,12 @@ Every guard on a chart's value, frame and metric is written
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
 
 from .algebra import (
-    GeneratorBasis,
     build_gellmann_basis,
     dagger,
     expm_generator,
@@ -60,25 +60,33 @@ BLOCK_ENTRIES = 2**16  # matrix entries of dU (rows x m x n x n) per evaluated b
 
 @dataclass(frozen=True)
 class Chart:
-    """A coordinate patch x -> U(x) with an attached generator basis.
+    """A coordinate patch x -> U(x) with an attached generator stack.
 
-    `algebra` stacks the generators used to expand U^dag dU; its order
-    fixes the frame index.  `sample_box` is a conservative per-coordinate
-    box inside the domain, used by sweep drivers; `contains` describes
-    the true (possibly non-box) domain.  The functions take coordinates of
-    shape (..., dim_m); `map_fn` gives U(x) and `map_partials_fn` gives U(x)
+    `algebra` stacks the generators (dim_m, n, n) used to expand U^dag dU;
+    its order fixes the frame index, and its shape fixes the matrix size
+    `n` and the number of coordinates `dim_m`, which are read off it.
+    `sample_box` is a conservative per-coordinate box inside the domain,
+    used by sweep drivers; `contains` describes the true (possibly
+    non-box) domain.  The functions take coordinates of shape
+    (..., dim_m); `map_fn` gives U(x) and `map_partials_fn` gives U(x)
     together with the exact partials dU/dx_mu, stacked with shape
     (..., dim_m, n, n), from one shared evaluation.
     """
 
     label: str
-    n: int
-    dim_m: int
     algebra: np.ndarray
     sample_box: np.ndarray
     map_fn: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     contains_fn: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     map_partials_fn: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] = field(repr=False)
+
+    @property
+    def n(self) -> int:
+        return self.algebra.shape[-1]
+
+    @property
+    def dim_m(self) -> int:
+        return len(self.algebra)
 
     def block_rows(self) -> int:
         """Points per stacked evaluation: about BLOCK_ENTRIES entries of dU."""
@@ -134,32 +142,30 @@ class MetricAtPoint:
     g_inv: np.ndarray
 
 
-def exp_chart(basis: GeneratorBasis) -> Chart:
-    """Exponential chart U(x) = exp(i x^a g_a) on the ball |x| < pi/2.
+def exp_chart(basis: np.ndarray) -> Chart:
+    """Exponential chart U(x) = exp(i x^a g_a) on the ball |x| < pi/2, over
+    a generator stack basis (m, n, n) such as `build_gellmann_basis(n)`.
 
     The conservative radius keeps the frame far from degeneracy for
     every n.  The exact Daleckii-Krein derivative of exp(iH) is attached
     (`algebra.expm_partials`).
     """
-    m = basis.dim_algebra
+    m = len(basis)
     radius = np.pi / 2
     box_half = radius * (1.0 - CHART_MARGIN) / np.sqrt(m)
-    stacked = basis.matrices
 
     def _map(x: np.ndarray) -> np.ndarray:
-        return expm_generator(generator_sum(x, stacked))
+        return expm_generator(generator_sum(x, basis))
 
     def _map_partials(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return expm_partials(x, stacked)
+        return expm_partials(x, basis)
 
     def _contains(x: np.ndarray) -> np.ndarray:
         return np.linalg.norm(x, axis=-1) < radius
 
     return Chart(
         label="exp",
-        n=basis.n,
-        dim_m=m,
-        algebra=stacked,
+        algebra=basis,
         sample_box=np.array([[-box_half, box_half]] * m),
         map_fn=_map,
         contains_fn=_contains,
@@ -175,8 +181,7 @@ def su2_polar_chart() -> Chart:
     {0, pi}) are metric-degenerate and excluded.  Closed-form partial
     derivatives are attached.
     """
-    basis = build_gellmann_basis(2)
-    sigma = basis.matrices
+    sigma = build_gellmann_basis(2)
     eye = np.eye(2, dtype=complex)
     margin = CHART_MARGIN
 
@@ -210,8 +215,6 @@ def su2_polar_chart() -> Chart:
 
     return Chart(
         label="su2-polar",
-        n=2,
-        dim_m=3,
         algebra=sigma,
         sample_box=np.array(
             [[margin, np.pi - margin], [margin, np.pi - margin], [0.0, 2 * np.pi]]
@@ -240,14 +243,10 @@ def left_translate(chart: Chart, v: np.ndarray) -> Chart:
         both = v @ np.concatenate([u[..., None, :, :], du], axis=-3)  # one product
         return both[..., 0, :, :], both[..., 1:, :, :]
 
-    return Chart(
+    return replace(
+        chart,
         label=chart.label + "+left",
-        n=chart.n,
-        dim_m=chart.dim_m,
-        algebra=chart.algebra,
-        sample_box=chart.sample_box,
         map_fn=lambda x: v @ old_map(x),
-        contains_fn=chart.contains_fn,
         map_partials_fn=_map_partials,
     )
 
@@ -271,7 +270,7 @@ def fd_partials(chart: Chart, x) -> tuple[np.ndarray, np.ndarray]:
 def left_invariant_frame(chart: Chart, x, u: np.ndarray, du: np.ndarray) -> FrameAtPoint:
     """Extract omega[a, mu] from U^dag dU = i omega^a g_a at x, given the
     value u and the partials du of the chart there, and invert it.  Runs
-    the guards of `frame_coefficients` over the chart's generator basis and
+    the guards of `frame_coefficients` over the chart's generator stack and
     those of `frame_dual`; a singular omega raises ChartDegenerateError.
     """
     x = np.asarray(x, dtype=float)

@@ -76,7 +76,7 @@ from .coset import (
 )
 from .errors import DomainError, SunPhaseError
 from .superosc import aligned_generator, superoscillation_report
-from .tolerances import CHECK_GATES
+from .tolerances import CHECK_GATES, P_BRIDGE
 
 SCHEMA = "sun-phase/1"
 
@@ -236,7 +236,7 @@ def resolve_chart(args) -> Chart:
             raise ConfigError("chart 'su2-polar' requires --n 2")
         return su2_polar_chart()
     e_0 = np.eye(args.n, dtype=complex)[0]
-    return full_cartan_chart(build_cartan_frame(e_0, build_gellmann_basis(args.n)))
+    return full_cartan_chart(build_cartan_frame(e_0))
 
 
 def _scaled_box(lo, hi, scale: float, of: str):
@@ -424,7 +424,7 @@ def run_ray_sweep(args) -> int:
     _check_addressable("--bridge-points", bridge_points, 48 * bridge_points)  # six columns
     rng = np.random.default_rng(args.seed)
     pair = resolve_pair(args, rng)
-    frame = build_cartan_frame(pair.psi_i, build_gellmann_basis(args.n))
+    frame = build_cartan_frame(pair.psi_i)
     step = frame.chart.block_rows()  # the chart every section of the sweep reuses
 
     m = frame.dim_coset
@@ -491,7 +491,7 @@ def run_ray_sweep(args) -> int:
         while done < bridge_points and attempts < 4 * bridge_points:
             count = min(bridge_points - done, 4 * bridge_points - attempts, step)
             attempts += count
-            point, _ = kept_section(draw(count, y_half), P_SKIP)
+            point, _ = kept_section(draw(count, y_half), P_BRIDGE)  # the bridge's floor
             result = bridge_residuals(pair, point)
             columns[:, done:done + len(point.y)] = (
                 result.residual_phase,

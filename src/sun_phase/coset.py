@@ -1,10 +1,10 @@
 """Cartan split of su(n) adapted to a reference state, and ray-space geometry.
 
-Fixing a unit vector psi_i splits the algebra into a U(1) direction
-(lambda0, the traceless projector combination with a definite eigenvalue
-on psi_i), an su(n-1) isotropy block acting on the orthogonal
-complement, and 2(n-1) coset directions pairing psi_i with the
-complement.  The full Cartan chart U = K(y) H_s(xi_s) exp(i lambda0 xi0)
+Fixing a unit vector psi_i in C^n, whose length alone fixes n, splits
+the algebra into a U(1) direction (lambda0, the traceless projector
+combination with a definite eigenvalue on psi_i), an su(n-1) isotropy
+block acting on the orthogonal complement, and 2(n-1) coset directions
+pairing psi_i with the complement.  The full Cartan chart U = K(y) H_s(xi_s) exp(i lambda0 xi0)
 has the section of states psi(y) = U(y, 0, 0) psi_i = K(y) psi_i as its
 slice.  `section(frame, y)` evaluates that slice once, at one point y or
 a stack (N, 2(n-1)), from the coset factor alone: K(y) and dK/dy from one
@@ -33,7 +33,6 @@ from functools import cached_property
 import numpy as np
 
 from .algebra import (
-    GeneratorBasis,
     StatePair,
     _row_dot,
     _row_norm,
@@ -56,6 +55,7 @@ from .charts import (
     vielbein_inverse,
 )
 from .errors import (
+    DimensionError,
     DomainError,
     InternalConsistencyError,
     NearZeroAmplitudeError,
@@ -66,6 +66,7 @@ from .tolerances import (
     ATOL_CONSTRUCTION,
     ATOL_FD_MATCH,
     CHART_MARGIN,
+    P_BRIDGE,
     P_GRAD,
 )
 
@@ -82,15 +83,18 @@ class CartanFrame:
     `coset` stacks the off-block generators X_1..X_{n-1}, Y_1..Y_{n-1};
     `iso` stacks the embedded su(n-1) block (empty for n = 2);
     `complement` holds the n-1 orthonormal vectors spanning the
-    complement of psi_i, one per row.
+    complement of psi_i, one per row.  `n` is read off psi_i.
     """
 
-    n: int
     psi_i: np.ndarray
     lambda0: np.ndarray
     coset: np.ndarray
     iso: np.ndarray
     complement: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return self.psi_i.shape[-1]
 
     @property
     def dim_coset(self) -> int:
@@ -194,7 +198,7 @@ def _reference_pair(pair: StatePair) -> StatePair:
     return StatePair(e_0, (dagger(w) @ pair.psi_f[..., :, None])[..., 0])
 
 
-def build_cartan_frame(psi_i, basis: GeneratorBasis) -> CartanFrame:
+def build_cartan_frame(psi_i) -> CartanFrame:
     """Adapted generator frame splitting su(n) around the ray of psi_i.
 
     lambda0 = sqrt(2/(n(n-1))) (1 - n |psi><psi|), normalized to
@@ -202,12 +206,15 @@ def build_cartan_frame(psi_i, basis: GeneratorBasis) -> CartanFrame:
     coset generators |psi><k| + |k><psi| and -i|psi><k| + i|k><psi|;
     isotropy block the generalized Gell-Mann basis of the complement.
     All pairwise trace-orthogonality relations are verified on exit.
-    psi_i is one state (n,); a stack raises ShapeError.
+    psi_i is one state (n,): ShapeError for any other number of axes,
+    DimensionError for n < 2, DomainError unless it has unit norm.
     """
     psi_i = np.asarray(psi_i, dtype=complex)
-    n = basis.n
-    if psi_i.shape != (n,):
-        raise ShapeError(f"a reference state needs shape ({n},), got {psi_i.shape}")
+    if psi_i.ndim != 1:
+        raise ShapeError(f"a reference state needs shape (n,), got {psi_i.shape}")
+    n = len(psi_i)
+    if n < 2:
+        raise DimensionError(f"a reference state needs dimension >= 2, got {n}")
     if not abs(np.linalg.norm(psi_i) - 1.0) < ATOL_CONSTRUCTION:
         raise DomainError("reference state is not unit-norm")
 
@@ -223,10 +230,10 @@ def build_cartan_frame(psi_i, basis: GeneratorBasis) -> CartanFrame:
         iso = np.zeros((0, n, n), dtype=complex)
     else:
         w = complement.T[None, :, :]  # columns are the |k>
-        iso = w @ build_gellmann_basis(n - 1).matrices @ dagger(w)
+        iso = w @ build_gellmann_basis(n - 1) @ dagger(w)
 
     frame = CartanFrame(
-        n=n, psi_i=psi_i, lambda0=lambda0, coset=coset, iso=iso, complement=complement
+        psi_i=psi_i, lambda0=lambda0, coset=coset, iso=iso, complement=complement
     )
     _validate_frame(frame)
     return frame
@@ -475,7 +482,6 @@ def full_cartan_chart(frame: CartanFrame) -> Chart:
     is exactly 1 in every row of a stack, and is then left out of the
     products.  The sample box and the domain depend only on n.
     """
-    n = frame.n
     m_coset, m_iso = frame.dim_coset, frame.dim_iso
     m = m_coset + m_iso + 1
 
@@ -505,8 +511,6 @@ def full_cartan_chart(frame: CartanFrame) -> Chart:
 
     return Chart(
         label="cartan",
-        n=n,
-        dim_m=m,
         algebra=frame.stacked(),
         sample_box=box,
         map_fn=_map,
@@ -619,11 +623,12 @@ def bridge_residuals(pair: StatePair, point: SectionPoint) -> BridgeResult:
     with D eta = d eta + sqrt(2(n-1)/n) u1 (equal to d eta - A).  Both
     sides use exact derivatives of the point's full chart at x = (y, 0, 0):
     its frame route on the group side, from the section's partials and
-    frame, and the section's geometry on the ray side; tolerance 1e-4.  A
-    stack raises the error of its first failing row.
+    frame, and the section's geometry on the ray side; tolerance 1e-4.
+    NearZeroAmplitudeError below p = P_BRIDGE.  A stack raises the error of
+    its first failing row.
     """
     p0, d_eta_y, _, d_p_y = _section_amplitude(pair, point)
-    if np.min(p0, initial=np.inf) < 1e-6:
+    if np.min(p0, initial=np.inf) < P_BRIDGE:
         raise NearZeroAmplitudeError(f"amplitude p = {np.min(p0):.3e} too small")
     u = point.kmat
     try:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import GeneratorBasis, StatePair, dagger
+from .algebra import StatePair, dagger
 from .amplitude import min_gradient_bound
 from .errors import (
     DomainError,
@@ -74,16 +74,16 @@ def normalized_generator(matrix: np.ndarray) -> NormalizedGenerator:
     return NormalizedGenerator(matrix=matrix, eigenvalues=w, eigenvectors=v)
 
 
-def aligned_generator(pair: StatePair, basis: GeneratorBasis) -> NormalizedGenerator:
+def aligned_generator(pair: StatePair, basis: np.ndarray) -> NormalizedGenerator:
     """Unit generator along the phase gradient at the identity.
 
-    Components Re[<psi_f|g_a|psi_i> / <psi_f|psi_i>], normalized in the
-    trace inner product.  Undefined for (near-)orthogonal pairs; for
-    non-orthogonal pairs the direction can never vanish, since its
-    squared length is the squared phase gradient at the identity, which
-    is bounded below.
+    Components Re[<psi_f|g_a|psi_i> / <psi_f|psi_i>] over the generators
+    basis (n^2 - 1, n, n), normalized so that (1/2) Tr l^2 = 1.  Undefined
+    for (near-)orthogonal pairs; for non-orthogonal pairs the direction
+    can never vanish, since its squared length is the squared phase
+    gradient at the identity, which is bounded below.
     """
-    if pair.n != basis.n:
+    if pair.n != basis.shape[-1]:
         raise ShapeError("state pair and basis dimensions differ")
     overlap = complex(pair.psi_f.conj() @ pair.psi_i)
     if abs(overlap) ** 2 < P_OVERLAP:
@@ -91,16 +91,14 @@ def aligned_generator(pair: StatePair, basis: GeneratorBasis) -> NormalizedGener
             "states are orthogonal; the gradient direction at the identity "
             "is undefined"
         )
-    components = np.einsum(
-        "i,aij,j->a", pair.psi_f.conj(), basis.matrices, pair.psi_i
-    )
+    components = np.einsum("i,aij,j->a", pair.psi_f.conj(), basis, pair.psi_i)
     direction = (components / overlap).real
     norm = np.linalg.norm(direction)
     if norm < 1e-10:
         raise InternalConsistencyError(
             "gradient direction vanished for a non-orthogonal pair"
         )
-    matrix = np.einsum("a,aij->ij", direction / norm, basis.matrices)
+    matrix = np.einsum("a,aij->ij", direction / norm, basis)
     return normalized_generator(matrix)
 
 

@@ -16,6 +16,7 @@ FD_STEP = 1e-5             # central-difference step (coordinates are O(1) angle
 
 P_MIN = 1e-12              # below this the phase of an amplitude is undefined
 P_GRAD = 1e-8              # below this the gradient formulas are ill-conditioned
+P_BRIDGE = 1e-6            # below this coset.bridge_residuals refuses a section point
 
 CHART_MARGIN = 1e-3        # margin kept from chart-singular loci
 

@@ -223,7 +223,7 @@ class TestCriterion7CartanFrame:
         worst_gram = 0.0
         for n in (2, 3, 4):
             rng = np.random.default_rng(7000 + n)
-            frame = build_cartan_frame(haar_state(n, rng), build_gellmann_basis(n))
+            frame = build_cartan_frame(haar_state(n, rng))
             target = u1_eigenvalue(n)
             worst_eig = max(
                 worst_eig,
@@ -246,7 +246,7 @@ class TestCriterion7CartanFrame:
         worst = 0.0
         for n in (2, 3):
             rng = np.random.default_rng(7100 + n)
-            frame = build_cartan_frame(haar_state(n, rng), build_gellmann_basis(n))
+            frame = build_cartan_frame(haar_state(n, rng))
             pair = StatePair(frame.psi_i, haar_state(n, rng))
             for _ in range(100):
                 y = rng.uniform(-0.6, 0.6, frame.dim_coset)
@@ -266,7 +266,7 @@ def _section_sweep(n, points=100):
     # usable section points follow the ray-sweep driver rule (p > 1e-4:
     # the residuals' rounding error scales as 1/p)
     rng = np.random.default_rng(8000 + n)
-    frame = build_cartan_frame(haar_state(n, rng), build_gellmann_basis(n))
+    frame = build_cartan_frame(haar_state(n, rng))
     pair = StatePair(frame.psi_i, haar_state(n, rng))
     half = 0.62 * (np.pi / 2) / np.sqrt(frame.dim_coset)
     ys = []

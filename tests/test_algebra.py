@@ -13,7 +13,6 @@ from sun_phase.algebra import (
     expm_partials,
     generator_sum,
     haar_state,
-    killing_inner,
     random_hermitian,
 )
 from sun_phase.amplitude import polar_amplitude
@@ -62,10 +61,8 @@ class TestGellmannBasis:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_orthonormal_trace_pairing(self, n):
         basis = build_gellmann_basis(n)
-        for a, ga in enumerate(basis):
-            for b, gb in enumerate(basis):
-                expected = 1.0 if a == b else 0.0
-                assert abs(killing_inner(ga, gb) - expected) < 1e-12
+        gram = 0.5 * np.einsum("aij,bji->ab", basis, basis)  # (1/2) Tr(g_a g_b), real
+        assert np.max(np.abs(gram - np.eye(len(basis)))) < 1e-12
 
     def test_invalid_dimension(self):
         with pytest.raises(DimensionError):
@@ -73,27 +70,14 @@ class TestGellmannBasis:
 
     def test_shared_per_n_and_read_only(self):
         basis = build_gellmann_basis(3)
+        assert isinstance(basis, np.ndarray) and basis.shape == (8, 3, 3)
+        assert not basis.flags.writeable
         assert build_gellmann_basis(3) is basis
         with pytest.raises(ValueError):
-            basis.matrices[0, 0, 1] = 2.0
+            basis[0, 0, 1] = 2.0
         with pytest.raises(ValueError):
             basis[0][0, 1] = 2.0
         assert basis[0][0, 1] == 1.0
-
-
-class TestKillingInner:
-    def test_first_generators(self):
-        basis = build_gellmann_basis(3)
-        assert killing_inner(basis[0], basis[0]) == pytest.approx(1.0, abs=1e-12)
-        assert killing_inner(basis[0], basis[1]) == pytest.approx(0.0, abs=1e-12)
-
-    def test_identity_with_itself(self):
-        eye = np.eye(3, dtype=complex)
-        assert killing_inner(eye, eye) == pytest.approx(1.5, abs=1e-14)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            killing_inner(np.eye(2, dtype=complex), np.eye(3, dtype=complex))
 
 
 class TestCompleteness:
@@ -214,21 +198,21 @@ def hermitian_with_gap(n, gap, rng):
 class TestExpmPartials:
     def test_origin_gives_generators(self):
         basis = build_gellmann_basis(3)
-        u, du = expm_partials(np.zeros(8), basis.matrices)
+        u, du = expm_partials(np.zeros(8), basis)
         np.testing.assert_allclose(u, np.eye(3), atol=1e-15)
-        np.testing.assert_allclose(du, 1j * basis.matrices, atol=1e-15)
+        np.testing.assert_allclose(du, 1j * basis, atol=1e-15)
 
     def test_value_matches_expm_generator(self):
         basis = build_gellmann_basis(4)
         x = np.random.default_rng(9).uniform(-0.3, 0.3, 15)
-        u, _ = expm_partials(x, basis.matrices)
-        h = np.einsum("a,aij->ij", x, basis.matrices)
+        u, _ = expm_partials(x, basis)
+        h = np.einsum("a,aij->ij", x, basis)
         np.testing.assert_array_equal(u, expm_generator(h))
 
     def test_coefficient_count_checked(self):
         with pytest.raises(ShapeError):
-            expm_partials(np.zeros(2), build_gellmann_basis(2).matrices)
-        gens = build_gellmann_basis(3).matrices
+            expm_partials(np.zeros(2), build_gellmann_basis(2))
+        gens = build_gellmann_basis(3)
         with pytest.raises(ShapeError):  # one generator stack serves every row
             expm_partials(np.zeros((2, 8)), np.array([gens, gens]))
 
@@ -245,7 +229,7 @@ def test_expm_partials_match_frechet_oracle(n, gap, seed):
     # differentiation directions
     rng = np.random.default_rng(seed)
     h = hermitian_with_gap(n, gap, rng)
-    gens = np.concatenate([h[np.newaxis], build_gellmann_basis(n).matrices])
+    gens = np.concatenate([h[np.newaxis], build_gellmann_basis(n)])
     coeffs = np.zeros(len(gens))
     coeffs[0] = 1.0
     u, du = expm_partials(coeffs, gens)
@@ -267,11 +251,9 @@ def broadcast_partials(coeffs, gens):
 
 def generator_chart(gens):
     """The chart x -> exp(i x^a g_a) on all of R^m over generators (m, n, n)."""
-    m, n = gens.shape[-3], gens.shape[-1]
+    m = len(gens)
     return Chart(
         label="generators",
-        n=n,
-        dim_m=m,
         algebra=gens,
         sample_box=np.array([[-1.0, 1.0]] * m),
         map_fn=lambda x: expm_generator(generator_sum(x, gens)),
@@ -292,7 +274,7 @@ def test_expm_partials_match_broadcast_oracle(n, kind, rows, eps, seed):
     # the generators side by side and stacked round as the per-generator
     # products do, up to the order of BLAS sums
     rng = np.random.default_rng(seed)
-    gens = build_gellmann_basis(n).matrices
+    gens = build_gellmann_basis(n)
     m = len(gens)
     coeffs = rng.uniform(-1.0, 1.0, (rows, m)) / np.sqrt(m)
     if kind == "point":
@@ -363,7 +345,7 @@ class TestNanInputsRejected:
         "call",
         [
             pytest.param(
-                lambda: expm_partials([NAN, 0.0, 0.0], build_gellmann_basis(2).matrices),
+                lambda: expm_partials([NAN, 0.0, 0.0], build_gellmann_basis(2)),
                 id="hermitian-eigh-coefficient",
             ),
             pytest.param(lambda: expm_generator(NAN_MATRIX), id="hermitian-eigh-generator"),
@@ -376,7 +358,7 @@ class TestNanInputsRejected:
                 id="polar-amplitude-unitarity",
             ),
             pytest.param(
-                lambda: build_cartan_frame(np.array([NAN, 1.0, 0.0]), build_gellmann_basis(3)),
+                lambda: build_cartan_frame(np.array([NAN, 1.0, 0.0])),
                 id="cartan-frame-unit-norm",
             ),
             pytest.param(

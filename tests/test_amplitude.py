@@ -361,10 +361,10 @@ def stacked_chart(kind, n, rng, rows):
     if kind == "left":
         return left_translate(chart, expm_generator(random_hermitian(n, rng, traceless=True)))
     if kind == "cartan":
-        return full_cartan_chart(build_cartan_frame(haar_state(n, rng), build_gellmann_basis(n)))
+        return full_cartan_chart(build_cartan_frame(haar_state(n, rng)))
     if kind == "cartan-e0":  # the chart that serves the rotated pairs of a cartan sweep
         e_0 = np.eye(n, dtype=complex)[0]
-        return full_cartan_chart(build_cartan_frame(e_0, build_gellmann_basis(n)))
+        return full_cartan_chart(build_cartan_frame(e_0))
     return chart
 
 
@@ -473,7 +473,7 @@ class TestStackedGuards:
         states = np.array([PLUS, haar_state(2, rng), haar_state(2, rng)])
         finals = np.array([MINUS, haar_state(2, rng), haar_state(2, rng)])
         pair = _reference_pair(StatePair(states, finals))
-        chart = full_cartan_chart(build_cartan_frame(PLUS, build_gellmann_basis(2)))
+        chart = full_cartan_chart(build_cartan_frame(PLUS))
         xs = np.array([self.LOW, self.KEPT, self.OTHER])
         grad = phase_gradient(pair, chart, xs)
         assert grad.p[0] < P_GRAD and np.isnan(grad.phase_grad_sq[0])
@@ -481,7 +481,7 @@ class TestStackedGuards:
             # the other rows keep what one point gives, bit for bit, and what
             # the chart of their own state gives, to rounding
             alone = phase_gradient(pair.rows([k]), chart, xs[[k]])
-            own = full_cartan_chart(build_cartan_frame(states[k], build_gellmann_basis(2)))
+            own = full_cartan_chart(build_cartan_frame(states[k]))
             direct = phase_gradient(StatePair(states[k], finals[k]), own, xs[k])
             for name in GRADIENT_FIELDS:
                 np.testing.assert_array_equal(getattr(grad, name)[k], getattr(alone, name)[0])

@@ -224,6 +224,31 @@ class TestMetric:
             assert np.max(np.abs(g0 - g1)) < 1e-8
 
 
+class TestChartSizes:
+    """`Chart.n` and `Chart.dim_m` are read off the generator stack, so they
+    cannot fall out of step with it."""
+
+    def test_sizes_follow_algebra(self):
+        chart = exp_chart(build_gellmann_basis(3))
+        assert (chart.n, chart.dim_m) == (3, 8)
+        wider = dataclasses.replace(chart, algebra=build_gellmann_basis(4))
+        assert (wider.n, wider.dim_m) == (4, 15)
+        assert (su2_polar_chart().n, su2_polar_chart().dim_m) == (2, 3)
+        cartan = full_cartan_chart(build_cartan_frame(np.eye(4, dtype=complex)[0]))
+        assert (cartan.n, cartan.dim_m) == (4, 15)
+
+    @pytest.mark.parametrize("make_chart", [su2_polar_chart, lambda: exp_chart(build_gellmann_basis(3))])
+    def test_left_translate_keeps_parent_fields(self, make_chart):
+        chart = make_chart()
+        v = expm_generator(random_hermitian(chart.n, np.random.default_rng(33), traceless=True))
+        translated = left_translate(chart, v)
+        assert translated.label == chart.label + "+left"
+        assert translated.algebra is chart.algebra
+        assert translated.sample_box is chart.sample_box
+        assert translated.contains_fn is chart.contains_fn
+        assert (translated.n, translated.dim_m) == (chart.n, chart.dim_m)
+
+
 def chart_with_frame(chart, omega):
     """`chart` with its partials replaced by U(x) i omega^a g_a, so that its
     frame at every point is the given omega (m, m)."""
@@ -311,7 +336,7 @@ class TestVielbeinInverse:
         import sun_phase.coset as coset
 
         rng = np.random.default_rng(1300 + n)
-        frame = build_cartan_frame(haar_state(n, rng), build_gellmann_basis(n))
+        frame = build_cartan_frame(haar_state(n, rng))
         m, dim = frame.dim_coset, n * n - 1
         y = rng.uniform(-0.3, 0.3, m)
         fired = {True: 0, False: 0}
@@ -339,7 +364,7 @@ class TestVielbeinInverse:
     @pytest.mark.parametrize("n", range(2, 9))
     def test_fs_metric_inverse_matches_linalg_inv(self, n):
         rng = np.random.default_rng(1500 + n)
-        frame = build_cartan_frame(haar_state(n, rng), build_gellmann_basis(n))
+        frame = build_cartan_frame(haar_state(n, rng))
         lo, hi = frame.chart.sample_box[: frame.dim_coset].T
         point = section(frame, rng.uniform(lo, hi, (8, frame.dim_coset)))
         assert_inverse_close(point.fs_metric_inv, np.linalg.inv(point.fs_metric))
@@ -355,7 +380,7 @@ class TestEmptyStacks:
             su2_polar_chart,
             lambda: exp_chart(build_gellmann_basis(3)),
             lambda: full_cartan_chart(
-                build_cartan_frame(haar_state(3, np.random.default_rng(5)), build_gellmann_basis(3))
+                build_cartan_frame(haar_state(3, np.random.default_rng(5)))
             ),
         ],
     )
@@ -378,7 +403,7 @@ class TestEmptyStacks:
         assert grad.d_phase.shape == (0, m) and grad.cross.shape == (0,)
 
     def test_expm_partials(self):
-        gens = build_gellmann_basis(3).matrices
+        gens = build_gellmann_basis(3)
         u, du = expm_partials(np.empty((0, len(gens))), gens)
         assert u.shape == (0, 3, 3) and du.shape == (0, len(gens), 3, 3)
 
@@ -392,9 +417,9 @@ def chart_of_kind(kind, n, rng):
     if kind == "left":
         return left_translate(exp_chart(basis), expm_generator(random_hermitian(n, rng, True)))
     if kind == "cartan":
-        return full_cartan_chart(build_cartan_frame(haar_state(n, rng), basis))
+        return full_cartan_chart(build_cartan_frame(haar_state(n, rng)))
     if kind == "cartan-rows":
-        return full_cartan_chart(build_cartan_frame(np.eye(n, dtype=complex)[0], basis))
+        return full_cartan_chart(build_cartan_frame(np.eye(n, dtype=complex)[0]))
     return exp_chart(basis)
 
 

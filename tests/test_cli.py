@@ -348,21 +348,21 @@ class TestVerifyRay:
 
     @pytest.mark.parametrize("seed", [1, 3, 5])
     def test_bridge_rounds_draw_the_one_at_a_time_candidates(self, tmp_path, monkeypatch, seed):
-        # a high skip threshold makes rounds skip candidates and reach the
+        # a high bridge floor makes rounds skip candidates and reach the
         # 4x attempt cap (seed 1: 4 bridge points, seed 5: none); the oracle
         # draws and checks one candidate at a time
         from sun_phase import cli
-        from sun_phase.algebra import StatePair, build_gellmann_basis, haar_state
+        from sun_phase.algebra import StatePair, haar_state
         from sun_phase.coset import bridge_residuals, build_cartan_frame, coset_element, section
 
-        monkeypatch.setattr(cli, "P_SKIP", 0.5)
+        monkeypatch.setattr(cli, "P_BRIDGE", 0.5)
         argv = ["verify-ray", "--n", "3", "--points", "20", "--bridge-points", "6"]
         code, out = run_to_file(tmp_path, "r.json", argv + ["--seed", str(seed)])
         report = load(out)
 
         rng = np.random.default_rng(seed)
         pair = StatePair(haar_state(3, rng), haar_state(3, rng))
-        frame = build_cartan_frame(pair.psi_i, build_gellmann_basis(3))
+        frame = build_cartan_frame(pair.psi_i)
         rng.uniform(size=20 * (frame.dim_coset + frame.dim_iso + 1))  # the ray points
         half = (np.pi / 2) * 0.62 / np.sqrt(frame.dim_coset)
         alt = []
@@ -1252,10 +1252,9 @@ class TestSweepDraws:
 
         if chart == "su2-polar":
             return su2_polar_chart().sample_box
-        basis = build_gellmann_basis(n)
         if chart == "exp":
-            return exp_chart(basis).sample_box
-        return full_cartan_chart(build_cartan_frame(np.eye(n)[0], basis)).sample_box
+            return exp_chart(build_gellmann_basis(n)).sample_box
+        return full_cartan_chart(build_cartan_frame(np.eye(n)[0])).sample_box
 
     @classmethod
     def reference(cls, n, chart, points, seed, random_pair, scale=1.0):

@@ -5,11 +5,9 @@ from hypothesis import strategies as st
 
 from sun_phase.algebra import (
     StatePair,
-    build_gellmann_basis,
     dagger,
     expm_partials,
     haar_state,
-    killing_inner,
     random_hermitian,
 )
 from sun_phase.amplitude import phase_gradient, polar_amplitude
@@ -32,12 +30,13 @@ from sun_phase.charts import fd_partials, frame_coefficients, left_invariant_fra
 from sun_phase.errors import (
     ChartDegenerateError,
     DegenerateMetricError,
+    DimensionError,
     DomainError,
     InternalConsistencyError,
     NearZeroAmplitudeError,
     ShapeError,
 )
-from sun_phase.tolerances import ATOL_FD_MATCH, FD_STEP
+from sun_phase.tolerances import ATOL_FD_MATCH, FD_STEP, P_BRIDGE, P_GRAD
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -46,10 +45,9 @@ PLUS = np.array([1.0, 0.0], dtype=complex)
 
 
 def frame_for(n, rng=None, psi=None):
-    basis = build_gellmann_basis(n)
     if psi is None:
         psi = haar_state(n, rng)
-    return build_cartan_frame(psi, basis)
+    return build_cartan_frame(psi)
 
 
 class TestCartanFrame:
@@ -75,10 +73,8 @@ class TestCartanFrame:
         frame = frame_for(n, rng)
         stack = frame.stacked()
         assert len(stack) == n * n - 1
-        for a, ga in enumerate(stack):
-            for b, gb in enumerate(stack):
-                expected = 1.0 if a == b else 0.0
-                assert abs(killing_inner(ga, gb) - expected) < 1e-12
+        gram = 0.5 * np.einsum("aij,bji->ab", stack, stack)  # (1/2) Tr(g_a g_b), real
+        assert np.max(np.abs(gram - np.eye(n * n - 1))) < 1e-12
 
     def test_counts(self):
         rng = np.random.default_rng(5)
@@ -88,9 +84,15 @@ class TestCartanFrame:
         assert 1 + frame.dim_iso + frame.dim_coset == 15
 
     def test_rejects_unnormalized_state(self):
-        basis = build_gellmann_basis(3)
         with pytest.raises(DomainError):
-            build_cartan_frame(np.array([1.0, 1.0, 0.0], dtype=complex), basis)
+            build_cartan_frame(np.array([1.0, 1.0, 0.0], dtype=complex))
+
+    def test_rejects_short_state(self):
+        # n is read off the state, and checked before its norm
+        for short in (np.array([1.0 + 0j]), np.zeros(1), np.zeros(0)):
+            with pytest.raises(DimensionError):
+                build_cartan_frame(short)
+        assert build_cartan_frame(np.array([0.0, 1.0])).n == 2
 
 
 class TestStackedComplement:
@@ -197,14 +199,14 @@ class TestPerRowFrames:
             np.testing.assert_allclose(omega_k, omega[k], atol=1e-12)
 
     def test_bad_stacks_rejected(self):
-        basis = build_gellmann_basis(3)
         rng = np.random.default_rng(60)
-        for bad in (np.zeros((0, 3)), np.zeros(4), self.states(3, rng), self.states(4, rng),
-                    self.states(3, rng)[:1]):
-            with pytest.raises(ShapeError):  # one reference state, of dimension n
-                build_cartan_frame(bad, basis)
-        with pytest.raises(DomainError):
-            build_cartan_frame(1.1 * haar_state(3, rng), basis)
+        for bad in (np.zeros((0, 3)), self.states(3, rng), self.states(4, rng),
+                    self.states(3, rng)[:1], np.array(1.0 + 0j)):
+            with pytest.raises(ShapeError):  # one reference state, a vector
+                build_cartan_frame(bad)
+        for bad in (np.zeros(4), 1.1 * haar_state(3, rng)):
+            with pytest.raises(DomainError):  # not unit norm
+                build_cartan_frame(bad)
 
     def test_every_row_verified(self, monkeypatch):
         # the check on W, in place of the per-row frame validation: one
@@ -351,7 +353,7 @@ class TestRayRelations:
         # p = 1 there, so both squared-gradient identities read 0 = 0
         rng = np.random.default_rng(50)
         psi = haar_state(2, rng)
-        frame = build_cartan_frame(psi, build_gellmann_basis(2))
+        frame = build_cartan_frame(psi)
         res = ray_relation_residuals(StatePair(psi, psi), section(frame, np.zeros(2)))
         assert max(res) < 1e-9
 
@@ -518,11 +520,26 @@ class TestBridge:
     def test_diagonal_pair_at_origin(self):
         rng = np.random.default_rng(81)
         psi = haar_state(3, rng)
-        frame = build_cartan_frame(psi, build_gellmann_basis(3))
+        frame = build_cartan_frame(psi)
         result = bridge_residuals(StatePair(psi, psi), section(frame, np.zeros(4)))
         assert result.residual_phase < 1e-6
         assert result.residual_mixed < 1e-6
         assert result.residual_modulus < 1e-6
+
+    def test_refuses_points_below_its_floor(self):
+        # psi(0) = PLUS, so <psi_f|psi(0)> = sqrt(p); half the floor passes the
+        # section's own P_GRAD guard and is refused by the bridge alone
+        frame = frame_for(2, psi=PLUS)
+        point = section(frame, np.zeros(2))
+        for p in (0.5 * P_BRIDGE, 2.0 * P_BRIDGE):
+            pair = StatePair(PLUS, np.array([np.sqrt(p), np.sqrt(1.0 - p)], dtype=complex))
+            assert p > P_GRAD
+            ray_relation_residuals(pair, point)
+            if p < P_BRIDGE:
+                with pytest.raises(NearZeroAmplitudeError, match="too small"):
+                    bridge_residuals(pair, point)
+            else:
+                assert bridge_residuals(pair, point).residual_phase < 1e-4
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_seeded_sweep(self, n):
