@@ -5,6 +5,14 @@ grids.  Reports are byte-identical for identical configuration and
 seed: the RNG is seeded explicitly, floats are printed with 17
 significant digits, and no timestamps are recorded.
 
+`dump_report` writes a report in the layout of `json.dumps(indent=2)`,
+each float as `%.17g` (equal to `format(x, ".17g")`) writes it, and
+raises ValueError for a nan or infinity wherever it sits.  A list of
+only Python and numpy float64 values is written by one `%` template
+after one finiteness check, and the `--per-point` rows of
+`verify-group`, held as one float64 array (`PerPointTable`), by one `%`
+over the whole array.
+
 Every command evaluates stacks of points: the sweeps draw every point
 in the order of the per-point draws, then evaluate blocks of
 `Chart.block_rows()` points.  `verify-group` makes two RNG calls per
@@ -53,6 +61,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import re
 import sys
 
@@ -76,7 +85,7 @@ from .coset import (
 )
 from .errors import DomainError, SunPhaseError
 from .superosc import aligned_generator, superoscillation_report
-from .tolerances import CHECK_GATES, P_BRIDGE
+from .tolerances import CHECK_GATES, P_BRIDGE, P_SKIP, P_SKIP_RAY
 
 SCHEMA = "sun-phase/1"
 
@@ -87,11 +96,6 @@ EXIT_INCONCLUSIVE = 3
 
 CSV_BLOCK_ROWS = 1024  # CSV rows formatted and written per block
 
-P_SKIP = 1e-6      # group sweeps skip points below this squared amplitude
-P_SKIP_RAY = 1e-4  # ray sweeps: the section derivatives are exact, so the
-                   # residuals carry rounding error ~1/p only; a lower value
-                   # would admit harder points and change what a seed reports
-
 
 class ConfigError(SunPhaseError, ValueError):
     """Invalid command-line configuration."""
@@ -101,15 +105,57 @@ class ConfigError(SunPhaseError, ValueError):
 # deterministic serialization
 
 
+_NON_FINITE = "non-finite value in report"
+
+_FLOAT_TYPES = frozenset({float, np.float64})  # the list values one template writes
+
+
 def format_float(x: float) -> str:
-    if not np.isfinite(x):
-        raise ValueError("non-finite value in report")
-    return format(float(x), ".17g")
+    if not math.isfinite(x):
+        raise ValueError(_NON_FINITE)
+    return "%.17g" % x
+
+
+class PerPointTable:
+    """The `--per-point` list of `verify-group` as one float64 array: row
+    k of `values` holds point k's `x`, then its `p`, then its three
+    identity residuals, and is written as the object
+    `{"x": [...], "p": ..., "residuals": [...]}`."""
+
+    def __init__(self, values: np.ndarray):
+        self.values = values
+
+
+def _float_list(count: int, pad: str) -> str:
+    """The `%` template of a list of `count` >= 1 floats closed at indent `pad`."""
+    inner = pad + "  "
+    return "[\n" + inner + (",\n" + inner).join(["%.17g"] * count) + "\n" + pad + "]"
+
+
+def _per_point_text(table: PerPointTable, pad: str) -> str:
+    """The list of a PerPointTable's rows, every cell through one template."""
+    values = table.values
+    if not np.isfinite(values).all():
+        raise ValueError(_NON_FINITE)
+    if len(values) == 0:
+        return "[]"
+    inner = pad + "  "  # the indent of each point's object, then of its fields
+    field = inner + "  "
+    dim = values.shape[1] - 4  # x takes the cells before p and the residuals
+    row = (
+        f'{inner}{{\n{field}"x": {_float_list(dim, field)},\n{field}"p": %.17g,\n'
+        f'{field}"residuals": {_float_list(3, field)}\n{inner}}}'
+    )
+    return ("[\n" + ",\n".join([row] * len(values)) + "\n" + pad + "]") % tuple(
+        values.ravel().tolist()
+    )
 
 
 def _json(obj, pad: str = "") -> str:
     """`obj` as JSON text indented by two spaces a level, its lines after
     the first prefixed with `pad`."""
+    if isinstance(obj, PerPointTable):
+        return _per_point_text(obj, pad)
     if isinstance(obj, dict):
         if not obj:
             return "{}"
@@ -119,6 +165,10 @@ def _json(obj, pad: str = "") -> str:
     if isinstance(obj, (list, tuple)):
         if len(obj) == 0:
             return "[]"
+        if _FLOAT_TYPES.issuperset(map(type, obj)):  # every value through one template
+            if not all(map(math.isfinite, obj)):
+                raise ValueError(_NON_FINITE)
+            return _float_list(len(obj), pad) % tuple(obj)
         inner = pad + "  "
         return "[\n" + ",\n".join(inner + _json(value, inner) for value in obj) + "\n" + pad + "]"
     if isinstance(obj, str):
@@ -398,14 +448,9 @@ def run_group_sweep(args) -> int:
     if report.get("inconclusive"):
         return finish_report(report, [], args.out)
 
-    if args.per_point:
-        residuals = np.column_stack(
-            [table["phase-identity"], table["modulus-identity"], table["orthogonality"]]
-        )
-        report["per_point"] = [
-            {"x": x, "p": p, "residuals": r}
-            for x, p, r in zip(table["x"].tolist(), table["p"].tolist(), residuals.tolist())
-        ]
+    if args.per_point:  # one row per kept point: x, p and the three identity residuals
+        names = ("x", "p", "phase-identity", "modulus-identity", "orthogonality")
+        report["per_point"] = PerPointTable(np.column_stack([table[name] for name in names]))
     worst = {name: table[name].max() for name in CHECK_GATES["verify-group"]}
     return finish_report(report, _checks("verify-group", worst, args.tol), args.out)
 

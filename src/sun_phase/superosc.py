@@ -27,10 +27,8 @@ from .errors import (
     ShapeError,
     UndefinedDirectionError,
 )
-from .tolerances import ATOL_IDENTITY
+from .tolerances import ATOL_IDENTITY, P_OVERLAP, P_TRACE
 
-P_OVERLAP = 1e-8   # overlap threshold for a usable gradient direction
-P_TRACE = 1e-10    # amplitude threshold for local-frequency evaluation
 TRACE_BLOCK = 1024  # samples per (block, n) row evaluation in phase_trace
 
 

@@ -17,6 +17,12 @@ FD_STEP = 1e-5             # central-difference step (coordinates are O(1) angle
 P_MIN = 1e-12              # below this the phase of an amplitude is undefined
 P_GRAD = 1e-8              # below this the gradient formulas are ill-conditioned
 P_BRIDGE = 1e-6            # below this coset.bridge_residuals refuses a section point
+P_SKIP = 1e-6              # group sweeps skip points below this squared amplitude
+P_SKIP_RAY = 1e-4          # ray sweeps: the section derivatives are exact, so the
+                           # residuals carry rounding error ~1/p only; a lower value
+                           # would admit harder points and change what a seed reports
+P_OVERLAP = 1e-8           # overlap threshold for a usable gradient direction (superosc)
+P_TRACE = 1e-10            # amplitude threshold for local-frequency evaluation (superosc)
 
 CHART_MARGIN = 1e-3        # margin kept from chart-singular loci
 

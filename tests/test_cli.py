@@ -21,6 +21,7 @@ from sun_phase.cli import (
     EXIT_CONFIG_ERROR,
     EXIT_INCONCLUSIVE,
     EXIT_PASS,
+    PerPointTable,
     dump_report,
     format_float,
     main,
@@ -137,6 +138,137 @@ class TestSerialization:
     def test_set_rejected(self):
         with pytest.raises(TypeError):
             dump_report({"a": [{1, 2}]})
+
+
+def reference_format_float(x) -> str:
+    if not np.isfinite(x):
+        raise ValueError("non-finite value in report")
+    return format(float(x), ".17g")
+
+
+def reference_json(obj, pad: str = "") -> str:
+    """Oracle: the recursive, value-by-value report serializer."""
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = pad + "  "
+        items = ",\n".join(
+            f'{inner}"{key}": {reference_json(value, inner)}' for key, value in obj.items()
+        )
+        return "{\n" + items + "\n" + pad + "}"
+    if isinstance(obj, (list, tuple)):
+        if len(obj) == 0:
+            return "[]"
+        inner = pad + "  "
+        return "[\n" + ",\n".join(inner + reference_json(v, inner) for v in obj) + "\n" + pad + "]"
+    if isinstance(obj, str):
+        escaped = obj.replace("\\", "\\\\").replace('"', '\\"')
+        return f'"{escaped}"'
+    if isinstance(obj, (bool, np.bool_)):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return reference_format_float(float(obj))
+    if obj is None:
+        return "null"
+    raise TypeError(f"cannot serialize {type(obj)}")
+
+
+def as_records(obj):
+    """`obj` with every PerPointTable replaced by its list of per-point dicts."""
+    if isinstance(obj, PerPointTable):
+        return [{"x": row[:-4], "p": row[-4], "residuals": row[-3:]} for row in obj.values.tolist()]
+    if isinstance(obj, dict):
+        return {key: as_records(value) for key, value in obj.items()}
+    if isinstance(obj, list):
+        return [as_records(value) for value in obj]
+    if isinstance(obj, tuple):
+        return tuple(as_records(value) for value in obj)
+    return obj
+
+
+# floats whose `%.17g` text differs from `repr`, or that sit at a notation edge
+FLOAT_EDGES = [-0.0, 5e-324, 1e-5, 1e16, 1e17, 0.1, 1e-4, 123456789012345680.0]
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+REPORT_FLOATS = st.one_of(FINITE, st.sampled_from(FLOAT_EDGES))
+# one value of every scalar type a report may hold, numpy scalars among them
+ORACLE_SCALARS = st.one_of(
+    st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7E), max_size=8),
+    st.booleans(),
+    st.none(),
+    st.integers(-(2**63), 2**63 - 1),
+    REPORT_FLOATS,
+    REPORT_FLOATS.map(np.float64),
+    st.floats(width=32, allow_nan=False, allow_infinity=False).map(np.float32),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.booleans().map(np.bool_),
+)
+# lists of only Python and numpy float64 values, each edge value among them
+FLOAT_LISTS = st.lists(st.one_of(REPORT_FLOATS, REPORT_FLOATS.map(np.float64)), max_size=10)
+
+
+@st.composite
+def per_point_tables(draw, rows=st.one_of(st.sampled_from([0, 1]), st.integers(2, 40))):
+    """A PerPointTable whose `x` has width 1-63 and whose cells mix
+    magnitudes from 1e-300 to 1e300 with the edge floats."""
+    cells = draw(st.integers(1, 63)) + 4  # x, p and three residuals
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    count = draw(rows)
+    values = rng.standard_normal((count, cells)) * 10.0 ** rng.integers(-300, 300, (count, cells))
+    edges = rng.random((count, cells)) < 0.2
+    values[edges] = rng.choice(FLOAT_EDGES, edges.sum())
+    return PerPointTable(values)
+
+
+ORACLE_VALUES = st.recursive(
+    st.one_of(ORACLE_SCALARS, FLOAT_LISTS, per_point_tables()),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(KEYS, children, max_size=4),
+    ),
+    max_leaves=16,
+)
+
+
+class TestSerializationOracle:
+    """`dump_report` writes the text of the recursive reference serializer."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(report=st.dictionaries(KEYS, ORACLE_VALUES, max_size=5))
+    @example(report={"a": FLOAT_EDGES, "b": [np.float64(x) for x in FLOAT_EDGES]})
+    @example(report={"per_point": PerPointTable(np.zeros((0, 67)))})
+    def test_matches_reference(self, report):
+        assert dump_report(report) == reference_json(as_records(report)) + "\n"
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -np.inf, np.float64("nan")])
+    @pytest.mark.parametrize(
+        "place",
+        [
+            lambda bad: {"a": bad},
+            lambda bad: {"a": [1.0, {"b": np.float32(bad)}]},
+            lambda bad: {"a": [1.0, np.float64(2.0), bad]},
+            lambda bad: {"a": (bad,)},
+            lambda bad: {"a": PerPointTable(np.array([[1.0, 2.0, 3.0, 4.0, 5.0, 6.0, bad]]))},
+        ],
+        ids=["scalar", "float32-scalar", "float-list", "float-tuple", "table-cell"],
+    )
+    def test_non_finite_rejected(self, place, bad):
+        with pytest.raises(ValueError):
+            dump_report(place(bad))
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        table=per_point_tables(rows=st.integers(1, 40)),
+        where=st.floats(0.0, 1.0, exclude_max=True),
+        bad=st.sampled_from([float("nan"), float("inf"), float("-inf")]),
+    )
+    def test_non_finite_table_cell_rejected(self, table, where, bad):
+        values = table.values.copy()
+        values.flat[int(where * values.size)] = bad
+        with pytest.raises(ValueError):
+            dump_report({"per_point": PerPointTable(values)})
 
 
 def rowwise_csv(header, rows):
@@ -298,6 +430,38 @@ class TestVerifyGroup:
         report = load(out)
         assert len(report["per_point"]) == 5
         assert set(report["per_point"][0]) == {"x", "p", "residuals"}
+
+
+class TestPerPointBytes:
+    """A `--per-point` report is the reference serializer's text of its own
+    parsed content."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--n", "2", "--chart", "su2-polar", "--pair", "spin-flip", "--points", "50",
+             "--seed", "7"],
+            ["--n", "3", "--points", "200", "--seed", "11"],
+            ["--n", "8", "--points", "40", "--seed", "13"],  # three blocks of 16, 16 and 8
+            ["--n", "3", "--chart", "cartan", "--points", "60", "--seed", "15"],
+            # one point of this seed has p < P_GRAD (TestLibraryErrors)
+            ["--n", "2", "--pair", "explicit", "--psi-i", "1,0", "--psi-f", "0,1",
+             "--sample-scale", "2e-3", "--points", "40", "--seed", "1"],
+        ],
+        ids=["su2-polar-spin-flip", "exp-n3", "exp-n8-three-blocks", "cartan-n3", "p-grad-skip"],
+    )
+    def test_report_is_reference_text(self, tmp_path, argv):
+        code, out = run_to_file(tmp_path, "r.json", ["verify-group", *argv, "--per-point"])
+        assert code == EXIT_PASS
+        text = out.read_text()
+        report = json.loads(text)
+        assert reference_json(report) + "\n" == text
+        assert len(report["per_point"]) == report["points_evaluated"]
+        dim = int(argv[1]) ** 2 - 1
+        assert all(len(row["x"]) == dim and len(row["residuals"]) == 3
+                   for row in report["per_point"])
+        if "2e-3" in argv:
+            assert report["points_skipped_low_amplitude"] > 0
 
 
 class TestVerifyRay:
