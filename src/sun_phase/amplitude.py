@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import StatePair, dagger
+from .algebra import StatePair, unitarity_residual
 from .charts import Chart, ck_metric, cometric, left_invariant_frame, partials
 from .errors import (
     DimensionError,
@@ -81,7 +81,7 @@ def polar_amplitude(pair: StatePair, u: np.ndarray) -> PolarAmplitude:
     n = pair.n
     if u.ndim not in (2, 3) or u.shape[-2:] != (n, n):
         raise ShapeError(f"expected {n}x{n} matrices, got {u.shape}")
-    if not np.abs(dagger(u) @ u - np.eye(n)).max(initial=0.0) < ATOL_IDENTITY:
+    if not unitarity_residual(u) < ATOL_IDENTITY:
         raise DomainError("matrix is not unitary")
     return _polar(pair, u)
 

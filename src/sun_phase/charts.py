@@ -30,7 +30,12 @@ positive definite wherever the det(omega) guard passes, and a frame too
 close to singular for rounding fails that guard or the checks
 omega dual = 1 and g g^-1 = 1.
 Every guard on a chart's value, frame and metric is written
-`not residual < tol`, so that a NaN trips it.
+`not residual < tol`, so that a NaN trips it.  The value guards read
+`algebra.unitarity_residual` (one NaN-propagating maximum over the
+stack) and then `algebra.det`, and the det(omega) guard reads
+`algebra.det`: closed forms for 2 x 2 stacks, which hold the values of
+the SU(2) charts to the same gates without one LAPACK or BLAS call per
+matrix.
 """
 from __future__ import annotations
 
@@ -42,9 +47,11 @@ import numpy as np
 from .algebra import (
     build_gellmann_basis,
     dagger,
+    det as matrix_det,
     expm_generator,
     expm_partials,
     generator_sum,
+    unitarity_residual,
 )
 from .errors import (
     ChartDegenerateError,
@@ -118,9 +125,9 @@ class Chart:
         return x
 
     def _checked(self, u: np.ndarray) -> np.ndarray:
-        if not np.abs(dagger(u) @ u - np.eye(self.n)).max(initial=0.0) < ATOL_IDENTITY:
+        if not unitarity_residual(u) < ATOL_IDENTITY:
             raise InternalConsistencyError("chart produced a non-unitary matrix")
-        if not (np.abs(np.linalg.det(u) - 1.0) < ATOL_IDENTITY).all():
+        if not (np.abs(matrix_det(u) - 1.0) < ATOL_IDENTITY).all():
             raise InternalConsistencyError("chart produced det != 1")
         return u
 
@@ -229,11 +236,17 @@ def left_translate(chart: Chart, v: np.ndarray) -> Chart:
     """Chart x -> v U(x) for fixed v in SU(n).
 
     The frame and metric are built from U^dag dU, so they are unchanged;
-    this exists to verify that invariance.
+    this exists to verify that invariance.  v is one (n, n) matrix for the
+    chart's n: ShapeError for any other shape.
     """
-    if not np.max(np.abs(dagger(v) @ v - np.eye(chart.n))) < ATOL_IDENTITY:
+    v = np.asarray(v)
+    if v.shape != (chart.n, chart.n):
+        raise ShapeError(
+            f"left-translation element must have shape {(chart.n,) * 2}, got {v.shape}"
+        )
+    if not unitarity_residual(v) < ATOL_IDENTITY:
         raise DomainError("left-translation element is not unitary")
-    if not abs(np.linalg.det(v) - 1.0) < ATOL_IDENTITY:
+    if not abs(matrix_det(v) - 1.0) < ATOL_IDENTITY:
         raise DomainError("left-translation element has det != 1")
 
     old_map, old_map_partials = chart.map_fn, chart.map_partials_fn
@@ -326,7 +339,7 @@ def frame_dual(omega: np.ndarray, x: np.ndarray, det: np.ndarray | None = None) 
     unless omega dual is the identity to ATOL_FRAME.  `det`, when given,
     is det(omega), known from a diagonal block of a block-triangular omega."""
     if det is None:
-        det = np.linalg.det(omega)
+        det = matrix_det(omega)
     if not np.abs(det).min(initial=np.inf) >= 1e-10:
         raise ChartDegenerateError(f"frame singular at x = {x}")
     dual = np.linalg.inv(omega)

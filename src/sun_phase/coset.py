@@ -38,9 +38,11 @@ from .algebra import (
     _row_norm,
     build_gellmann_basis,
     dagger,
+    det,
     expm_generator,
     expm_partials,
     generator_sum,
+    unitarity_residual,
 )
 from .amplitude import RelationResiduals, _frame_gradient, _polar
 from .charts import (
@@ -183,7 +185,7 @@ def _adapted_basis(psi_i: np.ndarray) -> np.ndarray:
     generator.  InternalConsistencyError unless W is unitary to ATOL_CONSTRUCTION."""
     rows = np.concatenate([psi_i[..., None, :], _complement_basis(psi_i)], axis=-2)
     w = np.swapaxes(rows, -1, -2)
-    if not np.abs(dagger(w) @ w - np.eye(w.shape[-1])).max(initial=0.0) < ATOL_CONSTRUCTION:
+    if not unitarity_residual(w) < ATOL_CONSTRUCTION:
         raise InternalConsistencyError("[psi_i | complement] is not unitary")
     return w
 
@@ -377,7 +379,7 @@ def section(frame: CartanFrame, y) -> SectionPoint:
         omega = np.broadcast_to(np.eye(x.shape[-1]), x.shape + x.shape[-1:]).copy()
         omega[..., :m] = columns
         # det(omega) = det(tau), and the leading block of omega^-1 is tau^-1
-        tau_inv = frame_dual(omega, x, det=np.linalg.det(tau))[..., :m, :m]
+        tau_inv = frame_dual(omega, x, det=det(tau))[..., :m, :m]
         psi = kmat @ frame.psi_i
         dpsi = dkmat @ frame.psi_i
 

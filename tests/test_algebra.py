@@ -9,11 +9,13 @@ from sun_phase.algebra import (
     build_gellmann_basis,
     completeness_residual,
     dagger,
+    det,
     expm_generator,
     expm_partials,
     generator_sum,
     haar_state,
     random_hermitian,
+    unitarity_residual,
 )
 from sun_phase.amplitude import polar_amplitude
 from sun_phase.charts import Chart, exp_chart, fd_partials, left_translate
@@ -381,3 +383,70 @@ class TestNanInputsRejected:
         # then trips instead of returning a NaN matrix
         with pytest.raises(InternalConsistencyError, match="lost unitarity"):
             expm_generator(PAULI_X, NAN)
+
+
+# leading shapes of the kernel tests: one matrix, empty, one-row and longer stacks
+LEADS = [(), (0,), (1,), (4,), (2, 3)]
+
+
+# below 1e-100 in magnitude an entry is taken as 0: the reference's LU
+# breaks down on pivots near underflow (it warns on a subnormal pivot)
+ENTRIES = st.floats(-2.0, 2.0).map(lambda v: v if abs(v) >= 1e-100 else 0.0)
+
+
+def matrices(lead, n, complex_entries):
+    """Stacks (*lead, n, n) of real or complex entries in [-2, 2]."""
+    parts = 2 if complex_entries else 1
+    stack = arrays(np.float64, (parts,) + lead + (n, n), elements=ENTRIES)
+    return stack.map(lambda e: e[0] + 1j * e[1] if complex_entries else e[0])
+
+
+@st.composite
+def any_matrices(draw):
+    return draw(
+        matrices(draw(st.sampled_from(LEADS)), draw(st.sampled_from([2, 3, 4])), draw(st.booleans()))
+    )
+
+
+class TestStackKernels:
+    """`det` and `unitarity_residual` against the numpy formulas they
+    replace, on 2 x 2 stacks and the larger ones they hand on."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(a=any_matrices())
+    def test_det_matches_linalg(self, a):
+        got, expected = det(a), np.linalg.det(a)
+        assert np.shape(got) == np.shape(expected) == a.shape[:-2]
+        assert np.asarray(got).dtype == expected.dtype
+        # both round relative to the Hadamard bound prod_i |row_i|, up to
+        # 4 * 2^1.5 for entries in [-2, 2]
+        scale = np.prod(np.linalg.norm(a, axis=-1), axis=-1).clip(1.0)
+        assert (np.abs(got - expected) <= 1e-14 * scale).all()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(2, 5),
+        lead=st.sampled_from(LEADS),
+        size=st.sampled_from([0.0, 1e-14, 1e-11, 1e-9, 1e-6]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_unitarity_residual_matches_product(self, n, lead, size, seed):
+        rng = np.random.default_rng(seed)
+        shape = lead + (n, n)
+        h = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        u = expm_generator((h + dagger(h)) / 2) + size * (
+            rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        )
+        expected = np.abs(dagger(u) @ u - np.eye(n)).max(initial=0.0)
+        assert abs(unitarity_residual(u) - expected) <= 1e-15
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_unitarity_residual_propagates_nan(self, n):
+        # a NaN in any one entry of one row of a stack, wherever the
+        # reduction meets it
+        for i in range(n):
+            for j in range(n):
+                u = np.stack([np.eye(n, dtype=complex)] * 3)
+                u[1, i, j] = NAN
+                assert np.isnan(unitarity_residual(u))
+                assert np.isnan(unitarity_residual(u[1]))

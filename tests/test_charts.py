@@ -17,6 +17,7 @@ from sun_phase.amplitude import phase_gradient, polar_amplitude
 from sun_phase.charts import (
     ck_metric,
     exp_chart,
+    frame_dual,
     left_invariant_frame,
     fd_partials,
     left_translate,
@@ -487,3 +488,118 @@ class TestOneChartCall:
             scaled(2.0).evaluate(np.zeros(3), with_partials=True)
         with pytest.raises(InternalConsistencyError, match="det != 1"):
             scaled(1j).evaluate(np.zeros(3), with_partials=True)
+
+
+class TestLeftTranslateShape:
+    """The translation element is one (n, n) matrix for the chart's n."""
+
+    @pytest.mark.parametrize("shape", [(3, 3), (2, 3), (2, 2, 2), (1, 2, 2)])
+    def test_other_shapes_rejected(self, shape):
+        v = np.zeros(shape, dtype=complex)
+        v[..., 0, 0] = v[..., 1, 1] = 1.0  # an identity block, which passes as a (2, 2) element
+        with pytest.raises(ShapeError, match="left-translation element"):
+            left_translate(exp_chart(build_gellmann_basis(2)), v)
+
+
+# the charts whose value guards the trip-set tests pin: det(U) = 1 and
+# U^dag U = 1, each to ATOL_IDENTITY = 1e-10
+GUARDED_CHARTS = [
+    pytest.param(lambda: exp_chart(build_gellmann_basis(2)), id="exp-2"),
+    pytest.param(lambda: exp_chart(build_gellmann_basis(3)), id="exp-3"),
+    pytest.param(lambda: exp_chart(build_gellmann_basis(4)), id="exp-4"),
+    pytest.param(su2_polar_chart, id="su2-polar"),
+]
+
+
+def with_values(chart, change):
+    """`chart` with every value U(x) it returns replaced by change(U), on
+    both evaluation routes."""
+
+    def map_partials_fn(x):
+        u, du = chart.map_partials_fn(x)
+        return change(u), du
+
+    return dataclasses.replace(
+        chart, map_fn=lambda x: change(chart.map_fn(x)), map_partials_fn=map_partials_fn
+    )
+
+
+def evaluations(chart):
+    """evaluate on one point and on a stack of three, with and without partials."""
+    stack = np.array(sample_in_box(chart, np.random.default_rng(41), 3))
+    for x in (stack[0], stack):
+        yield lambda: chart.evaluate(x)
+        yield lambda: chart.evaluate(x, with_partials=True)
+
+
+class TestGuardTripSet:
+    """The value guards trip exactly where the gate says, on both sides of
+    it, on every route: the kernels that compute the guard values move them
+    by rounding only, far below the 1e-11 margins used here."""
+
+    @pytest.mark.parametrize("make_chart", GUARDED_CHARTS)
+    @pytest.mark.parametrize("size, trips", [(0.9e-10, False), (1.1e-10, True)])
+    def test_det_phase(self, make_chart, size, trips):
+        chart = make_chart()
+        # U e^{i psi/n} has det e^{i psi}, with |e^{i psi} - 1| = size
+        psi = 2 * np.arcsin(size / 2)
+        phased = with_values(chart, lambda u: u * np.exp(1j * psi / chart.n))
+        for call in evaluations(phased):
+            if trips:
+                with pytest.raises(InternalConsistencyError, match="det != 1"):
+                    call()
+            else:
+                call()
+
+    @pytest.mark.parametrize("make_chart", GUARDED_CHARTS)
+    @pytest.mark.parametrize("size, trips", [(0.9e-10, False), (1.1e-10, True)])
+    def test_scale(self, make_chart, size, trips):
+        chart = make_chart()
+        # U diag(s, 1/s, 1, ...) keeps det = 1 and has max|U^dag U - 1| =
+        # s^2 - 1 = size
+        s = np.sqrt(1.0 + size)
+        scale = np.ones(chart.n)
+        scale[:2] = s, 1.0 / s
+        scaled = with_values(chart, lambda u: u * scale)
+        for call in evaluations(scaled):
+            if trips:
+                with pytest.raises(InternalConsistencyError, match="non-unitary"):
+                    call()
+            else:
+                call()
+
+    @pytest.mark.parametrize("make_chart", GUARDED_CHARTS)
+    def test_nan_entry_trips_unitarity_first(self, make_chart):
+        chart = make_chart()
+        x = np.array(sample_in_box(chart, np.random.default_rng(43), 3))
+        for i in range(chart.n):
+            for j in range(chart.n):
+
+                def poisoned(u, i=i, j=j):
+                    u = u.copy()
+                    u[1, i, j] = np.nan
+                    return u
+
+                broken = with_values(chart, poisoned)
+                for with_partials in (False, True):
+                    with pytest.raises(InternalConsistencyError, match="non-unitary"):
+                        broken.evaluate(x, with_partials=with_partials)
+
+    @pytest.mark.parametrize("size, trips", [(0.9e-10, True), (1.1e-10, False)])
+    def test_frame_dual_det_guard(self, size, trips):
+        # 3 x 3 frames with |det| = size, exactly: diagonal, negative and
+        # permuted, one row of a stack of identity frames
+        frames = [
+            np.diag([1.0, 1.0, size]),
+            np.diag([size, -1.0, 1.0]),
+            np.eye(3)[[2, 0, 1]] @ np.diag([1.0, size, 1.0]),
+        ]
+        x = np.zeros((3, 3))
+        for omega in frames:
+            stack = np.stack([np.eye(3), omega, np.eye(3)])
+            for call in (lambda: frame_dual(omega, x[0]), lambda: frame_dual(stack, x)):
+                if trips:
+                    with pytest.raises(ChartDegenerateError):
+                        call()
+                else:
+                    call()

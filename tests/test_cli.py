@@ -915,6 +915,31 @@ class TestEvaluatedOnce:
         assert len(charts_built) == 1
 
 
+class TestSmallMatricesSkipLapackDet:
+    """The SU(2) commands guard their 2 x 2 values with the closed-form
+    determinant of `algebra.det`, never with `np.linalg.det`."""
+
+    def test_su2_commands(self, tmp_path, monkeypatch):
+        linalg_det = np.linalg.det
+        shapes = []
+
+        def spy(a):
+            shapes.append(np.shape(a))
+            return linalg_det(a)
+
+        monkeypatch.setattr(np.linalg, "det", spy)
+        code = main(["su2-demo", "--grid", "4", "--csv", str(tmp_path / "g.csv"),
+                     "--out", str(tmp_path / "g.json")])
+        assert code == EXIT_PASS
+        code, _ = run_to_file(
+            tmp_path, "v.json",
+            ["vortex", "--loop", "phi-circle", "--theta", "0.1", "--expect", "1"],
+        )
+        assert code == EXIT_PASS
+        # the spy is in place: the 3 x 3 frames still reach it
+        assert shapes and all(shape[-2:] == (3, 3) for shape in shapes)
+
+
 class TestConsoleScript:
     def test_installed_entrypoint(self, tmp_path):
         import shutil
