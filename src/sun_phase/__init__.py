@@ -17,7 +17,6 @@ from .algebra import (
     completeness_residual,
     expm_generator,
     haar_state,
-    random_hermitian,
 )
 from .amplitude import (
     PhaseGradient,
@@ -79,7 +78,6 @@ __all__ = [
     "completeness_residual",
     "expm_generator",
     "haar_state",
-    "random_hermitian",
     "PhaseGradient",
     "PolarAmplitude",
     "RelationResiduals",

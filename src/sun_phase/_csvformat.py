@@ -1,8 +1,10 @@
 """Exact `%.17g` and `%d` CSV cells, formed in numpy.
 
-`write_rows` writes CSV rows byte for byte as a `%` template of `%.17g`
-and `%d` conversions writes them, without formatting cell by cell in
-Python.  A float cell x goes through these steps:
+`write_csv` writes a header and float or signed-integer columns as CSV,
+each float cell as `%.17g` and each int cell as `%d` writes it,
+`CSV_BLOCK_ROWS` rows at a time.  `write_rows` writes the rows byte for
+byte as their `%` template writes them, without formatting cell by cell
+in Python.  A float cell x goes through these steps:
 
 - k = floor(log10 |x|) is exact: the binary exponent of |x| leaves two
   candidates, told apart by a table of the smallest double at or above
@@ -48,6 +50,12 @@ from itertools import chain
 from types import SimpleNamespace
 
 import numpy as np
+
+CSV_BLOCK_ROWS = 1024  # CSV rows formatted and written per block
+
+# `%` conversion per numpy dtype kind: floats with 17 significant digits,
+# signed integers as decimals; a column of any other kind raises KeyError
+_FORMATS = {"f": "%.17g", "i": "%d"}
 
 _CELL = 25  # bytes per cell: a text of up to 24 bytes and the separator
 _K_MIN, _K_MAX = -270, 270  # decimal exponents of the fast path
@@ -379,3 +387,17 @@ def write_rows(handle, columns, template: str, block_rows: int) -> None:
             handle.write(((template * (end - begin)) % tuple(chain.from_iterable(zip(*slow)))).encode())
             done = end
         write_fast(block, done, count)
+
+
+def write_csv(path: str, header: list[str], columns) -> None:
+    """Write equal-length float or signed-integer numpy columns as CSV rows
+    under a header line.  A column of another dtype kind raises KeyError,
+    and columns whose count or lengths do not match the header ValueError."""
+    rows = len(columns[0])
+    if len(columns) != len(header) or any(len(column) != rows for column in columns):
+        raise ValueError("write_csv needs one column per header entry, all of one length")
+    template = ",".join(_FORMATS[column.dtype.kind] for column in columns) + "\n"
+
+    with open(path, "wb") as handle:
+        handle.write((",".join(header) + "\n").encode())
+        write_rows(handle, columns, template, CSV_BLOCK_ROWS)

@@ -257,12 +257,3 @@ def _unit_rows(gauss: np.ndarray) -> np.ndarray:
 def haar_state(n: int, rng: np.random.Generator) -> np.ndarray:
     """Random unit vector, uniform on the sphere in C^n."""
     return _unit_rows(rng.standard_normal(2 * n).reshape(2, n))
-
-
-def random_hermitian(n: int, rng: np.random.Generator, traceless: bool = False) -> np.ndarray:
-    """Random Hermitian matrix with O(1) entries."""
-    m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    h = (m + dagger(m)) / 2.0
-    if traceless:
-        h = h - np.trace(h).real * np.eye(n) / n
-    return h

@@ -31,7 +31,7 @@ from .errors import (
     SingularLoopError,
     SunPhaseError,
 )
-from .tolerances import ATOL_IDENTITY, FD_STEP, P_GRAD, P_MIN
+from .tolerances import ATOL_IDENTITY, FD_STEP, GATE_GRADIENT_LOWER_BOUND, P_GRAD, P_MIN
 
 
 def principal_angle(delta) -> float | np.ndarray:
@@ -39,16 +39,24 @@ def principal_angle(delta) -> float | np.ndarray:
     return delta - 2 * np.pi * np.ceil((delta - np.pi) / (2 * np.pi))
 
 
+def min_gradient_bound_sq(n: int) -> float:
+    """2(n-1)/n, the square of `min_gradient_bound`: the floor of
+    |grad eta|^2 and the U(1) part of the group's squared phase gradient
+    on ray space."""
+    if n < 2:
+        raise DimensionError(f"group dimension must be >= 2, got {n}")
+    return 2.0 * (n - 1) / n
+
+
 def min_gradient_bound(n: int) -> float:
     """Lower bound sqrt(2(n-1)/n) on the phase gradient magnitude.
 
     Monotonically increasing in n, from 1 at n = 2 toward sqrt(2); it is
     simultaneously the largest possible eigenvalue magnitude of a
-    normalized traceless Hermitian generator.
+    normalized traceless Hermitian generator, and minus the U(1)
+    eigenvalue on the reference state of a Cartan frame.
     """
-    if n < 2:
-        raise DimensionError(f"group dimension must be >= 2, got {n}")
-    return float(np.sqrt(2.0 * (n - 1) / n))
+    return float(np.sqrt(min_gradient_bound_sq(n)))
 
 
 @dataclass(frozen=True)
@@ -127,8 +135,8 @@ class PhaseGradient:
     cross: float
 
     def __post_init__(self):
-        bound = 2.0 * (self.n - 1) / self.n
-        if np.any(self.phase_grad_sq < bound - 1e-9):  # False on NaN rows
+        bound = min_gradient_bound_sq(self.n)
+        if np.any(self.phase_grad_sq < bound - GATE_GRADIENT_LOWER_BOUND):  # False on NaN rows
             raise InternalConsistencyError(
                 f"phase gradient {np.nanmin(self.phase_grad_sq)} below the bound {bound}"
             )

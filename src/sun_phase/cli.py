@@ -68,16 +68,15 @@ import sys
 import numpy as np
 
 from . import __version__
-from ._csvformat import write_rows
+from ._csvformat import CSV_BLOCK_ROWS, write_csv  # the block size write_csv uses
 from .algebra import StatePair, _unit_rows, build_gellmann_basis, haar_state
-from .amplitude import phase_gradient, principal_angle, vortex_winding
+from .amplitude import min_gradient_bound_sq, phase_gradient, principal_angle, vortex_winding
 from .charts import Chart, exp_chart, su2_polar_chart
 from .coset import (
     _reference_pair,
     bridge_residuals,
     build_cartan_frame,
     factorization_residual,
-    full_cartan_chart,
     ray_relation_residuals,
     section,
     u1_berry_residuals,
@@ -93,8 +92,6 @@ EXIT_PASS = 0
 EXIT_CHECK_FAILURE = 1
 EXIT_CONFIG_ERROR = 2
 EXIT_INCONCLUSIVE = 3
-
-CSV_BLOCK_ROWS = 1024  # CSV rows formatted and written per block
 
 
 class ConfigError(SunPhaseError, ValueError):
@@ -189,46 +186,6 @@ def dump_report(report: dict) -> str:
     return _json(report) + "\n"
 
 
-# `%` conversion per numpy dtype kind: floats with 17 significant digits,
-# signed integers as decimals; a column of any other kind raises KeyError
-_BLOCK_FORMATS = {"f": "%.17g", "i": "%d"}
-
-
-def write_csv(path: str, header: list[str], columns) -> None:
-    """Write equal-length float or signed-integer numpy columns as CSV rows.
-
-    Each float cell is written as `%.17g` writes it and each int cell as
-    `%d` does, byte for byte, CSV_BLOCK_ROWS rows at a time.  A block is
-    formatted in numpy (`_csvformat`).  An int column whose cells in the
-    block are all 0..9 is written as one digit byte per cell; any other
-    int cell below 2^53 is written as the float of the same value: with
-    k = floor(log10 |x|) exact,
-    the 17 significant digits D are |x| 10^(16-k) rounded to an integer,
-    formed as a double-double p + t (Dekker's exact product with the
-    leading part of 10^(16-k), plus the trailing part) whose absolute
-    error is below 4e-15.  Rounding to nearest picks D unless frac(t) is
-    within 1e-6 of 1/2, where an exact tie would round to the even digit
-    and the error bound no longer proves which way `%` rounds.  The digits
-    come from a table of 4-digit groups and are laid out as `%g` does.
-    A row with such a near-tie, a nan or infinite cell, a nonzero
-    |x| outside [1e-270, 1e271) or an int with |v| >= 2^53 is written by
-    the `%` template instead: of the cells `superosc` and `su2-demo`
-    write, only the nan of an undefined omega is expected to be one.  A
-    block with no such row is written in one piece.
-
-    A column of another dtype kind raises KeyError, and columns whose
-    count or lengths do not match the header raise ValueError.
-    """
-    rows = len(columns[0])
-    if len(columns) != len(header) or any(len(column) != rows for column in columns):
-        raise ValueError("write_csv needs one column per header entry, all of one length")
-    template = ",".join(_BLOCK_FORMATS[column.dtype.kind] for column in columns) + "\n"
-
-    with open(path, "wb") as handle:
-        handle.write((",".join(header) + "\n").encode())
-        write_rows(handle, columns, template, CSV_BLOCK_ROWS)
-
-
 # ---------------------------------------------------------------------------
 # configuration
 
@@ -278,7 +235,7 @@ def resolve_pair(args, rng: np.random.Generator) -> StatePair:
 
 
 def resolve_chart(args) -> Chart:
-    """The chart of the sweep; the cartan chart is adapted to e_0."""
+    """The chart of the sweep; the cartan chart is that of the frame of e_0."""
     if args.chart == "exp":
         return exp_chart(build_gellmann_basis(args.n))
     if args.chart == "su2-polar":
@@ -286,7 +243,7 @@ def resolve_chart(args) -> Chart:
             raise ConfigError("chart 'su2-polar' requires --n 2")
         return su2_polar_chart()
     e_0 = np.eye(args.n, dtype=complex)[0]
-    return full_cartan_chart(build_cartan_frame(e_0))
+    return build_cartan_frame(e_0).chart
 
 
 def _scaled_box(lo, hi, scale: float, of: str):
@@ -425,7 +382,7 @@ def run_group_sweep(args) -> int:
         pair = _reference_pair(pair)
 
     step = chart.block_rows()
-    bound = 2.0 * (n - 1) / n
+    bound = min_gradient_bound_sq(n)
     blocks = []
     for start in range(0, args.points, step):
         rows = slice(start, start + step)

@@ -44,7 +44,13 @@ from .algebra import (
     generator_sum,
     unitarity_residual,
 )
-from .amplitude import RelationResiduals, _frame_gradient, _polar
+from .amplitude import (
+    RelationResiduals,
+    _frame_gradient,
+    _polar,
+    min_gradient_bound,
+    min_gradient_bound_sq,
+)
 from .charts import (
     Chart,
     FrameAtPoint,
@@ -75,7 +81,7 @@ from .tolerances import (
 
 def u1_eigenvalue(n: int) -> float:
     """Eigenvalue of the U(1) generator on the reference state: -sqrt(2(n-1)/n)."""
-    return -float(np.sqrt(2.0 * (n - 1) / n))
+    return -min_gradient_bound(n)
 
 
 @dataclass(frozen=True)
@@ -83,16 +89,14 @@ class CartanFrame:
     """Adapted orthonormal generator frame for a reference state.
 
     `coset` stacks the off-block generators X_1..X_{n-1}, Y_1..Y_{n-1};
-    `iso` stacks the embedded su(n-1) block (empty for n = 2);
-    `complement` holds the n-1 orthonormal vectors spanning the
-    complement of psi_i, one per row.  `n` is read off psi_i.
+    `iso` stacks the embedded su(n-1) block (empty for n = 2).  `n` is
+    read off psi_i.
     """
 
     psi_i: np.ndarray
     lambda0: np.ndarray
     coset: np.ndarray
     iso: np.ndarray
-    complement: np.ndarray
 
     @property
     def n(self) -> int:
@@ -155,9 +159,10 @@ def _complement_basis_one(psi: np.ndarray) -> list[np.ndarray]:
 def _complement_basis_rows(states: np.ndarray) -> np.ndarray:
     """`_complement_basis_one` of every row of states (N, n) at once.  Row k
     keeps its vectors in slots 0 .. count[k] - 1: rows that dropped
-    different standard basis vectors differ in count, and a projection
-    step changes only the rows that hold its slot.  The dots and norms are
-    per-row matmuls, the BLAS dots of the single-state loop."""
+    different standard basis vectors differ in count, and a slot that a
+    row has not filled is a zero vector, whose projection subtracts exact
+    zeros.  The dots and norms are per-row matmuls, the BLAS dots of the
+    single-state loop."""
     rows, n = states.shape
     kept = np.zeros((rows, n, n), dtype=complex)
     count = np.zeros(rows, dtype=int)
@@ -169,7 +174,7 @@ def _complement_basis_rows(states: np.ndarray) -> np.ndarray:
         v = v - states * _row_dot(conj, v)[:, None]
         for slot in range(j):
             u = kept[:, slot]
-            v = np.where((count > slot)[:, None], v - u * _row_dot(u.conj(), v)[:, None], v)
+            v = v - u * _row_dot(u.conj(), v)[:, None]
         norm = _row_norm(v)
         keep = norm > 1e-6
         kept[index[keep], count[keep]] = v[keep] / norm[keep, None]
@@ -234,9 +239,7 @@ def build_cartan_frame(psi_i) -> CartanFrame:
         w = complement.T[None, :, :]  # columns are the |k>
         iso = w @ build_gellmann_basis(n - 1) @ dagger(w)
 
-    frame = CartanFrame(
-        psi_i=psi_i, lambda0=lambda0, coset=coset, iso=iso, complement=complement
-    )
+    frame = CartanFrame(psi_i=psi_i, lambda0=lambda0, coset=coset, iso=iso)
     _validate_frame(frame)
     return frame
 
@@ -641,12 +644,11 @@ def bridge_residuals(pair: StatePair, point: SectionPoint) -> BridgeResult:
         raise
 
     n = point.chart.n
-    scale = np.sqrt(2.0 * (n - 1) / n)
-    gauged = d_eta_y + scale * point.u1_component
+    gauged = d_eta_y + min_gradient_bound(n) * point.u1_component
     gauged_alt = d_eta_y + point.berry
     fs_inv = point.fs_metric_inv
-    rhs_phase = cometric(gauged, fs_inv, gauged) + 2.0 * (n - 1) / n
-    alt_phase = cometric(gauged_alt, fs_inv, gauged_alt) + 2.0 * (n - 1) / n
+    rhs_phase = cometric(gauged, fs_inv, gauged) + min_gradient_bound_sq(n)
+    alt_phase = cometric(gauged_alt, fs_inv, gauged_alt) + min_gradient_bound_sq(n)
 
     return BridgeResult(
         residual_phase=np.abs(group.phase_grad_sq - rhs_phase),

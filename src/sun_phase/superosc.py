@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import StatePair, dagger
+from .algebra import StatePair, _hermitian_eigh, dagger
 from .amplitude import min_gradient_bound
 from .errors import (
     DomainError,
@@ -27,7 +27,14 @@ from .errors import (
     ShapeError,
     UndefinedDirectionError,
 )
-from .tolerances import ATOL_IDENTITY, P_OVERLAP, P_TRACE
+from .tolerances import (
+    ATOL_IDENTITY,
+    GATE_EIGENVALUE_CAP,
+    GATE_FOURIER_RECONSTRUCTION,
+    GATE_SUPEROSCILLATORY_AT_ZERO,
+    P_OVERLAP,
+    P_TRACE,
+)
 
 TRACE_BLOCK = 1024  # samples per (block, n) row evaluation in phase_trace
 
@@ -55,19 +62,17 @@ class NormalizedGenerator:
 
 
 def normalized_generator(matrix: np.ndarray) -> NormalizedGenerator:
-    """Validate and eigendecompose a normalized traceless Hermitian matrix."""
+    """Validate and eigendecompose a normalized traceless Hermitian matrix;
+    the Hermitian check and the eigendecomposition are `expm_generator`'s."""
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ShapeError(f"generator must be square, got {matrix.shape}")
-    n = matrix.shape[0]
-    if not np.max(np.abs(matrix - dagger(matrix))) < ATOL_IDENTITY:
-        raise DomainError("generator is not Hermitian")
+    w, v = _hermitian_eigh(matrix)
     if not abs(np.trace(matrix)) < ATOL_IDENTITY:
         raise DomainError("generator is not traceless")
     norm_sq = 0.5 * np.trace(matrix @ matrix).real
     if not abs(norm_sq - 1.0) < ATOL_IDENTITY:
         raise DomainError("generator is not normalized to (1/2) Tr l^2 = 1")
-    w, v = np.linalg.eigh(matrix)
-    if np.max(np.abs(w)) > min_gradient_bound(n) + 1e-9:
+    if np.max(np.abs(w)) > min_gradient_bound(len(matrix)) + GATE_EIGENVALUE_CAP:
         raise InternalConsistencyError("eigenvalue exceeds the spectral cap")
     return NormalizedGenerator(matrix=matrix, eigenvalues=w, eigenvectors=v)
 
@@ -245,7 +250,7 @@ def phase_trace(
         fourier_residual = np.maximum(
             fourier_residual, np.max(np.abs(rebuilt - amplitude[block]))
         )
-    if not fourier_residual < 1e-9:
+    if not fourier_residual < GATE_FOURIER_RECONSTRUCTION:
         raise InternalConsistencyError("Fourier sum does not reproduce the amplitude")
     if abs(np.sum(c) - complex(pair.psi_f.conj() @ pair.psi_i)) >= 1e-12:
         raise InternalConsistencyError("Fourier coefficients do not sum to the overlap")
@@ -300,8 +305,9 @@ def superoscillation_report(
     """Detect phase oscillation faster than the fastest Fourier component.
 
     omega(0) is evaluated analytically at t = 0 (not read off the grid);
-    "at least as fast" is tested with a one-sided 1e-9 tolerance, so
-    exact boundary cases count as superoscillatory and are flagged.
+    "at least as fast" is tested with the one-sided tolerance
+    GATE_SUPEROSCILLATORY_AT_ZERO, so exact boundary cases, within that
+    tolerance of the cap, count as superoscillatory and are flagged.
     """
     trace = phase_trace(pair, gen, t_range=t_range, samples=samples)
     cap = gen.max_abs_eigenvalue
@@ -314,8 +320,8 @@ def superoscillation_report(
         max_abs_eigenvalue=cap,
         omega_zero=omega0,
         gradient_bound=min_gradient_bound(gen.n),
-        superoscillatory_at_zero=bool(omega0 >= cap - 1e-9),
-        boundary=bool(abs(omega0 - cap) <= 1e-9),
+        superoscillatory_at_zero=bool(omega0 >= cap - GATE_SUPEROSCILLATORY_AT_ZERO),
+        boundary=bool(abs(omega0 - cap) <= GATE_SUPEROSCILLATORY_AT_ZERO),
         intervals=_hot_intervals(trace.t, hot, half),
         trace=trace,
     )

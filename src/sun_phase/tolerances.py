@@ -1,10 +1,11 @@
-"""Global numerical tolerances.
+"""Global numerical tolerances and the named report gates.
 
 Three tiers: construction checks on exactly representable structure,
 algebraic identities that only accumulate rounding error, and
 comparisons limited by central-difference truncation.  `ATOL_FD_MATCH`,
 sized for that last tier, also gates the exact cross-check of the two
-Fubini-Study metric constructions in `coset.section`.
+Fubini-Study metric constructions in `coset.section`.  A report gate
+that a library check also applies is one constant, read by both.
 """
 
 ATOL_CONSTRUCTION = 1e-12  # Hermiticity, tracelessness, normalization of inputs
@@ -26,27 +27,33 @@ P_TRACE = 1e-10            # amplitude threshold for local-frequency evaluation 
 
 CHART_MARGIN = 1e-3        # margin kept from chart-singular loci
 
+# the slack of a library check that is also its report gate
+GATE_GRADIENT_LOWER_BOUND = 1e-9      # |grad eta|^2 below 2(n-1)/n (amplitude.PhaseGradient)
+GATE_EIGENVALUE_CAP = 1e-9            # eigenvalue above sqrt(2(n-1)/n) (normalized_generator)
+GATE_FOURIER_RECONSTRUCTION = 1e-9    # Fourier sum against the trace (superosc.phase_trace)
+GATE_SUPEROSCILLATORY_AT_ZERO = 1e-9  # omega(0) below the cap (superoscillation_report)
+
 # The named checks of each command with their default gates: the CLI
 # reports exactly these names, in this order, leaving out those a run did
 # not measure.  `--tol NAME=VALUE` may override only the checks of the
-# command it is given to.  Four gates equal a library guard on the same
-# residual, which raises (exit 1) first, so a larger override cannot loosen
-# them: fs-metric-agreement (`coset.section`), gradient-lower-bound
-# (`PhaseGradient`), fourier-reconstruction and eigenvalue-cap (superosc).
+# command it is given to.  Five gates are their library check's constant
+# (the GATE_* above, and ATOL_FD_MATCH in `coset.section`); every one of
+# those checks but superoscillatory-at-zero raises (exit 1) first, so a
+# larger override cannot loosen them.
 CHECK_GATES = {
     "verify-group": {
         "phase-identity": 1e-8,
         "modulus-identity": 1e-8,
         "orthogonality": 1e-8,
         "reconstruction": 1e-8,
-        "gradient-lower-bound": 1e-9,
+        "gradient-lower-bound": GATE_GRADIENT_LOWER_BOUND,
     },
     "verify-ray": {
         "ray-phase-identity": 1e-5,
         "ray-modulus-identity": 1e-5,
         "ray-orthogonality": 1e-5,
         "u1-berry-proportionality": 1e-8,
-        "fs-metric-agreement": 1e-6,
+        "fs-metric-agreement": ATOL_FD_MATCH,
         "factorization": 1e-9,
         "bridge-phase": 1e-4,
         "bridge-mixed": 1e-4,
@@ -60,9 +67,9 @@ CHECK_GATES = {
         "gradient-inverse-modulus": 1e-10,
     },
     "superosc": {
-        "superoscillatory-at-zero": 1e-9,
-        "eigenvalue-cap": 1e-9,
-        "fourier-reconstruction": 1e-9,
+        "superoscillatory-at-zero": GATE_SUPEROSCILLATORY_AT_ZERO,
+        "eigenvalue-cap": GATE_EIGENVALUE_CAP,
+        "fourier-reconstruction": GATE_FOURIER_RECONSTRUCTION,
     },
     "vortex": {"winding": 0.0},
 }

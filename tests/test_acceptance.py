@@ -13,11 +13,11 @@ import json
 import numpy as np
 import pytest
 
+from helpers import random_hermitian
 from sun_phase.algebra import (
     StatePair,
     build_gellmann_basis,
     haar_state,
-    random_hermitian,
 )
 from sun_phase.amplitude import (
     group_relation_residuals,

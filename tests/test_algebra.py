@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from helpers import random_hermitian
 from sun_phase.algebra import (
     StatePair,
     build_gellmann_basis,
@@ -14,7 +15,6 @@ from sun_phase.algebra import (
     expm_partials,
     generator_sum,
     haar_state,
-    random_hermitian,
     unitarity_residual,
 )
 from sun_phase.amplitude import polar_amplitude

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import random_hermitian
 from sun_phase.algebra import (
     StatePair,
     build_gellmann_basis,
     expm_generator,
     haar_state,
-    random_hermitian,
 )
 from sun_phase.amplitude import (
     group_relation_residuals,

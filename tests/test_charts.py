@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from helpers import random_hermitian
 from sun_phase.algebra import (
     StatePair,
     build_gellmann_basis,
@@ -11,7 +12,6 @@ from sun_phase.algebra import (
     expm_partials,
     generator_sum,
     haar_state,
-    random_hermitian,
 )
 from sun_phase.amplitude import phase_gradient, polar_amplitude
 from sun_phase.charts import (

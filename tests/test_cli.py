@@ -10,8 +10,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sun_phase import amplitude, coset, superosc
+from sun_phase.algebra import StatePair, build_gellmann_basis, haar_state
 from sun_phase.amplitude import phase_gradient
 from sun_phase.charts import exp_chart, su2_polar_chart
+from sun_phase.errors import InternalConsistencyError
 from sun_phase.tolerances import CHECK_GATES, P_GRAD
 
 from sun_phase.cli import (
@@ -569,6 +572,79 @@ class TestCheckRegistry:
 
     def test_every_command_covered(self):
         assert {argv[0] for argv, _ in self.RUNS} == set(CHECK_GATES)
+
+
+class TestGatesAreLibraryConstants:
+    """The five gates that repeat a library check's threshold are that
+    check's constant: the registry holds the object the library module
+    compares against, and each check reads it from its module, so a gate
+    and its guard cannot drift apart."""
+
+    @staticmethod
+    def aligned(seed):
+        """A Haar pair at n = 3 and its aligned generator."""
+        rng = np.random.default_rng(seed)
+        pair = StatePair(haar_state(3, rng), haar_state(3, rng))
+        return pair, superosc.aligned_generator(pair, build_gellmann_basis(3))
+
+    def test_registry_holds_the_library_constants(self):
+        gates = CHECK_GATES["superosc"]
+        assert CHECK_GATES["verify-group"]["gradient-lower-bound"] is (
+            amplitude.GATE_GRADIENT_LOWER_BOUND
+        )
+        assert CHECK_GATES["verify-ray"]["fs-metric-agreement"] is coset.ATOL_FD_MATCH
+        assert gates["eigenvalue-cap"] is superosc.GATE_EIGENVALUE_CAP
+        assert gates["fourier-reconstruction"] is superosc.GATE_FOURIER_RECONSTRUCTION
+        assert gates["superoscillatory-at-zero"] is superosc.GATE_SUPEROSCILLATORY_AT_ZERO
+
+    def test_gradient_lower_bound(self, monkeypatch):
+        # |grad eta|^2 at n = 2 is 5e-10 below its bound 1
+        def gradient():
+            zeros = np.zeros(3)
+            return amplitude.PhaseGradient(2, 1.0, 0.0, zeros, zeros, 1.0 - 5e-10, 0.0, 0.0)
+
+        gradient()
+        monkeypatch.setattr(amplitude, "GATE_GRADIENT_LOWER_BOUND", 1e-10)
+        with pytest.raises(InternalConsistencyError, match="below the bound"):
+            gradient()
+
+    def test_eigenvalue_cap(self, monkeypatch):
+        # sigma_z scaled so that its eigenvalues exceed the cap 1 by 4e-11,
+        # inside the normalization check
+        matrix = build_gellmann_basis(2)[2] * (1.0 + 4e-11)
+        superosc.normalized_generator(matrix)
+        monkeypatch.setattr(superosc, "GATE_EIGENVALUE_CAP", 1e-11)
+        with pytest.raises(InternalConsistencyError, match="spectral cap"):
+            superosc.normalized_generator(matrix)
+
+    def test_fourier_reconstruction(self, monkeypatch):
+        pair, gen = self.aligned(5)
+        residual = superosc.phase_trace(pair, gen, samples=64).fourier_residual
+        assert residual > 0.0
+        monkeypatch.setattr(superosc, "GATE_FOURIER_RECONSTRUCTION", residual)
+        with pytest.raises(InternalConsistencyError, match="Fourier sum"):
+            superosc.phase_trace(pair, gen, samples=64)
+
+    def test_superoscillatory_at_zero(self, monkeypatch):
+        pair, gen = self.aligned(6)
+        report = superosc.superoscillation_report(pair, gen, samples=64)
+        assert report.superoscillatory_at_zero and not report.boundary
+        # omega(0) counts as the cap within the gate; a negative gate asks
+        # for more than omega(0) gives
+        gap = report.omega_zero - report.max_abs_eigenvalue
+        monkeypatch.setattr(superosc, "GATE_SUPEROSCILLATORY_AT_ZERO", 2.0 * gap)
+        assert superosc.superoscillation_report(pair, gen, samples=64).boundary
+        monkeypatch.setattr(superosc, "GATE_SUPEROSCILLATORY_AT_ZERO", -2.0 * gap)
+        report = superosc.superoscillation_report(pair, gen, samples=64)
+        assert not report.superoscillatory_at_zero
+
+    def test_fs_metric_agreement(self, monkeypatch):
+        frame = coset.build_cartan_frame(np.eye(3, dtype=complex)[0])
+        y = np.full(frame.dim_coset, 0.2)
+        coset.section(frame, y)
+        monkeypatch.setattr(coset, "ATOL_FD_MATCH", 0.0)
+        with pytest.raises(InternalConsistencyError, match="Fubini-Study"):
+            coset.section(frame, y)
 
 
 class TestSu2Demo:

@@ -3,12 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import random_hermitian
 from sun_phase.algebra import (
     StatePair,
     dagger,
     expm_partials,
     haar_state,
-    random_hermitian,
 )
 from sun_phase.amplitude import phase_gradient, polar_amplitude
 from sun_phase.coset import (

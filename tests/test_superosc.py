@@ -3,12 +3,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from helpers import random_hermitian
 from sun_phase.algebra import (
     StatePair,
     build_gellmann_basis,
     dagger,
     haar_state,
-    random_hermitian,
 )
 from sun_phase.amplitude import min_gradient_bound, phase_gradient
 from sun_phase.charts import exp_chart
