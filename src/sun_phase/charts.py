@@ -35,7 +35,9 @@ Every guard on a chart's value, frame and metric is written
 stack) and then `algebra.det`, and the det(omega) guard reads
 `algebra.det`: closed forms for 2 x 2 stacks, which hold the values of
 the SU(2) charts to the same gates without one LAPACK or BLAS call per
-matrix.
+matrix.  The SU(2) polar chart writes n.sigma and its partials entry by
+entry, each part rounded as the contraction over the Pauli stack rounds
+it, so its U and dU carry that contraction's bits without an einsum.
 """
 from __future__ import annotations
 
@@ -184,13 +186,28 @@ def su2_polar_chart() -> Chart:
     """Polar chart on SU(2): U = cos(chi) 1 + i sin(chi) sigma.nhat(theta, phi).
 
     Coordinates (chi, theta, phi) with chi, theta in (margin, pi - margin)
-    and phi periodic.  The polar axes theta in {0, pi} (and chi in
+    and phi periodic (finite).  The polar axes theta in {0, pi} (and chi in
     {0, pi}) are metric-degenerate and excluded.  Closed-form partial
-    derivatives are attached.
+    derivatives are attached.  n.sigma and its theta and phi partials are
+    written entry by entry, [[n_z, n_x - i n_y], [n_x + i n_y, -n_z]], with
+    every part rounded as the contraction over the Pauli stack rounds it:
+    a sum from +0, so that a -0 part reads +0.
     """
     sigma = build_gellmann_basis(2)
     eye = np.eye(2, dtype=complex)
     margin = CHART_MARGIN
+
+    def _n_sigma(nx, ny, nz) -> np.ndarray:
+        """n.sigma of the components n_x, n_y, n_z (...), shape (..., 2, 2)."""
+        parts = np.zeros(np.shape(nx) + (2, 2, 2))  # (..., row, column, re/im)
+        parts[..., 0, 0, 0] = nz
+        parts[..., 0, 1, 0] = nx
+        parts[..., 0, 1, 1] = -ny
+        parts[..., 1, 0, 0] = nx
+        parts[..., 1, 0, 1] = ny
+        parts[..., 1, 1, 0] = -nz
+        parts += 0.0  # -0 -> +0, as in a sum that starts from +0
+        return parts.view(complex)[..., 0]
 
     def _value(x: np.ndarray):
         """U(x), with n.sigma and the sines and cosines the partials share."""
@@ -198,8 +215,7 @@ def su2_polar_chart() -> Chart:
         chi = chi[..., None, None]  # scales each 2 x 2 matrix
         trig = np.cos(chi), np.sin(chi), np.cos(theta), np.sin(theta), np.cos(phi), np.sin(phi)
         cos_chi, sin_chi, cos_t, sin_t, cos_p, sin_p = trig
-        nhat = np.stack([sin_t * cos_p, sin_t * sin_p, cos_t], axis=-1)
-        n_sigma = np.einsum("...j,jab->...ab", nhat, sigma)
+        n_sigma = _n_sigma(sin_t * cos_p, sin_t * sin_p, cos_t)
         return cos_chi * eye + 1j * sin_chi * n_sigma, n_sigma, trig
 
     def _map(x: np.ndarray) -> np.ndarray:
@@ -207,18 +223,16 @@ def su2_polar_chart() -> Chart:
 
     def _map_partials(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         u, n_sigma, (cos_chi, sin_chi, cos_t, sin_t, cos_p, sin_p) = _value(x)
-        dn_dtheta = np.stack([cos_t * cos_p, cos_t * sin_p, -sin_t], axis=-1)
-        dn_dphi = np.stack([-sin_t * sin_p, sin_t * cos_p, np.zeros_like(sin_p)], axis=-1)
         d_chi = -sin_chi * eye + 1j * cos_chi * n_sigma
-        d_theta = 1j * sin_chi * np.einsum("...j,jab->...ab", dn_dtheta, sigma)
-        d_phi = 1j * sin_chi * np.einsum("...j,jab->...ab", dn_dphi, sigma)
+        d_theta = 1j * sin_chi * _n_sigma(cos_t * cos_p, cos_t * sin_p, -sin_t)
+        d_phi = 1j * sin_chi * _n_sigma(-sin_t * sin_p, sin_t * cos_p, 0.0)
         return u, np.stack([d_chi, d_theta, d_phi], axis=-3)
 
     def _contains(x: np.ndarray) -> np.ndarray:
-        chi, theta = x[..., 0], x[..., 1]
+        chi, theta, phi = x[..., 0], x[..., 1], x[..., 2]
         return (margin < chi) & (chi < np.pi - margin) & (margin < theta) & (
             theta < np.pi - margin
-        )
+        ) & np.isfinite(phi)
 
     return Chart(
         label="su2-polar",

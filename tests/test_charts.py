@@ -1,7 +1,10 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import random_hermitian
 from sun_phase.algebra import (
@@ -32,7 +35,7 @@ from sun_phase.errors import (
     InternalConsistencyError,
     ShapeError,
 )
-from sun_phase.tolerances import ATOL_FD_MATCH
+from sun_phase.tolerances import ATOL_FD_MATCH, CHART_MARGIN
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -146,6 +149,118 @@ class TestSu2PolarChart:
             assert metric.g_inv[2, 2] == pytest.approx(
                 1.0 / (np.sin(chi) ** 2 * np.sin(theta) ** 2), rel=1e-9
             )
+
+    @pytest.mark.parametrize("phi", [np.inf, -np.inf, np.nan])
+    def test_non_finite_phi_rejected(self, phi):
+        # outside the domain, like the exp chart's non-finite coordinates:
+        # no cos/sin warning and no unitarity guard claiming a library bug
+        chart = su2_polar_chart()
+        x = np.array([1.0, 1.0, phi])
+        assert not chart.contains(x)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for points in (x, np.stack([[1.0, 1.0, 0.3], x])):
+                for with_partials in (False, True):
+                    with pytest.raises(DomainError):
+                        chart.evaluate(points, with_partials=with_partials)
+
+
+def einsum_su2_polar(x):
+    """U and dU of the SU(2) polar chart with n.sigma formed by the Pauli
+    contraction `np.einsum`: the reference that the chart's entry-by-entry
+    n.sigma must match bit for bit."""
+    sigma = build_gellmann_basis(2)
+    eye = np.eye(2, dtype=complex)
+
+    chi, theta, phi = x.T
+    chi = chi[..., None, None]  # scales each 2 x 2 matrix
+    trig = np.cos(chi), np.sin(chi), np.cos(theta), np.sin(theta), np.cos(phi), np.sin(phi)
+    cos_chi, sin_chi, cos_t, sin_t, cos_p, sin_p = trig
+    nhat = np.stack([sin_t * cos_p, sin_t * sin_p, cos_t], axis=-1)
+    n_sigma = np.einsum("...j,jab->...ab", nhat, sigma)
+    u = cos_chi * eye + 1j * sin_chi * n_sigma
+
+    dn_dtheta = np.stack([cos_t * cos_p, cos_t * sin_p, -sin_t], axis=-1)
+    dn_dphi = np.stack([-sin_t * sin_p, sin_t * cos_p, np.zeros_like(sin_p)], axis=-1)
+    d_chi = -sin_chi * eye + 1j * cos_chi * n_sigma
+    d_theta = 1j * sin_chi * np.einsum("...j,jab->...ab", dn_dtheta, sigma)
+    d_phi = 1j * sin_chi * np.einsum("...j,jab->...ab", dn_dphi, sigma)
+    return u, np.stack([d_chi, d_theta, d_phi], axis=-3)
+
+
+def assert_su2_polar_bits(x):
+    """map_fn and map_partials_fn of the SU(2) polar chart give the
+    reference's U and dU byte for byte (signed zeros included), on the
+    stack x and on each of its rows."""
+    chart = su2_polar_chart()
+    for points in (x, *x):
+        u_ref, du_ref = einsum_su2_polar(points)
+        u, du = chart.map_partials_fn(points)
+        assert chart.map_fn(points).tobytes() == u_ref.tobytes()
+        assert u.tobytes() == u_ref.tobytes()
+        assert du.tobytes() == du_ref.tobytes()
+        assert (u.shape, du.shape) == (u_ref.shape, du_ref.shape)
+
+
+# chi and theta at the chart margins (the first and last doubles inside the
+# domain) and inside, each with phi at multiples of pi/2 and at -0.0
+SU2_INSIDE = np.nextafter(CHART_MARGIN, np.inf), np.nextafter(np.pi - CHART_MARGIN, 0.0)
+SU2_EDGE_ROWS = np.array(
+    [
+        (chi, theta, phi)
+        for chi in (SU2_INSIDE[0], 1.0, np.pi / 2, SU2_INSIDE[1])
+        for theta in (SU2_INSIDE[0], np.pi / 2, SU2_INSIDE[1])
+        for phi in (0.0, -0.0, np.pi / 2, np.pi, -np.pi, 2 * np.pi)
+    ]
+)
+
+
+class TestSu2PolarEntryByEntry:
+    """The SU(2) polar chart writes n.sigma entry by entry instead of the
+    Pauli contraction, and every U and dU it gives keeps the contraction's
+    bits, so reports built on them keep theirs."""
+
+    def test_edge_rows_bit_identical(self):
+        assert_su2_polar_bits(SU2_EDGE_ROWS)
+        assert np.signbit(SU2_EDGE_ROWS[:, 2]).any()  # -0.0 reaches the chart
+
+    def test_su2_demo_grid_bit_identical(self):
+        # the `su2-demo --grid 10` grid, in the command's row order
+        chis = np.linspace(0.2, np.pi - 0.2, 10)
+        phis = np.linspace(0.0, 2 * np.pi, 10, endpoint=False)
+        grid = np.stack(np.meshgrid(chis, chis, phis, indexing="ij"), axis=-1).reshape(-1, 3)
+        assert_su2_polar_bits(grid)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.floats(CHART_MARGIN, np.pi - CHART_MARGIN, exclude_min=True, exclude_max=True),
+                st.floats(CHART_MARGIN, np.pi - CHART_MARGIN, exclude_min=True, exclude_max=True),
+                st.floats(allow_nan=False, allow_infinity=False),
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    def test_domain_sample_bit_identical(self, rows):
+        assert_su2_polar_bits(np.array(rows))
+
+    def test_no_einsum_call(self, monkeypatch):
+        chart = su2_polar_chart()
+        calls = []
+        einsum = np.einsum
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return einsum(*args, **kwargs)
+
+        monkeypatch.setattr(np, "einsum", counted)
+        stack = np.array(sample_in_box(chart, np.random.default_rng(44), 5))
+        for x in (stack[0], stack):
+            chart.map_fn(x)
+            chart.map_partials_fn(x)
+        assert calls == []
 
 
 class TestFrames:
