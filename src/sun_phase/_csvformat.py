@@ -1,10 +1,10 @@
 """Exact `%.17g` and `%d` CSV cells, formed in numpy.
 
-`write_csv` writes a header and float or signed-integer columns as CSV,
-each float cell as `%.17g` and each int cell as `%d` writes it,
-`CSV_BLOCK_ROWS` rows at a time.  `write_rows` writes the rows byte for
-byte as their `%` template writes them, without formatting cell by cell
-in Python.  A float cell x goes through these steps:
+`write_csv` writes a header and float64 and bool columns as CSV,
+`CSV_BLOCK_ROWS` rows at a time, byte for byte as the `%` template of
+`%.17g` per float cell and `%d` per flag writes the rows, without
+formatting cell by cell in Python.  A float cell x goes through these
+steps:
 
 - k = floor(log10 |x|) is exact: the binary exponent of |x| leaves two
   candidates, told apart by a table of the smallest double at or above
@@ -23,21 +23,18 @@ in Python.  A float cell x goes through these steps:
   with at least two exponent digits, trailing zeros and a bare point
   dropped, and the sign from the sign bit, so -0.0 gives `-0`.
 
-In a block where an int column holds only 0..9 (the 0/1 flag of a
-trace), each cell is its one ASCII digit, the text of `%d`, written
-straight into its byte cell; the float steps above format only the
-other columns.  Any other int cell with |v| < 2^53 is the float cell of
-the same value: `%.17g` of an integer below 10^16 is its digits.  A
-cell's text is formed as three little-endian 64-bit words, byte j of
-the text in bits 8j..8j+7, so moving text is shifting words, and a 0
-byte is padding.  A block of rows is one byte matrix of fixed-width
-cells, written without its 0 bytes.  A row with a cell not proven exact
-(a near-tie, nan, inf, 0 < |x| < 1e-270, |x| >= 1e271, or an int with
-|v| >= 2^53) is written by the `%` template instead; only a block that
-has such a row is split into runs, and a fully proven block is written
-with one mask.
+A flag cell (the `defined` column of a trace) is its one ASCII digit,
+the text of `%d`, written straight into its byte cell; the float steps
+above format only the float columns.  A cell's text is formed as three
+little-endian 64-bit words, byte j of the text in bits 8j..8j+7, so
+moving text is shifting words, and a 0 byte is padding.  A block of rows
+is one byte matrix of fixed-width cells, written without its 0 bytes.  A
+row with a float cell not proven exact (a near-tie, nan, inf,
+0 < |x| < 1e-270 or |x| >= 1e271) is written by the `%` template
+instead; only a block that has such a row is split into runs, and a
+fully proven block is written with one mask.
 
-Every step writes into work rows allocated once per `write_rows` call,
+Every step writes into work rows allocated once per `write_csv` call,
 so a block allocates only its output bytes.  With a fresh array per
 step, the allocator returned the freed memory to the system and faulted
 it back in on the next block, which made formatting 2.5 times slower.
@@ -53,9 +50,9 @@ import numpy as np
 
 CSV_BLOCK_ROWS = 1024  # CSV rows formatted and written per block
 
-# `%` conversion per numpy dtype kind: floats with 17 significant digits,
-# signed integers as decimals; a column of any other kind raises KeyError
-_FORMATS = {"f": "%.17g", "i": "%d"}
+# `%` conversion per column dtype: float64 with 17 significant digits, a
+# bool flag as its digit; a column of any other dtype raises KeyError
+_FORMATS = {np.dtype(np.float64): "%.17g", np.dtype(bool): "%d"}
 
 _CELL = 25  # bytes per cell: a text of up to 24 bytes and the separator
 _K_MIN, _K_MAX = -270, 270  # decimal exponents of the fast path
@@ -150,19 +147,11 @@ def _tables() -> SimpleNamespace:
     return tables
 
 
-def _store(out: np.ndarray, cols, words) -> None:
-    """Write three words per cell into the byte cells `out[:, cols]` of
-    `out` (R, C, 24); `cols` is a slice or a list of column indices."""
-    view = out.view("<u8")
-    for w, word in enumerate(words):
-        view[:, cols, w] = word.reshape(len(view), -1)
-
-
 def _float_cells(x: np.ndarray, out: np.ndarray, cols, work: np.ndarray, flags: np.ndarray):
     """Write the `%.17g` texts of float64 cells `x` (R, F) into the
-    columns `cols` of `out` (R, C, 24), 0-padded; return the rows not
-    proven exact, or None when every cell is.  `work` and `flags` are
-    uint64 and bool work rows, at least x.size long."""
+    columns `cols` (a slice or a list) of `out` (R, C, 24), 0-padded;
+    return the rows not proven exact, or None when every cell is.  `work`
+    and `flags` are uint64 and bool work rows, at least x.size long."""
     tab = _tables()
     n = x.size
     x = x.reshape(n)
@@ -318,86 +307,70 @@ def _float_cells(x: np.ndarray, out: np.ndarray, cols, work: np.ndarray, flags: 
     np.add(at, flag, out=at)
     tab.prefix.take(at, out=m, mode="clip")
     np.bitwise_or(l0, m, out=l0)
-    _store(out, cols, lows)
+    view = out.view("<u8")  # three words per byte cell
+    for w, low in enumerate(lows):
+        view[:, cols, w] = low.reshape(len(view), -1)
     return bad.reshape(len(out), -1).any(axis=1) if bad.any() else None
 
 
-def write_rows(handle, columns, template: str, block_rows: int) -> None:
-    """Write equal-length float or signed-integer columns to the binary
-    file `handle` as the rows `template % row` gives, `block_rows` rows
-    at a time."""
-    rows = len(columns[0])
-    if not rows:
-        return
-    block_rows = min(rows, block_rows)
-    _tables()  # built before the work rows, so that their peaks do not add
-    size = block_rows * len(columns)
-    values = np.empty(size)
-    matrix = np.empty((block_rows, len(columns), _CELL), np.uint8)
-    matrix[:, :, -1] = ord(",")
-    matrix[:, -1, -1] = ord("\n")
-    # the mask of a block's text bytes reuses the work rows, done with by then
-    arena = np.empty(_WORK_ROWS * size * 8, np.uint8)
-    work = arena.view(np.uint64).reshape(_WORK_ROWS, size)
-    filled = arena[:matrix.size].view(bool).reshape(matrix.shape)
-    flags = np.empty((_FLAG_ROWS, size), bool)
-
-    def write_fast(block, lo, hi):
-        if hi > lo:
-            mask = np.not_equal(block[lo:hi], 0, out=filled[lo:hi])
-            handle.write(block[lo:hi][mask])
-
-    for first in range(0, rows, block_rows):
-        cells = [column[first:first + block_rows] for column in columns]
-        count = len(cells[0])
-        block = matrix[:count]
-        floats, unproven = [], None  # the columns of the float route; rows for `%`
-        for j, cell in enumerate(cells):
-            if cell.dtype.kind == "i":
-                low, high = cell.min(), cell.max()
-                if 0 <= low and high <= 9:  # one digit byte per cell
-                    digits = block[:, j, :-1].view("<u8")
-                    np.add(cell, ord("0"), out=digits[:, 0], casting="unsafe")
-                    digits[:, 1:] = 0
-                    continue
-                if low <= -2**53 or high >= 2**53:  # not exact as a double
-                    wide = (cell <= -2**53) | (cell >= 2**53)
-                    unproven = wide if unproven is None else unproven | wide
-            floats.append(j)
-        if floats:
-            x = values[:count * len(floats)].reshape(count, len(floats))
-            with np.errstate(invalid="ignore"):  # a float32 signaling nan; it goes through `%`
-                for k, j in enumerate(floats):
-                    x[:, k] = cells[j]
-            # adjacent columns as a slice, which numpy writes twice as fast as a list
-            span = slice(floats[0], floats[-1] + 1)
-            cols = span if span.stop - span.start == len(floats) else floats
-            bad = _float_cells(x, block[:, :, :-1], cols, work, flags)
-            if bad is not None:
-                unproven = bad if unproven is None else unproven | bad
-        if unproven is None:
-            write_fast(block, 0, count)
-            continue
-        # rows not proven exact, in runs [begin, end), go through `%`
-        edges = np.flatnonzero(np.diff(unproven, prepend=False, append=False)).reshape(-1, 2)
-        done = 0
-        for begin, end in edges.tolist():
-            write_fast(block, done, begin)
-            slow = [column[begin:end].tolist() for column in cells]
-            handle.write(((template * (end - begin)) % tuple(chain.from_iterable(zip(*slow)))).encode())
-            done = end
-        write_fast(block, done, count)
-
-
 def write_csv(path: str, header: list[str], columns) -> None:
-    """Write equal-length float or signed-integer numpy columns as CSV rows
-    under a header line.  A column of another dtype kind raises KeyError,
-    and columns whose count or lengths do not match the header ValueError."""
+    """Write equal-length float64 and bool numpy columns as CSV rows under a
+    header line, `CSV_BLOCK_ROWS` rows at a time.  A column of another
+    dtype raises KeyError, and columns whose count or lengths do not match
+    the header ValueError."""
     rows = len(columns[0])
     if len(columns) != len(header) or any(len(column) != rows for column in columns):
         raise ValueError("write_csv needs one column per header entry, all of one length")
-    template = ",".join(_FORMATS[column.dtype.kind] for column in columns) + "\n"
+    template = ",".join(_FORMATS[column.dtype] for column in columns) + "\n"
+    flags = [j for j, column in enumerate(columns) if column.dtype == bool]
+    floats = [j for j, column in enumerate(columns) if column.dtype != bool]
+    # adjacent columns as a slice, which numpy writes twice as fast as a list
+    adjacent = floats and floats[-1] - floats[0] + 1 == len(floats)
+    cols = slice(floats[0], floats[-1] + 1) if adjacent else floats
 
     with open(path, "wb") as handle:
         handle.write((",".join(header) + "\n").encode())
-        write_rows(handle, columns, template, CSV_BLOCK_ROWS)
+        if not rows:
+            return
+        block_rows = min(rows, CSV_BLOCK_ROWS)
+        _tables()  # built before the work rows, so that their peaks do not add
+        values = np.empty((block_rows, len(floats)))
+        # the padding of a flag cell stays 0: only its digit byte is written
+        matrix = np.zeros((block_rows, len(columns), _CELL), np.uint8)
+        matrix[:, :, -1] = ord(",")
+        matrix[:, -1, -1] = ord("\n")
+        # the mask of a block's text bytes reuses the work rows, done with by then
+        arena = np.empty(max(_WORK_ROWS * 8 * values.size, matrix.size), np.uint8)
+        work = arena[:_WORK_ROWS * 8 * values.size].view(np.uint64).reshape(_WORK_ROWS, values.size)
+        filled = arena[:matrix.size].view(bool).reshape(matrix.shape)
+        work_flags = np.empty((_FLAG_ROWS, values.size), bool)
+
+        def write_fast(block, lo, hi):
+            if hi > lo:
+                mask = np.not_equal(block[lo:hi], 0, out=filled[lo:hi])
+                handle.write(block[lo:hi][mask])
+
+        for first in range(0, rows, block_rows):
+            cells = [column[first:first + block_rows] for column in columns]
+            count = len(cells[0])
+            block = matrix[:count]
+            for j in flags:  # one digit byte per cell, the text of `%d`
+                np.add(cells[j].view(np.uint8), ord("0"), out=block[:, j, 0])
+            unproven = None  # the rows for `%`
+            if floats:
+                x = values[:count]
+                for k, j in enumerate(floats):
+                    x[:, k] = cells[j]
+                unproven = _float_cells(x, block[:, :, :-1], cols, work, work_flags)
+            if unproven is None:
+                write_fast(block, 0, count)
+                continue
+            # rows not proven exact, in runs [begin, end), go through `%`
+            edges = np.flatnonzero(np.diff(unproven, prepend=False, append=False)).reshape(-1, 2)
+            done = 0
+            for begin, end in edges.tolist():
+                write_fast(block, done, begin)
+                slow = [column[begin:end].tolist() for column in cells]
+                handle.write(((template * (end - begin)) % tuple(chain.from_iterable(zip(*slow)))).encode())
+                done = end
+            write_fast(block, done, count)

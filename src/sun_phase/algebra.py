@@ -167,6 +167,8 @@ def completeness_residual(x: np.ndarray, y: np.ndarray, basis: np.ndarray) -> fl
 def _hermitian_eigh(l: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if l.ndim < 2 or l.shape[-1] != l.shape[-2]:
         raise ShapeError(f"generator must be square, got shape {l.shape}")
+    if not np.isfinite(l).all():
+        raise DomainError("generator has a non-finite entry")
     if not np.abs(l - dagger(l)).max(initial=0.0) < ATOL_IDENTITY:
         raise DomainError("generator is not Hermitian")
     return np.linalg.eigh(l)
@@ -185,8 +187,11 @@ def expm_generator(l: np.ndarray, t=1.0) -> np.ndarray:
     Exactly unitary up to eigensolver error, and det = 1 whenever l is
     traceless.  The eigenvalues are the angular frequencies of every
     matrix element of the resulting one-parameter subgroup.  A stack of
-    generators (N, n, n), or times t of shape (N,), give stacks.
+    generators (N, n, n), or times t of shape (N,), give stacks.  A
+    non-finite entry of l or t raises DomainError.
     """
+    if not np.isfinite(t).all():
+        raise DomainError(f"time is not finite: {t}")
     w, v = _hermitian_eigh(l)
     return _unitary_from_eigh(w, v, t)
 

@@ -33,10 +33,18 @@ from .errors import (
 )
 from .tolerances import ATOL_IDENTITY, FD_STEP, GATE_GRADIENT_LOWER_BOUND, P_GRAD, P_MIN
 
+WINDING_DEPTH = 14  # bisection rounds of a loop step of pi/2 or more in vortex_winding
+
 
 def principal_angle(delta) -> float | np.ndarray:
     """Wrap an angle difference to the principal branch (-pi, pi]."""
     return delta - 2 * np.pi * np.ceil((delta - np.pi) / (2 * np.pi))
+
+
+def _modulus_sq(value: np.ndarray) -> np.ndarray:
+    """|value|^2 of complex values, as np.hypot(re, im) ** 2: the modulus of
+    Python's complex abs, squared (np.abs differs in the last bit)."""
+    return np.hypot(value.real, value.imag) ** 2
 
 
 def min_gradient_bound_sq(n: int) -> float:
@@ -103,7 +111,7 @@ def _polar(pair: StatePair, u: np.ndarray) -> PolarAmplitude:
     if pair.psi_i.ndim == 2 and len(pair.psi_i) != len(u):
         raise ShapeError(f"{len(pair.psi_i)} state pairs for {len(u)} matrices")
     value = (pair.psi_f.conj()[..., None, :] @ u @ pair.psi_i[..., :, None])[..., 0, 0]
-    p = np.hypot(value.real, value.imag) ** 2  # as Python's complex abs (np.abs differs)
+    p = _modulus_sq(value)
     if (p > 1.0 + P_MIN).any():
         raise InternalConsistencyError(f"modulus squared {np.max(p)} exceeds 1")
     eta = np.where(p >= P_MIN, np.angle(value), 0.0)
@@ -186,7 +194,7 @@ def phase_gradient(pair: StatePair, chart: Chart, x) -> PhaseGradient:
     The complex phase differential has exact frame components
     <psi_f|U g_a|psi_i> / <psi_f|U|psi_i>, pulled back through the frame;
     its real part is d(eta) and minus its imaginary part d(log sqrt p).
-    Requires p >= 1e-8 (the formula divides by the amplitude): one point
+    Requires p >= P_GRAD (the formula divides by the amplitude): one point
     below raises NearZeroAmplitudeError, rows of a stack x (N, m) below get
     NaN gradients.  A stack raises the error of its first failing row.  A
     stacked pair gives row k its own pair.
@@ -319,17 +327,17 @@ class VortexWinding(NamedTuple):
     max_phase_step: float
 
 
-def vortex_winding(pair: StatePair, chart: Chart, loop, max_depth: int = 14) -> VortexWinding:
+def vortex_winding(pair: StatePair, chart: Chart, loop) -> VortexWinding:
     """Winding number (1/2 pi) sum of unwrapped phase steps around a loop.
 
     The loop is an ordered array of coordinate rows (N, m) interpreted as
     a polyline; it must be closed, either with identical first and last
     coordinates or (for periodic coordinates) with first and last
     mapping to the same group element.  The loop is evaluated as stacks
-    of `chart.block_rows()` points.  Steps larger than pi/2 are
-    bisected, up to `max_depth` rounds; a step still that large raises
-    ResolutionError (with `max_depth=0`, any such step does).  Points
-    with p < 1e-8 raise SingularLoopError.  The summed phase must land
+    of `chart.block_rows()` points.  Steps of pi/2 or more are
+    bisected, up to `WINDING_DEPTH` rounds; a step still that large raises
+    ResolutionError (with `WINDING_DEPTH` = 0, any such step does).  Points
+    with p < P_GRAD raise SingularLoopError.  The summed phase must land
     within 0.01 turns of an integer.
     """
     loop = np.asarray(loop, dtype=float)
@@ -353,7 +361,7 @@ def vortex_winding(pair: StatePair, chart: Chart, loop, max_depth: int = 14) -> 
     steps = principal_angle(np.diff(etas))
     total = float(np.sum(steps[np.abs(steps) < np.pi / 2]))
     for k in np.flatnonzero(np.abs(steps) >= np.pi / 2):
-        total += _unwrapped_step(loop[k], loop[k + 1], etas[k], etas[k + 1], eta_at, max_depth)
+        total += _unwrapped_step(loop[k], loop[k + 1], etas[k], etas[k + 1], eta_at, WINDING_DEPTH)
     turns = total / (2 * np.pi)
     winding = round(turns)
     if abs(turns - winding) >= 0.01:

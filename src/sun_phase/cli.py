@@ -68,9 +68,15 @@ import sys
 import numpy as np
 
 from . import __version__
-from ._csvformat import CSV_BLOCK_ROWS, write_csv  # the block size write_csv uses
+from ._csvformat import write_csv
 from .algebra import StatePair, _unit_rows, build_gellmann_basis, haar_state
-from .amplitude import min_gradient_bound_sq, phase_gradient, principal_angle, vortex_winding
+from .amplitude import (
+    _modulus_sq,
+    min_gradient_bound_sq,
+    phase_gradient,
+    principal_angle,
+    vortex_winding,
+)
 from .charts import Chart, exp_chart, su2_polar_chart
 from .coset import (
     _reference_pair,
@@ -448,7 +454,7 @@ def run_ray_sweep(args) -> int:
         """The section at the rows of y with p > p_skip, and their mask."""
         point = section(frame, y)
         amp = point.overlap(pair.psi_f)
-        kept = np.hypot(amp.real, amp.imag) ** 2 > p_skip
+        kept = _modulus_sq(amp) > p_skip
         return (point if kept.all() else point.rows(kept)), kept
 
     # per point: y, then xi_s, then xi0
@@ -591,8 +597,7 @@ def run_superosc(args) -> int:
         write_csv(
             args.csv,
             ["t", "re_amplitude", "im_amplitude", "omega", "defined"],
-            [trace.t, trace.amplitude.real, trace.amplitude.imag, trace.omega,
-             trace.defined.astype(np.int64)],
+            [trace.t, trace.amplitude.real, trace.amplitude.imag, trace.omega, trace.defined],
         )
 
     report = base_report("superosc", _echo(args, _SWEEP_ECHO), args.seed)

@@ -47,6 +47,7 @@ from .algebra import (
 from .amplitude import (
     RelationResiduals,
     _frame_gradient,
+    _modulus_sq,
     _polar,
     min_gradient_bound,
     min_gradient_bound_sq,
@@ -356,11 +357,11 @@ def section(frame: CartanFrame, y) -> SectionPoint:
     point's `du` and `frame`, built on first read; only the bridge and the
     block decomposition read them.
 
-    The two Fubini-Study constructions are cross-checked to 1e-6 and the
-    Berry connection verified real to 1e-9.  At the slice the full frame
-    omega is the coset columns followed by identity columns (the partials
-    K i g_s and K i lambda0 pull back to their own generators), so it is
-    block lower-triangular with an identity isotropy/U(1) block, and
+    The two Fubini-Study constructions are cross-checked to ATOL_FD_MATCH
+    and the Berry connection verified real to 1e-9.  At the slice the full
+    frame omega is the coset columns followed by identity columns (the
+    partials K i g_s and K i lambda0 pull back to their own generators), so
+    it is block lower-triangular with an identity isotropy/U(1) block, and
     det(omega) = det(tau).  That omega, formed from the coset columns, gets
     the frame's det guard, on det(tau), and its inversion check
     (`charts.frame_dual`), and `fs_metric_inv` is T T^T for the leading
@@ -532,7 +533,7 @@ def _section_amplitude(pair: StatePair, point: SectionPoint):
     differentiated directly.
     """
     amp0 = point.overlap(pair.psi_f)
-    p0 = np.hypot(amp0.real, amp0.imag) ** 2  # as Python's complex abs
+    p0 = _modulus_sq(amp0)
     if np.min(p0, initial=np.inf) < P_GRAD:
         y = np.reshape(point.y, (-1, point.y.shape[-1]))[np.argmin(p0)]
         raise NearZeroAmplitudeError(f"section p = {np.min(p0):.3e} too small at y = {y}")
@@ -628,7 +629,8 @@ def bridge_residuals(pair: StatePair, point: SectionPoint) -> BridgeResult:
     with D eta = d eta + sqrt(2(n-1)/n) u1 (equal to d eta - A).  Both
     sides use exact derivatives of the point's full chart at x = (y, 0, 0):
     its frame route on the group side, from the section's partials and
-    frame, and the section's geometry on the ray side; tolerance 1e-4.
+    frame, and the section's geometry on the ray side; gated by the
+    bridge checks of `CHECK_GATES["verify-ray"]`.
     NearZeroAmplitudeError below p = P_BRIDGE.  A stack raises the error of
     its first failing row.
     """

@@ -194,8 +194,10 @@ def local_frequency(pair: StatePair, gen: NormalizedGenerator, t: float) -> floa
     Analytic, so it isolates the genuine poles at amplitude zeros
     instead of smearing them the way a differenced phase would.  A block
     of one sample of the `phase_trace` kernel, so it equals the trace's
-    omega at the same t exactly.
+    omega at the same t exactly.  A non-finite t raises DomainError.
     """
+    if not np.isfinite(t):
+        raise DomainError(f"time is not finite: {t}")
     phases = _phases(gen, np.array([t], dtype=float))
     _, omega, defined = _trace_block(_trace_constants(pair, gen), phases)
     if not defined[0]:
@@ -216,7 +218,7 @@ def phase_trace(
     memory stays bounded for any sample count; the phases e^{iwt} of a
     block serve both that route and the Fourier sum over the spectrum,
     which reproduces the amplitude to rounding error at every sample.
-    Samples with squared amplitude below 1e-10 are flagged and carry
+    Samples with squared amplitude below P_TRACE are flagged and carry
     omega = NaN.
     """
     if pair.n != gen.n:

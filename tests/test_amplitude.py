@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import random_hermitian
+from sun_phase import amplitude
 from sun_phase.algebra import (
     StatePair,
     build_gellmann_basis,
@@ -309,11 +310,13 @@ class TestVortexWinding:
         ]
         assert vortex_winding(SPIN_FLIP, chart, loop).winding == 0
 
-    def test_coarse_loop_requires_refinement(self):
+    def test_coarse_loop_requires_refinement(self, monkeypatch):
         chart = su2_polar_chart()
         coarse = phi_loop(np.pi / 2, 0.1, samples=4)
-        with pytest.raises(ResolutionError):
-            vortex_winding(SPIN_FLIP, chart, coarse, max_depth=0)
+        with monkeypatch.context() as patch:
+            patch.setattr(amplitude, "WINDING_DEPTH", 0)
+            with pytest.raises(ResolutionError):
+                vortex_winding(SPIN_FLIP, chart, coarse)
         assert vortex_winding(SPIN_FLIP, chart, coarse).winding == 1
 
     def test_loop_through_near_zero(self):

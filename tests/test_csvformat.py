@@ -1,25 +1,26 @@
 """The CSV formatter writes exactly the bytes of `%.17g` and `%d`.
 
-Every case compares `write_csv` with `format(float(v), ".17g")` and
-`str(int(v))` cell by cell, or with the `%` template row by row; together
-they cover more than 10^6 values.
+Every case compares `write_csv` with `format(float(v), ".17g")` cell by
+cell, or with the `%` template row by row; together they cover more than
+10^6 values.
 """
-import io
 import math
 from decimal import Decimal
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sun_phase import _csvformat
 from sun_phase.algebra import StatePair, build_gellmann_basis
-from sun_phase.cli import CSV_BLOCK_ROWS, main, write_csv
+from sun_phase._csvformat import CSV_BLOCK_ROWS
+from sun_phase.cli import main, write_csv
 from sun_phase.superosc import normalized_generator, phase_trace
 
 
 def reference(values):
-    return [format(v, ".17g") if isinstance(v, float) else str(v) for v in values.tolist()]
+    return [format(v, ".17g") for v in values.tolist()]
 
 
 def assert_exact(tmp_path, values):
@@ -94,64 +95,45 @@ def test_random_bit_patterns(tmp_path):
     assert_exact(tmp_path, bits.view(np.float64))
 
 
-def test_float32_column(tmp_path):
-    rng = np.random.default_rng(3)
-    bits = rng.integers(0, 2**32, 2**14, dtype=np.uint64).astype(np.uint32)
-    assert_exact(tmp_path, bits.view(np.float32))
-
-
-def test_int64_column(tmp_path):
-    rng = np.random.default_rng(4)
-    edges = np.array(
-        [0, 1, 9, 10, 99, 10**15, 2**53 - 1, 2**53, 10**16, 2**63 - 1], dtype=np.int64
-    )
-    values = np.concatenate([
-        signed(edges),
-        [np.iinfo(np.int64).min],
-        rng.integers(-2**53, 2**53, 2**14),
-        rng.integers(-10**6, 10**6, 2**10),
-        rng.integers(-10**17, 10**17, 2**10),
-        rng.integers(np.iinfo(np.int64).min, np.iinfo(np.int64).max, 2**10),
-    ]).astype(np.int64)
-    assert_exact(tmp_path, values)
+@pytest.mark.parametrize("dtype", [np.int64, np.int32, np.float32])
+def test_other_dtypes_rejected(tmp_path, dtype):
+    # the commands write float64 columns and bool flags only
+    with pytest.raises(KeyError):
+        write_csv(str(tmp_path / "c.csv"), ["f", "v"], [np.zeros(3), np.zeros(3, dtype)])
 
 
 @st.composite
-def float_and_int_columns(draw):
-    """A float column and an int column of 0..9, some of whose cells are
-    10, -1 or 2^53, so that 4-row blocks take every route."""
+def float_and_flag_columns(draw):
+    """A float column, nan and inf included, and a bool flag column."""
     floats = draw(st.lists(st.floats(width=64), min_size=1, max_size=40))
-    rows = len(floats)
-    ints = draw(st.lists(st.integers(0, 9), min_size=rows, max_size=rows))
-    for row, value in draw(st.lists(st.tuples(st.integers(0, rows - 1),
-                                              st.sampled_from([10, -1, 2**53])), max_size=4)):
-        ints[row] = value
-    return np.array(floats, dtype=np.float64), np.array(ints, dtype=np.int64)
+    flags = draw(st.lists(st.booleans(), min_size=len(floats), max_size=len(floats)))
+    return np.array(floats, dtype=np.float64), np.array(flags, dtype=bool)
 
 
 @settings(max_examples=300, deadline=None)
-@given(float_and_int_columns())
-def test_any_float_and_int_columns(columns):
-    # the int column between two float columns: in a digit block the float
-    # cells are not adjacent
-    floats, ints = columns
-    columns = [floats, ints, floats[::-1]]
+@given(float_and_flag_columns())
+def test_any_float_and_flag_columns(tmp_path_factory, columns):
+    # 4-row blocks mix rows of the fast path and of `%`; the flag column
+    # between two float columns makes the float cells not adjacent
+    floats, flags = columns
+    columns = [floats, flags, floats[::-1]]
+    path = tmp_path_factory.getbasetemp() / "any.csv"
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_csvformat, "CSV_BLOCK_ROWS", 4)
+        write_csv(str(path), ["a", "defined", "b"], columns)
     template = "%.17g,%d,%.17g\n"
-    handle = io.BytesIO()
-    _csvformat.write_rows(handle, columns, template, 4)
-    expected = "".join(template % row for row in zip(*(c.tolist() for c in columns)))
-    assert handle.getvalue().decode() == expected
+    expected = "a,defined,b\n" + "".join(template % row for row in zip(*(c.tolist() for c in columns)))
+    assert path.read_bytes() == expected.encode()
 
 
 def test_flagged_trace_csv_matches_template(tmp_path):
     # t = 0 is the first row of the second block: its omega is nan and its
-    # flag 0, in a block whose flags are all digits
+    # flag 0, so that row goes through `%`
     gen = normalized_generator(build_gellmann_basis(2)[0])
     pair = StatePair(np.array([1.0, 0.0], complex), np.array([0.0, 1.0], complex))
     trace = phase_trace(pair, gen, (-1, 1), 2 * CSV_BLOCK_ROWS + 1)
     assert not trace.defined[CSV_BLOCK_ROWS] and trace.defined.sum() == 2 * CSV_BLOCK_ROWS
-    columns = [trace.t, trace.amplitude.real, trace.amplitude.imag, trace.omega,
-               trace.defined.astype(np.int64)]
+    columns = [trace.t, trace.amplitude.real, trace.amplitude.imag, trace.omega, trace.defined]
     path = tmp_path / "t.csv"
     write_csv(str(path), ["t", "re_amplitude", "im_amplitude", "omega", "defined"], columns)
     template = "%.17g,%.17g,%.17g,%.17g,%d\n"
@@ -178,5 +160,5 @@ def test_superosc_trace_takes_the_fast_path(tmp_path, monkeypatch):
     assert main(argv) == 0
     assert len(unproven) == math.ceil(15000 / CSV_BLOCK_ROWS)
     assert sum(unproven) == 0
-    # the 0/1 `defined` column is written as digits, never as floats
+    # the `defined` flag is written as digits, never as floats
     assert set(widths) == {4}

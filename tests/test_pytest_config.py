@@ -1,6 +1,7 @@
 """The repository's pytest configuration, run on throwaway test files in a
-subprocess: every warning fails a test, and a failing hypothesis property
-still reports its falsifying example."""
+subprocess: every warning fails a test, a failing hypothesis property
+still reports its falsifying example, every xfail is strict and an
+unregistered marker is an error."""
 import subprocess
 import sys
 from pathlib import Path
@@ -22,6 +23,24 @@ import warnings
 
 def test_warns():
     warnings.warn("some other deprecation", DeprecationWarning)
+"""
+
+PASSING_XFAIL = """
+import pytest
+
+
+@pytest.mark.xfail(reason="expected to fail")
+def test_passes():
+    pass
+"""
+
+UNKNOWN_MARKER = """
+import pytest
+
+
+@pytest.mark.not_a_registered_marker
+def test_marked():
+    pass
 """
 
 
@@ -48,3 +67,18 @@ def test_other_warnings_still_fail(tmp_path):
     code, out = run_pytest(tmp_path, WARNING_TEST)
     assert code == 1, out
     assert "1 failed" in out
+
+
+def test_passing_xfail_fails_the_session(tmp_path):
+    # no strict=True on the marker: xfail_strict makes the unexpected pass a failure
+    code, out = run_pytest(tmp_path, PASSING_XFAIL)
+    assert code == 1, out
+    assert "XPASS(strict)" in out
+
+
+def test_unknown_marker_is_an_error(tmp_path):
+    # --strict-markers fails the collection; so does filterwarnings = error,
+    # which turns pytest's unknown-mark warning into an error on its own
+    code, out = run_pytest(tmp_path, UNKNOWN_MARKER)
+    assert code == 2, out
+    assert "not_a_registered_marker" in out and "1 error" in out
