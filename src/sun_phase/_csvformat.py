@@ -27,12 +27,11 @@ A flag cell (the `defined` column of a trace) is its one ASCII digit,
 the text of `%d`, written straight into its byte cell; the float steps
 above format only the float columns.  A cell's text is formed as three
 little-endian 64-bit words, byte j of the text in bits 8j..8j+7, so
-moving text is shifting words, and a 0 byte is padding.  A block of rows
-is one byte matrix of fixed-width cells, written without its 0 bytes.  A
-row with a float cell not proven exact (a near-tie, nan, inf,
-0 < |x| < 1e-270 or |x| >= 1e271) is written by the `%` template
-instead; only a block that has such a row is split into runs, and a
-fully proven block is written with one mask.
+moving text is shifting words, and a 0 byte is padding.  A float cell
+not proven exact (a near-tie, nan, inf, 0 < |x| < 1e-270 or
+|x| >= 1e271) takes the text of `%.17g` in place, over all 24 bytes of
+its cell: no `%.17g` text is longer.  A block of rows is one byte matrix
+of fixed-width cells, written with one mask that drops its 0 bytes.
 
 Every step writes into work rows allocated once per `write_csv` call,
 so a block allocates only its output bytes.  With a fresh array per
@@ -43,7 +42,6 @@ from __future__ import annotations
 
 import math
 from functools import cache
-from itertools import chain
 from types import SimpleNamespace
 
 import numpy as np
@@ -150,8 +148,8 @@ def _tables() -> SimpleNamespace:
 def _float_cells(x: np.ndarray, out: np.ndarray, cols, work: np.ndarray, flags: np.ndarray):
     """Write the `%.17g` texts of float64 cells `x` (R, F) into the
     columns `cols` (a slice or a list) of `out` (R, C, 24), 0-padded;
-    return the rows not proven exact, or None when every cell is.  `work`
-    and `flags` are uint64 and bool work rows, at least x.size long."""
+    return the (R, F) mask of the cells not proven exact.  `work` and
+    `flags` are uint64 and bool work rows, at least x.size long."""
     tab = _tables()
     n = x.size
     x = x.reshape(n)
@@ -310,7 +308,7 @@ def _float_cells(x: np.ndarray, out: np.ndarray, cols, work: np.ndarray, flags: 
     view = out.view("<u8")  # three words per byte cell
     for w, low in enumerate(lows):
         view[:, cols, w] = low.reshape(len(view), -1)
-    return bad.reshape(len(out), -1).any(axis=1) if bad.any() else None
+    return bad.reshape(len(out), -1)
 
 
 def write_csv(path: str, header: list[str], columns) -> None:
@@ -321,7 +319,7 @@ def write_csv(path: str, header: list[str], columns) -> None:
     rows = len(columns[0])
     if len(columns) != len(header) or any(len(column) != rows for column in columns):
         raise ValueError("write_csv needs one column per header entry, all of one length")
-    template = ",".join(_FORMATS[column.dtype] for column in columns) + "\n"
+    formats = [_FORMATS[column.dtype] for column in columns]
     flags = [j for j, column in enumerate(columns) if column.dtype == bool]
     floats = [j for j, column in enumerate(columns) if column.dtype != bool]
     # adjacent columns as a slice, which numpy writes twice as fast as a list
@@ -345,32 +343,21 @@ def write_csv(path: str, header: list[str], columns) -> None:
         filled = arena[:matrix.size].view(bool).reshape(matrix.shape)
         work_flags = np.empty((_FLAG_ROWS, values.size), bool)
 
-        def write_fast(block, lo, hi):
-            if hi > lo:
-                mask = np.not_equal(block[lo:hi], 0, out=filled[lo:hi])
-                handle.write(block[lo:hi][mask])
-
         for first in range(0, rows, block_rows):
             cells = [column[first:first + block_rows] for column in columns]
             count = len(cells[0])
             block = matrix[:count]
             for j in flags:  # one digit byte per cell, the text of `%d`
                 np.add(cells[j].view(np.uint8), ord("0"), out=block[:, j, 0])
-            unproven = None  # the rows for `%`
             if floats:
                 x = values[:count]
                 for k, j in enumerate(floats):
                     x[:, k] = cells[j]
                 unproven = _float_cells(x, block[:, :, :-1], cols, work, work_flags)
-            if unproven is None:
-                write_fast(block, 0, count)
-                continue
-            # rows not proven exact, in runs [begin, end), go through `%`
-            edges = np.flatnonzero(np.diff(unproven, prepend=False, append=False)).reshape(-1, 2)
-            done = 0
-            for begin, end in edges.tolist():
-                write_fast(block, done, begin)
-                slow = [column[begin:end].tolist() for column in cells]
-                handle.write(((template * (end - begin)) % tuple(chain.from_iterable(zip(*slow)))).encode())
-                done = end
-            write_fast(block, done, count)
+                # `%`'s text, 0-padded; np.argwhere would cost 7 times as much
+                # as np.flatnonzero on a block with no such cell
+                for cell in np.flatnonzero(unproven).tolist():
+                    i, k = divmod(cell, len(floats))
+                    text = (formats[floats[k]] % x[i, k]).encode().ljust(_CELL - 1, b"\0")
+                    block[i, floats[k], :-1] = np.frombuffer(text, np.uint8)
+            handle.write(block[np.not_equal(block, 0, out=filled[:count])])

@@ -316,7 +316,7 @@ def superoscillation_report(
     omega0 = local_frequency(pair, gen, 0.0)
 
     half = (trace.t[1] - trace.t[0]) / 2.0
-    hot = trace.defined & (np.abs(np.where(trace.defined, trace.omega, 0.0)) > cap)
+    hot = np.abs(trace.omega) > cap  # a flagged sample's NaN omega is never hot
 
     return SuperoscillationReport(
         max_abs_eigenvalue=cap,

@@ -291,8 +291,8 @@ class TestWriteCsv:
         rows = 4 * CSV_BLOCK_ROWS + 3
         rng = np.random.default_rng(5)
         floats = np.resize(np.array(special), rows) * np.where(rng.random(rows) < 0.5, 1.0, -1e-7)
-        # every block holds nan floats, whose rows go through `%`, between
-        # rows of the fast path; the flags lie between two float columns
+        # every block holds nan floats, whose cells take the text of `%`,
+        # between cells of the fast path; the flags lie between two float columns
         flags = rng.random(rows) < 0.5
         columns = [floats, flags, rng.standard_normal(rows)]
         header = ["f", "d", "g"]

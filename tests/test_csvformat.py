@@ -113,7 +113,7 @@ def float_and_flag_columns(draw):
 @settings(max_examples=300, deadline=None)
 @given(float_and_flag_columns())
 def test_any_float_and_flag_columns(tmp_path_factory, columns):
-    # 4-row blocks mix rows of the fast path and of `%`; the flag column
+    # 4-row blocks mix cells of the fast path and of `%`; the flag column
     # between two float columns makes the float cells not adjacent
     floats, flags = columns
     columns = [floats, flags, floats[::-1]]
@@ -128,7 +128,7 @@ def test_any_float_and_flag_columns(tmp_path_factory, columns):
 
 def test_flagged_trace_csv_matches_template(tmp_path):
     # t = 0 is the first row of the second block: its omega is nan and its
-    # flag 0, so that row goes through `%`
+    # flag 0, so that omega cell takes the text of `%`
     gen = normalized_generator(build_gellmann_basis(2)[0])
     pair = StatePair(np.array([1.0, 0.0], complex), np.array([0.0, 1.0], complex))
     trace = phase_trace(pair, gen, (-1, 1), 2 * CSV_BLOCK_ROWS + 1)
@@ -142,17 +142,44 @@ def test_flagged_trace_csv_matches_template(tmp_path):
     assert path.read_bytes() == expected.encode()
 
 
+def test_unproven_cells_patched_in_place(tmp_path, monkeypatch):
+    # one block: an exact tie in the middle float column, between a proven
+    # float and the flag, and a nan in the last float column of the next row
+    masks = []
+    format_cells = _csvformat._float_cells
+
+    def spy(*args):
+        mask = format_cells(*args)
+        masks.append(mask.copy())
+        return mask
+
+    monkeypatch.setattr(_csvformat, "_float_cells", spy)
+    columns = [
+        np.array([0.1, -2.5, 1 / 3, 7.0]),
+        np.array([1250000000000000.25, np.pi, -1e-5, 0.0]),
+        np.array([True, False, True, True]),
+        np.array([1e200, np.nan, -0.0, 6.02214076e23]),
+    ]
+    path = tmp_path / "c.csv"
+    write_csv(str(path), ["a", "b", "defined", "c"], columns)
+    template = "%.17g,%.17g,%d,%.17g\n"
+    expected = "a,b,defined,c\n" + "".join(template % row for row in zip(*(c.tolist() for c in columns)))
+    assert path.read_bytes() == expected.encode()
+    assert len(masks) == 1
+    assert np.argwhere(masks[0]).tolist() == [[0, 1], [1, 2]]
+
+
 def test_superosc_trace_takes_the_fast_path(tmp_path, monkeypatch):
-    # no row of a benchmark-sized trace may reach the `%` fallback, so a
+    # no cell of a benchmark-sized trace may reach the `%` fallback, so a
     # broken fast path cannot hide behind it
     unproven, widths = [], []
     format_cells = _csvformat._float_cells
 
     def spy(x, *args):
         widths.append(x.shape[1])
-        rows = format_cells(x, *args)
-        unproven.append(0 if rows is None else int(rows.sum()))
-        return rows
+        mask = format_cells(x, *args)
+        unproven.append(int(mask.sum()))
+        return mask
 
     monkeypatch.setattr(_csvformat, "_float_cells", spy)
     argv = ["superosc", "--n", "8", "--samples", "15000", "--seed", "1",

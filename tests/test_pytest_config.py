@@ -44,11 +44,11 @@ def test_marked():
 """
 
 
-def run_pytest(tmp_path, source):
+def run_pytest(tmp_path, source, *options):
     (tmp_path / "test_throwaway.py").write_text(source)
     run = subprocess.run(
         [sys.executable, "-m", "pytest", "-c", str(PYPROJECT), "-p", "no:cacheprovider",
-         "--hypothesis-seed=0", "test_throwaway.py"],
+         "--hypothesis-seed=0", *options, "test_throwaway.py"],
         cwd=tmp_path, capture_output=True, text=True, timeout=300,
     )
     return run.returncode, run.stdout + run.stderr
@@ -77,8 +77,8 @@ def test_passing_xfail_fails_the_session(tmp_path):
 
 
 def test_unknown_marker_is_an_error(tmp_path):
-    # --strict-markers fails the collection; so does filterwarnings = error,
-    # which turns pytest's unknown-mark warning into an error on its own
-    code, out = run_pytest(tmp_path, UNKNOWN_MARKER)
+    # strict_markers fails the collection; the unknown-mark warning is
+    # ignored here, so that filterwarnings = error cannot fail it instead
+    code, out = run_pytest(tmp_path, UNKNOWN_MARKER, "-W", "ignore::pytest.PytestUnknownMarkWarning")
     assert code == 2, out
     assert "not_a_registered_marker" in out and "1 error" in out

@@ -409,6 +409,19 @@ class TestSuperoscillationReport:
             assert report.omega_zero >= gen.max_abs_eigenvalue - 1e-9
             assert report.superoscillatory_at_zero
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 8])
+    def test_aligned_trace_never_flags_a_sample(self, n):
+        # the aligned trace is a two-level beat, P(t) = p cos^2 s + sin^2 s
+        # >= p >= P_OVERLAP > P_TRACE, so no sample of it is flagged
+        rng = np.random.default_rng(3100 + n)
+        basis = build_gellmann_basis(n)
+        for _ in range(25):
+            pair = random_pair(n, rng)
+            p = abs(pair.psi_f.conj() @ pair.psi_i) ** 2
+            report = superoscillation_report(pair, aligned_generator(pair, basis), (-20, 20), 4001)
+            assert report.trace.defined.all()
+            assert (np.abs(report.trace.amplitude) ** 2).min() >= p * (1 - 1e-12)
+
     def test_diagonal_pair_boundary_flag(self):
         rng = np.random.default_rng(31)
         psi = haar_state(2, rng)
