@@ -1,9 +1,8 @@
-"""Exact `%.17g` and `%d` CSV cells, formed in numpy.
+"""Exact `%.17g` CSV cells, formed in numpy.
 
-`write_csv` writes a header and float64 and bool columns as CSV,
-`CSV_BLOCK_ROWS` rows at a time, byte for byte as the `%` template of
-`%.17g` per float cell and `%d` per flag writes the rows, without
-formatting cell by cell in Python.  A float cell x goes through these
+`write_csv` writes a header and float64 columns as CSV, `CSV_BLOCK_ROWS`
+rows at a time, byte for byte as `%.17g` per cell writes the rows,
+without formatting cell by cell in Python.  A cell x goes through these
 steps:
 
 - k = floor(log10 |x|) is exact: the binary exponent of |x| leaves two
@@ -23,15 +22,13 @@ steps:
   with at least two exponent digits, trailing zeros and a bare point
   dropped, and the sign from the sign bit, so -0.0 gives `-0`.
 
-A flag cell (the `defined` column of a trace) is its one ASCII digit,
-the text of `%d`, written straight into its byte cell; the float steps
-above format only the float columns.  A cell's text is formed as three
-little-endian 64-bit words, byte j of the text in bits 8j..8j+7, so
-moving text is shifting words, and a 0 byte is padding.  A float cell
-not proven exact (a near-tie, nan, inf, 0 < |x| < 1e-270 or
-|x| >= 1e271) takes the text of `%.17g` in place, over all 24 bytes of
-its cell: no `%.17g` text is longer.  A block of rows is one byte matrix
-of fixed-width cells, written with one mask that drops its 0 bytes.
+A cell's text is formed as three little-endian 64-bit words, byte j of
+the text in bits 8j..8j+7, so moving text is shifting words, and a 0
+byte is padding.  A cell not proven exact (a near-tie, nan, inf,
+0 < |x| < 1e-270 or |x| >= 1e271) takes the text of `%.17g` in place,
+over all 24 bytes of its cell: no `%.17g` text is longer.  A block of
+rows is one byte matrix of fixed-width cells, written with one mask that
+drops its 0 bytes.
 
 Every step writes into work rows allocated once per `write_csv` call,
 so a block allocates only its output bytes.  With a fresh array per
@@ -47,10 +44,6 @@ from types import SimpleNamespace
 import numpy as np
 
 CSV_BLOCK_ROWS = 1024  # CSV rows formatted and written per block
-
-# `%` conversion per column dtype: float64 with 17 significant digits, a
-# bool flag as its digit; a column of any other dtype raises KeyError
-_FORMATS = {np.dtype(np.float64): "%.17g", np.dtype(bool): "%d"}
 
 _CELL = 25  # bytes per cell: a text of up to 24 bytes and the separator
 _K_MIN, _K_MAX = -270, 270  # decimal exponents of the fast path
@@ -145,11 +138,11 @@ def _tables() -> SimpleNamespace:
     return tables
 
 
-def _float_cells(x: np.ndarray, out: np.ndarray, cols, work: np.ndarray, flags: np.ndarray):
-    """Write the `%.17g` texts of float64 cells `x` (R, F) into the
-    columns `cols` (a slice or a list) of `out` (R, C, 24), 0-padded;
-    return the (R, F) mask of the cells not proven exact.  `work` and
-    `flags` are uint64 and bool work rows, at least x.size long."""
+def _float_cells(x: np.ndarray, out: np.ndarray, work: np.ndarray, flags: np.ndarray):
+    """Write the `%.17g` texts of float64 cells `x` (R, C) into `out`
+    (R, C, 24), 0-padded; return the (R, C) mask of the cells not proven
+    exact.  `work` and `flags` are uint64 and bool work rows, at least
+    x.size long."""
     tab = _tables()
     n = x.size
     x = x.reshape(n)
@@ -307,24 +300,21 @@ def _float_cells(x: np.ndarray, out: np.ndarray, cols, work: np.ndarray, flags: 
     np.bitwise_or(l0, m, out=l0)
     view = out.view("<u8")  # three words per byte cell
     for w, low in enumerate(lows):
-        view[:, cols, w] = low.reshape(len(view), -1)
+        view[:, :, w] = low.reshape(len(view), -1)
     return bad.reshape(len(out), -1)
 
 
 def write_csv(path: str, header: list[str], columns) -> None:
-    """Write equal-length float64 and bool numpy columns as CSV rows under a
-    header line, `CSV_BLOCK_ROWS` rows at a time.  A column of another
-    dtype raises KeyError, and columns whose count or lengths do not match
-    the header ValueError."""
+    """Write equal-length float64 numpy columns as CSV rows under a header
+    line, `CSV_BLOCK_ROWS` rows at a time.  A column of another dtype
+    raises KeyError, and columns whose count or lengths do not match the
+    header ValueError."""
     rows = len(columns[0])
     if len(columns) != len(header) or any(len(column) != rows for column in columns):
         raise ValueError("write_csv needs one column per header entry, all of one length")
-    formats = [_FORMATS[column.dtype] for column in columns]
-    flags = [j for j, column in enumerate(columns) if column.dtype == bool]
-    floats = [j for j, column in enumerate(columns) if column.dtype != bool]
-    # adjacent columns as a slice, which numpy writes twice as fast as a list
-    adjacent = floats and floats[-1] - floats[0] + 1 == len(floats)
-    cols = slice(floats[0], floats[-1] + 1) if adjacent else floats
+    for column in columns:
+        if column.dtype != np.float64:
+            raise KeyError(column.dtype)
 
     with open(path, "wb") as handle:
         handle.write((",".join(header) + "\n").encode())
@@ -332,32 +322,28 @@ def write_csv(path: str, header: list[str], columns) -> None:
             return
         block_rows = min(rows, CSV_BLOCK_ROWS)
         _tables()  # built before the work rows, so that their peaks do not add
-        values = np.empty((block_rows, len(floats)))
-        # the padding of a flag cell stays 0: only its digit byte is written
-        matrix = np.zeros((block_rows, len(columns), _CELL), np.uint8)
+        values = np.empty((block_rows, len(columns)))
+        # every byte of a cell is written: its text, or `%`'s over all 24
+        matrix = np.empty((block_rows, len(columns), _CELL), np.uint8)
         matrix[:, :, -1] = ord(",")
         matrix[:, -1, -1] = ord("\n")
-        # the mask of a block's text bytes reuses the work rows, done with by then
-        arena = np.empty(max(_WORK_ROWS * 8 * values.size, matrix.size), np.uint8)
-        work = arena[:_WORK_ROWS * 8 * values.size].view(np.uint64).reshape(_WORK_ROWS, values.size)
+        # the mask of a block's text bytes reuses the work rows, done with by
+        # then: they hold 80 bytes per cell, the matrix 25
+        arena = np.empty(_WORK_ROWS * 8 * values.size, np.uint8)
+        work = arena.view(np.uint64).reshape(_WORK_ROWS, values.size)
         filled = arena[:matrix.size].view(bool).reshape(matrix.shape)
         work_flags = np.empty((_FLAG_ROWS, values.size), bool)
 
         for first in range(0, rows, block_rows):
-            cells = [column[first:first + block_rows] for column in columns]
-            count = len(cells[0])
-            block = matrix[:count]
-            for j in flags:  # one digit byte per cell, the text of `%d`
-                np.add(cells[j].view(np.uint8), ord("0"), out=block[:, j, 0])
-            if floats:
-                x = values[:count]
-                for k, j in enumerate(floats):
-                    x[:, k] = cells[j]
-                unproven = _float_cells(x, block[:, :, :-1], cols, work, work_flags)
-                # `%`'s text, 0-padded; np.argwhere would cost 7 times as much
-                # as np.flatnonzero on a block with no such cell
-                for cell in np.flatnonzero(unproven).tolist():
-                    i, k = divmod(cell, len(floats))
-                    text = (formats[floats[k]] % x[i, k]).encode().ljust(_CELL - 1, b"\0")
-                    block[i, floats[k], :-1] = np.frombuffer(text, np.uint8)
+            count = min(block_rows, rows - first)
+            x, block = values[:count], matrix[:count]
+            for k, column in enumerate(columns):
+                x[:, k] = column[first:first + count]
+            unproven = _float_cells(x, block[:, :, :-1], work, work_flags)
+            # `%`'s text, 0-padded; np.argwhere would cost 7 times as much
+            # as np.flatnonzero on a block with no such cell
+            for cell in np.flatnonzero(unproven).tolist():
+                i, k = divmod(cell, len(columns))
+                text = ("%.17g" % x[i, k]).encode().ljust(_CELL - 1, b"\0")
+                block[i, k, :-1] = np.frombuffer(text, np.uint8)
             handle.write(block[np.not_equal(block, 0, out=filled[:count])])

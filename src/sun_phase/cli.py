@@ -596,8 +596,8 @@ def run_superosc(args) -> int:
         trace = result.trace
         write_csv(
             args.csv,
-            ["t", "re_amplitude", "im_amplitude", "omega", "defined"],
-            [trace.t, trace.amplitude.real, trace.amplitude.imag, trace.omega, trace.defined],
+            ["t", "re_amplitude", "im_amplitude", "omega"],
+            [trace.t, trace.amplitude.real, trace.amplitude.imag, trace.omega],
         )
 
     report = base_report("superosc", _echo(args, _SWEEP_ECHO), args.seed)

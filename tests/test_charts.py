@@ -299,7 +299,9 @@ class TestMetric:
         np.testing.assert_allclose(metric.g, np.eye(15), atol=1e-8)
 
     @pytest.mark.parametrize(
-        "make_chart", [su2_polar_chart, lambda: exp_chart(build_gellmann_basis(2)), lambda: exp_chart(build_gellmann_basis(3))]
+        "make_chart",
+        [su2_polar_chart, lambda: exp_chart(build_gellmann_basis(2)), lambda: exp_chart(build_gellmann_basis(3))],
+        ids=["su2_polar_chart", "<lambda>0", "<lambda>1"],
     )
     def test_trace_form_matches_vielbein_contraction(self, make_chart):
         # ck_metric raises if the two constructions disagree beyond 1e-8;
@@ -499,6 +501,7 @@ class TestEmptyStacks:
                 build_cartan_frame(haar_state(3, np.random.default_rng(5)))
             ),
         ],
+        ids=["su2_polar_chart", "<lambda>0", "<lambda>1"],
     )
     def test_chart_route(self, make_chart):
         chart = make_chart()

@@ -1,4 +1,4 @@
-"""The CSV formatter writes exactly the bytes of `%.17g` and `%d`.
+"""The CSV formatter writes exactly the bytes of `%.17g`.
 
 Every case compares `write_csv` with `format(float(v), ".17g")` cell by
 cell, or with the `%` template row by row; together they cover more than
@@ -95,56 +95,54 @@ def test_random_bit_patterns(tmp_path):
     assert_exact(tmp_path, bits.view(np.float64))
 
 
-@pytest.mark.parametrize("dtype", [np.int64, np.int32, np.float32])
+@pytest.mark.parametrize("dtype", [np.int64, np.int32, np.float32, bool])
 def test_other_dtypes_rejected(tmp_path, dtype):
-    # the commands write float64 columns and bool flags only
+    # the commands write float64 columns only
     with pytest.raises(KeyError):
         write_csv(str(tmp_path / "c.csv"), ["f", "v"], [np.zeros(3), np.zeros(3, dtype)])
 
 
 @st.composite
-def float_and_flag_columns(draw):
-    """A float column, nan and inf included, and a bool flag column."""
-    floats = draw(st.lists(st.floats(width=64), min_size=1, max_size=40))
-    flags = draw(st.lists(st.booleans(), min_size=len(floats), max_size=len(floats)))
-    return np.array(floats, dtype=np.float64), np.array(flags, dtype=bool)
+def float_columns(draw):
+    """Two float columns of one length, nan and inf included."""
+    a = draw(st.lists(st.floats(width=64), min_size=1, max_size=40))
+    b = draw(st.lists(st.floats(width=64), min_size=len(a), max_size=len(a)))
+    return np.array(a, dtype=np.float64), np.array(b, dtype=np.float64)
 
 
 @settings(max_examples=300, deadline=None)
-@given(float_and_flag_columns())
-def test_any_float_and_flag_columns(tmp_path_factory, columns):
-    # 4-row blocks mix cells of the fast path and of `%`; the flag column
-    # between two float columns makes the float cells not adjacent
-    floats, flags = columns
-    columns = [floats, flags, floats[::-1]]
+@given(float_columns())
+def test_any_float_columns(tmp_path_factory, columns):
+    # 4-row blocks mix cells of the fast path and of `%`
     path = tmp_path_factory.getbasetemp() / "any.csv"
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(_csvformat, "CSV_BLOCK_ROWS", 4)
-        write_csv(str(path), ["a", "defined", "b"], columns)
-    template = "%.17g,%d,%.17g\n"
-    expected = "a,defined,b\n" + "".join(template % row for row in zip(*(c.tolist() for c in columns)))
+        write_csv(str(path), ["a", "b"], columns)
+    template = "%.17g,%.17g\n"
+    expected = "a,b\n" + "".join(template % row for row in zip(*(c.tolist() for c in columns)))
     assert path.read_bytes() == expected.encode()
 
 
 def test_flagged_trace_csv_matches_template(tmp_path):
-    # t = 0 is the first row of the second block: its omega is nan and its
-    # flag 0, so that omega cell takes the text of `%`
+    # t = 0 is the first row of the second block: its omega is nan, so that
+    # omega cell takes the text of `%`
     gen = normalized_generator(build_gellmann_basis(2)[0])
     pair = StatePair(np.array([1.0, 0.0], complex), np.array([0.0, 1.0], complex))
     trace = phase_trace(pair, gen, (-1, 1), 2 * CSV_BLOCK_ROWS + 1)
     assert not trace.defined[CSV_BLOCK_ROWS] and trace.defined.sum() == 2 * CSV_BLOCK_ROWS
-    columns = [trace.t, trace.amplitude.real, trace.amplitude.imag, trace.omega, trace.defined]
+    columns = [trace.t, trace.amplitude.real, trace.amplitude.imag, trace.omega]
     path = tmp_path / "t.csv"
-    write_csv(str(path), ["t", "re_amplitude", "im_amplitude", "omega", "defined"], columns)
-    template = "%.17g,%.17g,%.17g,%.17g,%d\n"
-    expected = "t,re_amplitude,im_amplitude,omega,defined\n" + "".join(
+    write_csv(str(path), ["t", "re_amplitude", "im_amplitude", "omega"], columns)
+    template = "%.17g,%.17g,%.17g,%.17g\n"
+    expected = "t,re_amplitude,im_amplitude,omega\n" + "".join(
         template % row for row in zip(*(c.tolist() for c in columns)))
     assert path.read_bytes() == expected.encode()
+    assert path.read_bytes().split(b"\n")[1 + CSV_BLOCK_ROWS].endswith(b",nan")
 
 
 def test_unproven_cells_patched_in_place(tmp_path, monkeypatch):
-    # one block: an exact tie in the middle float column, between a proven
-    # float and the flag, and a nan in the last float column of the next row
+    # one block: an exact tie in the middle column, between two proven
+    # cells, and a nan in the last column of the next row
     masks = []
     format_cells = _csvformat._float_cells
 
@@ -157,13 +155,12 @@ def test_unproven_cells_patched_in_place(tmp_path, monkeypatch):
     columns = [
         np.array([0.1, -2.5, 1 / 3, 7.0]),
         np.array([1250000000000000.25, np.pi, -1e-5, 0.0]),
-        np.array([True, False, True, True]),
         np.array([1e200, np.nan, -0.0, 6.02214076e23]),
     ]
     path = tmp_path / "c.csv"
-    write_csv(str(path), ["a", "b", "defined", "c"], columns)
-    template = "%.17g,%.17g,%d,%.17g\n"
-    expected = "a,b,defined,c\n" + "".join(template % row for row in zip(*(c.tolist() for c in columns)))
+    write_csv(str(path), ["a", "b", "c"], columns)
+    template = "%.17g,%.17g,%.17g\n"
+    expected = "a,b,c\n" + "".join(template % row for row in zip(*(c.tolist() for c in columns)))
     assert path.read_bytes() == expected.encode()
     assert len(masks) == 1
     assert np.argwhere(masks[0]).tolist() == [[0, 1], [1, 2]]
@@ -187,5 +184,4 @@ def test_superosc_trace_takes_the_fast_path(tmp_path, monkeypatch):
     assert main(argv) == 0
     assert len(unproven) == math.ceil(15000 / CSV_BLOCK_ROWS)
     assert sum(unproven) == 0
-    # the `defined` flag is written as digits, never as floats
     assert set(widths) == {4}

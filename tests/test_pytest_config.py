@@ -1,7 +1,8 @@
 """The repository's pytest configuration, run on throwaway test files in a
 subprocess: every warning fails a test, a failing hypothesis property
-still reports its falsifying example, every xfail is strict and an
-unregistered marker is an error."""
+still reports its falsifying example, every xfail is strict, an
+unregistered marker is an error and so are two equal parametrization
+ids."""
 import subprocess
 import sys
 from pathlib import Path
@@ -40,6 +41,15 @@ import pytest
 
 @pytest.mark.not_a_registered_marker
 def test_marked():
+    pass
+"""
+
+DUPLICATE_IDS = """
+import pytest
+
+
+@pytest.mark.parametrize("x", [1, 2], ids=["same", "same"])
+def test_cases(x):
     pass
 """
 
@@ -82,3 +92,11 @@ def test_unknown_marker_is_an_error(tmp_path):
     code, out = run_pytest(tmp_path, UNKNOWN_MARKER, "-W", "ignore::pytest.PytestUnknownMarkWarning")
     assert code == 2, out
     assert "not_a_registered_marker" in out and "1 error" in out
+
+
+def test_duplicate_parametrization_ids_are_an_error(tmp_path):
+    # strict_parametrization_ids fails the collection instead of
+    # renaming the cases same0 and same1
+    code, out = run_pytest(tmp_path, DUPLICATE_IDS)
+    assert code == 2, out
+    assert "Duplicate parametrization IDs" in out and "1 error" in out

@@ -268,6 +268,8 @@ class TestBlockedTrace:
         assert np.array_equal(trace.amplitude, amplitude)
         assert np.array_equal(trace.omega, omega, equal_nan=True)
         assert np.array_equal(trace.defined, defined)
+        # a flagged sample is exactly a nan omega
+        assert np.array_equal(trace.defined, np.isfinite(trace.omega))
         with pytest.raises(UndefinedDirectionError):
             local_frequency(pair, gen, 0.0)
 
@@ -420,6 +422,7 @@ class TestSuperoscillationReport:
             p = abs(pair.psi_f.conj() @ pair.psi_i) ** 2
             report = superoscillation_report(pair, aligned_generator(pair, basis), (-20, 20), 4001)
             assert report.trace.defined.all()
+            assert np.array_equal(report.trace.defined, np.isfinite(report.trace.omega))
             assert (np.abs(report.trace.amplitude) ** 2).min() >= p * (1 - 1e-12)
 
     def test_diagonal_pair_boundary_flag(self):
