@@ -18,17 +18,17 @@ metric contractions are matrix products batched over points only, so
 each row of a stack rounds as that point alone does.
 
 `frame_coefficients` projects U^dag dU on the generators for any set of
-partials, with the four frame guards, and `frame_dual` inverts the
-result behind the det(omega) guard; `left_invariant_frame(chart, x, u,
+partials, with the four frame guards, and `frame_dual` inverts a square
+frame behind the det(omega) guard; `left_invariant_frame(chart, x, u,
 du)` is the two over all coordinates, and the coset section uses them
-for its columns; `ck_metric(frame, du)` contracts that frame into the
-metric.  Both take the U and dU their caller holds, so neither evaluates
-the chart.  The frame's inverse dual = omega^-1 is the one matrix
-inversion per point; the inverse metric is dual dual^T
-(`vielbein_inverse`).  No eigenvalue test runs: g = omega^T omega is
-positive definite wherever the det(omega) guard passes, and a frame too
-close to singular for rounding fails that guard or the checks
-omega dual = 1 and g g^-1 = 1.
+for its coset columns and their square block tau; `ck_metric(frame, du)`
+contracts that frame into the metric.  Both take the U and dU their
+caller holds, so neither evaluates the chart.  The frame's inverse
+dual = omega^-1 is the one matrix inversion per point; the inverse
+metric is dual dual^T (`vielbein_inverse`).  No eigenvalue test runs:
+g = omega^T omega is positive definite wherever the det(omega) guard
+passes, and a frame too close to singular for rounding fails that guard
+or the checks omega dual = 1 and g g^-1 = 1.
 Every guard on a chart's value, frame and metric is written
 `not residual < tol`, so that a NaN trips it.  The value guards read
 `algebra.unitarity_residual` (one NaN-propagating maximum over the
@@ -49,7 +49,7 @@ import numpy as np
 from .algebra import (
     build_gellmann_basis,
     dagger,
-    det as matrix_det,
+    det,
     expm_generator,
     expm_partials,
     generator_sum,
@@ -129,7 +129,7 @@ class Chart:
     def _checked(self, u: np.ndarray) -> np.ndarray:
         if not unitarity_residual(u) < ATOL_IDENTITY:
             raise InternalConsistencyError("chart produced a non-unitary matrix")
-        if not (np.abs(matrix_det(u) - 1.0) < ATOL_IDENTITY).all():
+        if not (np.abs(det(u) - 1.0) < ATOL_IDENTITY).all():
             raise InternalConsistencyError("chart produced det != 1")
         return u
 
@@ -260,7 +260,7 @@ def left_translate(chart: Chart, v: np.ndarray) -> Chart:
         )
     if not unitarity_residual(v) < ATOL_IDENTITY:
         raise DomainError("left-translation element is not unitary")
-    if not abs(matrix_det(v) - 1.0) < ATOL_IDENTITY:
+    if not abs(det(v) - 1.0) < ATOL_IDENTITY:
         raise DomainError("left-translation element has det != 1")
 
     old_map, old_map_partials = chart.map_fn, chart.map_partials_fn
@@ -347,14 +347,12 @@ def frame_coefficients(u: np.ndarray, du: np.ndarray, algebra: np.ndarray) -> np
     return omega
 
 
-def frame_dual(omega: np.ndarray, x: np.ndarray, det: np.ndarray | None = None) -> np.ndarray:
-    """The inverse dual = omega^-1 of square frame coefficients at points x:
+def frame_dual(omega: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The inverse dual = omega^-1 of square frame coefficients at points x,
+    a chart's full frame or a section's coset block tau at y:
     ChartDegenerateError where |det(omega)| < 1e-10, InternalConsistencyError
-    unless omega dual is the identity to ATOL_FRAME.  `det`, when given,
-    is det(omega), known from a diagonal block of a block-triangular omega."""
-    if det is None:
-        det = matrix_det(omega)
-    if not np.abs(det).min(initial=np.inf) >= 1e-10:
+    unless omega dual is the identity to ATOL_FRAME."""
+    if not np.abs(det(omega)).min(initial=np.inf) >= 1e-10:
         raise ChartDegenerateError(f"frame singular at x = {x}")
     dual = np.linalg.inv(omega)
     if not np.abs(omega @ dual - np.eye(omega.shape[-1])).max(initial=0.0) < ATOL_FRAME:

@@ -19,11 +19,11 @@ which only the bridge and the block decomposition read, are built on
 first read from K and dK/dy by the chart's product rule, with no second
 eigendecomposition.  The chart of psi_i is W U_e0(x) W^dag, W = [psi_i |
 complement], so `_reference_pair` rotates pairs onto the chart U_e0 of e_0.
-At the slice the frame omega is block lower-triangular with an identity
-isotropy/U(1) block, so det(omega) = det(tau) for the coset block tau,
-and the leading block of the frame's inverse is tau^-1: the inverse
-Fubini-Study metric is read off it, with no further inversion and no
-eigenvalue test.
+The inverse Fubini-Study metric is T T^T for T = tau^-1, the inverse of
+the frame's 2(n-1)-square coset block tau, with no eigenvalue test: at
+the slice the frame omega is block lower-triangular with an identity
+isotropy/U(1) block, so det(omega) = det(tau) and the leading block of
+omega^-1 is tau^-1, and the section inverts tau alone.
 """
 from __future__ import annotations
 
@@ -38,7 +38,6 @@ from .algebra import (
     _row_norm,
     build_gellmann_basis,
     dagger,
-    det,
     expm_generator,
     expm_partials,
     generator_sum,
@@ -358,17 +357,13 @@ def section(frame: CartanFrame, y) -> SectionPoint:
     block decomposition read them.
 
     The two Fubini-Study constructions are cross-checked to ATOL_FD_MATCH
-    and the Berry connection verified real to 1e-9.  At the slice the full
-    frame omega is the coset columns followed by identity columns (the
-    partials K i g_s and K i lambda0 pull back to their own generators), so
-    it is block lower-triangular with an identity isotropy/U(1) block, and
-    det(omega) = det(tau).  That omega, formed from the coset columns, gets
-    the frame's det guard, on det(tau), and its inversion check
-    (`charts.frame_dual`), and `fs_metric_inv` is T T^T for the leading
-    block T = tau^-1 of its inverse.  The det guard stands behind the
-    positive definiteness of `fs_metric`, and DegenerateMetricError is
-    raised unless fs_metric fs_metric_inv is the identity to ATOL_FRAME.
-    A stack raises the error of its first failing row.
+    and the Berry connection verified real to 1e-9.  tau is inverted by
+    `charts.frame_dual` at y, behind its det guard and its check
+    tau tau^-1 = 1, and `fs_metric_inv` is T T^T for T = tau^-1.  The det
+    guard stands behind the positive definiteness of `fs_metric`, and
+    DegenerateMetricError is raised unless fs_metric fs_metric_inv is the
+    identity to ATOL_FRAME.  A stack raises the error of its first failing
+    row.
     """
     y = _coset_coordinates(frame, y)
     m = frame.dim_coset
@@ -377,13 +372,7 @@ def section(frame: CartanFrame, y) -> SectionPoint:
         frame.chart._checked(kmat)
         columns = frame_coefficients(kmat, dkmat, frame.chart.algebra)
         tau = columns[..., :m, :]
-        # the frame at the slice: the coset columns, then identity columns,
-        # as K i g_s and K i lambda0 pull back to their own generators
-        x = _slice(frame, y)
-        omega = np.broadcast_to(np.eye(x.shape[-1]), x.shape + x.shape[-1:]).copy()
-        omega[..., :m] = columns
-        # det(omega) = det(tau), and the leading block of omega^-1 is tau^-1
-        tau_inv = frame_dual(omega, x, det=det(tau))[..., :m, :m]
+        tau_inv = frame_dual(tau, y)
         psi = kmat @ frame.psi_i
         dpsi = dkmat @ frame.psi_i
 

@@ -448,9 +448,9 @@ class TestVielbeinInverse:
     @pytest.mark.parametrize("n", [2, 3, 4, 8])
     def test_indefinite_fs_metric_rejected(self, n, monkeypatch):
         # the broken tau enters through the coset factor, the one factor a
-        # section evaluates; at the slice omega is block lower-triangular
-        # with an identity isotropy/U(1) block, so det(omega) = det(tau) and
-        # the det guard stands behind the Fubini-Study block as well
+        # section evaluates; the section inverts tau itself, so its det
+        # guard and inversion check read the block the Fubini-Study metric
+        # is built from
         import sun_phase.coset as coset
 
         rng = np.random.default_rng(1300 + n)

@@ -928,17 +928,31 @@ class TestEvaluatedOnce:
     )
     def test_one_inversion_per_frame(self, tmp_path, monkeypatch, argv):
         # the metric inverses are products of the frame's inverse: no
-        # eigvalsh, and one inv per frame, that of omega, and one per
-        # section, that of the slice frame whose leading block is tau
+        # eigvalsh, one inv per frame, that of its (n^2 - 1)-square omega,
+        # and one per section, that of its 2(n - 1)-square coset block tau
+        import traceback
+
         from sun_phase import charts, coset
 
         frames = self.count_calls(monkeypatch, charts, "left_invariant_frame")
         sections = self.count_calls(monkeypatch, coset, "section")
         eigvalshs = self.count_calls(monkeypatch, np.linalg, "eigvalsh")
-        invs = self.count_calls(monkeypatch, np.linalg, "inv")
+        linalg_inv = np.linalg.inv
+        invs = []
+
+        def recorded(a):
+            callers = {f.name for f in traceback.extract_stack()}
+            invs.append((np.shape(a)[-2:], callers & {"section", "left_invariant_frame"}))
+            return linalg_inv(a)
+
+        monkeypatch.setattr(np.linalg, "inv", recorded)
         code, _ = run_to_file(tmp_path, "r.json", argv)
         assert code == EXIT_PASS
         assert len(eigvalshs) == 0
+        n = int(argv[argv.index("--n") + 1])
+        m, dim = 2 * (n - 1), n * n - 1
+        assert invs.count(((dim, dim), {"left_invariant_frame"})) == len(frames)
+        assert invs.count(((m, m), {"section"})) == len(sections)
         assert len(invs) == len(frames) + len(sections) > 0
 
     def test_verify_ray_bridge_reuses_the_section_frame(self, tmp_path, monkeypatch):

@@ -36,7 +36,15 @@ from sun_phase.errors import (
     NearZeroAmplitudeError,
     ShapeError,
 )
-from sun_phase.tolerances import ATOL_FD_MATCH, FD_STEP, P_BRIDGE, P_GRAD
+from sun_phase.tolerances import (
+    ATOL_FD_MATCH,
+    ATOL_FRAME,
+    CHECK_GATES,
+    FD_STEP,
+    P_BRIDGE,
+    P_GRAD,
+    P_SKIP_RAY,
+)
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -657,16 +665,23 @@ class TestStackedSlice:
             factorization_residual(pair, section(frame, np.zeros((2, 4))), np.zeros((2, 3)), 0.1)
 
     def test_stack_raises_error_of_first_failing_row(self):
-        # near the |y| = pi/2 rim the frame first fails its inversion check,
-        # then becomes singular; a stack raises what its first bad row raises
+        # near the |y| = pi/2 rim, tau first gives an ill-conditioned metric,
+        # then becomes singular; a stack raises what its first bad row raises.
+        # On an axis tau inverts to rounding even at |det(tau)| ~ 6e-10, so
+        # that row passes; off the axis g g^-1 misses 1 by ~1e-4 at |det(tau)|
+        # ~ 6e-7, where tau tau^-1 still meets 1 to ~1e-10
         frame = frame_for(2, psi=PLUS)
         good = np.array([0.1, 0.2])
-        uninvertible = np.array([np.pi / 2 - 1e-9, 0.0])
+        on_axis = np.array([np.pi / 2 - 1e-9, 0.0])
+        ill_conditioned = (np.pi / 2 - 1e-6) * np.array([0.6, 0.8])
         singular = np.array([np.pi / 2 - 1e-12, 0.0])
-        with pytest.raises(InternalConsistencyError, match="frame inversion failed"):
-            section(frame, np.array([good, uninvertible, singular]))
+        section(frame, np.array([good, on_axis]))
         with pytest.raises(ChartDegenerateError, match=r"singular at x = \[[^\[]*\]$"):
-            section(frame, np.array([good, singular, uninvertible]))
+            section(frame, np.array([good, on_axis, singular]))
+        with pytest.raises(DegenerateMetricError, match="ill-conditioned"):
+            section(frame, np.array([good, ill_conditioned, singular]))
+        with pytest.raises(ChartDegenerateError, match=r"singular at x = \[[^\[]*\]$"):
+            section(frame, np.array([good, singular, ill_conditioned]))
 
     def test_bridge_raises_error_of_first_failing_row(self, monkeypatch):
         # the bridge's group side contracts with the metric of the section's
@@ -830,3 +845,34 @@ def test_stacked_ray_path_matches_one_call_per_row(n, rows, seed):
             _within_ulps(getattr(bridges, name)[j], getattr(one, name), 1.0 / p[k] + 1.0)
         for name in ("grad0_phase", "u1_frame_component"):
             _within_ulps(getattr(bridges, name)[j], getattr(one, name), 1.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.sampled_from([2, 3, 4]), log_delta=st.floats(-9.0, -3.0), seed=st.integers(0, 2**16))
+def test_section_at_the_chart_margin(n, log_delta, seed):
+    # at |y| = pi/2 - delta in a random direction tau degenerates: a
+    # section either rejects the point through one of its guards, or
+    # inverts its metric to ATOL_FRAME and, where p > P_SKIP_RAY, meets the
+    # ray identities' gates.  On a coordinate axis tau inverts to rounding,
+    # so no guard trips, and at delta <= 1e-8 the gates can fail there
+    # (ROADMAP item 7)
+    rng = np.random.default_rng(seed)
+    frame = frame_for(n, rng)
+    pair = StatePair(frame.psi_i, haar_state(n, rng))
+    direction = rng.standard_normal(frame.dim_coset)
+    y = (np.pi / 2 - 10.0**log_delta) * direction / np.linalg.norm(direction)
+    try:
+        point = section(frame, y)
+    except (ChartDegenerateError, DegenerateMetricError):
+        return
+    except InternalConsistencyError as error:
+        assert str(error) == "frame inversion failed"
+        return
+    identity = point.fs_metric @ point.fs_metric_inv
+    assert np.abs(identity - np.eye(frame.dim_coset)).max() < ATOL_FRAME
+    if np.abs(point.overlap(pair.psi_f)) ** 2 > P_SKIP_RAY:
+        gates = CHECK_GATES["verify-ray"]
+        rel = ray_relation_residuals(pair, point)
+        assert rel.phase < gates["ray-phase-identity"]
+        assert rel.modulus < gates["ray-modulus-identity"]
+        assert rel.cross < gates["ray-orthogonality"]
