@@ -11,7 +11,10 @@ Fourier component present in the signal.
 `phase_trace` samples the amplitude by evolving the bra: the row
 <psi_f|exp(i l t) is one O(n^2) contraction per sample, read against
 psi_i and l psi_i, and the Fourier sum over the spectrum reproduces it
-at every sample as a cross-check.
+at every sample as a cross-check.  The local frequency exists only away
+from the amplitude's zeros: a sample with |amplitude|^2 below P_TRACE
+carries omega = NaN, which is the trace's one record of an undefined
+phase.
 """
 from __future__ import annotations
 
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import StatePair, _hermitian_eigh, dagger
-from .amplitude import min_gradient_bound
+from .amplitude import _modulus_sq, min_gradient_bound
 from .errors import (
     DomainError,
     InternalConsistencyError,
@@ -109,16 +112,16 @@ def aligned_generator(pair: StatePair, basis: np.ndarray) -> NormalizedGenerator
 class PhaseTrace:
     """Sampled amplitude, local phase frequency, and Fourier data.
 
-    omega[k] is NaN where the amplitude is below threshold (`defined`
-    False there); fourier_c are the coefficients over the generator's
-    eigenvalues, summing to the t = 0 amplitude.  `fourier_residual` is
-    the largest deviation of the Fourier sum from the sampled amplitude.
+    omega[k] is NaN exactly where |amplitude[k]|^2 < P_TRACE, the samples
+    whose phase is undefined; fourier_c are the coefficients over the
+    generator's eigenvalues, summing to the t = 0 amplitude.
+    `fourier_residual` is the largest deviation of the Fourier sum from
+    the sampled amplitude.
     """
 
     t: np.ndarray
     amplitude: np.ndarray
     omega: np.ndarray
-    defined: np.ndarray
     eigenvalues: np.ndarray
     fourier_c: np.ndarray
     fourier_residual: float
@@ -161,16 +164,16 @@ def _phases(gen: NormalizedGenerator, t: np.ndarray) -> np.ndarray:
 
 
 def _trace_block(constants, phases: np.ndarray):
-    """Amplitude, local frequency and definedness at the times of `phases`.
+    """Amplitude and local frequency at the times of `phases`.
 
     The bra is evolved instead of the matrix: the row <f|U(t) =
     ((<f|V) * e^{iwt}) V^dag is one (len(t), n) x (n, n) contraction, and
     <f|U|i> and <f|U l|i> are that row against |i> and l|i>, which are
     formed in the original basis, independent of the Fourier sum over the
-    spectrum.  omega = Re[<f|U l|i> / <f|U|i>] where |<f|U|i>|^2 >= P_TRACE
-    and NaN elsewhere.  A block defined at every sample takes the quotient
-    of the whole block, with no masking: the same values, since the
-    quotient works element by element.
+    spectrum.  omega = Re[<f|U l|i> / <f|U|i>] where |<f|U|i>|^2 >= P_TRACE,
+    with |.|^2 the `_modulus_sq` of every other p, and NaN elsewhere: the
+    quotient is taken over the whole block with those denominators set to
+    1, then NaN is written at their samples.
 
     Each sample's value does not depend on the other times in the block:
     einsum sums every row in the same order for any row count, whereas
@@ -180,12 +183,10 @@ def _trace_block(constants, phases: np.ndarray):
     bra_v, vh, kets = constants
     rows = np.einsum("sk,kj->sj", bra_v * phases, vh)
     amp, num = np.einsum("sj,jc->cs", rows, kets)
-    defined = np.abs(amp) ** 2 >= P_TRACE
-    if defined.all():
-        return amp, _quotient_real(num, amp), defined
-    omega = np.full(len(phases), np.nan)
-    omega[defined] = _quotient_real(num[defined], amp[defined])
-    return amp, omega, defined
+    undefined = _modulus_sq(amp) < P_TRACE
+    omega = _quotient_real(num, np.where(undefined, 1.0, amp))
+    omega[undefined] = np.nan
+    return amp, omega
 
 
 def local_frequency(pair: StatePair, gen: NormalizedGenerator, t: float) -> float:
@@ -199,8 +200,8 @@ def local_frequency(pair: StatePair, gen: NormalizedGenerator, t: float) -> floa
     if not np.isfinite(t):
         raise DomainError(f"time is not finite: {t}")
     phases = _phases(gen, np.array([t], dtype=float))
-    _, omega, defined = _trace_block(_trace_constants(pair, gen), phases)
-    if not defined[0]:
+    _, omega = _trace_block(_trace_constants(pair, gen), phases)
+    if np.isnan(omega[0]):
         raise UndefinedDirectionError(f"amplitude vanishes at t = {t}")
     return float(omega[0])
 
@@ -218,8 +219,7 @@ def phase_trace(
     memory stays bounded for any sample count; the phases e^{iwt} of a
     block serve both that route and the Fourier sum over the spectrum,
     which reproduces the amplitude to rounding error at every sample.
-    Samples with squared amplitude below P_TRACE are flagged and carry
-    omega = NaN.
+    Samples with squared amplitude below P_TRACE carry omega = NaN.
     """
     if pair.n != gen.n:
         raise ShapeError("state pair and generator dimensions differ")
@@ -241,13 +241,12 @@ def phase_trace(
     constants = _trace_constants(pair, gen)
     amplitude = np.empty(samples, dtype=complex)
     omega = np.empty(samples)
-    defined = np.empty(samples, dtype=bool)
     # np.maximum, not max: a NaN block residual must reach the gate below
     fourier_residual = 0.0
     for start in range(0, samples, TRACE_BLOCK):
         block = slice(start, start + TRACE_BLOCK)
         phases = _phases(gen, t[block])
-        amplitude[block], omega[block], defined[block] = _trace_block(constants, phases)
+        amplitude[block], omega[block] = _trace_block(constants, phases)
         rebuilt = np.einsum("k,sk->s", c, phases)
         fourier_residual = np.maximum(
             fourier_residual, np.max(np.abs(rebuilt - amplitude[block]))
@@ -261,7 +260,6 @@ def phase_trace(
         t=t,
         amplitude=amplitude,
         omega=omega,
-        defined=defined,
         eigenvalues=gen.eigenvalues.copy(),
         fourier_c=c,
         fourier_residual=float(fourier_residual),

@@ -876,3 +876,23 @@ def test_section_at_the_chart_margin(n, log_delta, seed):
         assert rel.phase < gates["ray-phase-identity"]
         assert rel.modulus < gates["ray-modulus-identity"]
         assert rel.cross < gates["ray-orthogonality"]
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="open rim gap (ROADMAP item 7): on a coordinate axis tau inverts "
+    "to rounding, so no section guard trips, yet the ray identities miss "
+    "their gates",
+)
+def test_rim_on_a_coordinate_axis_meets_the_ray_gates():
+    # seed 4907 gives the widest margin of seeds 0-4999 on either axis:
+    # ray-phase-identity 3.3e-2 against its 1e-5 gate, at p = 1.19e-4
+    rng = np.random.default_rng(4907)
+    frame = frame_for(2, rng)
+    pair = StatePair(frame.psi_i, haar_state(2, rng))
+    point = section(frame, np.array([0.0, np.pi / 2 - 3e-10]))  # no guard trips
+    if not np.abs(point.overlap(pair.psi_f)) ** 2 > P_SKIP_RAY:
+        pytest.fail("the pinned target no longer has p > P_SKIP_RAY")
+    rel = ray_relation_residuals(pair, point)
+    assert rel.phase < CHECK_GATES["verify-ray"]["ray-phase-identity"]

@@ -129,7 +129,7 @@ def test_flagged_trace_csv_matches_template(tmp_path):
     gen = normalized_generator(build_gellmann_basis(2)[0])
     pair = StatePair(np.array([1.0, 0.0], complex), np.array([0.0, 1.0], complex))
     trace = phase_trace(pair, gen, (-1, 1), 2 * CSV_BLOCK_ROWS + 1)
-    assert not trace.defined[CSV_BLOCK_ROWS] and trace.defined.sum() == 2 * CSV_BLOCK_ROWS
+    assert np.flatnonzero(np.isnan(trace.omega)).tolist() == [CSV_BLOCK_ROWS]
     columns = [trace.t, trace.amplitude.real, trace.amplitude.imag, trace.omega]
     path = tmp_path / "t.csv"
     write_csv(str(path), ["t", "re_amplitude", "im_amplitude", "omega"], columns)

@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import random_hermitian
 from sun_phase.algebra import (
@@ -198,9 +200,7 @@ class TestPhaseTrace:
         pair = StatePair(PLUS, MINUS)
         trace = phase_trace(pair, gen, t_range=(-1.0, 1.0), samples=129)
         mid = 64  # t = 0 on this grid
-        assert not trace.defined[mid]
-        assert np.isnan(trace.omega[mid])
-        assert trace.defined[0] and trace.defined[-1]
+        assert np.flatnonzero(np.isnan(trace.omega)).tolist() == [mid]
 
 
 # the oracle cases patch in a small block, so that short traces cross
@@ -226,7 +226,7 @@ class TestBlockedTrace:
         amplitude, omega, defined = per_sample_trace(pair, gen, trace.t)
         assert np.array_equal(trace.amplitude, amplitude)
         assert np.array_equal(trace.omega, omega, equal_nan=True)
-        assert np.array_equal(trace.defined, defined)
+        assert np.array_equal(np.isnan(trace.omega), ~defined)
         for k in {0, samples // 2, min(ORACLE_BLOCK, samples - 1), samples - 1}:
             assert local_frequency(pair, gen, trace.t[k]) == trace.omega[k]
 
@@ -242,7 +242,7 @@ class TestBlockedTrace:
         amplitude, omega, defined = per_sample_trace(pair, gen, trace.t)
         assert np.array_equal(trace.amplitude, amplitude)
         assert np.array_equal(trace.omega, omega, equal_nan=True)
-        assert np.array_equal(trace.defined, defined)
+        assert np.array_equal(np.isnan(trace.omega), ~defined)
 
     @pytest.mark.parametrize("n", [2, 3, 8, 16])
     def test_trace_independent_of_block_size(self, n, monkeypatch):
@@ -256,7 +256,6 @@ class TestBlockedTrace:
             trace = phase_trace(pair, gen, samples=50)
             assert np.array_equal(trace.amplitude, reference.amplitude)
             assert np.array_equal(trace.omega, reference.omega, equal_nan=True)
-            assert np.array_equal(trace.defined, reference.defined)
             assert trace.fourier_residual == reference.fourier_residual
 
     def test_flagged_zero_crossing_matches_per_sample_loop(self):
@@ -264,14 +263,38 @@ class TestBlockedTrace:
         pair = StatePair(PLUS, MINUS)
         trace = phase_trace(pair, gen, t_range=(-1.0, 1.0), samples=2 * TRACE_BLOCK + 1)
         amplitude, omega, defined = per_sample_trace(pair, gen, trace.t)
-        assert not trace.defined[TRACE_BLOCK]  # t = 0, the first sample of a block
+        # t = 0, the first sample of a block, is the one flagged sample
+        assert np.flatnonzero(np.isnan(trace.omega)).tolist() == [TRACE_BLOCK]
         assert np.array_equal(trace.amplitude, amplitude)
         assert np.array_equal(trace.omega, omega, equal_nan=True)
-        assert np.array_equal(trace.defined, defined)
-        # a flagged sample is exactly a nan omega
-        assert np.array_equal(trace.defined, np.isfinite(trace.omega))
+        assert np.array_equal(np.isnan(trace.omega), ~defined)
         with pytest.raises(UndefinedDirectionError):
             local_frequency(pair, gen, 0.0)
+
+    @pytest.mark.parametrize(
+        "re, im",
+        [
+            # np.abs(amp)**2 < P_TRACE <= hypot(re, im)**2
+            (-6.520162635843662e-06, -7.582049802141123e-06),
+            # hypot(re, im)**2 < P_TRACE <= np.abs(amp)**2
+            (-9.626681429324231e-06, -2.706844040262379e-06),
+        ],
+    )
+    def test_threshold_reads_the_modulus_of_python_abs(self, re, im):
+        # the kernel decides definedness by the |amp|^2 of the oracle and of
+        # every other p, hypot(re, im)**2.  np.abs can round differently in
+        # the last bit (it does for both cases with numpy 2.4 on x86-64), so
+        # a kernel reading np.abs fails both.  n = 1 constants make the
+        # kernel's amplitude exactly amp, and <f|U l|i> exactly 1
+        amp = complex(re, im)
+        one = np.ones((1, 1), dtype=complex)
+        constants = (one[0], one, np.array([[amp, 1.0]]))
+        out, omega = superosc._trace_block(constants, one)
+        assert out[0] == amp
+        if abs(amp) ** 2 >= P_TRACE:
+            assert omega[0] == (1.0 / amp).real
+        else:
+            assert np.isnan(omega[0])
 
     @pytest.mark.parametrize("n", [2, 3, 5, 8, 16, 32])
     def test_amplitude_against_taylor_oracle(self, n):
@@ -332,10 +355,10 @@ class TestBlockedTrace:
         kernel = superosc._trace_block
 
         def nan_in_last_block(constants, phases):
-            amp, omega, defined = kernel(constants, phases)
+            amp, omega = kernel(constants, phases)
             if len(phases) == 1:  # the last block of 2 TRACE_BLOCK + 1 samples: t = 1
                 amp[-1] = np.nan
-            return amp, omega, defined
+            return amp, omega
 
         monkeypatch.setattr(superosc, "_trace_block", nan_in_last_block)
         with pytest.raises(InternalConsistencyError):
@@ -367,6 +390,54 @@ class TestBlockedTrace:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20
+
+
+@st.composite
+def spin_flip_crossings(draw):
+    """<1|exp(i sigma_x t)|0> = i sin t on a grid with one sample drawn
+    within 3e-5 of a zero k pi, where |amplitude|^2 straddles P_TRACE."""
+    samples = draw(st.integers(2, 40))
+    near = draw(st.integers(0, samples - 1))
+    step = draw(st.floats(1e-7, 1e-2))
+    zero = draw(st.integers(-3, 3)) * np.pi + draw(st.floats(-3e-5, 3e-5))
+    t_range = (zero - near * step, zero + (samples - 1 - near) * step)
+    gen = normalized_generator(build_gellmann_basis(2)[0])
+    return StatePair(PLUS, MINUS), gen, t_range, samples
+
+
+@st.composite
+def near_orthogonal_traces(draw):
+    """A random unit generator on a pair with |<f|i>| = eps, traced over a
+    range about t = 0, where |amplitude| starts near eps."""
+    n = draw(st.integers(2, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    psi_i, w = haar_state(n, rng), haar_state(n, rng)
+    w = w - (psi_i.conj() @ w) * psi_i
+    eps = 10.0 ** draw(st.floats(-7.0, -3.0))
+    psi_f = eps * np.exp(1j * rng.uniform(0, 2 * np.pi)) * psi_i
+    psi_f = psi_f + np.sqrt(1.0 - eps**2) * w / np.linalg.norm(w)
+    half = 10.0 ** draw(st.floats(-7.0, 0.0))
+    samples = draw(st.integers(2, 64))
+    return StatePair(psi_i, psi_f), random_unit_generator(n, rng), (-half, half), samples
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=st.one_of(spin_flip_crossings(), near_orthogonal_traces()))
+def test_undefined_samples_near_zero_amplitudes(case):
+    # near the amplitude's zeros: the trace's NaN omegas are the oracle's
+    # undefined samples, and local_frequency raises at exactly those
+    pair, gen, t_range, samples = case
+    trace = phase_trace(pair, gen, t_range, samples)
+    amplitude, omega, defined = per_sample_trace(pair, gen, trace.t)
+    assert np.array_equal(trace.amplitude, amplitude)
+    assert np.array_equal(trace.omega, omega, equal_nan=True)
+    assert np.array_equal(np.isnan(trace.omega), ~defined)
+    for k, t in enumerate(trace.t):
+        if defined[k]:
+            assert local_frequency(pair, gen, t) == trace.omega[k]
+        else:
+            with pytest.raises(UndefinedDirectionError):
+                local_frequency(pair, gen, t)
 
 
 class TestHotIntervals:
@@ -421,8 +492,7 @@ class TestSuperoscillationReport:
             pair = random_pair(n, rng)
             p = abs(pair.psi_f.conj() @ pair.psi_i) ** 2
             report = superoscillation_report(pair, aligned_generator(pair, basis), (-20, 20), 4001)
-            assert report.trace.defined.all()
-            assert np.array_equal(report.trace.defined, np.isfinite(report.trace.omega))
+            assert np.isfinite(report.trace.omega).all()
             assert (np.abs(report.trace.amplitude) ** 2).min() >= p * (1 - 1e-12)
 
     def test_diagonal_pair_boundary_flag(self):
