@@ -34,6 +34,9 @@ Every step writes into work rows allocated once per `write_csv` call,
 so a block allocates only its output bytes.  With a fresh array per
 step, the allocator returned the freed memory to the system and faulted
 it back in on the next block, which made formatting 2.5 times slower.
+The work rows, cells and mask of a block take about 140 bytes a cell,
+so `CSV_BLOCK_ROWS` = 1,536 keeps the four-column `superosc` CSV under
+1 MiB at any length (823 KiB for 15,000 rows; 2,048 rows exceed it).
 """
 from __future__ import annotations
 
@@ -43,7 +46,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-CSV_BLOCK_ROWS = 1024  # CSV rows formatted and written per block
+CSV_BLOCK_ROWS = 1536  # CSV rows formatted and written per block
 
 _CELL = 25  # bytes per cell: a text of up to 24 bytes and the separator
 _K_MIN, _K_MAX = -270, 270  # decimal exponents of the fast path

@@ -39,7 +39,7 @@ from .tolerances import (
     P_TRACE,
 )
 
-TRACE_BLOCK = 1024  # samples per (block, n) row evaluation in phase_trace
+TRACE_ENTRIES = 2**14  # entries (samples x n) of a block's rows in phase_trace
 
 
 @dataclass(frozen=True)
@@ -152,15 +152,33 @@ def _quotient_real(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _trace_constants(pair: StatePair, gen: NormalizedGenerator):
     """The per-pair constants of the row route: the bra <f|V, V^dag, and
-    the kets |i> and l|i> side by side as the columns of an (n, 2) array."""
+    the kets |i> and l|i> as the rows of a (2, n) array."""
     v = gen.eigenvectors
-    kets = np.stack([pair.psi_i, gen.matrix @ pair.psi_i], axis=1)
+    kets = np.stack([pair.psi_i, gen.matrix @ pair.psi_i])
     return pair.psi_f.conj() @ v, dagger(v), kets
 
 
+def _trace_block_samples(n: int) -> int:
+    """Samples per block of `phase_trace`: about TRACE_ENTRIES entries of
+    its (samples, n) rows."""
+    return max(1, TRACE_ENTRIES // n)
+
+
 def _phases(gen: NormalizedGenerator, t: np.ndarray) -> np.ndarray:
-    """e^{i w_k t} for every time (rows) and eigenvalue w_k (columns)."""
-    return np.exp(1j * np.outer(t, gen.eigenvalues))
+    """e^{i w_k t} for every time (rows) and eigenvalue w_k (columns).
+
+    cos(tw) and sin(tw + 0.0), written into the real and imaginary halves
+    of one complex block, are bit for bit np.exp(1j * np.outer(t, w)): that
+    exponent is (+-0) + i(tw + 0.0), whose + 0.0 turns a product tw = -0.0
+    into +0.0, so plain sin(tw) would differ in the sign of a zero
+    imaginary part.
+    """
+    tw = np.multiply.outer(t, gen.eigenvalues)
+    phases = np.empty(tw.shape, dtype=complex)
+    np.cos(tw, out=phases.real)
+    np.add(tw, 0.0, out=tw)
+    np.sin(tw, out=phases.imag)
+    return phases
 
 
 def _trace_block(constants, phases: np.ndarray):
@@ -168,9 +186,9 @@ def _trace_block(constants, phases: np.ndarray):
 
     The bra is evolved instead of the matrix: the row <f|U(t) =
     ((<f|V) * e^{iwt}) V^dag is one (len(t), n) x (n, n) contraction, and
-    <f|U|i> and <f|U l|i> are that row against |i> and l|i>, which are
-    formed in the original basis, independent of the Fourier sum over the
-    spectrum.  omega = Re[<f|U l|i> / <f|U|i>] where |<f|U|i>|^2 >= P_TRACE,
+    <f|U|i> and <f|U l|i> are that row against the rows |i> and l|i> of
+    the kets, which are formed in the original basis, independent of the
+    Fourier sum over the spectrum.  omega = Re[<f|U l|i> / <f|U|i>] where |<f|U|i>|^2 >= P_TRACE,
     with |.|^2 the `_modulus_sq` of every other p, and NaN elsewhere: the
     quotient is taken over the whole block with those denominators set to
     1, then NaN is written at their samples.
@@ -182,7 +200,7 @@ def _trace_block(constants, phases: np.ndarray):
     """
     bra_v, vh, kets = constants
     rows = np.einsum("sk,kj->sj", bra_v * phases, vh)
-    amp, num = np.einsum("sj,jc->cs", rows, kets)
+    amp, num = np.einsum("sj,cj->cs", rows, kets)
     undefined = _modulus_sq(amp) < P_TRACE
     omega = _quotient_real(num, np.where(undefined, 1.0, amp))
     omega[undefined] = np.nan
@@ -215,8 +233,9 @@ def phase_trace(
     """Amplitude and local phase frequency along exp(i l t).
 
     The amplitude is evaluated on the row route of `_trace_block`, in
-    blocks of TRACE_BLOCK samples with an O(TRACE_BLOCK n) working set, so
-    memory stays bounded for any sample count; the phases e^{iwt} of a
+    blocks of `_trace_block_samples(n)` samples, so that a block's
+    (samples, n) arrays hold about TRACE_ENTRIES entries each and memory
+    stays bounded for any sample count and n; the phases e^{iwt} of a
     block serve both that route and the Fourier sum over the spectrum,
     which reproduces the amplitude to rounding error at every sample.
     Samples with squared amplitude below P_TRACE carry omega = NaN.
@@ -243,8 +262,9 @@ def phase_trace(
     omega = np.empty(samples)
     # np.maximum, not max: a NaN block residual must reach the gate below
     fourier_residual = 0.0
-    for start in range(0, samples, TRACE_BLOCK):
-        block = slice(start, start + TRACE_BLOCK)
+    block_samples = _trace_block_samples(gen.n)
+    for start in range(0, samples, block_samples):
+        block = slice(start, start + block_samples)
         phases = _phases(gen, t[block])
         amplitude[block], omega[block] = _trace_block(constants, phases)
         rebuilt = np.einsum("k,sk->s", c, phases)

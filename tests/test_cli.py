@@ -782,6 +782,24 @@ class TestDeterminism:
         assert csvs[0] == csvs[1]
         assert len(csvs[0].splitlines()) == samples + 1
 
+    @pytest.mark.parametrize("n", [3, 8])
+    @pytest.mark.parametrize("offset", [-1, 0, 1], ids=["block-1", "block", "block+1"])
+    def test_superosc_bytes_independent_of_trace_block(self, tmp_path, monkeypatch, n, offset):
+        # a trace about one shipped block long, against the same trace in
+        # blocks of one sample
+        samples = superosc._trace_block_samples(n) + offset
+        outputs = []
+        for name, entries in (("shipped", superosc.TRACE_ENTRIES), ("one", 1)):
+            monkeypatch.setattr(superosc, "TRACE_ENTRIES", entries)
+            csv_path = tmp_path / f"{name}.csv"
+            argv = ["superosc", "--n", str(n), "--seed", "3", "--samples", str(samples),
+                    "--csv", str(csv_path)]
+            code, out = run_to_file(tmp_path, f"{name}.json", argv)
+            assert code == EXIT_PASS
+            outputs.append((out.read_bytes(), csv_path.read_bytes()))
+        assert superosc._trace_block_samples(n) == 1
+        assert outputs[0] == outputs[1]
+
 
 class TestEvaluatedOnce:
     """Each sweep point is evaluated once; the CLI reuses what the library

@@ -11,7 +11,7 @@ import json
 import numpy as np
 import pytest
 
-from sun_phase import amplitude, charts, cli
+from sun_phase import amplitude, charts, cli, superosc
 from sun_phase.cli import EXIT_CHECK_FAILURE, EXIT_PASS, main
 from sun_phase.superosc import normalized_generator
 
@@ -42,6 +42,15 @@ def aligned_from_imaginary_part(aligned_generator):
         direction = ratios.imag / np.linalg.norm(ratios.imag)
         return normalized_generator(np.einsum("a,aij->ij", direction, basis))
     return defective
+
+
+def time_scaled_phases(factor):
+    """The phases e^{iwt} of superosc taken at factor t."""
+    def defect(phases):
+        def defective(gen, t):
+            return phases(gen, factor * t)
+        return defective
+    return defect
 
 
 def scaled_partials(expm_partials):
@@ -76,6 +85,21 @@ DEFECTS = [
         charts, "expm_partials", scaled_partials,
         ["verify-group", "--n", "3", "--chart", "exp", "--points", "20"], set(),
         id="du-scaled-gl-blind-spot",
+    ),
+    # blind spot: fourier-reconstruction rebuilds the amplitude from the
+    # same phases as the row route, superoscillatory-at-zero reads t = 0
+    # alone, and the aligned beat's omega is even in t, so a trace of
+    # e^{-iwt} or e^{2iwt} passes every check until one compares the trace
+    # with its closed form (ROADMAP item 15)
+    pytest.param(
+        superosc, "_phases", time_scaled_phases(-1.0),
+        ["superosc", "--n", "3", "--samples", "64"], set(),
+        id="phases-time-reversed-blind-spot",
+    ),
+    pytest.param(
+        superosc, "_phases", time_scaled_phases(2.0),
+        ["superosc", "--n", "3", "--samples", "64"], set(),
+        id="phases-time-doubled-blind-spot",
     ),
 ]
 

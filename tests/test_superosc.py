@@ -23,9 +23,10 @@ from sun_phase.errors import (
 )
 from sun_phase.superosc import (
     P_TRACE,
-    TRACE_BLOCK,
     _hot_intervals,
+    _phases,
     _quotient_real,
+    _trace_block_samples,
     aligned_generator,
     fourier_coefficients,
     local_frequency,
@@ -204,8 +205,14 @@ class TestPhaseTrace:
 
 
 # the oracle cases patch in a small block, so that short traces cross
-# block boundaries; the shipped TRACE_BLOCK has its own cases
+# block boundaries; the shipped TRACE_ENTRIES has its own cases
 ORACLE_BLOCK = 128
+
+
+def patch_block(monkeypatch, n, block):
+    """Blocks of `block` samples at dimension n."""
+    monkeypatch.setattr(superosc, "TRACE_ENTRIES", block * n)
+    assert _trace_block_samples(n) == block
 
 
 class TestBlockedTrace:
@@ -218,7 +225,7 @@ class TestBlockedTrace:
         [2, ORACLE_BLOCK - 1, ORACLE_BLOCK, ORACLE_BLOCK + 1, 3 * ORACLE_BLOCK + 5],
     )
     def test_matches_per_sample_loop(self, n, samples, monkeypatch):
-        monkeypatch.setattr(superosc, "TRACE_BLOCK", ORACLE_BLOCK)
+        patch_block(monkeypatch, n, ORACLE_BLOCK)
         rng = np.random.default_rng(2400 + 10 * n + samples)
         pair = random_pair(n, rng)
         gen = aligned_generator(pair, build_gellmann_basis(n))
@@ -231,10 +238,9 @@ class TestBlockedTrace:
             assert local_frequency(pair, gen, trace.t[k]) == trace.omega[k]
 
     @pytest.mark.parametrize("n", [2, 3, 8])
-    @pytest.mark.parametrize(
-        "samples", [TRACE_BLOCK - 1, TRACE_BLOCK + 1], ids=["block-1", "block+1"]
-    )
-    def test_shipped_block_matches_per_sample_loop(self, n, samples):
+    @pytest.mark.parametrize("offset", [-1, 1], ids=["block-1", "block+1"])
+    def test_shipped_block_matches_per_sample_loop(self, n, offset):
+        samples = _trace_block_samples(n) + offset
         rng = np.random.default_rng(2450 + 10 * n + samples)
         pair = random_pair(n, rng)
         gen = aligned_generator(pair, build_gellmann_basis(n))
@@ -252,7 +258,7 @@ class TestBlockedTrace:
         gen = random_unit_generator(n, rng)
         reference = phase_trace(pair, gen, samples=50)
         for block in (1, 2, 7):
-            monkeypatch.setattr(superosc, "TRACE_BLOCK", block)
+            patch_block(monkeypatch, n, block)
             trace = phase_trace(pair, gen, samples=50)
             assert np.array_equal(trace.amplitude, reference.amplitude)
             assert np.array_equal(trace.omega, reference.omega, equal_nan=True)
@@ -261,10 +267,11 @@ class TestBlockedTrace:
     def test_flagged_zero_crossing_matches_per_sample_loop(self):
         gen = normalized_generator(build_gellmann_basis(2)[0])
         pair = StatePair(PLUS, MINUS)
-        trace = phase_trace(pair, gen, t_range=(-1.0, 1.0), samples=2 * TRACE_BLOCK + 1)
+        block = _trace_block_samples(2)
+        trace = phase_trace(pair, gen, t_range=(-1.0, 1.0), samples=2 * block + 1)
         amplitude, omega, defined = per_sample_trace(pair, gen, trace.t)
         # t = 0, the first sample of a block, is the one flagged sample
-        assert np.flatnonzero(np.isnan(trace.omega)).tolist() == [TRACE_BLOCK]
+        assert np.flatnonzero(np.isnan(trace.omega)).tolist() == [block]
         assert np.array_equal(trace.amplitude, amplitude)
         assert np.array_equal(trace.omega, omega, equal_nan=True)
         assert np.array_equal(np.isnan(trace.omega), ~defined)
@@ -288,7 +295,7 @@ class TestBlockedTrace:
         # kernel's amplitude exactly amp, and <f|U l|i> exactly 1
         amp = complex(re, im)
         one = np.ones((1, 1), dtype=complex)
-        constants = (one[0], one, np.array([[amp, 1.0]]))
+        constants = (one[0], one, np.array([[amp], [1.0]]))
         out, omega = superosc._trace_block(constants, one)
         assert out[0] == amp
         if abs(amp) ** 2 >= P_TRACE:
@@ -356,40 +363,105 @@ class TestBlockedTrace:
 
         def nan_in_last_block(constants, phases):
             amp, omega = kernel(constants, phases)
-            if len(phases) == 1:  # the last block of 2 TRACE_BLOCK + 1 samples: t = 1
+            if len(phases) == 1:  # the one-sample last block, at t = 1
                 amp[-1] = np.nan
             return amp, omega
 
         monkeypatch.setattr(superosc, "_trace_block", nan_in_last_block)
+        samples = 2 * _trace_block_samples(3) + 1
         with pytest.raises(InternalConsistencyError):
-            phase_trace(pair, gen, t_range=(0.0, 1.0), samples=2 * TRACE_BLOCK + 1)
+            phase_trace(pair, gen, t_range=(0.0, 1.0), samples=samples)
+
+    @staticmethod
+    def trace_peak(pair, gen, samples):
+        """The tracemalloc peak of one trace, in bytes."""
+        tracemalloc.start()
+        try:
+            phase_trace(pair, gen, samples=samples)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak
 
     def test_peak_memory_bounded(self):
         # the largest benchmark trace: blocks keep the working set to a few
-        # (TRACE_BLOCK, n) arrays next to the ~0.5 MiB of returned arrays
+        # (samples, n) arrays of TRACE_ENTRIES entries next to the ~0.5 MiB
+        # of returned arrays
         rng = np.random.default_rng(81)
         pair = random_pair(8, rng)
         gen = aligned_generator(pair, build_gellmann_basis(8))
-        tracemalloc.start()
-        try:
-            phase_trace(pair, gen, samples=15000)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 2 * 2**20
+        assert self.trace_peak(pair, gen, 15000) < 2 * 2**20
+
+    def test_peak_memory_bounded_for_longest_block(self):
+        # n = 3 has the benchmark's longest blocks in samples, and so the
+        # most (samples,) arrays per block next to its (samples, n) ones
+        rng = np.random.default_rng(85)
+        pair = random_pair(3, rng)
+        gen = aligned_generator(pair, build_gellmann_basis(3))
+        assert _trace_block_samples(3) == 5461
+        assert self.trace_peak(pair, gen, 15000) < 2 * 2**20
 
     def test_peak_memory_bounded_at_large_n(self):
-        # no (TRACE_BLOCK, n, n) stack: at n = 64 one would take 64 MiB
+        # no (samples, n, n) stack: at n = 64 one of 256 samples would take
+        # 16 MiB
         rng = np.random.default_rng(84)
         pair = random_pair(64, rng)
         gen = random_unit_generator(64, rng)
-        tracemalloc.start()
-        try:
-            phase_trace(pair, gen, samples=15000)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 8 * 2**20
+        assert self.trace_peak(pair, gen, 15000) < 8 * 2**20
+
+
+def assert_exp_bits(phases, gen, t):
+    """`phases` has the bits of np.exp(1j * np.outer(t, w)).  == and
+    np.array_equal cannot see the sign of a zero; the uint64 views can."""
+    expected = np.exp(1j * np.outer(t, gen.eigenvalues))
+    assert np.array_equal(phases.view(np.uint64), expected.view(np.uint64))
+
+
+class TestPhases:
+    """`_phases` forms e^{iwt} from cos and sin bit for bit as np.exp does,
+    signed zeros included."""
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 64])
+    @pytest.mark.parametrize("samples", [3, 129, 1025])
+    def test_odd_symmetric_grid(self, n, samples):
+        # t = 0 exactly, and t w = -0.0 for each negative eigenvalue w,
+        # where sin(t w) alone would give -0.0 for exp's +0.0
+        rng = np.random.default_rng(2700 + n)
+        gen = random_unit_generator(n, rng)
+        t = np.linspace(-np.pi, np.pi, samples)
+        assert t[samples // 2] == 0.0 and np.any(gen.eigenvalues < 0)
+        assert_exp_bits(_phases(gen, t), gen, t)
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 64])
+    @pytest.mark.parametrize("decade", range(-3, 7))
+    def test_random_times_up_to_a_million_radians(self, n, decade):
+        rng = np.random.default_rng(2710 + 10 * n + decade)
+        gen = random_unit_generator(n, rng)
+        t = rng.uniform(-1.0, 1.0, 2000) * 10.0**decade / gen.max_abs_eigenvalue
+        assert_exp_bits(_phases(gen, t), gen, t)
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 64])
+    def test_signed_zero_times(self, n):
+        gen = random_unit_generator(n, np.random.default_rng(2720 + n))
+        t = np.array([0.0, -0.0])
+        assert_exp_bits(_phases(gen, t), gen, t)
+
+    @pytest.mark.parametrize("t", [0.0, -0.0, 0.75, -2.5, 1e5])
+    def test_local_frequency_one_sample(self, t, monkeypatch):
+        rng = np.random.default_rng(2730)
+        pair = random_pair(3, rng)
+        gen = aligned_generator(pair, build_gellmann_basis(3))
+        seen = []
+
+        def recorded(gen, t):
+            seen.append(_phases(gen, t))
+            return seen[-1]
+
+        monkeypatch.setattr(superosc, "_phases", recorded)
+        local_frequency(pair, gen, t)
+        (phases,) = seen
+        assert phases.shape == (1, 3)
+        assert_exp_bits(phases, gen, np.array([t]))
 
 
 @st.composite
